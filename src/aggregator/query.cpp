@@ -65,7 +65,10 @@ std::string handleSources(const Aggregator& daemon) {
 
 std::string handleSnapshot(const Aggregator& daemon, const json::Value& req) {
   const json::Value* jobFilter = req.find("job");
-  const json::Value* rankFilter = req.find("rank");
+  std::optional<int> rankFilter;
+  if (const json::Value* rank = req.find("rank")) {
+    rankFilter = rankFromNumber(rank->asNumber());
+  }
   // With a persistence engine attached, the engine is a strict superset
   // of the store (everything ingested was appended), so snapshots come
   // from it — series survive daemon restarts and store retention.
@@ -79,8 +82,7 @@ std::string handleSnapshot(const Aggregator& daemon, const json::Value& req) {
     if (jobFilter != nullptr && key.job != jobFilter->asString()) {
       continue;
     }
-    if (rankFilter != nullptr &&
-        key.rank != static_cast<int>(rankFilter->asNumber())) {
+    if (rankFilter && key.rank != *rankFilter) {
       continue;
     }
     w.beginObject()
@@ -114,7 +116,7 @@ std::string handleRange(const Aggregator& daemon, const json::Value& req) {
   }
   SeriesKey key;
   key.job = req.stringOr("job", "");
-  key.rank = static_cast<int>(req.numberOr("rank", 0.0));
+  key.rank = rankFromNumber(req.numberOr("rank", 0.0));
   key.metric = metric->asString();
   const double t0 = req.numberOr("t0", 0.0);
   const double t1 = req.numberOr("t1", 1e18);

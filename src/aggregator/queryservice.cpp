@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "aggregator/daemon.hpp"
+#include "common/error.hpp"
 #include "common/json.hpp"
 #include "common/monotime.hpp"
 #include "tsdb/engine.hpp"
@@ -239,7 +240,7 @@ QueryService::Parsed QueryService::parseJson(const std::string& requestJson) {
       parsed.hasJob = true;
     }
     if (const json::Value* v = req.find("rank")) {
-      parsed.rank = static_cast<int>(v->asNumber());
+      parsed.rank = rankFromNumber(v->asNumber());
       parsed.hasRank = true;
     }
     parsed.metric = req.stringOr("metric", "");
@@ -282,7 +283,11 @@ QueryService::Parsed QueryService::parseParams(
     parsed.job = it->second;
     parsed.hasJob = true;
   }
-  parsed.rank = static_cast<int>(number("rank", 0.0, &parsed.hasRank));
+  try {
+    parsed.rank = rankFromNumber(number("rank", 0.0, &parsed.hasRank));
+  } catch (const ParseError& e) {
+    parsed.error = e.what();
+  }
   if (const auto it = params.find("metric"); it != params.end()) {
     parsed.metric = it->second;
   }
@@ -314,6 +319,10 @@ void QueryService::normalize(Parsed& parsed) {
   if ((parsed.op == "range" || parsed.op == "window") &&
       parsed.metric.empty()) {
     parsed.error = parsed.op + " query requires \"metric\"";
+    return;
+  }
+  if (std::isnan(parsed.t0) || std::isnan(parsed.t1)) {
+    parsed.error = "t0 and t1 must not be NaN";
     return;
   }
   if (parsed.op == "window" && !(parsed.windowSeconds > 0.0)) {

@@ -297,7 +297,7 @@ std::vector<WindowRollup> StoreSnapshot::range(const SeriesKey& key, double t0,
                                                double t1,
                                                Resolution resolution) const {
   std::vector<WindowRollup> out;
-  if (t1 < t0) {
+  if (std::isnan(t0) || std::isnan(t1) || t1 < t0) {
     return out;
   }
   const SeriesSnapshot* series = find(key);
@@ -309,8 +309,8 @@ std::vector<WindowRollup> StoreSnapshot::range(const SeriesKey& key, double t0,
   const double width = resolution == Resolution::kFine
                            ? fineWindowSeconds_
                            : coarseWindowSeconds_;
-  const auto first = static_cast<std::int64_t>(std::floor(t0 / width));
-  const auto last = static_cast<std::int64_t>(std::floor(t1 / width));
+  const std::int64_t first = clampedWindowIndex(t0, width);
+  const std::int64_t last = clampedWindowIndex(t1, width);
   for (auto w = windows.lower_bound(first);
        w != windows.end() && w->first <= last; ++w) {
     WindowRollup row;
@@ -425,7 +425,7 @@ std::vector<WindowRollup> RollupStore::range(const SeriesKey& key, double t0,
                                              double t1,
                                              Resolution resolution) const {
   std::vector<WindowRollup> out;
-  if (t1 < t0) {
+  if (std::isnan(t0) || std::isnan(t1) || t1 < t0) {
     return out;
   }
   const Shard& shard = shardOf(key);
@@ -437,8 +437,8 @@ std::vector<WindowRollup> RollupStore::range(const SeriesKey& key, double t0,
   const auto& windows =
       resolution == Resolution::kFine ? it->second.fine : it->second.coarse;
   const double width = windowSeconds(resolution);
-  const auto first = static_cast<std::int64_t>(std::floor(t0 / width));
-  const auto last = static_cast<std::int64_t>(std::floor(t1 / width));
+  const std::int64_t first = clampedWindowIndex(t0, width);
+  const std::int64_t last = clampedWindowIndex(t1, width);
   for (auto w = windows.lower_bound(first);
        w != windows.end() && w->first <= last; ++w) {
     WindowRollup row;

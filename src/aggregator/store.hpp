@@ -14,7 +14,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -22,6 +24,8 @@
 #include <set>
 #include <string>
 #include <vector>
+
+#include "common/error.hpp"
 
 namespace zerosum::aggregator {
 
@@ -97,6 +101,42 @@ struct WindowRollup {
 };
 
 enum class Resolution : std::uint8_t { kFine, kCoarse };
+
+// The two helpers below are inline: zs_tsdb uses this header without
+// linking zs_aggregator.
+
+/// floor(t / windowSeconds) — the index of the window holding time t —
+/// saturated to the int64 range, so a query bound past it (1e300, ±inf)
+/// selects everything on its side instead of overflowing the cast.  t
+/// must not be NaN.
+[[nodiscard]] inline std::int64_t clampedWindowIndex(double t,
+                                                     double windowSeconds) {
+  // 2^63 is the first double past INT64_MAX; -2^63 is INT64_MIN exactly.
+  constexpr double kLimit = 9223372036854775808.0;
+  const double index = std::floor(t / windowSeconds);
+  if (index >= kLimit) {
+    return std::numeric_limits<std::int64_t>::max();
+  }
+  if (index < -kLimit) {
+    return std::numeric_limits<std::int64_t>::min();
+  }
+  return static_cast<std::int64_t>(index);
+}
+
+/// A query's numeric "rank" as a SeriesKey rank, truncated toward zero.
+/// Throws ParseError when it is not finite or falls outside int.
+[[nodiscard]] inline int rankFromNumber(double rank) {
+  // Truncation maps (INT_MIN - 1, INT_MAX + 1) into int; NaN fails both
+  // comparisons.
+  constexpr double kBelow =
+      static_cast<double>(std::numeric_limits<int>::min()) - 1.0;
+  constexpr double kAbove =
+      static_cast<double>(std::numeric_limits<int>::max()) + 1.0;
+  if (!(rank > kBelow && rank < kAbove)) {
+    throw ParseError("\"rank\" must be a finite number within the int range");
+  }
+  return static_cast<int>(rank);
+}
 
 /// One window flagged as modified since the last drainDirty() — what a
 /// federation Forwarder ships upstream.  `rollup` is the window's

@@ -5,7 +5,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <set>
+#include <iterator>
+#include <ranges>
 #include <sstream>
 #include <utility>
 
@@ -139,6 +140,7 @@ void Engine::recover() {
     try {
       auto reader = std::make_unique<SegmentReader>(segmentPath(seq));
       walCovered = std::max(walCovered, reader->meta().walSeqCovered);
+      addDiskKeys(*reader);
       segments_.push_back({seq, std::move(reader)});
     } catch (const ParseError&) {
       ++counters_.segmentsRejected;
@@ -279,6 +281,7 @@ void Engine::compact() {
 
   segments_.push_back(
       {segSeq, std::make_unique<SegmentReader>(segmentPath(segSeq))});
+  addDiskKeys(*segments_.back().reader);
   for (std::uint64_t seq = 1; seq <= covered; ++seq) {
     std::error_code ec;
     fs::remove(walPath(seq), ec);
@@ -312,13 +315,47 @@ void Engine::enforceRetention() {
     }
     return segmentBytes() > options_.maxDiskBytes;
   };
+  bool dropped = false;
   while (segments_.size() > 1 && overBudget()) {
     const std::string victim = segments_.front().reader->path();
     segments_.erase(segments_.begin());
     std::error_code ec;
     fs::remove(victim, ec);
     ++counters_.segmentsDropped;
+    dropped = true;
   }
+  if (dropped) {
+    // A key may have lived only in a dropped segment.
+    diskKeys_.clear();
+    for (const LiveSegment& segment : segments_) {
+      addDiskKeys(*segment.reader);
+    }
+  }
+}
+
+void Engine::addDiskKeys(const SegmentReader& reader) {
+  // Both sides are sorted (the footer by key, then resolution), so one
+  // walk finds the keys diskKeys_ lacks; after the first compaction of a
+  // steady fleet there are none, and nothing is copied.
+  std::vector<SeriesKey> added;
+  auto known = diskKeys_.cbegin();
+  for (const SegmentEntry& entry : reader.entries()) {
+    while (known != diskKeys_.cend() && *known < entry.key) {
+      ++known;
+    }
+    if ((known == diskKeys_.cend() || *known != entry.key) &&
+        (added.empty() || added.back() != entry.key)) {
+      added.push_back(entry.key);
+    }
+  }
+  if (added.empty()) {
+    return;
+  }
+  const auto oldSize = static_cast<std::ptrdiff_t>(diskKeys_.size());
+  diskKeys_.insert(diskKeys_.end(), std::make_move_iterator(added.begin()),
+                   std::make_move_iterator(added.end()));
+  std::inplace_merge(diskKeys_.begin(), diskKeys_.begin() + oldSize,
+                     diskKeys_.end());
 }
 
 std::uint64_t Engine::segmentBytes() const {
@@ -347,21 +384,20 @@ std::vector<WindowRollup> Engine::range(const SeriesKey& key, double t0,
                                         double t1,
                                         Resolution resolution) const {
   std::vector<WindowRollup> out;
-  if (t1 < t0 || !std::isfinite(t0) || !std::isfinite(t1)) {
+  if (std::isnan(t0) || std::isnan(t1) || t1 < t0) {
     return out;
   }
   const double width = windowSeconds(resolution);
-  const auto first = static_cast<std::int64_t>(std::floor(t0 / width));
-  const auto last = static_cast<std::int64_t>(std::floor(t1 / width));
+  const std::int64_t first = aggregator::clampedWindowIndex(t0, width);
+  const std::int64_t last = aggregator::clampedWindowIndex(t1, width);
 
   // A window may be split across several segments plus the hot state;
   // mergeRollup is associative, so accumulating in index order
   // reconstructs the same rollup a single store would have held.
   std::map<std::int64_t, Rollup> merged;
   for (const LiveSegment& segment : segments_) {
-    for (const SegmentEntry& entry : segment.reader->entries()) {
-      if (entry.key != key || entry.resolution != resolution ||
-          entry.maxWindow < first || entry.minWindow > last) {
+    for (const SegmentEntry& entry : segment.reader->find(key, resolution)) {
+      if (entry.maxWindow < first || entry.minWindow > last) {
         continue;
       }
       for (const auto& [index, rollup] : segment.reader->readWindows(entry)) {
@@ -407,9 +443,8 @@ std::optional<WindowRollup> Engine::latest(const SeriesKey& key,
     }
   }
   for (const LiveSegment& segment : segments_) {
-    for (const SegmentEntry& entry : segment.reader->entries()) {
-      if (entry.key == key && entry.resolution == resolution &&
-          (!newest || entry.maxWindow > *newest)) {
+    for (const SegmentEntry& entry : segment.reader->find(key, resolution)) {
+      if (!newest || entry.maxWindow > *newest) {
         newest = entry.maxWindow;
       }
     }
@@ -427,16 +462,11 @@ std::optional<WindowRollup> Engine::latest(const SeriesKey& key,
 }
 
 std::vector<SeriesKey> Engine::seriesKeys() const {
-  std::set<SeriesKey> keys;
-  for (const auto& [key, windows] : hot_) {
-    keys.insert(key);
-  }
-  for (const LiveSegment& segment : segments_) {
-    for (const SegmentEntry& entry : segment.reader->entries()) {
-      keys.insert(entry.key);
-    }
-  }
-  return {keys.begin(), keys.end()};
+  std::vector<SeriesKey> keys;
+  keys.reserve(diskKeys_.size() + hot_.size());
+  std::ranges::set_union(diskKeys_, std::views::keys(hot_),
+                         std::back_inserter(keys));
+  return keys;
 }
 
 std::vector<SourceRecord> Engine::sources() const {

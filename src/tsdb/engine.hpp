@@ -20,9 +20,13 @@
 // aggregates (min/max/sum/count), a window split across a segment and
 // the replayed WAL recombines exactly on read.
 //
-// Read path: range()/latest() merge all matching segment blocks with the
-// hot windows; seriesKeys() unions both.  Not thread-safe: one owner
-// (the daemon's poll loop or an offline tool) does everything.
+// Read path: range()/latest() look a series up in each segment's sorted
+// footer (one binary search per segment), decode only its matching
+// blocks, and merge them with the hot windows.  seriesKeys() merges a
+// sorted vector of on-disk keys — extended when a segment is added,
+// rebuilt when retention drops one — with the hot map's keys.  Not
+// thread-safe: one owner (the daemon's poll loop or an offline tool)
+// does everything.
 #pragma once
 
 #include <atomic>
@@ -167,6 +171,7 @@ class Engine {
   void replayWal(std::uint64_t seq, bool repairTail);
   void mergeSamples(const std::string& job, std::int32_t rank,
                     const std::vector<Sample>& samples);
+  void addDiskKeys(const SegmentReader& reader);
   void enforceRetention();
   void persistRegistry() const;
   void loadRegistry();
@@ -177,6 +182,9 @@ class Engine {
   EngineCounters counters_;
 
   std::vector<LiveSegment> segments_;   ///< seq ascending
+  /// Every key some live segment holds, sorted and unique.  Maintained
+  /// per segment, never per sample, so the append path pays nothing.
+  std::vector<SeriesKey> diskKeys_;
   std::map<SeriesKey, SeriesWindows> hot_;
   /// (job id, rank, metric id) -> hot series node.  Avoids building a
   /// SeriesKey (two string copies) and walking hot_ with string

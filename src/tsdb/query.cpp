@@ -1,5 +1,6 @@
 #include "tsdb/query.hpp"
 
+#include <optional>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -51,7 +52,10 @@ std::string handleSources(const Engine& engine) {
 
 std::string handleSnapshot(const Engine& engine, const json::Value& req) {
   const json::Value* jobFilter = req.find("job");
-  const json::Value* rankFilter = req.find("rank");
+  std::optional<int> rankFilter;
+  if (const json::Value* rank = req.find("rank")) {
+    rankFilter = aggregator::rankFromNumber(rank->asNumber());
+  }
   std::ostringstream out;
   json::Writer w(out);
   w.beginObject().key("series").beginArray();
@@ -59,8 +63,7 @@ std::string handleSnapshot(const Engine& engine, const json::Value& req) {
     if (jobFilter != nullptr && key.job != jobFilter->asString()) {
       continue;
     }
-    if (rankFilter != nullptr &&
-        key.rank != static_cast<int>(rankFilter->asNumber())) {
+    if (rankFilter && key.rank != *rankFilter) {
       continue;
     }
     w.beginObject()
@@ -88,7 +91,7 @@ std::string handleRange(const Engine& engine, const json::Value& req) {
   }
   SeriesKey key;
   key.job = req.stringOr("job", "");
-  key.rank = static_cast<int>(req.numberOr("rank", 0.0));
+  key.rank = aggregator::rankFromNumber(req.numberOr("rank", 0.0));
   key.metric = metric->asString();
   const double t0 = req.numberOr("t0", 0.0);
   const double t1 = req.numberOr("t1", 1e18);

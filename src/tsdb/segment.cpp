@@ -5,11 +5,13 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <tuple>
 
 #include "common/error.hpp"
 #include "tsdb/codec.hpp"
@@ -77,6 +79,12 @@ std::string getStr(const std::string& data, std::size_t& pos) {
   std::string s = data.substr(pos, n);
   pos += n;
   return s;
+}
+
+/// Footer order, the key find() searches by: (job, rank, metric,
+/// resolution).
+auto footerOrder(const SegmentEntry& entry) {
+  return std::tie(entry.key, entry.resolution);
 }
 
 /// Encodes one series+resolution block of windows.
@@ -301,6 +309,17 @@ SegmentReader::SegmentReader(const std::string& path) : path_(path) {
   if (pos != checked.size()) {
     throw ParseError("segment: trailing bytes in footer");
   }
+  // writeSegment emits footer order already; only a foreign or
+  // hand-built file pays for the sort.
+  if (!std::ranges::is_sorted(entries_, {}, footerOrder)) {
+    std::ranges::stable_sort(entries_, {}, footerOrder);
+  }
+}
+
+std::span<const SegmentEntry> SegmentReader::find(const SeriesKey& key,
+                                                  Resolution resolution) const {
+  return std::ranges::equal_range(entries_, std::tie(key, resolution), {},
+                                  footerOrder);
 }
 
 SegmentReader::~SegmentReader() {

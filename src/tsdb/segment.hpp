@@ -25,6 +25,12 @@
 // what makes the crash window between "segment renamed" and "old WAL
 // deleted" idempotent on recovery.
 //
+// Footer entries are sorted by (job, rank, metric, resolution): the
+// writer walks its series map in key order, fine before coarse.  The
+// reader checks that order at open (stable-sorting a footer that breaks
+// it, so repeated entries keep their file order) and find() answers with
+// one binary search, so a read decodes only the blocks of its series.
+//
 // Readers mmap() the file when the platform allows and fall back to a
 // buffered read; either way decode is strict (CRC + per-column bounds).
 #pragma once
@@ -32,6 +38,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -94,9 +101,14 @@ class SegmentReader {
 
   [[nodiscard]] const std::string& path() const { return path_; }
   [[nodiscard]] const SegmentMeta& meta() const { return meta_; }
+  /// Every footer entry, sorted by (key, resolution).
   [[nodiscard]] const std::vector<SegmentEntry>& entries() const {
     return entries_;
   }
+  /// The entries of one series at one resolution, in footer order (empty
+  /// when the segment holds none).  Valid while the reader lives.
+  [[nodiscard]] std::span<const SegmentEntry> find(
+      const SeriesKey& key, Resolution resolution) const;
   [[nodiscard]] std::uint64_t sizeBytes() const { return size_; }
   /// True when the file is memory-mapped (false = buffered fallback).
   [[nodiscard]] bool mapped() const { return mapped_; }

@@ -254,6 +254,27 @@ TEST(AggQuery, SnapshotRangeSourcesAndErrors) {
   EXPECT_NE(daemon.query("[1,2]").find("error"), std::string::npos);
 }
 
+TEST(AggQuery, RankOutsideIntIsAnError) {
+  PipeHub hub;
+  Aggregator daemon(hub.makeServer());
+  RawSource r0(hub);
+  r0.hello(0);
+  r0.batch(1.5, "hwt.0.user_pct", 50.0);
+  daemon.poll(2.0);
+  for (const char* rank : {"1e300", "-1e300", "2147483648"}) {
+    EXPECT_NE(daemon.query(std::string(R"({"op":"snapshot","rank":)") + rank +
+                           "}")
+                  .find("error"),
+              std::string::npos)
+        << rank;
+    EXPECT_NE(daemon.query(std::string(R"({"op":"range","metric":"m","rank":)") +
+                           rank + "}")
+                  .find("error"),
+              std::string::npos)
+        << rank;
+  }
+}
+
 TEST(AggQuery, RequestOverPipeTransportRoundTrips) {
   PipeHub hub;
   Aggregator daemon(hub.makeServer());

@@ -227,6 +227,28 @@ TEST(AggStore, KeysAreSortedAndFiltered) {
   EXPECT_EQ(keys[3], (SeriesKey{"b", 1, "m"}));
 }
 
+TEST(AggStore, OutOfRangeTimeBoundsSelectTheWholeHistory) {
+  RollupStore store;
+  for (int t = 0; t < 3; ++t) {
+    store.ingest(kKey, static_cast<double>(t) + 0.5, 1.0);
+  }
+  const StoreSnapshot snap = store.snapshot();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const auto& [t0, t1] : std::vector<std::pair<double, double>>{
+           {0.0, 1e300}, {-1e300, 1e18}, {-inf, inf}, {0.0, inf}}) {
+    EXPECT_EQ(store.range(kKey, t0, t1).size(), 3U) << t0 << ".." << t1;
+    EXPECT_EQ(snap.range(kKey, t0, t1).size(), 3U) << t0 << ".." << t1;
+  }
+  EXPECT_EQ(store.range(kKey, 0.0, 1e300, Resolution::kCoarse).size(), 1U);
+  EXPECT_EQ(snap.range(kKey, -1e300, 0.0, Resolution::kCoarse).size(), 1U);
+  for (const auto& [t0, t1] :
+       std::vector<std::pair<double, double>>{{nan, 10.0}, {0.0, nan}}) {
+    EXPECT_TRUE(store.range(kKey, t0, t1).empty());
+    EXPECT_TRUE(snap.range(kKey, t0, t1).empty());
+  }
+}
+
 TEST(AggStore, RangeQuerySelectsIntersectingWindowsOnly) {
   RollupStore store;
   for (int t = 0; t < 10; ++t) {

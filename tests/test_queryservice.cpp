@@ -415,3 +415,43 @@ TEST_F(QueryServiceTest, MalformedQueriesAre400NeverThrown) {
       "range", {{"metric", "m"}, {"t0", "abc"}}, QueryClass::kLive, 1.0);
   EXPECT_EQ(result.status, 400);
 }
+
+TEST_F(QueryServiceTest, RankOutsideIntAndNaNBoundsAre400) {
+  QueryPlane plane;
+  plane.ingest(1.0, 1);
+  plane.ingest(2.0, 2);
+  for (const char* rank : {"1e300", "-1e300", "2147483648"}) {
+    const QueryResult result = plane.service.execute(
+        std::string(R"({"op":"snapshot","rank":)") + rank + "}",
+        QueryClass::kLive, 3.0);
+    EXPECT_EQ(result.status, 400) << rank;
+    EXPECT_NE(result.body.find("error"), std::string::npos) << rank;
+  }
+  for (const char* rank : {"1e300", "inf", "nan"}) {
+    EXPECT_EQ(plane.service
+                  .executeParams("snapshot", {{"rank", rank}},
+                                 QueryClass::kLive, 3.0)
+                  .status,
+              400)
+        << rank;
+  }
+  for (const char* bound : {"t0", "t1"}) {
+    EXPECT_EQ(plane.service
+                  .executeParams("range",
+                                 {{"metric", "hwt.0.user_pct"},
+                                  {"rank", "0"},
+                                  {bound, "nan"}},
+                                 QueryClass::kLive, 3.0)
+                  .status,
+              400)
+        << bound;
+  }
+  // An infinite bound is a bound: the whole history.
+  const QueryResult all = plane.service.executeParams(
+      "range",
+      {{"job", "j1"}, {"rank", "0"}, {"metric", "hwt.0.user_pct"},
+       {"t0", "-inf"}, {"t1", "inf"}},
+      QueryClass::kLive, 3.0);
+  ASSERT_EQ(all.status, 200);
+  EXPECT_EQ(json::parse(all.body).find("windows")->asArray().size(), 2U);
+}

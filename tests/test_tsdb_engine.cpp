@@ -9,10 +9,13 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -515,6 +518,197 @@ TEST_F(TsdbEngineTest, OfflineQueryAnswersAllOps) {
   EXPECT_NE(runQuery(engine, R"({"op":"range"})").find("error"),
             std::string::npos);
   EXPECT_NE(runQuery(engine, "[1]").find("error"), std::string::npos);
+}
+
+TEST_F(TsdbEngineTest, OfflineQueryRejectsARankOutsideInt) {
+  {
+    Engine engine(dir_);
+    engine.append("job", 0, samplesAt(1.0, 2, 10.0));
+    engine.seal();
+  }
+  EngineOptions ro;
+  ro.readOnly = true;
+  Engine engine(dir_, ro);
+  for (const char* rank : {"1e300", "-1e300", "2147483648", "-2147483649"}) {
+    const std::string snapshot =
+        runQuery(engine, std::string(R"({"op":"snapshot","rank":)") + rank +
+                             "}");
+    EXPECT_NE(snapshot.find("error"), std::string::npos) << rank;
+    const std::string range = runQuery(
+        engine, std::string(R"({"op":"range","metric":"cpu.util","rank":)") +
+                    rank + "}");
+    EXPECT_NE(range.find("error"), std::string::npos) << rank;
+  }
+  // The int range's ends are still ranks.
+  const json::Value edge = json::parse(
+      runQuery(engine, R"({"op":"snapshot","rank":-2147483648})"));
+  EXPECT_TRUE(edge.find("series")->asArray().empty());
+}
+
+TEST_F(TsdbEngineTest, OutOfRangeTimeBoundsSelectTheWholeHistory) {
+  EngineOptions options;
+  options.fsync = FsyncPolicy::kOff;
+  Engine engine(dir_, options);
+  const SeriesKey key{"job", 0, "m"};
+  engine.append("job", 0, {{1.5, "m", 1.0}, {2.5, "m", 2.0}});
+  engine.compact();
+  engine.append("job", 0, {{3.5, "m", 3.0}});  // one window stays hot
+  ASSERT_EQ(engine.range(key, 0.0, 1e18).size(), 3U);
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(engine.range(key, 0.0, 1e300).size(), 3U);
+  EXPECT_EQ(engine.range(key, -1e300, 1e18).size(), 3U);
+  EXPECT_EQ(engine.range(key, -inf, inf).size(), 3U);
+  EXPECT_EQ(engine.range(key, 0.0, 1e300, Resolution::kCoarse).size(), 1U);
+  EXPECT_TRUE(engine.range(key, std::nan(""), 10.0).empty());
+  EXPECT_TRUE(engine.range(key, 0.0, std::nan("")).empty());
+}
+
+TEST_F(TsdbEngineTest, SeriesKeysFollowRetentionAndTheHotState) {
+  EngineOptions options;
+  options.fsync = FsyncPolicy::kOff;
+  options.maxSegments = 2;
+  Engine engine(dir_, options);
+  const SeriesKey gone{"job", 0, "gone"};
+  const SeriesKey kept{"job", 0, "kept"};
+  const SeriesKey hot{"job", 1, "hot"};
+  engine.append("job", 0, {{0.5, "gone", 1.0}});
+  engine.compact();  // segment 1 holds the only copy of `gone`
+  engine.append("job", 0, {{1.5, "kept", 1.0}});
+  engine.compact();
+  EXPECT_EQ(engine.seriesKeys(), (std::vector<SeriesKey>{gone, kept}));
+  engine.append("job", 0, {{2.5, "kept", 2.0}});
+  engine.compact();  // retention drops segment 1
+  EXPECT_EQ(engine.counters().segmentsDropped, 1U);
+  EXPECT_EQ(engine.seriesKeys(), (std::vector<SeriesKey>{kept}));
+  EXPECT_TRUE(engine.range(gone, 0.0, 100.0).empty());
+  engine.append("job", 1, {{3.5, "hot", 1.0}});
+  EXPECT_EQ(engine.seriesKeys(), (std::vector<SeriesKey>{kept, hot}));
+}
+
+// --- read path against a brute-force reference -----------------------------
+
+namespace reads {
+
+/// Every appended sample, rolled up the way the engine windows them.
+using Reference = std::map<SeriesKey, SeriesWindows>;
+
+void expectRows(const std::vector<WindowRollup>& rows,
+                const std::map<std::int64_t, aggregator::Rollup>& windows,
+                std::int64_t first, std::int64_t last, double width) {
+  auto it = windows.lower_bound(first);
+  for (const WindowRollup& row : rows) {
+    ASSERT_TRUE(it != windows.end() && it->first <= last)
+        << "extra window at " << row.windowStartSeconds;
+    EXPECT_EQ(row.windowStartSeconds, static_cast<double>(it->first) * width);
+    EXPECT_EQ(row.windowSeconds, width);
+    EXPECT_EQ(row.rollup.min, it->second.min);
+    EXPECT_EQ(row.rollup.max, it->second.max);
+    EXPECT_EQ(row.rollup.sum, it->second.sum);  // integer values: exact
+    EXPECT_EQ(row.rollup.count, it->second.count);
+    ++it;
+  }
+  EXPECT_TRUE(it == windows.end() || it->first > last) << "missing windows";
+}
+
+void expectReadsMatch(const Engine& engine, const Reference& reference,
+                      std::mt19937& rng) {
+  std::vector<SeriesKey> keys;
+  for (const auto& [key, windows] : reference) {
+    keys.push_back(key);
+  }
+  EXPECT_EQ(engine.seriesKeys(), keys);
+  std::uniform_real_distribution<double> time(0.0, 70.0);
+  for (const auto& [key, series] : reference) {
+    for (const Resolution res : {Resolution::kFine, Resolution::kCoarse}) {
+      const auto& windows =
+          res == Resolution::kFine ? series.fine : series.coarse;
+      const double width =
+          res == Resolution::kFine
+              ? 1.0
+              : static_cast<double>(engine.options().coarseFactor);
+      expectRows(engine.range(key, 0.0, 1e9, res), windows,
+                 std::numeric_limits<std::int64_t>::min(),
+                 std::numeric_limits<std::int64_t>::max(), width);
+      double t0 = time(rng);
+      double t1 = time(rng);
+      if (t1 < t0) {
+        std::swap(t0, t1);
+      }
+      expectRows(engine.range(key, t0, t1, res), windows,
+                 static_cast<std::int64_t>(std::floor(t0 / width)),
+                 static_cast<std::int64_t>(std::floor(t1 / width)), width);
+      const auto newest = engine.latest(key, res);
+      ASSERT_TRUE(newest.has_value()) << key.metric;
+      EXPECT_EQ(newest->windowStartSeconds,
+                static_cast<double>(windows.rbegin()->first) * width);
+      EXPECT_EQ(newest->rollup.sum, windows.rbegin()->second.sum);
+      EXPECT_EQ(newest->rollup.count, windows.rbegin()->second.count);
+    }
+  }
+  EXPECT_TRUE(engine.range({"job", 99, "cpu.util"}, 0.0, 1e9).empty());
+  EXPECT_FALSE(engine.latest({"job", 99, "cpu.util"}).has_value());
+}
+
+}  // namespace reads
+
+TEST_F(TsdbEngineTest, ReadsMatchBruteForceAcrossCompactionsAndReopen) {
+  EngineOptions options;
+  options.fsync = FsyncPolicy::kOff;
+  options.coarseFactor = 4;
+  std::mt19937 rng(20261017U);
+  std::uniform_int_distribution<int> rankOf(0, 4);
+  std::uniform_int_distribution<int> valueOf(0, 999);
+  std::uniform_real_distribution<double> lateness(0.0, 6.0);
+  const std::vector<std::string> metrics = {"cpu.util", "mem.rss",
+                                            "gpu.busy", "io.read"};
+  std::uniform_int_distribution<std::size_t> metricOf(0, metrics.size() - 1);
+  reads::Reference reference;
+  const auto add = [&](std::vector<Sample>& samples, int rank, double t,
+                       const std::string& metric) {
+    // Integer values keep every sum exact whatever order the engine
+    // folds split windows in.
+    const auto value = static_cast<double>(valueOf(rng));
+    samples.push_back({t, metric, value});
+    SeriesWindows& windows = reference[{"job", rank, metric}];
+    const auto fine = static_cast<std::int64_t>(std::floor(t));
+    windows.fine[fine].merge(value);
+    windows.coarse[fine / options.coarseFactor].merge(value);
+  };
+  {
+    Engine engine(dir_, options);
+    double clock = 0.0;
+    constexpr int kRounds = 10;
+    for (int round = 0; round < kRounds; ++round) {
+      for (int batch = 0; batch < 12; ++batch) {
+        clock += 0.5;
+        const int rank = rankOf(rng);
+        std::vector<Sample> samples;
+        for (int i = 0; i < 6; ++i) {
+          // Up to 6 s late, so windows split across segments and the
+          // hot state.
+          add(samples, rank, std::max(0.0, clock - lateness(rng)),
+              metrics[metricOf(rng)]);
+        }
+        if (round == 0 && batch == 0) {
+          add(samples, rank, clock, "first.segment.only");
+        }
+        if (round == kRounds - 1 && batch == 0) {
+          add(samples, rank, clock, "hot.only");
+        }
+        engine.append("job", rank, samples);
+      }
+      if (round < kRounds - 1) {
+        engine.compact();
+      }
+    }
+    ASSERT_EQ(engine.counters().compactions, kRounds - 1U);
+    reads::expectReadsMatch(engine, reference, rng);
+  }  // no seal: the last round lives only in the WAL
+  EngineOptions ro;
+  ro.readOnly = true;
+  Engine reopened(dir_, ro);
+  EXPECT_GT(reopened.counters().walReplayedBatches, 0U);
+  reads::expectReadsMatch(reopened, reference, rng);
 }
 
 // --- the acceptance e2e: hard kill mid-run, restart, lose nothing ----------

@@ -1,16 +1,25 @@
 // Segment tests: write/read round-trip, footer verification (missing
 // footer, corrupted CRC, truncated file), atomic publish, mergeRollup
-// associativity, and the mmap-or-buffered read path.
+// associativity, the mmap-or-buffered read path, and find() over a
+// footer that breaks the writer's (key, resolution) order.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "common/error.hpp"
+#include "tsdb/codec.hpp"
+#include "tsdb/crc32.hpp"
+#include "tsdb/engine.hpp"
 #include "tsdb/segment.hpp"
 
 using namespace zerosum;
@@ -215,6 +224,187 @@ TEST_F(TsdbSegmentTest, ReaderWorksWhetherMappedOrBuffered) {
   for (const auto& entry : reader.entries()) {
     EXPECT_FALSE(reader.readWindows(entry).empty());
   }
+}
+
+// --- find() and the footer order -------------------------------------------
+
+/// One block of a hand-built segment and the footer entry naming it.
+struct HandBlock {
+  SeriesKey key;
+  Resolution resolution = Resolution::kFine;
+  std::map<std::int64_t, Rollup> windows;
+};
+
+void putLittleEndian(std::string& out, std::uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) {
+    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFFU));
+  }
+}
+
+void putString(std::string& out, const std::string& s) {
+  putVarint(out, s.size());
+  out += s;
+}
+
+/// Lays a segment out byte for byte as DESIGN.md §7 specifies, with one
+/// footer entry per block in `blocks` order — an order writeSegment never
+/// produces unless it is (key, resolution) order.  Returns the footer
+/// entries in file order.
+std::vector<SegmentEntry> writeHandBuiltSegment(
+    const std::string& path, const std::vector<HandBlock>& blocks,
+    const SegmentMeta& meta) {
+  std::string file = "ZSSG";
+  file.push_back('\x01');
+  std::vector<SegmentEntry> footerEntries;
+  for (const HandBlock& block : blocks) {
+    SegmentEntry entry;
+    entry.key = block.key;
+    entry.resolution = block.resolution;
+    entry.offset = file.size();
+    entry.minWindow = block.windows.begin()->first;
+    entry.maxWindow = block.windows.rbegin()->first;
+    entry.windows = block.windows.size();
+    std::vector<std::int64_t> indices;
+    std::vector<double> mins;
+    std::vector<double> maxs;
+    std::vector<double> sums;
+    std::vector<std::uint64_t> counts;
+    for (const auto& [index, rollup] : block.windows) {
+      indices.push_back(index);
+      mins.push_back(rollup.min);
+      maxs.push_back(rollup.max);
+      sums.push_back(rollup.sum);
+      counts.push_back(rollup.count);
+    }
+    encodeTimestamps(indices, file);
+    encodeValues(mins, file);
+    encodeValues(maxs, file);
+    encodeValues(sums, file);
+    encodeCounts(counts, file);
+    entry.length = file.size() - entry.offset;
+    footerEntries.push_back(entry);
+  }
+  std::string footer;
+  putVarint(footer, footerEntries.size());
+  for (const SegmentEntry& entry : footerEntries) {
+    putString(footer, entry.key.job);
+    putVarint(footer, zigzag(entry.key.rank));
+    putString(footer, entry.key.metric);
+    footer.push_back(static_cast<char>(entry.resolution));
+    putVarint(footer, entry.offset);
+    putVarint(footer, entry.length);
+    putVarint(footer, zigzag(entry.minWindow));
+    putVarint(footer, zigzag(entry.maxWindow));
+    putVarint(footer, entry.windows);
+  }
+  putLittleEndian(footer, std::bit_cast<std::uint64_t>(meta.fineWindowSeconds),
+                  8);
+  putVarint(footer, static_cast<std::uint64_t>(meta.coarseFactor));
+  putVarint(footer, meta.walSeqCovered);
+  putLittleEndian(footer, crc32(footer), 4);
+  putLittleEndian(footer, footer.size(), 4);
+  footer += "ZSFT";
+  file += footer;
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(file.data(), static_cast<std::streamsize>(file.size()));
+  return footerEntries;
+}
+
+/// The read path before the footer was indexed: every footer entry in
+/// file order, merged window by window.
+std::map<std::int64_t, Rollup> linearScan(
+    const SegmentReader& reader, const std::vector<SegmentEntry>& footer,
+    const SeriesKey& key, Resolution resolution) {
+  std::map<std::int64_t, Rollup> merged;
+  for (const SegmentEntry& entry : footer) {
+    if (entry.key != key || entry.resolution != resolution) {
+      continue;
+    }
+    for (const auto& [index, rollup] : reader.readWindows(entry)) {
+      mergeRollup(merged[index], rollup);
+    }
+  }
+  return merged;
+}
+
+TEST_F(TsdbSegmentTest, UnsortedFooterWithRepeatedEntryAnswersLikeALinearScan) {
+  const SeriesKey a{"job", 0, "a"};
+  const SeriesKey b{"job", 1, "b"};
+  // Out of order, and (b, fine) three times.  Its window 4 gets sums 1,
+  // 1 and 1e16 from the three blocks: folded in file order that is
+  // 1e16 + 2, any other order rounds to 1e16, so a reordering of the
+  // repeated entries shows in the answer.
+  const std::vector<HandBlock> blocks = {
+      {b, Resolution::kFine, {{3, rollupOf({0.25})}, {4, rollupOf({1.0})}}},
+      {a, Resolution::kCoarse, {{0, rollupOf({5.0, 6.0})}}},
+      {b, Resolution::kFine, {{4, rollupOf({1.0})}, {7, rollupOf({2.0})}}},
+      {a, Resolution::kFine, {{1, rollupOf({5.0})}, {2, rollupOf({6.0})}}},
+      {b, Resolution::kFine, {{4, rollupOf({1e16})}}},
+  };
+  SegmentMeta meta;
+  meta.fineWindowSeconds = 1.0;
+  meta.coarseFactor = 10;
+  const std::vector<SegmentEntry> footer =
+      writeHandBuiltSegment(path_, blocks, meta);
+
+  SegmentReader reader(path_);
+  ASSERT_EQ(reader.entries().size(), footer.size());  // repeats are kept
+  EXPECT_TRUE(std::is_sorted(
+      reader.entries().begin(), reader.entries().end(),
+      [](const SegmentEntry& x, const SegmentEntry& y) {
+        return std::tie(x.key, x.resolution) < std::tie(y.key, y.resolution);
+      }));
+  const SeriesKey absent{"job", 2, "a"};
+  for (const SeriesKey& key : {a, b, absent}) {
+    for (const Resolution res : {Resolution::kFine, Resolution::kCoarse}) {
+      std::vector<std::uint64_t> want;  // block offsets, footer order
+      for (const SegmentEntry& entry : footer) {
+        if (entry.key == key && entry.resolution == res) {
+          want.push_back(entry.offset);
+        }
+      }
+      std::vector<std::uint64_t> got;
+      for (const SegmentEntry& entry : reader.find(key, res)) {
+        got.push_back(entry.offset);
+      }
+      EXPECT_EQ(got, want) << key.metric << " res "
+                           << static_cast<int>(res);
+    }
+  }
+
+  // The engine over this segment answers exactly as a linear scan.
+  EngineOptions ro;
+  ro.readOnly = true;
+  Engine engine(dir_.string(), ro);
+  EXPECT_EQ(engine.seriesKeys(), (std::vector<SeriesKey>{a, b}));
+  for (const SeriesKey& key : {a, b, absent}) {
+    for (const Resolution res : {Resolution::kFine, Resolution::kCoarse}) {
+      const double width = res == Resolution::kFine ? 1.0 : 10.0;
+      const auto want = linearScan(reader, footer, key, res);
+      const auto got = engine.range(key, 0.0, 1e9, res);
+      ASSERT_EQ(got.size(), want.size()) << key.metric;
+      auto it = want.begin();
+      for (const WindowRollup& row : got) {
+        EXPECT_EQ(row.windowStartSeconds,
+                  static_cast<double>(it->first) * width);
+        EXPECT_EQ(row.rollup.min, it->second.min);
+        EXPECT_EQ(row.rollup.max, it->second.max);
+        EXPECT_EQ(row.rollup.sum, it->second.sum);
+        EXPECT_EQ(row.rollup.count, it->second.count);
+        ++it;
+      }
+      const auto newest = engine.latest(key, res);
+      ASSERT_EQ(newest.has_value(), !want.empty());
+      if (newest) {
+        EXPECT_EQ(newest->windowStartSeconds,
+                  static_cast<double>(want.rbegin()->first) * width);
+        EXPECT_EQ(newest->rollup.sum, want.rbegin()->second.sum);
+      }
+    }
+  }
+  const auto window4 = engine.range(b, 4.0, 4.5);
+  ASSERT_EQ(window4.size(), 1U);
+  EXPECT_EQ(window4[0].rollup.sum, 1e16 + 2.0);
 }
 
 }  // namespace
