@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Full verification: the tier-1 build + test pass, then a sanitizer pass
+# Full verification: the tier-1 build + test pass, a Release build with
+# the local compiler, then a sanitizer pass
 # (address + undefined) over the fault-tolerance-critical suites, then
 # the JSON-emitting benchmarks and the performance-regression gate
 # (scripts/bench_gate.py against bench/baselines/), then a live
@@ -25,6 +26,14 @@ echo "=== tier-1: build + full ctest ==="
 cmake -B build -S . >/dev/null
 cmake --build build -j "$(nproc)"
 ctest --test-dir build --output-on-failure --timeout 120 -j "$(nproc)"
+
+echo "=== Release build (-O3 -Werror) ==="
+# CI's Release leg builds and tests with gcc 13; this one builds with
+# whatever compiler runs the script, whose -O3-only diagnostics (gcc 12's
+# -Wrestrict false positives on std::string concatenation) the default
+# RelWithDebInfo build misses.
+cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
+cmake --build build-release -j "$(nproc)"
 
 if [[ "$SANITIZE" == 1 ]]; then
   echo "=== sanitizer pass (address,undefined) ==="

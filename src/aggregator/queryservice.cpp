@@ -75,6 +75,18 @@ void QueryService::beginPoll(double nowSeconds) {
 void QueryService::onRecord(const std::string& job, int rank,
                             names::Id metric, double timeSeconds,
                             double value) {
+  // Fold only what RollupStore::ingest keeps (finite value, finite time
+  // >= 0), and only times whose slot index fits int64 on every ring.
+  if (!std::isfinite(timeSeconds) || !std::isfinite(value) ||
+      timeSeconds < 0.0) {
+    return;
+  }
+  const auto buckets = static_cast<double>(options_.ladderBuckets);
+  for (const double windowSeconds : options_.ladderWindowsSeconds) {
+    if (!ingestWindowIndex(timeSeconds, windowSeconds / buckets)) {
+      return;
+    }
+  }
   std::lock_guard<std::mutex> lock(ladderMutex_);
   LadderSeries& series = ladder_[{job, rank, metric}];
   if (series.rings.empty()) {
@@ -86,13 +98,12 @@ void QueryService::onRecord(const std::string& job, int rank,
     }
   }
   for (std::size_t i = 0; i < series.rings.size(); ++i) {
-    const double sub = options_.ladderWindowsSeconds[i] /
-                       static_cast<double>(options_.ladderBuckets);
-    const auto idx = static_cast<std::int64_t>(std::floor(timeSeconds / sub));
+    const std::int64_t idx = *ingestWindowIndex(
+        timeSeconds, options_.ladderWindowsSeconds[i] / buckets);
     LadderRing& ring = series.rings[i];
-    const auto buckets = static_cast<std::int64_t>(ring.slots.size());
+    const auto slots = static_cast<std::int64_t>(ring.slots.size());
     const auto slot =
-        static_cast<std::size_t>(((idx % buckets) + buckets) % buckets);
+        static_cast<std::size_t>(((idx % slots) + slots) % slots);
     if (ring.slotIndex[slot] != idx) {
       // Ring wrap: this slot last held a sub-window one full window ago.
       ring.slots[slot] = Rollup{};
@@ -557,10 +568,9 @@ std::string QueryService::runWindow(const StoreSnapshot& snap,
   for (const SeriesSnapshot& series : snap.series()) {
     if (series.key.metric != parsed.metric) continue;
     if (!series.fine.empty()) {
-      anchor = std::max(anchor, (static_cast<double>(
-                                     series.fine.rbegin()->first) +
-                                 1.0) *
-                                    snap.fineWindowSeconds());
+      anchor = std::max(
+          anchor, (static_cast<double>(series.fine.back().first) + 1.0) *
+                      snap.fineWindowSeconds());
     }
   }
   std::ostringstream out;

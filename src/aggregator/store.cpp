@@ -7,6 +7,55 @@
 
 namespace zerosum::aggregator {
 
+// --- WindowBuffer ----------------------------------------------------------
+
+WindowBuffer::const_iterator WindowBuffer::lowerBound(
+    std::int64_t index) const {
+  return std::lower_bound(
+      begin(), end(), index,
+      [](const Entry& entry, std::int64_t i) { return entry.first < i; });
+}
+
+const Rollup* WindowBuffer::find(std::int64_t index) const {
+  const auto it = lowerBound(index);
+  return it != end() && it->first == index ? &it->second : nullptr;
+}
+
+std::pair<Rollup*, bool> WindowBuffer::findOrInsert(std::int64_t index) {
+  if (empty() || index > entries_.back().first) {
+    entries_.emplace_back(index, Rollup{});
+    return {&entries_.back().second, true};
+  }
+  if (index == entries_.back().first) {
+    return {&entries_.back().second, false};
+  }
+  // A late window: binary search among the live entries.
+  const auto pos = entries_.begin() + (lowerBound(index) - entries_.cbegin());
+  if (pos->first == index) {
+    return {&pos->second, false};
+  }
+  return {&entries_.insert(pos, Entry{index, Rollup{}})->second, true};
+}
+
+std::size_t WindowBuffer::evictBefore(std::int64_t oldestKept) {
+  const std::size_t firstLive = head_;
+  while (head_ < entries_.size() && entries_[head_].first < oldestKept) {
+    ++head_;
+  }
+  const std::size_t evicted = head_ - firstLive;
+  // Erase the dead prefix once it is at least as long as the live part:
+  // each erase moves no more entries than were evicted since the last
+  // one, which keeps eviction amortised O(1).
+  if (head_ > 0 && head_ >= size()) {
+    entries_.erase(entries_.begin(),
+                   entries_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
+  }
+  return evicted;
+}
+
+// --- RollupStore -----------------------------------------------------------
+
 RollupStore::RollupStore(StoreOptions options) : options_(options) {
   if (options_.fineWindowSeconds <= 0.0) {
     throw ConfigError("RollupStore fine window must be positive");
@@ -44,22 +93,19 @@ double RollupStore::windowSeconds(Resolution resolution) const {
              : options_.fineWindowSeconds * options_.coarseFactor;
 }
 
-void RollupStore::mergeBounded(std::map<std::int64_t, Rollup>& windows,
-                               std::int64_t index, double value,
-                               int retention, std::uint64_t& evicted) {
+void RollupStore::mergeBounded(WindowBuffer& windows, std::int64_t index,
+                               double value, int retention,
+                               std::uint64_t& evicted) {
   const std::int64_t newest =
-      windows.empty() ? index : std::max(index, windows.rbegin()->first);
+      windows.empty() ? index : std::max(index, windows.back().first);
   const std::int64_t oldestKept = newest - retention + 1;
   if (index < oldestKept) {
     return;  // beyond the retention horizon: too old to matter
   }
-  windows[index].merge(value);
+  windows.findOrInsert(index).first->merge(value);
   // Evict windows that fell off the horizon (at most a handful per
   // ingest; amortized O(1)).
-  while (!windows.empty() && windows.begin()->first < oldestKept) {
-    windows.erase(windows.begin());
-    ++evicted;
-  }
+  evicted += windows.evictBefore(oldestKept);
 }
 
 void RollupStore::markDirtyLocked(Series& series, Resolution resolution,
@@ -74,18 +120,23 @@ void RollupStore::markDirtyLocked(Series& series, Resolution resolution,
   }
 }
 
-void RollupStore::mergeLocked(Series& series, double timeSeconds,
+std::optional<std::int64_t> RollupStore::fineIndexOf(double timeSeconds,
+                                                     double value) const {
+  if (!std::isfinite(timeSeconds) || !std::isfinite(value) ||
+      timeSeconds < 0.0) {
+    return std::nullopt;
+  }
+  return ingestWindowIndex(timeSeconds, options_.fineWindowSeconds);
+}
+
+void RollupStore::mergeLocked(Series& series, std::int64_t fineIndex,
                               double value, Shard& shard) {
   dataGeneration_.fetch_add(1, std::memory_order_release);
-  const auto fineIndex = static_cast<std::int64_t>(
-      std::floor(timeSeconds / options_.fineWindowSeconds));
   mergeBounded(series.fine, fineIndex, value, options_.fineRetentionWindows,
                shard.evicted);
   markDirtyLocked(series, Resolution::kFine, fineIndex, shard);
-  const std::int64_t coarseIndex =
-      fineIndex >= 0 ? fineIndex / options_.coarseFactor
-                     : (fineIndex - options_.coarseFactor + 1) /
-                           options_.coarseFactor;
+  // fineIndex >= 0 (ingest refuses t < 0), so division is the floor.
+  const std::int64_t coarseIndex = fineIndex / options_.coarseFactor;
   mergeBounded(series.coarse, coarseIndex, value,
                options_.coarseRetentionWindows, shard.evicted);
   markDirtyLocked(series, Resolution::kCoarse, coarseIndex, shard);
@@ -94,19 +145,19 @@ void RollupStore::mergeLocked(Series& series, double timeSeconds,
 
 void RollupStore::ingest(const SeriesKey& key, double timeSeconds,
                          double value) {
-  if (!std::isfinite(timeSeconds) || !std::isfinite(value) ||
-      timeSeconds < 0.0) {
+  const auto fineIndex = fineIndexOf(timeSeconds, value);
+  if (!fineIndex) {
     return;  // hostile or corrupt input: ignore, never throw on ingest
   }
   Shard& shard = shardOf(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
-  mergeLocked(shard.series[key], timeSeconds, value, shard);
+  mergeLocked(shard.series[key], *fineIndex, value, shard);
 }
 
 void RollupStore::ingest(const SeriesKey& key, SeriesRef& ref,
                          double timeSeconds, double value) {
-  if (!std::isfinite(timeSeconds) || !std::isfinite(value) ||
-      timeSeconds < 0.0) {
+  const auto fineIndex = fineIndexOf(timeSeconds, value);
+  if (!fineIndex) {
     return;  // hostile or corrupt input: ignore, never throw on ingest
   }
   if (ref.shard == nullptr) {
@@ -121,7 +172,7 @@ void RollupStore::ingest(const SeriesKey& key, SeriesRef& ref,
     ref.series = &ref.shard->series[key];
     ref.generation = gen;
   }
-  mergeLocked(*ref.series, timeSeconds, value, *ref.shard);
+  mergeLocked(*ref.series, *fineIndex, value, *ref.shard);
 }
 
 std::size_t RollupStore::evictSource(const std::string& job, int rank) {
@@ -149,7 +200,7 @@ std::size_t RollupStore::evictSource(const std::string& job, int rank) {
 bool RollupStore::ingestWindow(const SeriesKey& key, Resolution resolution,
                                std::int64_t windowIndex,
                                const Rollup& rollup) {
-  if (rollup.count == 0 || !std::isfinite(rollup.min) ||
+  if (windowIndex < 0 || rollup.count == 0 || !std::isfinite(rollup.min) ||
       !std::isfinite(rollup.max) || !std::isfinite(rollup.sum)) {
     return false;  // hostile or corrupt input: ignore, never throw
   }
@@ -161,29 +212,26 @@ bool RollupStore::ingestWindow(const SeriesKey& key, Resolution resolution,
   const int retention = resolution == Resolution::kFine
                             ? options_.fineRetentionWindows
                             : options_.coarseRetentionWindows;
-  const std::int64_t newest =
-      windows.empty() ? windowIndex
-                      : std::max(windowIndex, windows.rbegin()->first);
-  if (windowIndex < newest - retention + 1) {
+  // windowIndex >= 0 and retention >= 1, so this cannot overflow.
+  const std::int64_t oldestKept =
+      (windows.empty() ? windowIndex
+                       : std::max(windowIndex, windows.back().first)) -
+      retention + 1;
+  if (windowIndex < oldestKept) {
     return false;  // beyond the retention horizon: too old to matter
   }
-  auto [it, inserted] = windows.try_emplace(windowIndex);
-  const bool newer = inserted || rollup.count > it->second.count;
-  if (newer) {
-    // Cumulative snapshots are monotone in count: higher count = newer.
-    // Replacing (never combining) keeps retransmits idempotent.
-    it->second = rollup;
-    markDirtyLocked(series, resolution, windowIndex, shard);
-    ++shard.ingested;
-    dataGeneration_.fetch_add(1, std::memory_order_release);
-  } else if (inserted) {
-    windows.erase(it);
+  auto [stored, inserted] = windows.findOrInsert(windowIndex);
+  if (!inserted && rollup.count <= stored->count) {
+    return false;  // not newer: the stored window stands
   }
-  while (!windows.empty() && windows.begin()->first < newest - retention + 1) {
-    windows.erase(windows.begin());
-    ++shard.evicted;
-  }
-  return newer;
+  // Cumulative snapshots are monotone in count: higher count = newer.
+  // Replacing (never combining) keeps retransmits idempotent.
+  *stored = rollup;
+  markDirtyLocked(series, resolution, windowIndex, shard);
+  ++shard.ingested;
+  dataGeneration_.fetch_add(1, std::memory_order_release);
+  shard.evicted += windows.evictBefore(oldestKept);
+  return true;
 }
 
 void RollupStore::merge(const RollupStore& other) {
@@ -202,25 +250,18 @@ void RollupStore::merge(const RollupStore& other) {
       Shard& shard = shardOf(key);
       std::lock_guard<std::mutex> lock(shard.mutex);
       Series& mine = shard.series[key];
-      const std::pair<std::map<std::int64_t, Rollup>*,
-                      std::map<std::int64_t, Rollup>*>
-          planes[] = {{&mine.fine, &incoming.fine},
-                      {&mine.coarse, &incoming.coarse}};
+      const std::pair<WindowBuffer*, const WindowBuffer*> planes[] = {
+          {&mine.fine, &incoming.fine}, {&mine.coarse, &incoming.coarse}};
       const int retentions[] = {options_.fineRetentionWindows,
                                 options_.coarseRetentionWindows};
       for (int p = 0; p < 2; ++p) {
-        auto& target = *planes[p].first;
-        const auto& source = *planes[p].second;
-        for (const auto& [index, rollup] : source) {
-          target[index].combine(rollup);
+        WindowBuffer& target = *planes[p].first;
+        for (const auto& [index, rollup] : *planes[p].second) {
+          target.findOrInsert(index).first->combine(rollup);
         }
         if (!target.empty()) {
-          const std::int64_t oldestKept =
-              target.rbegin()->first - retentions[p] + 1;
-          while (!target.empty() && target.begin()->first < oldestKept) {
-            target.erase(target.begin());
-            ++shard.evicted;
-          }
+          shard.evicted +=
+              target.evictBefore(target.back().first - retentions[p] + 1);
         }
       }
     }
@@ -247,11 +288,7 @@ StoreSnapshot RollupStore::snapshot() const {
   out.series_.reserve(total);
   for (const auto& shard : shards_) {
     for (const auto& [key, series] : shard->series) {
-      SeriesSnapshot snap;
-      snap.key = key;
-      snap.fine = series.fine;
-      snap.coarse = series.coarse;
-      out.series_.push_back(std::move(snap));
+      out.series_.push_back({key, series.fine, series.coarse});
     }
   }
   locks.clear();
@@ -287,9 +324,9 @@ std::optional<WindowRollup> StoreSnapshot::latest(
                            ? fineWindowSeconds_
                            : coarseWindowSeconds_;
   WindowRollup out;
-  out.windowStartSeconds = static_cast<double>(windows.rbegin()->first) * width;
+  out.windowStartSeconds = static_cast<double>(windows.back().first) * width;
   out.windowSeconds = width;
-  out.rollup = windows.rbegin()->second;
+  out.rollup = windows.back().second;
   return out;
 }
 
@@ -311,7 +348,7 @@ std::vector<WindowRollup> StoreSnapshot::range(const SeriesKey& key, double t0,
                            : coarseWindowSeconds_;
   const std::int64_t first = clampedWindowIndex(t0, width);
   const std::int64_t last = clampedWindowIndex(t1, width);
-  for (auto w = windows.lower_bound(first);
+  for (auto w = windows.lowerBound(first);
        w != windows.end() && w->first <= last; ++w) {
     WindowRollup row;
     row.windowStartSeconds = static_cast<double>(w->first) * width;
@@ -348,15 +385,15 @@ std::size_t RollupStore::drainDirty(std::vector<DirtyWindow>& out,
           const std::int64_t index = *dirty->begin();
           dirty->erase(dirty->begin());
           --shard->dirty;
-          const auto it = windows.find(index);
-          if (it == windows.end()) {
+          const Rollup* rollup = windows.find(index);
+          if (rollup == nullptr) {
             continue;  // evicted since it was marked
           }
           DirtyWindow w;
           w.key = key;
           w.resolution = resolution;
           w.windowIndex = index;
-          w.rollup = it->second;
+          w.rollup = *rollup;
           out.push_back(std::move(w));
           ++appended;
         }
@@ -414,10 +451,9 @@ std::optional<WindowRollup> RollupStore::latest(const SeriesKey& key,
   }
   const double width = windowSeconds(resolution);
   WindowRollup out;
-  out.windowStartSeconds =
-      static_cast<double>(windows.rbegin()->first) * width;
+  out.windowStartSeconds = static_cast<double>(windows.back().first) * width;
   out.windowSeconds = width;
-  out.rollup = windows.rbegin()->second;
+  out.rollup = windows.back().second;
   return out;
 }
 
@@ -439,7 +475,7 @@ std::vector<WindowRollup> RollupStore::range(const SeriesKey& key, double t0,
   const double width = windowSeconds(resolution);
   const std::int64_t first = clampedWindowIndex(t0, width);
   const std::int64_t last = clampedWindowIndex(t1, width);
-  for (auto w = windows.lower_bound(first);
+  for (auto w = windows.lowerBound(first);
        w != windows.end() && w->first <= last; ++w) {
     WindowRollup row;
     row.windowStartSeconds = static_cast<double>(w->first) * width;

@@ -10,6 +10,15 @@
 // horizon merge into the correct window.  Sources that stop reporting
 // are evicted wholesale after `staleSeconds` (deltadb-style history
 // truncation: the store answers "now" and "recently", not "ever").
+//
+// Window layout: each series keeps one WindowBuffer per resolution, the
+// retained (windowIndex, rollup) pairs sorted by index in one contiguous
+// vector.  In-order ingest appends at the newest end, eviction advances a
+// head offset over the oldest end (the dead prefix is erased once it is
+// as long as the live part, so eviction is amortised O(1)), and a late
+// window is placed by binary search.  A snapshot therefore copies two
+// flat buffers per series, one allocation each, however many windows
+// they retain (DESIGN.md §12).
 #pragma once
 
 #include <algorithm>
@@ -23,6 +32,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -102,8 +112,11 @@ struct WindowRollup {
 
 enum class Resolution : std::uint8_t { kFine, kCoarse };
 
-// The two helpers below are inline: zs_tsdb uses this header without
+// The helpers below are inline: zs_tsdb uses this header without
 // linking zs_aggregator.
+
+/// 2^63: the first double past INT64_MAX; -2^63 is INT64_MIN exactly.
+inline constexpr double kWindowIndexLimit = 9223372036854775808.0;
 
 /// floor(t / windowSeconds) — the index of the window holding time t —
 /// saturated to the int64 range, so a query bound past it (1e300, ±inf)
@@ -111,14 +124,25 @@ enum class Resolution : std::uint8_t { kFine, kCoarse };
 /// must not be NaN.
 [[nodiscard]] inline std::int64_t clampedWindowIndex(double t,
                                                      double windowSeconds) {
-  // 2^63 is the first double past INT64_MAX; -2^63 is INT64_MIN exactly.
-  constexpr double kLimit = 9223372036854775808.0;
   const double index = std::floor(t / windowSeconds);
-  if (index >= kLimit) {
+  if (index >= kWindowIndexLimit) {
     return std::numeric_limits<std::int64_t>::max();
   }
-  if (index < -kLimit) {
+  if (index < -kWindowIndexLimit) {
     return std::numeric_limits<std::int64_t>::min();
+  }
+  return static_cast<std::int64_t>(index);
+}
+
+/// floor(t / windowSeconds) for a record being ingested, or nullopt when
+/// the quotient is NaN or not representable as int64 (a finite but
+/// absurd time such as 1e300): the ingest paths drop such a record
+/// instead of filing it under a saturated index.
+[[nodiscard]] inline std::optional<std::int64_t> ingestWindowIndex(
+    double t, double windowSeconds) {
+  const double index = std::floor(t / windowSeconds);
+  if (!(index >= -kWindowIndexLimit && index < kWindowIndexLimit)) {
+    return std::nullopt;
   }
   return static_cast<std::int64_t>(index);
 }
@@ -148,11 +172,60 @@ struct DirtyWindow {
   Rollup rollup;
 };
 
+/// The retained windows of one series at one resolution: (windowIndex,
+/// rollup) pairs sorted by index in one contiguous vector whose first
+/// `head_` entries are evicted (see the layout note at the top of this
+/// file).  Iteration yields the live windows, oldest first.
+class WindowBuffer {
+ public:
+  using Entry = std::pair<std::int64_t, Rollup>;
+  using const_iterator = std::vector<Entry>::const_iterator;
+
+  WindowBuffer() = default;
+  /// Copies only the live windows, in one allocation.
+  WindowBuffer(const WindowBuffer& other)
+      : entries_(other.begin(), other.end()) {}
+  WindowBuffer(WindowBuffer&& other) noexcept
+      : entries_(std::move(other.entries_)),
+        head_(std::exchange(other.head_, 0)) {}
+  /// Copy and move assignment: `other` was copied or moved in above.
+  WindowBuffer& operator=(WindowBuffer other) noexcept {
+    entries_.swap(other.entries_);
+    std::swap(head_, other.head_);
+    return *this;
+  }
+
+  [[nodiscard]] bool empty() const { return head_ == entries_.size(); }
+  [[nodiscard]] std::size_t size() const { return entries_.size() - head_; }
+  [[nodiscard]] const_iterator begin() const {
+    return entries_.begin() + static_cast<std::ptrdiff_t>(head_);
+  }
+  [[nodiscard]] const_iterator end() const { return entries_.end(); }
+  /// The newest window; the buffer must not be empty.
+  [[nodiscard]] const Entry& back() const { return entries_.back(); }
+
+  /// The first window whose index is >= `index`.
+  [[nodiscard]] const_iterator lowerBound(std::int64_t index) const;
+  /// The window at `index`, or nullptr.
+  [[nodiscard]] const Rollup* find(std::int64_t index) const;
+
+  /// The window at `index`, inserted empty in index order when absent
+  /// (appended when it is the newest); `second` is true if inserted.
+  std::pair<Rollup*, bool> findOrInsert(std::int64_t index);
+
+  /// Evicts every window older than `oldestKept`; returns how many.
+  std::size_t evictBefore(std::int64_t oldestKept);
+
+ private:
+  std::vector<Entry> entries_;
+  std::size_t head_ = 0;  ///< entries_[0, head_) are evicted
+};
+
 /// Point-in-time copy of one series' retained windows (both planes).
 struct SeriesSnapshot {
   SeriesKey key;
-  std::map<std::int64_t, Rollup> fine;
-  std::map<std::int64_t, Rollup> coarse;
+  WindowBuffer fine;
+  WindowBuffer coarse;
 };
 
 /// Immutable point-in-time copy of the whole store, taken under every
@@ -255,7 +328,9 @@ class RollupStore {
   /// duplicate routed through a second parent, or two origins claiming
   /// the same series); the stored value is kept in that case unless the
   /// incoming one is strictly newer.  Respects retention exactly like
-  /// ingest(): windows beyond the horizon are ignored.
+  /// ingest(): windows beyond the horizon are ignored.  A negative index
+  /// is rejected outright: no honest producer emits one, since ingest()
+  /// refuses t < 0.
   bool ingestWindow(const SeriesKey& key, Resolution resolution,
                     std::int64_t windowIndex, const Rollup& rollup);
 
@@ -311,9 +386,9 @@ class RollupStore {
 
  private:
   struct Series {
-    /// windowIndex -> rollup, bounded by the retention depth.
-    std::map<std::int64_t, Rollup> fine;
-    std::map<std::int64_t, Rollup> coarse;
+    /// Retained windows, bounded by the retention depth.
+    WindowBuffer fine;
+    WindowBuffer coarse;
     /// Window indices touched since the last drainDirty() (only
     /// maintained while dirty tracking is on).
     std::set<std::int64_t> dirtyFine;
@@ -332,11 +407,16 @@ class RollupStore {
   [[nodiscard]] const Shard& shardOf(const SeriesKey& key) const;
   [[nodiscard]] double windowSeconds(Resolution resolution) const;
 
-  static void mergeBounded(std::map<std::int64_t, Rollup>& windows,
-                           std::int64_t index, double value, int retention,
+  static void mergeBounded(WindowBuffer& windows, std::int64_t index,
+                           double value, int retention,
                            std::uint64_t& evicted);
 
-  void mergeLocked(Series& series, double timeSeconds, double value,
+  /// The fine window index of an ingestable record, or nullopt for one
+  /// ingest() ignores (non-finite, negative time, index not int64).
+  [[nodiscard]] std::optional<std::int64_t> fineIndexOf(double timeSeconds,
+                                                        double value) const;
+
+  void mergeLocked(Series& series, std::int64_t fineIndex, double value,
                    Shard& shard);
 
   void markDirtyLocked(Series& series, Resolution resolution,

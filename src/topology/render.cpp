@@ -87,7 +87,9 @@ std::string renderNodeDiagram(const Topology& topo) {
                 std::to_string(gpu.visibleIndex);
     }
     if (gpuCol.empty()) {
-      gpuCol = "-";
+      // assign(count, char): gcc 12 -O3 flags operator=(const char*) here
+      // with a false -Wrestrict.
+      gpuCol.assign(1, '-');
     }
     out << strings::padRight(std::to_string(numaIdx), 6)
         << strings::padRight(pus.toList(), 28)

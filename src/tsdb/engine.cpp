@@ -66,7 +66,7 @@ trace::Counter& recoveryCounter(const char* name) {
 
 Engine::Engine(const std::string& dir, EngineOptions options)
     : dir_(dir), options_(options) {
-  if (options_.fineWindowSeconds <= 0.0) {
+  if (!(options_.fineWindowSeconds > 0.0)) {  // NaN fails too
     throw ConfigError("tsdb: fine window must be positive");
   }
   if (options_.coarseFactor < 2) {
@@ -201,13 +201,19 @@ void Engine::openWal() {
                                      options_.fsyncBatchBytes);
 }
 
-void Engine::mergeSamples(const std::string& job, std::int32_t rank,
-                          const std::vector<Sample>& samples) {
+std::size_t Engine::mergeSamples(const std::string& job, std::int32_t rank,
+                                 const std::vector<Sample>& samples) {
   const names::Id jobId = names::intern(job);
+  std::size_t merged = 0;
   for (const Sample& sample : samples) {
     if (!std::isfinite(sample.timeSeconds) || !std::isfinite(sample.value) ||
         sample.timeSeconds < 0.0) {
       continue;  // RollupStore::ingest parity: ignore hostile input
+    }
+    const auto fineIndex = aggregator::ingestWindowIndex(
+        sample.timeSeconds, options_.fineWindowSeconds);
+    if (!fineIndex) {
+      continue;  // ... and a time too large to index (1e300)
     }
     // The id-keyed cache resolves straight to the hot series node; the
     // string-keyed hot_ map is only touched the first time a series is
@@ -218,16 +224,13 @@ void Engine::mergeSamples(const std::string& job, std::int32_t rank,
       cached = &hot_[SeriesKey{job, rank, sample.metric}];
     }
     SeriesWindows& windows = *cached;
-    const auto fineIndex = static_cast<std::int64_t>(
-        std::floor(sample.timeSeconds / options_.fineWindowSeconds));
-    windows.fine[fineIndex].merge(sample.value);
-    const std::int64_t coarseIndex =
-        fineIndex >= 0 ? fineIndex / options_.coarseFactor
-                       : (fineIndex - options_.coarseFactor + 1) /
-                             options_.coarseFactor;
-    windows.coarse[coarseIndex].merge(sample.value);
+    windows.fine[*fineIndex].merge(sample.value);
+    // fineIndex >= 0 (t >= 0), so integer division is the floor.
+    windows.coarse[*fineIndex / options_.coarseFactor].merge(sample.value);
     ++counters_.samplesAppended;
+    ++merged;
   }
+  return merged;
 }
 
 void Engine::append(const std::string& job, std::int32_t rank,
@@ -239,9 +242,11 @@ void Engine::append(const std::string& job, std::int32_t rank,
     return;
   }
   wal_->append(job, rank, samples);  // durable first ...
-  mergeSamples(job, rank, samples);  // ... then visible
+  const std::size_t merged = mergeSamples(job, rank, samples);  // visible
   ++counters_.batchesAppended;
-  dataGeneration_.fetch_add(1, std::memory_order_release);
+  if (merged > 0) {
+    dataGeneration_.fetch_add(1, std::memory_order_release);
+  }
 }
 
 bool Engine::maybeCompact() {

@@ -140,10 +140,10 @@ class Engine {
   /// Registry entries, sorted by (job, rank).
   [[nodiscard]] std::vector<SourceRecord> sources() const;
 
-  /// Monotone counter bumped by every append() — the persistent read
-  /// path's cache-invalidation signal, mirroring
-  /// aggregator::RollupStore::dataGeneration().  Atomic so the query
-  /// service can read it without the async-writer engine mutex.
+  /// Monotone counter bumped by every append() that merges at least one
+  /// sample — the persistent read path's cache-invalidation signal,
+  /// mirroring aggregator::RollupStore::dataGeneration().  Atomic so the
+  /// query service can read it without the async-writer engine mutex.
   [[nodiscard]] std::uint64_t dataGeneration() const {
     return dataGeneration_.load(std::memory_order_acquire);
   }
@@ -169,8 +169,10 @@ class Engine {
   [[nodiscard]] std::string segmentPath(std::uint64_t seq) const;
   void recover();
   void replayWal(std::uint64_t seq, bool repairTail);
-  void mergeSamples(const std::string& job, std::int32_t rank,
-                    const std::vector<Sample>& samples);
+  /// Folds the samples RollupStore::ingest would keep into hot_;
+  /// returns how many.
+  std::size_t mergeSamples(const std::string& job, std::int32_t rank,
+                           const std::vector<Sample>& samples);
   void addDiskKeys(const SegmentReader& reader);
   void enforceRetention();
   void persistRegistry() const;

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <tuple>
 
@@ -304,11 +305,20 @@ SegmentReader::SegmentReader(const std::string& path) : path_(path) {
     entries_.push_back(std::move(entry));
   }
   meta_.fineWindowSeconds = getF64(checked, pos);
-  meta_.coarseFactor = static_cast<int>(getVarint(checked, pos));
+  const std::uint64_t coarseFactor = getVarint(checked, pos);
   meta_.walSeqCovered = getVarint(checked, pos);
   if (pos != checked.size()) {
     throw ParseError("segment: trailing bytes in footer");
   }
+  // A read-only Engine adopts these widths, so they must pass the Engine
+  // constructor's own option checks (a zero factor would divide by zero
+  // on WAL replay).
+  if (!(meta_.fineWindowSeconds > 0.0) || coarseFactor < 2 ||
+      coarseFactor > static_cast<std::uint64_t>(
+                         std::numeric_limits<int>::max())) {
+    throw ParseError("segment: " + path + " window widths invalid");
+  }
+  meta_.coarseFactor = static_cast<int>(coarseFactor);
   // writeSegment emits footer order already; only a foreign or
   // hand-built file pays for the sort.
   if (!std::ranges::is_sorted(entries_, {}, footerOrder)) {

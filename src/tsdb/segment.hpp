@@ -62,7 +62,9 @@ struct SeriesWindows {
   std::map<std::int64_t, Rollup> coarse;
 };
 
-/// Footer metadata shared by every block in a segment.
+/// Footer metadata shared by every block in a segment.  SegmentReader
+/// rejects widths the Engine constructor would (fine window not > 0,
+/// coarse factor < 2), since a read-only Engine adopts them.
 struct SegmentMeta {
   double fineWindowSeconds = 1.0;
   int coarseFactor = 10;

@@ -1,13 +1,19 @@
 // RollupStore: the rollup math is checked against a brute-force
 // reference model (hold every sample, recompute windows from scratch)
-// across window boundaries, eviction, and out-of-order arrival.
+// across window boundaries, eviction, and out-of-order arrival, and the
+// whole store surface against a std::map model over random seeds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <map>
 #include <random>
+#include <set>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "aggregator/store.hpp"
@@ -556,4 +562,460 @@ TEST(AggStoreSnapshot, SeriesAreSortedAndBothResolutionsPresent) {
   EXPECT_DOUBLE_EQ(coarse->windowSeconds,
                    store.options().fineWindowSeconds *
                        store.options().coarseFactor);
+}
+
+// --- out-of-range input on the ingest side -----------------------------------
+
+TEST(AggStore, TimesWhoseWindowIndexOverflowsAreIgnored) {
+  RollupStore store;
+  const std::uint64_t generation = store.dataGeneration();
+  RollupStore::SeriesRef ref;
+  for (const double t : {1e300, std::numeric_limits<double>::max(), 1e19}) {
+    store.ingest(kKey, t, 1.0);
+    store.ingest(kKey, ref, t, 1.0);
+  }
+  EXPECT_EQ(store.seriesCount(), 0U);
+  EXPECT_EQ(store.samplesIngested(), 0U);
+  EXPECT_EQ(store.dataGeneration(), generation);
+  // Far in the future but indexable: still a sample.
+  store.ingest(kKey, 1e15, 2.0);
+  const auto latest = store.latest(kKey);
+  ASSERT_TRUE(latest.has_value());
+  EXPECT_EQ(latest->windowStartSeconds, 1e15);
+  EXPECT_EQ(latest->rollup.count, 1U);
+}
+
+TEST(AggStoreWindow, NegativeWindowIndicesAreRejected) {
+  StoreOptions small;
+  small.fineRetentionWindows = 4;
+  RollupStore store((small));
+  const Rollup one{1.0, 1.0, 1.0, 1};
+  for (const std::int64_t index :
+       {std::numeric_limits<std::int64_t>::min(), std::int64_t{-1}}) {
+    EXPECT_FALSE(store.ingestWindow(kKey, Resolution::kFine, index, one));
+  }
+  EXPECT_EQ(store.seriesCount(), 0U);
+  store.ingest(kKey, 2.5, 1.0);
+  const std::uint64_t generation = store.dataGeneration();
+  for (const std::int64_t index :
+       {std::numeric_limits<std::int64_t>::min(), std::int64_t{-1}}) {
+    EXPECT_FALSE(store.ingestWindow(kKey, Resolution::kFine, index, one));
+    EXPECT_FALSE(store.ingestWindow(kKey, Resolution::kCoarse, index, one));
+  }
+  EXPECT_EQ(store.dataGeneration(), generation);
+  EXPECT_EQ(store.samplesIngested(), 1U);
+  EXPECT_EQ(store.windowsEvicted(), 0U);
+  EXPECT_EQ(store.range(kKey, -1e12, 1e12).size(), 1U);
+}
+
+// --- random-seed property: the window buffers against std::map ----------------
+
+namespace {
+
+/// RollupStore's documented semantics written out over std::map windows
+/// and std::set dirty marks — what every operation must leave behind,
+/// independent of the store's buffer layout.  Callers pass only records
+/// the store admits (finite, t >= 0).
+class MapModel {
+ public:
+  struct Series {
+    std::map<std::int64_t, Rollup> windows[2];  ///< by Resolution
+    std::set<std::int64_t> dirty[2];
+  };
+
+  explicit MapModel(const StoreOptions& options) : options_(options) {}
+
+  void enableDirtyTracking() { tracking_ = true; }
+
+  void ingest(const SeriesKey& key, double t, double value) {
+    Series& series = series_[key];
+    ++generation_;
+    ++ingested_;
+    const auto fine =
+        static_cast<std::int64_t>(std::floor(t / options_.fineWindowSeconds));
+    mergeOne(series, Resolution::kFine, fine, value);
+    mergeOne(series, Resolution::kCoarse, fine / options_.coarseFactor,
+             value);
+  }
+
+  bool ingestWindow(const SeriesKey& key, Resolution resolution,
+                    std::int64_t index, const Rollup& rollup) {
+    if (index < 0) {
+      return false;
+    }
+    Series& series = series_[key];
+    auto& windows = series.windows[plane(resolution)];
+    const std::int64_t newest =
+        windows.empty() ? index : std::max(index, windows.rbegin()->first);
+    const std::int64_t oldestKept = newest - retention(resolution) + 1;
+    if (index < oldestKept) {
+      return false;
+    }
+    const auto it = windows.find(index);
+    if (it != windows.end() && rollup.count <= it->second.count) {
+      return false;
+    }
+    windows[index] = rollup;
+    mark(series, resolution, index);
+    ++ingested_;
+    ++generation_;
+    evict(windows, oldestKept);
+    return true;
+  }
+
+  void merge(const MapModel& other) {
+    for (const auto& [key, incoming] : other.series_) {
+      Series& mine = series_[key];
+      for (const Resolution resolution :
+           {Resolution::kFine, Resolution::kCoarse}) {
+        auto& target = mine.windows[plane(resolution)];
+        for (const auto& [index, rollup] : incoming.windows[plane(resolution)]) {
+          target[index].combine(rollup);
+        }
+        if (!target.empty()) {
+          evict(target, target.rbegin()->first - retention(resolution) + 1);
+        }
+      }
+    }
+    ++generation_;
+  }
+
+  void evictSource(const std::string& job, int rank) {
+    ++generation_;
+    for (auto it = series_.begin(); it != series_.end();) {
+      if (it->first.job == job && it->first.rank == rank) {
+        evicted_ += it->second.windows[0].size() + it->second.windows[1].size();
+        it = series_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+  }
+
+  void markAllDirty() {
+    for (auto& [key, series] : series_) {
+      for (int p = 0; p < 2; ++p) {
+        for (const auto& [index, rollup] : series.windows[p]) {
+          series.dirty[p].insert(index);
+        }
+      }
+    }
+  }
+
+  [[nodiscard]] std::size_t dirtyCount() const {
+    std::size_t total = 0;
+    for (const auto& [key, series] : series_) {
+      total += series.dirty[0].size() + series.dirty[1].size();
+    }
+    return total;
+  }
+
+  /// Every queued mark whose window is still retained, with its current
+  /// rollup; clears all marks.
+  std::vector<DirtyWindow> drainAll() {
+    std::vector<DirtyWindow> out;
+    for (auto& [key, series] : series_) {
+      for (const Resolution resolution :
+           {Resolution::kFine, Resolution::kCoarse}) {
+        auto& dirty = series.dirty[plane(resolution)];
+        const auto& windows = series.windows[plane(resolution)];
+        for (const std::int64_t index : dirty) {
+          if (const auto it = windows.find(index); it != windows.end()) {
+            out.push_back({key, resolution, index, it->second});
+          }
+        }
+        dirty.clear();
+      }
+    }
+    return out;
+  }
+
+  [[nodiscard]] const std::map<SeriesKey, Series>& series() const {
+    return series_;
+  }
+  [[nodiscard]] std::uint64_t generation() const { return generation_; }
+  [[nodiscard]] std::uint64_t ingested() const { return ingested_; }
+  [[nodiscard]] std::uint64_t evicted() const { return evicted_; }
+
+  static int plane(Resolution resolution) {
+    return resolution == Resolution::kFine ? 0 : 1;
+  }
+
+ private:
+  [[nodiscard]] int retention(Resolution resolution) const {
+    return resolution == Resolution::kFine ? options_.fineRetentionWindows
+                                           : options_.coarseRetentionWindows;
+  }
+
+  void mergeOne(Series& series, Resolution resolution, std::int64_t index,
+                double value) {
+    auto& windows = series.windows[plane(resolution)];
+    const std::int64_t newest =
+        windows.empty() ? index : std::max(index, windows.rbegin()->first);
+    const std::int64_t oldestKept = newest - retention(resolution) + 1;
+    if (index >= oldestKept) {
+      windows[index].merge(value);
+      evict(windows, oldestKept);
+    }
+    // The store marks the touched index even when the record fell past
+    // the horizon; drainDirty skips it.
+    mark(series, resolution, index);
+  }
+
+  void mark(Series& series, Resolution resolution, std::int64_t index) {
+    if (tracking_) {
+      series.dirty[plane(resolution)].insert(index);
+    }
+  }
+
+  void evict(std::map<std::int64_t, Rollup>& windows,
+             std::int64_t oldestKept) {
+    while (!windows.empty() && windows.begin()->first < oldestKept) {
+      windows.erase(windows.begin());
+      ++evicted_;
+    }
+  }
+
+  StoreOptions options_;
+  std::map<SeriesKey, Series> series_;
+  bool tracking_ = false;
+  std::uint64_t generation_ = 0;
+  std::uint64_t ingested_ = 0;
+  std::uint64_t evicted_ = 0;
+};
+
+bool sameRollup(const Rollup& a, const Rollup& b) {
+  // Bit-identical: the store and the model fold in the same order.
+  return std::memcmp(&a.min, &b.min, sizeof(double)) == 0 &&
+         std::memcmp(&a.max, &b.max, sizeof(double)) == 0 &&
+         std::memcmp(&a.sum, &b.sum, sizeof(double)) == 0 &&
+         a.count == b.count;
+}
+
+bool sameWindows(const WindowBuffer& actual,
+                 const std::map<std::int64_t, Rollup>& expected) {
+  if (actual.size() != expected.size()) {
+    return false;
+  }
+  auto it = expected.begin();
+  for (const auto& [index, rollup] : actual) {
+    if (index != it->first || !sameRollup(rollup, it->second)) {
+      return false;
+    }
+    ++it;
+  }
+  return true;
+}
+
+bool dirtyLess(const DirtyWindow& a, const DirtyWindow& b) {
+  return std::tie(a.key, a.resolution, a.windowIndex) <
+         std::tie(b.key, b.resolution, b.windowIndex);
+}
+
+/// Every observable of the store against the model: counters, keys, each
+/// plane's windows through range() and latest(), and the dirty queue.
+void expectSameState(const RollupStore& store, const MapModel& model,
+                     std::uint64_t generationBase) {
+  EXPECT_EQ(store.dataGeneration() - generationBase, model.generation());
+  EXPECT_EQ(store.samplesIngested(), model.ingested());
+  EXPECT_EQ(store.windowsEvicted(), model.evicted());
+  EXPECT_EQ(store.dirtyCount(), model.dirtyCount());
+  std::vector<SeriesKey> keys;
+  for (const auto& [key, series] : model.series()) {
+    keys.push_back(key);
+  }
+  ASSERT_EQ(store.keys(), keys);
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const auto& [key, series] : model.series()) {
+    for (const Resolution resolution :
+         {Resolution::kFine, Resolution::kCoarse}) {
+      const auto& expected = series.windows[MapModel::plane(resolution)];
+      const double width =
+          resolution == Resolution::kFine
+              ? store.options().fineWindowSeconds
+              : store.options().fineWindowSeconds * store.options().coarseFactor;
+      const auto rows = store.range(key, -inf, inf, resolution);
+      ASSERT_EQ(rows.size(), expected.size()) << key.metric;
+      auto it = expected.begin();
+      for (const WindowRollup& row : rows) {
+        EXPECT_EQ(row.windowStartSeconds,
+                  static_cast<double>(it->first) * width);
+        EXPECT_TRUE(sameRollup(row.rollup, it->second)) << it->first;
+        ++it;
+      }
+      const auto latest = store.latest(key, resolution);
+      ASSERT_EQ(latest.has_value(), !expected.empty());
+      if (latest) {
+        EXPECT_TRUE(sameRollup(latest->rollup, expected.rbegin()->second));
+      }
+    }
+  }
+}
+
+void expectSameSnapshot(const StoreSnapshot& snap, const RollupStore& store,
+                        const MapModel& model) {
+  EXPECT_EQ(snap.generation(), store.dataGeneration());
+  ASSERT_EQ(snap.seriesCount(), model.series().size());
+  auto it = model.series().begin();
+  for (const SeriesSnapshot& series : snap.series()) {
+    EXPECT_EQ(series.key, it->first);
+    EXPECT_TRUE(sameWindows(series.fine, it->second.windows[0]))
+        << series.key.metric;
+    EXPECT_TRUE(sameWindows(series.coarse, it->second.windows[1]))
+        << series.key.metric;
+    ++it;
+  }
+}
+
+/// Random ingest into a store and its model: mostly in order, some late
+/// (a few inside the horizon, some past it), through the keyed and the
+/// SeriesRef paths.
+struct Feeder {
+  std::mt19937_64 rng;
+  std::vector<SeriesKey> keys;
+  std::vector<RollupStore::SeriesRef> refs;
+  double clock = 0.0;
+
+  void step(RollupStore& store, MapModel& model, double lateSpan) {
+    clock += std::uniform_real_distribution<double>(0.0, 0.9)(rng);
+    const std::size_t k = rng() % keys.size();
+    double t = clock;
+    if (rng() % 4 == 0) {
+      t = std::max(0.0, clock - std::uniform_real_distribution<double>(
+                                    0.0, lateSpan)(rng));
+    }
+    const double value = std::normal_distribution<double>(50.0, 20.0)(rng);
+    if (rng() % 2 == 0) {
+      store.ingest(keys[k], t, value);
+    } else {
+      store.ingest(keys[k], refs[k], t, value);
+    }
+    model.ingest(keys[k], t, value);
+  }
+};
+
+}  // namespace
+
+TEST(AggStoreProperty, WindowBuffersMatchAMapModelOverRandomSeeds) {
+  // Outcome tallies over all seeds, so the property cannot pass vacuously.
+  std::size_t windowsAccepted = 0;
+  std::size_t windowsRejected = 0;
+  std::size_t windowsDrained = 0;
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    std::mt19937_64 rng(seed);
+    StoreOptions options;
+    options.fineWindowSeconds = (rng() % 2 == 0) ? 1.0 : 0.5;
+    options.coarseFactor = 2 + static_cast<int>(rng() % 3);
+    options.fineRetentionWindows = 1 + static_cast<int>(rng() % 8);
+    options.coarseRetentionWindows = 1 + static_cast<int>(rng() % 4);
+    options.shards = 1 << (rng() % 3);
+    // Late samples reach up to two horizons back, so some merge into an
+    // older retained window and some are rejected.
+    const double lateSpan = 2.0 * options.fineWindowSeconds *
+                            options.fineRetentionWindows;
+
+    RollupStore store(options);
+    MapModel model(options);
+    const std::uint64_t base = store.dataGeneration();
+    Feeder feeder{std::mt19937_64(seed * 7919),
+                  {{"job", 0, "cpu"}, {"job", 1, "cpu"}, {"job", 0, "mem"},
+                   {"other", 3, "gpu.busy"}},
+                  std::vector<RollupStore::SeriesRef>(4)};
+    const bool trackFromStart = rng() % 2 == 0;
+    if (trackFromStart) {
+      store.enableDirtyTracking();
+      model.enableDirtyTracking();
+    }
+
+    for (int step = 0; step < 1500; ++step) {
+      if (step == 300 && !trackFromStart) {
+        store.enableDirtyTracking();
+        model.enableDirtyTracking();
+      }
+      const std::uint64_t op = rng() % 100;
+      if (op < 70) {
+        feeder.step(store, model, lateSpan);
+      } else if (op < 82) {
+        // A forwarded window snapshot near the newest index, with a count
+        // that is sometimes newer than what is stored and sometimes not.
+        const SeriesKey& key = feeder.keys[rng() % feeder.keys.size()];
+        const Resolution resolution =
+            rng() % 3 == 0 ? Resolution::kCoarse : Resolution::kFine;
+        const double width = resolution == Resolution::kFine
+                                 ? options.fineWindowSeconds
+                                 : options.fineWindowSeconds *
+                                       options.coarseFactor;
+        const auto newest =
+            static_cast<std::int64_t>(std::floor(feeder.clock / width));
+        const std::int64_t index =
+            newest + 1 - static_cast<std::int64_t>(rng() % 12);
+        const double low = static_cast<double>(rng() % 50);
+        const Rollup rollup{low, low + 10.0, low * 3.0 + 10.0,
+                            1 + rng() % 6};
+        const bool accepted =
+            store.ingestWindow(key, resolution, index, rollup);
+        EXPECT_EQ(accepted, model.ingestWindow(key, resolution, index, rollup))
+            << "index " << index;
+        ++(accepted ? windowsAccepted : windowsRejected);
+      } else if (op < 86) {
+        // A second store of the same shape, merged in.
+        RollupStore other(options);
+        MapModel otherModel(options);
+        Feeder otherFeeder{std::mt19937_64(rng()),
+                           {{"job", 0, "cpu"}, {"job", 2, "cpu"}},
+                           std::vector<RollupStore::SeriesRef>(2),
+                           std::max(0.0, feeder.clock - lateSpan)};
+        const int records = 1 + static_cast<int>(rng() % 20);
+        for (int i = 0; i < records; ++i) {
+          otherFeeder.step(other, otherModel, lateSpan);
+        }
+        store.merge(other);
+        model.merge(otherModel);
+      } else if (op < 92) {
+        // Drain in budgeted calls until empty: together they must equal
+        // one full drain (no mutation in between).
+        const std::size_t budget = 1 + rng() % 5;
+        std::vector<DirtyWindow> drained;
+        std::size_t got = 0;
+        while ((got = store.drainDirty(drained, budget)) > 0) {
+          EXPECT_LE(got, budget);
+        }
+        std::vector<DirtyWindow> expected = model.drainAll();
+        std::sort(drained.begin(), drained.end(), dirtyLess);
+        std::sort(expected.begin(), expected.end(), dirtyLess);
+        ASSERT_EQ(drained.size(), expected.size());
+        windowsDrained += drained.size();
+        for (std::size_t i = 0; i < drained.size(); ++i) {
+          EXPECT_EQ(drained[i].key, expected[i].key);
+          EXPECT_EQ(drained[i].resolution, expected[i].resolution);
+          EXPECT_EQ(drained[i].windowIndex, expected[i].windowIndex);
+          EXPECT_TRUE(sameRollup(drained[i].rollup, expected[i].rollup));
+        }
+      } else if (op < 95) {
+        store.markAllDirty();
+        model.markAllDirty();
+      } else if (op < 97) {
+        const SeriesKey& key = feeder.keys[rng() % feeder.keys.size()];
+        store.evictSource(key.job, key.rank);
+        model.evictSource(key.job, key.rank);
+      } else {
+        const StoreSnapshot snap = store.snapshot();
+        expectSameSnapshot(snap, store, model);
+        // A copy of a snapshot holds the same windows.
+        const StoreSnapshot copy = snap;
+        expectSameSnapshot(copy, store, model);
+      }
+      expectSameState(store, model, base);
+      if (::testing::Test::HasFailure()) {
+        FAIL() << "diverged at step " << step;
+      }
+    }
+    // Retention is a few windows, so eviction (and with it the buffers'
+    // dead-prefix compaction) ran many times.
+    EXPECT_GT(model.evicted(), 100U);
+  }
+  EXPECT_GT(windowsAccepted, 100U);
+  EXPECT_GT(windowsRejected, 100U);
+  EXPECT_GT(windowsDrained, 100U);
 }

@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -454,4 +456,59 @@ TEST_F(QueryServiceTest, RankOutsideIntAndNaNBoundsAre400) {
       QueryClass::kLive, 3.0);
   ASSERT_EQ(all.status, 200);
   EXPECT_EQ(json::parse(all.body).find("windows")->asArray().size(), 2U);
+}
+
+TEST_F(QueryServiceTest, WindowIgnoresRecordsTheStoreRejects) {
+  // The window answer after hostile records — a NaN or infinite value, a
+  // NaN, infinite, negative or unindexably large time — must equal the
+  // answer without them: the ladder folds only what the store keeps.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::nan("");
+  const auto windowAnswer = [](const std::vector<WireRecord>& hostile) {
+    QueryPlane plane;
+    for (std::uint64_t seq = 1; seq <= 5; ++seq) {
+      plane.ingest(static_cast<double>(seq), seq,
+                   10.0 * static_cast<double>(seq));
+    }
+    if (!hostile.empty()) {
+      Frame frame = batchFrame(5.5, 6);
+      frame.records = hostile;
+      EXPECT_TRUE(plane.source->send(encodeFrame(frame)));
+      plane.daemon.poll(5.5);
+      EXPECT_EQ(plane.daemon.counters().recordsIngested, 5U + hostile.size());
+    }
+    EXPECT_EQ(plane.service.counters().ladderRecords, 5U);
+    return plane.service
+        .executeParams("window",
+                       {{"metric", "hwt.0.user_pct"}, {"window_s", "60"}},
+                       QueryClass::kLive, 6.0)
+        .body;
+  };
+  const std::string clean = windowAnswer({});
+  EXPECT_NE(clean.find("\"count\":5"), std::string::npos) << clean;
+  const std::vector<WireRecord> hostile = {
+      {5.2, "hwt.0.user_pct", nan},   {5.3, "hwt.0.user_pct", inf},
+      {5.4, "hwt.0.user_pct", -inf},  {nan, "hwt.0.user_pct", 1.0},
+      {inf, "hwt.0.user_pct", 1.0},   {-1.0, "hwt.0.user_pct", 1.0},
+      {1e300, "hwt.0.user_pct", 1.0}};
+  EXPECT_EQ(windowAnswer(hostile), clean);
+  for (const WireRecord& record : hostile) {
+    EXPECT_EQ(windowAnswer({record}), clean)
+        << "t=" << record.timeSeconds << " value=" << record.value;
+  }
+}
+
+TEST_F(QueryServiceTest, LadderTakesFarFutureButIndexableTimes) {
+  QueryPlane plane;
+  plane.ingest(1e15, 1);
+  EXPECT_EQ(plane.service.counters().ladderRecords, 1U);
+  const QueryResult result = plane.service.executeParams(
+      "window", {{"metric", "hwt.0.user_pct"}, {"window_s", "60"}},
+      QueryClass::kLive, 1e15);
+  ASSERT_EQ(result.status, 200);
+  const json::Value doc = json::parse(result.body);
+  const auto& series = doc.find("series")->asArray();
+  ASSERT_EQ(series.size(), 1U);
+  EXPECT_TRUE(series[0].find("from_ladder")->asBool());
+  EXPECT_EQ(series[0].numberOr("count", -1), 1.0);
 }

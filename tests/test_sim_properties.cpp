@@ -131,9 +131,15 @@ INSTANTIATE_TEST_SUITE_P(
                       GridPoint{3, 7, 0.10}, GridPoint{6, 3, 0.20},
                       GridPoint{12, 4, 0.05}, GridPoint{5, 5, 0.25}),
     [](const ::testing::TestParamInfo<GridPoint>& paramInfo) {
-      return "t" + std::to_string(paramInfo.param.threads) + "_h" +
-             std::to_string(paramInfo.param.hwts) + "_j" +
-             std::to_string(static_cast<int>(paramInfo.param.jitter * 100));
+      // Appended piece by piece: gcc 12 -O3 flags "literal" + string&&
+      // with a false -Wrestrict.
+      std::string name = "t";
+      name += std::to_string(paramInfo.param.threads);
+      name += "_h";
+      name += std::to_string(paramInfo.param.hwts);
+      name += "_j";
+      name += std::to_string(static_cast<int>(paramInfo.param.jitter * 100));
+      return name;
     });
 
 }  // namespace

@@ -378,7 +378,11 @@ TEST(Json, DoubleRoundTripIsBitExact) {
       -12345.678901234567,
   };
   for (const double v : cases) {
-    const std::string doc = "[" + printedNumber(v) + "]";
+    // Appended, not "[" + string&&: gcc 12 -O3 flags that with a false
+    // -Wrestrict.
+    std::string doc = "[";
+    doc += printedNumber(v);
+    doc += ']';
     const double back = json::parse(doc).asArray()[0].asNumber();
     EXPECT_EQ(doubleBits(back), doubleBits(v)) << "value " << doc;
   }

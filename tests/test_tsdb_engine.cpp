@@ -26,6 +26,7 @@
 #include "trace/metrics.hpp"
 #include "tsdb/engine.hpp"
 #include "tsdb/query.hpp"
+#include "tsdb/segment.hpp"
 
 using namespace zerosum;
 using namespace zerosum::tsdb;
@@ -386,6 +387,44 @@ TEST_F(TsdbEngineTest, SegmentWithoutFooterIsDroppedWholeAndCounted) {
   EXPECT_TRUE(fs::exists(segmentFile(2)));
 }
 
+TEST_F(TsdbEngineTest, SegmentWithInvalidWindowWidthsIsRejectedNotAdopted) {
+  {
+    EngineOptions options;
+    options.fsync = FsyncPolicy::kOff;
+    Engine engine(dir_, options);
+    engine.append("job", 0, samplesAt(1.0, 3, 5.0));
+    // No seal: the WAL must replay with sane widths.
+  }
+  std::map<SeriesKey, SeriesWindows> windows;
+  windows[{"job", 0, "cpu.util"}].fine[1].merge(1.0);
+  struct Widths {
+    double fine;
+    int factor;
+  };
+  for (const Widths bad : {Widths{1.0, 0}, Widths{1.0, 1}, Widths{0.0, 10},
+                           Widths{-1.0, 10}, Widths{std::nan(""), 10}}) {
+    SCOPED_TRACE(std::to_string(bad.fine) + " x" + std::to_string(bad.factor));
+    // CRC-valid: writeSegment stores whatever meta it is given.
+    SegmentMeta meta;
+    meta.fineWindowSeconds = bad.fine;
+    meta.coarseFactor = bad.factor;
+    writeSegment(segmentFile(7), windows, meta);
+    EXPECT_THROW(SegmentReader{segmentFile(7)}, ParseError);
+
+    EngineOptions ro;
+    ro.readOnly = true;
+    Engine engine(dir_, ro);  // a zero factor used to divide by zero here
+    EXPECT_EQ(engine.counters().segmentsRejected, 1U);
+    EXPECT_EQ(engine.segmentCount(), 0U);
+    EXPECT_EQ(engine.options().coarseFactor, EngineOptions{}.coarseFactor);
+    EXPECT_EQ(engine.options().fineWindowSeconds,
+              EngineOptions{}.fineWindowSeconds);
+    const auto replayed = engine.range({"job", 0, "cpu.util"}, 0.0, 10.0);
+    ASSERT_EQ(replayed.size(), 1U);
+    EXPECT_EQ(replayed[0].rollup.count, 3U);
+  }
+}
+
 TEST_F(TsdbEngineTest, CorruptRegistryLosesOnlySourceMetadata) {
   {
     Engine engine(dir_);
@@ -561,6 +600,37 @@ TEST_F(TsdbEngineTest, OutOfRangeTimeBoundsSelectTheWholeHistory) {
   EXPECT_EQ(engine.range(key, 0.0, 1e300, Resolution::kCoarse).size(), 1U);
   EXPECT_TRUE(engine.range(key, std::nan(""), 10.0).empty());
   EXPECT_TRUE(engine.range(key, 0.0, std::nan("")).empty());
+}
+
+TEST_F(TsdbEngineTest, UnindexableTimesAreDroppedLikeTheStoreDropsThem) {
+  EngineOptions options;
+  options.fsync = FsyncPolicy::kOff;
+  const SeriesKey key{"job", 0, "m"};
+  {
+    Engine engine(dir_, options);
+    const std::uint64_t generation = engine.dataGeneration();
+    engine.append("job", 0,
+                  {{1e300, "m", 1.0},
+                   {std::numeric_limits<double>::max(), "m", 2.0}});
+    EXPECT_EQ(engine.dataGeneration(), generation);
+    EXPECT_EQ(engine.counters().samplesAppended, 0U);
+    EXPECT_TRUE(engine.seriesKeys().empty());
+    // Far in the future but indexable: kept.
+    engine.append("job", 0, {{1e15, "m", 3.0}});
+    EXPECT_GT(engine.dataGeneration(), generation);
+    ASSERT_TRUE(engine.latest(key).has_value());
+    EXPECT_EQ(engine.latest(key)->windowStartSeconds, 1e15);
+  }
+  // WAL replay drops the same records.
+  EngineOptions ro;
+  ro.readOnly = true;
+  Engine engine(dir_, ro);
+  EXPECT_EQ(engine.counters().walReplayedBatches, 2U);
+  EXPECT_EQ(engine.counters().samplesAppended, 1U);
+  const auto windows = engine.range(key, 0.0, 1e300);
+  ASSERT_EQ(windows.size(), 1U);
+  EXPECT_EQ(windows[0].rollup.count, 1U);
+  EXPECT_EQ(windows[0].rollup.sum, 3.0);
 }
 
 TEST_F(TsdbEngineTest, SeriesKeysFollowRetentionAndTheHotState) {

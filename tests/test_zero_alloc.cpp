@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "aggregator/client.hpp"
+#include "aggregator/store.hpp"
 #include "aggregator/transport.hpp"
 #include "aggregator/wire.hpp"
 #include "common/cpuset.hpp"
@@ -151,6 +152,33 @@ TEST(ZeroAlloc, InternedLookupIsAllocationFree) {
     ASSERT_EQ(names::intern(v), id);  // re-interning an existing name
   });
   EXPECT_EQ(allocs, 0u);
+}
+
+// Not a zero-allocation path, but the same hook pins its shape: a store
+// snapshot copies each series' two window buffers in one allocation
+// apiece, so its cost follows the series count, not retained history.
+TEST(ZeroAlloc, StoreSnapshotAllocationsIgnoreRetainedWindows) {
+  constexpr int kSeries = 64;
+  const auto snapshotAllocations = [](int windowsPerSeries) {
+    aggregator::RollupStore store;  // retains 600 fine, 360 coarse windows
+    for (int rank = 0; rank < kSeries; ++rank) {
+      const aggregator::SeriesKey key{"job", rank, "cpu"};
+      for (int w = 0; w < windowsPerSeries; ++w) {
+        store.ingest(key, static_cast<double>(w) + 0.5, 1.0);
+      }
+    }
+    const std::uint64_t before = allochook::allocations();
+    const aggregator::StoreSnapshot snap = store.snapshot();
+    const std::uint64_t allocs = allochook::allocations() - before;
+    EXPECT_EQ(snap.seriesCount(), static_cast<std::size_t>(kSeries));
+    EXPECT_EQ(snap.series().front().fine.size(),
+              static_cast<std::size_t>(windowsPerSeries));
+    return allocs;
+  };
+  const std::uint64_t shallow = snapshotAllocations(5);
+  EXPECT_EQ(shallow, snapshotAllocations(500));
+  // Two buffers per series plus the snapshot's own vectors.
+  EXPECT_LE(shallow, 2U * kSeries + 4U);
 }
 
 }  // namespace
