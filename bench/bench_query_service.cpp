@@ -76,7 +76,6 @@ struct Pipeline {
     hello.pid = 1000;
     client = std::make_unique<Client>(wireHub.makeClientTransport(), hello);
     query = std::make_unique<QueryService>(daemon);
-    daemon.attachQueryService(query.get());
     mountDaemonEndpoints(http, daemon, [this] { return t; },
                          {{"job", "bench"}, {"role", "daemon"}},
                          query.get());

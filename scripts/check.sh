@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# Full verification: the tier-1 build + test pass, a Release build with
-# the local compiler, then a sanitizer pass
-# (address + undefined) over the fault-tolerance-critical suites, then
-# the JSON-emitting benchmarks and the performance-regression gate
-# (scripts/bench_gate.py against bench/baselines/), then a live
+# Full verification: the tier-1 build + test pass, the zsbench benchmark
+# built and self-checked (zsbench/check.py: determinism, output checks,
+# transparent wrappers), a Release build with the local compiler, then a
+# sanitizer pass (address + undefined) over the fault-tolerance-critical
+# suites, then the JSON-emitting benchmarks and the performance-regression
+# gate (scripts/bench_gate.py against bench/baselines/), then a live
 # telemetry smoke test: a real zerosum-aggd --http-port scraped over
 # loopback HTTP, the exposition validated with scripts/promlint.py and
 # the query/dashboard plane (GET /api/query, /api/stats, the
@@ -26,6 +27,11 @@ echo "=== tier-1: build + full ctest ==="
 cmake -B build -S . >/dev/null
 cmake --build build -j "$(nproc)"
 ctest --test-dir build --output-on-failure --timeout 120 -j "$(nproc)"
+
+echo "=== benchmark build + self-check (zsbench/check.py) ==="
+# Builds the benchmark driver into the gitignored .bench_build/ and runs
+# each workload twice: nothing else compiles zsbench/ against src/.
+python3 zsbench/check.py
 
 echo "=== Release build (-O3 -Werror) ==="
 # CI's Release leg builds and tests with gcc 13; this one builds with

@@ -7,7 +7,6 @@
 
 #include "aggregator/catalog.hpp"
 #include "aggregator/query.hpp"
-#include "aggregator/queryservice.hpp"
 #include "aggregator/writer.hpp"
 #include "common/error.hpp"
 #include "common/logging.hpp"
@@ -311,10 +310,6 @@ void Aggregator::processBatch(PendingBatch& batch, double nowSeconds) {
     RollupStore::SeriesRef& ref = seriesRefs[metricId];
     keyScratch_.metric.assign(record.name);
     store_.ingest(keyScratch_, ref, record.timeSeconds, record.value);
-    if (queryService_ != nullptr) {
-      queryService_->onRecord(batch.job, batch.rank, metricId,
-                              record.timeSeconds, record.value);
-    }
   }
   std::uint64_t ackTicket = 0;
   if (engine_ != nullptr) {

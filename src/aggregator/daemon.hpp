@@ -129,12 +129,10 @@ class Aggregator {
   void attachCatalog(Catalog* catalog) { catalog_ = catalog; }
   [[nodiscard]] const Catalog* catalog() const { return catalog_; }
 
-  /// Attaches the read plane (non-owning): every directly ingested
-  /// record is then folded into the service's downsample ladders as it
-  /// lands (DESIGN.md §12).  Forwarded windows (kForward) bypass the
-  /// hook — the service falls back to its snapshot for those series.
-  void attachQueryService(QueryService* service) { queryService_ = service; }
-  [[nodiscard]] QueryService* queryService() const { return queryService_; }
+  /// Does nothing: the read plane answers every query from store
+  /// snapshots (DESIGN.md §12) and needs no per-record hook.  Kept only
+  /// because zsbench's durable_ingest and tree_dashboard still call it.
+  void attachQueryService(QueryService* /*service*/) {}
 
   [[nodiscard]] const tsdb::Engine* engine() const { return engine_; }
 
@@ -244,7 +242,6 @@ class Aggregator {
   tsdb::Engine* engine_ = nullptr;
   TsdbWriter* writer_ = nullptr;
   Catalog* catalog_ = nullptr;
-  QueryService* queryService_ = nullptr;
   /// Deepest hop count seen on any kForward frame (drives the fan-in
   /// depth gauge).
   std::uint8_t maxHopsSeen_ = 0;

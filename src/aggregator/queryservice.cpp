@@ -72,49 +72,6 @@ void QueryService::beginPoll(double nowSeconds) {
   bulkThisPoll_ = 0;
 }
 
-void QueryService::onRecord(const std::string& job, int rank,
-                            names::Id metric, double timeSeconds,
-                            double value) {
-  // Fold only what RollupStore::ingest keeps (finite value, finite time
-  // >= 0), and only times whose slot index fits int64 on every ring.
-  if (!std::isfinite(timeSeconds) || !std::isfinite(value) ||
-      timeSeconds < 0.0) {
-    return;
-  }
-  const auto buckets = static_cast<double>(options_.ladderBuckets);
-  for (const double windowSeconds : options_.ladderWindowsSeconds) {
-    if (!ingestWindowIndex(timeSeconds, windowSeconds / buckets)) {
-      return;
-    }
-  }
-  std::lock_guard<std::mutex> lock(ladderMutex_);
-  LadderSeries& series = ladder_[{job, rank, metric}];
-  if (series.rings.empty()) {
-    series.rings.resize(options_.ladderWindowsSeconds.size());
-    for (auto& ring : series.rings) {
-      ring.slots.resize(static_cast<std::size_t>(options_.ladderBuckets));
-      ring.slotIndex.assign(static_cast<std::size_t>(options_.ladderBuckets),
-                            -1);
-    }
-  }
-  for (std::size_t i = 0; i < series.rings.size(); ++i) {
-    const std::int64_t idx = *ingestWindowIndex(
-        timeSeconds, options_.ladderWindowsSeconds[i] / buckets);
-    LadderRing& ring = series.rings[i];
-    const auto slots = static_cast<std::int64_t>(ring.slots.size());
-    const auto slot =
-        static_cast<std::size_t>(((idx % slots) + slots) % slots);
-    if (ring.slotIndex[slot] != idx) {
-      // Ring wrap: this slot last held a sub-window one full window ago.
-      ring.slots[slot] = Rollup{};
-      ring.slotIndex[slot] = idx;
-    }
-    ring.slots[slot].merge(value);
-  }
-  ladderMaxTimeSeconds_ = std::max(ladderMaxTimeSeconds_, timeSeconds);
-  ladderRecords_.fetch_add(1, std::memory_order_relaxed);
-}
-
 QueryResult QueryService::execute(const std::string& requestJson,
                                   QueryClass cls, double nowSeconds) {
   Parsed parsed = parseJson(requestJson);
@@ -137,15 +94,11 @@ std::shared_ptr<const StoreSnapshot> QueryService::snapshot(
     std::lock_guard<std::mutex> lock(snapMutex_);
     const std::uint64_t liveGeneration = daemon_.store().dataGeneration();
     const bool stale = !snap_ || snap_->generation() != liveGeneration;
-    if (stale &&
-        nowSeconds - lastRefreshSeconds_ >= options_.snapshotMinIntervalSeconds) {
-      snap_ = std::make_shared<const StoreSnapshot>(daemon_.store().snapshot());
-      lastRefreshSeconds_ = nowSeconds;
-      refreshed = true;
-      keepGeneration = snap_->generation();
-      snapshotRefreshes_.fetch_add(1, std::memory_order_relaxed);
-    } else if (!snap_) {
-      // First call inside the rate-limit window: serve *something*.
+    // The first call copies even inside the rate-limit window: it must
+    // serve *something*.
+    if (!snap_ ||
+        (stale && nowSeconds - lastRefreshSeconds_ >=
+                      options_.snapshotMinIntervalSeconds)) {
       snap_ = std::make_shared<const StoreSnapshot>(daemon_.store().snapshot());
       lastRefreshSeconds_ = nowSeconds;
       refreshed = true;
@@ -174,7 +127,6 @@ QueryServiceCounters QueryService::counters() const {
   out.shedLive = shedLive_.load(std::memory_order_relaxed);
   out.shedBulk = shedBulk_.load(std::memory_order_relaxed);
   out.snapshotRefreshes = snapshotRefreshes_.load(std::memory_order_relaxed);
-  out.ladderRecords = ladderRecords_.load(std::memory_order_relaxed);
   out.ladderFallbacks = ladderFallbacks_.load(std::memory_order_relaxed);
   out.badRequests = badRequests_.load(std::memory_order_relaxed);
   return out;
@@ -224,11 +176,6 @@ std::string QueryService::statsJson(double nowSeconds) {
       .key("snapshot")
       .beginObject()
       .field("refreshes", c.snapshotRefreshes)
-      .endObject()
-      .key("ladder")
-      .beginObject()
-      .field("records", c.ladderRecords)
-      .field("fallbacks", c.ladderFallbacks)
       .endObject()
       .endObject();
   out << '\n';
@@ -557,22 +504,25 @@ std::string QueryService::runRange(const StoreSnapshot& snap,
 
 std::string QueryService::runWindow(const StoreSnapshot& snap,
                                     const Parsed& parsed) {
-  // Anchor the trailing window at the newest data time either plane has
-  // seen: the ladder's high-water mark for directly ingested records,
-  // or the snapshot's newest fine window for forwarded-only stores.
-  double anchor;
-  {
-    std::lock_guard<std::mutex> lock(ladderMutex_);
-    anchor = ladderMaxTimeSeconds_;
-  }
+  // Anchor the trailing window at the end of the metric's newest fine
+  // window in the snapshot (DESIGN.md §12 "Trailing windows").
+  double anchor = 0.0;
   for (const SeriesSnapshot& series : snap.series()) {
-    if (series.key.metric != parsed.metric) continue;
-    if (!series.fine.empty()) {
+    if (series.key.metric == parsed.metric && !series.fine.empty()) {
       anchor = std::max(
           anchor, (static_cast<double>(series.fine.back().first) + 1.0) *
                       snap.fineWindowSeconds());
     }
   }
+  // Fine windows while the span fits fine retention, coarse beyond it.
+  const bool fine =
+      parsed.windowSeconds <= snap.fineWindowSeconds() *
+                                  daemon_.store().options().fineRetentionWindows;
+  const double width =
+      fine ? snap.fineWindowSeconds() : snap.coarseWindowSeconds();
+  const std::int64_t first =
+      clampedWindowIndex(anchor - parsed.windowSeconds, width);
+  const std::int64_t last = clampedWindowIndex(anchor, width);
   std::ostringstream out;
   json::Writer w(out);
   w.beginObject()
@@ -586,30 +536,23 @@ std::string QueryService::runWindow(const StoreSnapshot& snap,
     if (parsed.hasJob && series.key.job != parsed.job) continue;
     if (parsed.hasRank && series.key.rank != parsed.rank) continue;
     if (series.key.metric != parsed.metric) continue;
-    LadderWindow window =
-        ladderRead(series.key, parsed.windowSeconds, anchor);
-    if (!window.fromLadder) {
-      // Forwarded series (ingestWindow bypasses the per-record hook) or
-      // a window size outside the configured ladder: fold the trailing
-      // fine windows from the snapshot instead.  Counted — a high
-      // fallback rate says the ladder config misses a dashboard window.
-      ladderFallbacks_.fetch_add(1, std::memory_order_relaxed);
-      for (const WindowRollup& row :
-           snap.range(series.key, anchor - parsed.windowSeconds, anchor,
-                      Resolution::kFine)) {
-        window.rollup.combine(row.rollup);
-        ++window.buckets;
-      }
+    const WindowBuffer& windows = fine ? series.fine : series.coarse;
+    Rollup rollup;
+    std::uint64_t buckets = 0;
+    for (auto it = windows.lowerBound(first);
+         it != windows.end() && it->first <= last; ++it) {
+      rollup.combine(it->second);
+      ++buckets;
     }
+    ladderFallbacks_.fetch_add(1, std::memory_order_relaxed);
     w.beginObject()
         .field("job", series.key.job)
         .field("rank", static_cast<std::int64_t>(series.key.rank))
-        .field("min", window.rollup.min)
-        .field("avg", window.rollup.avg())
-        .field("max", window.rollup.max)
-        .field("count", window.rollup.count)
-        .field("buckets", std::uint64_t{window.buckets})
-        .field("from_ladder", window.fromLadder)
+        .field("min", rollup.min)
+        .field("avg", rollup.avg())
+        .field("max", rollup.max)
+        .field("count", rollup.count)
+        .field("buckets", buckets)
         .endObject();
   }
   w.endArray().endObject();
@@ -665,43 +608,6 @@ std::string QueryService::runExport(const StoreSnapshot& snap,
   w.endArray().endObject();
   out << '\n';
   return out.str();
-}
-
-QueryService::LadderWindow QueryService::ladderRead(const SeriesKey& key,
-                                                    double windowSeconds,
-                                                    double anchor) {
-  LadderWindow out;
-  std::size_t ringIndex = options_.ladderWindowsSeconds.size();
-  for (std::size_t i = 0; i < options_.ladderWindowsSeconds.size(); ++i) {
-    if (options_.ladderWindowsSeconds[i] == windowSeconds) {
-      ringIndex = i;
-      break;
-    }
-  }
-  if (ringIndex == options_.ladderWindowsSeconds.size()) {
-    return out;  // window size not on the ladder
-  }
-  std::lock_guard<std::mutex> lock(ladderMutex_);
-  const auto it = ladder_.find({key.job, key.rank, names::intern(key.metric)});
-  if (it == ladder_.end()) {
-    return out;  // series never directly ingested (forwarded)
-  }
-  const LadderRing& ring = it->second.rings[ringIndex];
-  const double sub =
-      windowSeconds / static_cast<double>(options_.ladderBuckets);
-  for (std::size_t slot = 0; slot < ring.slots.size(); ++slot) {
-    const std::int64_t idx = ring.slotIndex[slot];
-    if (idx < 0) continue;
-    const double slotStart = static_cast<double>(idx) * sub;
-    // Keep sub-windows intersecting the trailing [anchor - w, anchor].
-    if (slotStart + sub <= anchor - windowSeconds || slotStart > anchor) {
-      continue;
-    }
-    out.rollup.combine(ring.slots[slot]);
-    ++out.buckets;
-  }
-  out.fromLadder = true;
-  return out;
 }
 
 // --- result cache ----------------------------------------------------------

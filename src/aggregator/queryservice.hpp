@@ -19,13 +19,10 @@
 //      generation bump invalidates implicitly (stale keys can never be
 //      asked for again) and a sweep on refresh reclaims the memory.
 //      Within one generation the cache returns bit-identical bodies.
-//      On top of the cache, precomputed downsample ladders for the
-//      common dashboard windows (last 1m / 10m / 1h) are maintained
-//      incrementally on ingest — a ring of sub-window rollups per
-//      series per window — so "last minute, all ranks" is O(series),
-//      not O(series x windows).  Series that arrive through federation
-//      forwarding (ingestWindow, which bypasses the per-record hook)
-//      fall back to computing the window from the snapshot, counted.
+//      `window` keeps no state of its own either: it folds each series'
+//      trailing fine windows from the snapshot, or its coarse windows
+//      once the span outgrows fine retention, so its answer, like every
+//      other op's, is a function of the generation alone.
 //
 //   3. Load shedding with priority classes.  Queries are kLive
 //      (dashboard) or kBulk (export); each poll grants a bounded budget
@@ -38,7 +35,7 @@
 // Thread safety: execute() may be called from any thread.  The live
 // store underneath is the sharded RollupStore (safe), pressure() reads
 // are advisory, and the service's own state is split across small
-// mutexes (snapshot, cache, ladder, admission) that are never nested.
+// mutexes (snapshot, cache, admission) that are never nested.
 #pragma once
 
 #include <atomic>
@@ -48,11 +45,8 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <tuple>
-#include <vector>
 
 #include "aggregator/store.hpp"
-#include "common/interning.hpp"
 #include "trace/metrics.hpp"
 
 namespace zerosum::aggregator {
@@ -78,9 +72,6 @@ struct QueryServiceOptions {
   /// Base Retry-After for shed queries; scaled x2 / x5 as the daemon's
   /// pressure ladder rises.
   double retryAfterSeconds = 1.0;
-  /// Dashboard ladder windows (seconds) and sub-buckets per window.
-  std::vector<double> ladderWindowsSeconds = {60.0, 600.0, 3600.0};
-  int ladderBuckets = 60;
 };
 
 struct QueryServiceCounters {
@@ -93,9 +84,11 @@ struct QueryServiceCounters {
   std::uint64_t shedLive = 0;     ///< 429s per class
   std::uint64_t shedBulk = 0;
   std::uint64_t snapshotRefreshes = 0;
-  std::uint64_t ladderRecords = 0;    ///< records folded into the ladder
-  std::uint64_t ladderFallbacks = 0;  ///< window series answered from the
-                                      ///< snapshot (forwarded series)
+  /// Series folded by `window` answers.  The name is left from the
+  /// removed downsample ladder, whose fallback folded the series it did
+  /// not hold (every series at a federation root, so the count there is
+  /// unchanged); it stays because zsbench reads it under this name.
+  std::uint64_t ladderFallbacks = 0;
   std::uint64_t badRequests = 0;  ///< 400s
 };
 
@@ -119,12 +112,6 @@ class QueryService {
   /// Opens a fresh admission budget.  The owner's event loop calls this
   /// once per iteration, before the HTTP poll that delivers queries.
   void beginPoll(double nowSeconds);
-
-  /// Ingest hook (called by the daemon per record): folds one
-  /// observation into the downsample ladders.  Cheap — a few ring-slot
-  /// merges under one mutex.
-  void onRecord(const std::string& job, int rank, names::Id metric,
-                double timeSeconds, double value);
 
   /// Executes one JSON query (POST body grammar; see DESIGN.md §12).
   /// Never throws: malformed input yields 400, shed load 429.
@@ -171,21 +158,6 @@ class QueryService {
     std::string key;              ///< canonical cache key (sans generation)
   };
 
-  /// One ring of sub-window rollups for one ladder window.
-  struct LadderRing {
-    std::vector<Rollup> slots;
-    std::vector<std::int64_t> slotIndex;  ///< absolute sub-window; -1 empty
-  };
-  struct LadderSeries {
-    std::vector<LadderRing> rings;  ///< one per options_.ladderWindowsSeconds
-  };
-  /// Combined result of reading one ladder window of one series.
-  struct LadderWindow {
-    Rollup rollup;
-    std::size_t buckets = 0;
-    bool fromLadder = false;
-  };
-
   static Parsed parseJson(const std::string& requestJson);
   static Parsed parseParams(const std::string& op,
                             const std::map<std::string, std::string>& params);
@@ -207,11 +179,6 @@ class QueryService {
                                       const Parsed& parsed);
   [[nodiscard]] std::string runExport(const StoreSnapshot& snap,
                                       const Parsed& parsed);
-
-  /// Reads one series' trailing window from the ladder; fromLadder false
-  /// when the series has no ladder state (forwarded series).
-  [[nodiscard]] LadderWindow ladderRead(const SeriesKey& key,
-                                        double windowSeconds, double anchor);
 
   [[nodiscard]] std::string cacheLookup(const std::string& key);
   void cacheInsert(const std::string& key, std::uint64_t generation,
@@ -237,11 +204,6 @@ class QueryService {
   std::map<std::string, std::list<CacheEntry>::iterator> cacheIndex_;
   std::size_t cacheBytes_ = 0;
 
-  // --- downsample ladder (ladderMutex_) ------------------------------------
-  mutable std::mutex ladderMutex_;
-  std::map<std::tuple<std::string, int, names::Id>, LadderSeries> ladder_;
-  double ladderMaxTimeSeconds_ = 0.0;
-
   // --- admission (admitMutex_) ---------------------------------------------
   mutable std::mutex admitMutex_;
   std::size_t queriesThisPoll_ = 0;
@@ -253,7 +215,7 @@ class QueryService {
       cacheEvictions_{0};
   std::atomic<std::uint64_t> shedLive_{0}, shedBulk_{0};
   std::atomic<std::uint64_t> snapshotRefreshes_{0};
-  std::atomic<std::uint64_t> ladderRecords_{0}, ladderFallbacks_{0};
+  std::atomic<std::uint64_t> ladderFallbacks_{0};
   std::atomic<std::uint64_t> badRequests_{0};
 
   /// Per-class service latency, exported as zs.query.latency.* in

@@ -198,8 +198,9 @@ class MetricsRegistry {
   Gauge& gauge(const std::string& name);
   Histogram& histogram(const std::string& name);
   /// Fixed-boundary latency histogram; empty bounds = the default
-  /// 1 µs..10 s log ladder.  Bounds are fixed at first registration —
-  /// later calls return the existing histogram regardless of `bounds`.
+  /// log-spaced bounds from 1 µs to 10 s.  Bounds are fixed at first
+  /// registration — later calls return the existing histogram
+  /// regardless of `bounds`.
   LatencyHistogram& latency(const std::string& name,
                             const std::vector<double>& boundsSeconds = {});
 

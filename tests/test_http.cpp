@@ -579,7 +579,6 @@ namespace {
 struct QueryDaemonPlane : DaemonPlane {
   explicit QueryDaemonPlane(QueryServiceOptions queryOptions = {})
       : DaemonPlane(), service(daemon, queryOptions) {
-    daemon.attachQueryService(&service);
     // Re-mount with the service: the later registration wins the route.
     mountDaemonEndpoints(*http, daemon, [this] { return clock; },
                          {{"job", "j1"}, {"role", "daemon"}}, &service);

@@ -1,9 +1,9 @@
 // The query/dashboard service (DESIGN.md §12): snapshot-isolated reads
 // under concurrent ingest, the (query, generation)-keyed result cache
 // (bit-identical bodies within a generation, implicit invalidation on
-// ingest, GET/POST key sharing), the downsample ladder, and load
-// shedding with priority classes (live beats bulk, bulk closes under
-// pressure, 429 + Retry-After, stats never shed).
+// ingest, GET/POST key sharing), `window` folds of the snapshot's fine or
+// coarse windows, and load shedding with priority classes (live beats
+// bulk, bulk closes under pressure, 429 + Retry-After, stats never shed).
 #include "aggregator/queryservice.hpp"
 
 #include <gtest/gtest.h>
@@ -57,15 +57,14 @@ Frame batchFrame(double t, std::uint64_t seq, double value = 50.0) {
   return frame;
 }
 
-/// A daemon fed over the pipe hub with the query service attached, so
-/// the per-record ladder hook fires exactly as it does in zerosum-aggd.
+/// A daemon fed over the pipe hub, with the query service reading it the
+/// way zerosum-aggd's does.
 struct QueryPlane {
   explicit QueryPlane(QueryServiceOptions queryOptions = {},
                       DaemonOptions daemonOptions = {})
       : daemon(hub.makeServer(), {}, daemonOptions),
         service(daemon, queryOptions),
         source(hub.makeClientTransport()) {
-    daemon.attachQueryService(&service);
     EXPECT_TRUE(source->connect());
     EXPECT_TRUE(source->send(encodeFrame(helloFrame(0))));
   }
@@ -247,7 +246,7 @@ TEST_F(QueryServiceTest, CacheBoundsEvictLeastRecentlyUsed) {
   EXPECT_FALSE(again.cacheHit);
 }
 
-TEST_F(QueryServiceTest, WindowQueriesServeFromTheLadder) {
+TEST_F(QueryServiceTest, WindowFoldsTheTrailingMinute) {
   QueryPlane plane;
   for (std::uint64_t seq = 1; seq <= 30; ++seq) {
     plane.ingest(static_cast<double>(seq), seq, static_cast<double>(seq));
@@ -259,21 +258,18 @@ TEST_F(QueryServiceTest, WindowQueriesServeFromTheLadder) {
   const json::Value doc = json::parse(result.body);
   const auto& series = doc.find("series")->asArray();
   ASSERT_EQ(series.size(), 1u);
-  EXPECT_TRUE(series[0].find("from_ladder")->asBool());
   EXPECT_EQ(series[0].numberOr("min", -1), 1.0);
   EXPECT_EQ(series[0].numberOr("max", -1), 30.0);
   EXPECT_EQ(series[0].numberOr("count", -1), 30.0);
-  EXPECT_EQ(plane.service.counters().ladderRecords, 30u);
-  EXPECT_EQ(plane.service.counters().ladderFallbacks, 0u);
 }
 
-TEST_F(QueryServiceTest, OffLadderWindowsFallBackToTheSnapshot) {
+TEST_F(QueryServiceTest, AnyWindowSizeIsFoldedAndCounted) {
   QueryPlane plane;
   for (std::uint64_t seq = 1; seq <= 10; ++seq) {
     plane.ingest(static_cast<double>(seq), seq, static_cast<double>(seq));
   }
-  // 7s is not a configured ladder window: answered from the snapshot's
-  // trailing fine windows and counted as a fallback.
+  // An arbitrary span (7 s) folds the snapshot's trailing fine windows
+  // like any other, and the folded series is counted.
   const QueryResult result = plane.service.executeParams(
       "window", {{"metric", "hwt.0.user_pct"}, {"window_s", "7"}},
       QueryClass::kLive, 10.0);
@@ -281,7 +277,6 @@ TEST_F(QueryServiceTest, OffLadderWindowsFallBackToTheSnapshot) {
   const json::Value doc = json::parse(result.body);
   const auto& series = doc.find("series")->asArray();
   ASSERT_EQ(series.size(), 1u);
-  EXPECT_FALSE(series[0].find("from_ladder")->asBool());
   EXPECT_GT(series[0].numberOr("count", 0), 0.0);
   EXPECT_EQ(plane.service.counters().ladderFallbacks, 1u);
 }
@@ -461,7 +456,7 @@ TEST_F(QueryServiceTest, RankOutsideIntAndNaNBoundsAre400) {
 TEST_F(QueryServiceTest, WindowIgnoresRecordsTheStoreRejects) {
   // The window answer after hostile records — a NaN or infinite value, a
   // NaN, infinite, negative or unindexably large time — must equal the
-  // answer without them: the ladder folds only what the store keeps.
+  // answer without them: the window folds only what the store keeps.
   const double inf = std::numeric_limits<double>::infinity();
   const double nan = std::nan("");
   const auto windowAnswer = [](const std::vector<WireRecord>& hostile) {
@@ -477,7 +472,6 @@ TEST_F(QueryServiceTest, WindowIgnoresRecordsTheStoreRejects) {
       plane.daemon.poll(5.5);
       EXPECT_EQ(plane.daemon.counters().recordsIngested, 5U + hostile.size());
     }
-    EXPECT_EQ(plane.service.counters().ladderRecords, 5U);
     return plane.service
         .executeParams("window",
                        {{"metric", "hwt.0.user_pct"}, {"window_s", "60"}},
@@ -498,10 +492,9 @@ TEST_F(QueryServiceTest, WindowIgnoresRecordsTheStoreRejects) {
   }
 }
 
-TEST_F(QueryServiceTest, LadderTakesFarFutureButIndexableTimes) {
+TEST_F(QueryServiceTest, WindowTakesFarFutureButIndexableTimes) {
   QueryPlane plane;
   plane.ingest(1e15, 1);
-  EXPECT_EQ(plane.service.counters().ladderRecords, 1U);
   const QueryResult result = plane.service.executeParams(
       "window", {{"metric", "hwt.0.user_pct"}, {"window_s", "60"}},
       QueryClass::kLive, 1e15);
@@ -509,6 +502,63 @@ TEST_F(QueryServiceTest, LadderTakesFarFutureButIndexableTimes) {
   const json::Value doc = json::parse(result.body);
   const auto& series = doc.find("series")->asArray();
   ASSERT_EQ(series.size(), 1U);
-  EXPECT_TRUE(series[0].find("from_ladder")->asBool());
   EXPECT_EQ(series[0].numberOr("count", -1), 1.0);
+}
+
+TEST_F(QueryServiceTest, RootHourPanelFoldsCoarseWindows) {
+  // A federation root holds only forwarded windows, applied through
+  // ingestWindow as a kForward frame's are: one record per second for an
+  // hour, as 3600 fine windows (600 retained) and 360 coarse ones.
+  QueryPlane plane;
+  RollupStore& store = plane.daemon.mutableStore();
+  const SeriesKey key{"j1", 0, "hwt.0.user_pct"};
+  Rollup coarse;
+  for (std::int64_t t = 0; t < 3600; ++t) {
+    Rollup fine;
+    fine.merge(static_cast<double>(t));
+    ASSERT_TRUE(store.ingestWindow(key, Resolution::kFine, t, fine));
+    coarse.merge(static_cast<double>(t));
+    if (t % 10 == 9) {
+      ASSERT_TRUE(store.ingestWindow(key, Resolution::kCoarse, t / 10, coarse));
+      coarse = Rollup{};
+    }
+  }
+  for (const char* windowSeconds : {"60", "600", "3600"}) {
+    const QueryResult result = plane.service.executeParams(
+        "window", {{"metric", "hwt.0.user_pct"}, {"window_s", windowSeconds}},
+        QueryClass::kLive, 3600.0);
+    ASSERT_EQ(result.status, 200);
+    const json::Value doc = json::parse(result.body);
+    EXPECT_EQ(doc.numberOr("anchor_s", -1), 3600.0);
+    const auto& series = doc.find("series")->asArray();
+    ASSERT_EQ(series.size(), 1U);
+    const double span = std::stod(windowSeconds);
+    EXPECT_EQ(series[0].numberOr("count", -1), span) << windowSeconds;
+    EXPECT_EQ(series[0].numberOr("min", -1), 3600.0 - span) << windowSeconds;
+    EXPECT_EQ(series[0].numberOr("max", -1), 3599.0) << windowSeconds;
+  }
+}
+
+TEST_F(QueryServiceTest, WindowAnswersAreSnapshotIsolated) {
+  QueryServiceOptions options;
+  options.cacheMaxEntries = 0;  // compute every answer afresh
+  options.snapshotMinIntervalSeconds = 10.0;
+  QueryPlane plane(options);
+  const auto window = [&plane](double nowSeconds) {
+    return plane.service.executeParams(
+        "window", {{"metric", "hwt.0.user_pct"}, {"window_s", "60"}},
+        QueryClass::kLive, nowSeconds);
+  };
+  for (std::uint64_t seq = 1; seq <= 5; ++seq) {
+    plane.ingest(static_cast<double>(seq), seq);
+  }
+  const QueryResult first = window(5.0);
+  ASSERT_EQ(first.status, 200);
+  EXPECT_NE(first.body.find("\"count\":5"), std::string::npos) << first.body;
+  // The t=6 record lands inside the refresh interval: the second answer
+  // reads the same snapshot, so it must be the same body.
+  plane.ingest(6.0, 6);
+  const QueryResult second = window(6.0);
+  ASSERT_EQ(second.status, 200);
+  EXPECT_EQ(second.body, first.body);
 }

@@ -154,6 +154,21 @@ TEST_F(TsdbToolsTest, AggdSigtermLosesNoAckedBatch) {
     _exit(127);  // exec failed
   }
 
+  // Wait until the daemon listens: a refused connect returns at once, so
+  // only a wall-clock bound survives a loaded host.  Both loops together
+  // stay well inside the daemon's --duration.
+  using Clock = std::chrono::steady_clock;
+  const auto listenDeadline = Clock::now() + std::chrono::seconds(15);
+  bool listening = false;
+  while (!listening && Clock::now() < listenDeadline) {
+    aggregator::TcpTransport ready("127.0.0.1", port);
+    listening = ready.connect();
+    if (!listening) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  }
+  ASSERT_TRUE(listening) << "daemon never listened on port " << port;
+
   // Stream batches at the daemon until it confirms them via a range
   // query served from its persistence engine: confirmation == acked ==
   // WAL'd (fsync=always), the set SIGTERM must not lose.
@@ -173,17 +188,21 @@ TEST_F(TsdbToolsTest, AggdSigtermLosesNoAckedBatch) {
   constexpr int kRecords = 40;
   double ackedCount = 0.0;
   int sent = 0;
-  for (int attempt = 0; attempt < 400 && ackedCount < kRecords; ++attempt) {
+  const auto ackDeadline = Clock::now() + std::chrono::seconds(15);
+  // `tick` is only the client's virtual clock; the deadline bounds the
+  // loop.
+  for (int tick = 0; ackedCount < kRecords && Clock::now() < ackDeadline;
+       ++tick) {
     // Re-sends are idempotent at this count check only because the
     // client requeues unsent records rather than duplicating acked
     // ones; enqueue each record exactly once.
     if (sent < kRecords) {
       const double t = 0.5 + sent;
       client.enqueue({{t, "kill.metric", 10.0 + sent}},
-                     static_cast<double>(attempt));
+                     static_cast<double>(tick));
       ++sent;
     } else {
-      client.pump(static_cast<double>(attempt));
+      client.pump(static_cast<double>(tick));
     }
     aggregator::TcpTransport probe("127.0.0.1", port);
     const auto response = aggregator::requestOverTransport(

@@ -334,7 +334,6 @@ int main(int argc, char** argv) {
     }
     queryService =
         std::make_unique<aggregator::QueryService>(daemon, queryOptions);
-    daemon.attachQueryService(queryService.get());
     aggregator::mountDaemonEndpoints(
         *http, daemon, [start] { return nowSeconds() - start; },
         std::move(labels), queryService.get());
