@@ -3,12 +3,13 @@
 # built and self-checked (zsbench/check.py: determinism, output checks,
 # transparent wrappers), a Release build with the local compiler, then a
 # sanitizer pass (address + undefined) over the fault-tolerance-critical
-# suites, then the JSON-emitting benchmarks and the performance-regression
-# gate (scripts/bench_gate.py against bench/baselines/), then a live
-# telemetry smoke test: a real zerosum-aggd --http-port scraped over
-# loopback HTTP, the exposition validated with scripts/promlint.py and
-# the query/dashboard plane (GET /api/query, /api/stats, the
-# zerosum-post --http-query client) answered end to end.
+# suites and the federation suite (whose store keeps raw series pointers
+# in per-shard dirty lists), then the JSON-emitting benchmarks and the
+# performance-regression gate (scripts/bench_gate.py against
+# bench/baselines/), then a live telemetry smoke test: a real zerosum-aggd
+# --http-port scraped over loopback HTTP, the exposition validated with
+# scripts/promlint.py and the query/dashboard plane (GET /api/query,
+# /api/stats, the zerosum-post --http-query client) answered end to end.
 # Finally a live federation smoke: three zerosum-aggd processes form a
 # node -> group -> root tree via the root's catalog and a monitored run
 # discovered through ZS_AGG_CATALOG must surface at the root.
@@ -47,11 +48,13 @@ if [[ "$SANITIZE" == 1 ]]; then
   cmake --build build-asan -j "$(nproc)"
   # The suites that exercise the /proc parsers, fault injection, the
   # monitor thread, and the concurrent publish/subscribe + aggregation
-  # paths — where memory bugs under fault load would hide.
+  # paths — where memory bugs under fault load would hide — plus the
+  # federation suite, whose forwarders drain the store's per-shard lists
+  # of raw series pointers that evictSource() must prune.
   # (Run the binaries directly: ctest registers individual gtest case
   # names, so filtering by executable name matches nothing.)
   for t in test_procfs test_fault_injection test_core test_export \
-           test_aggregator test_tsdb test_chaos; do
+           test_aggregator test_federation test_tsdb test_chaos; do
     ./build-asan/tests/"$t"
   done
 fi

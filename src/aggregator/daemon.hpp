@@ -227,7 +227,8 @@ class Aggregator {
                   double nowSeconds);
   void processBatch(PendingBatch& batch, double nowSeconds);
   /// Applies one admitted kForward frame: source registry upserts, then
-  /// ingestWindow() per carried window (conflicts counted, never fatal).
+  /// one ingestWindows() per run of consecutive same-series windows
+  /// (conflicts counted, never fatal).
   void processForward(PendingBatch& batch, double nowSeconds);
   void handleCatalogAnnounce(std::uint64_t connection, const Frame& frame,
                              double nowSeconds);
@@ -264,6 +265,7 @@ class Aggregator {
       seriesRefs_;
   /// Ingest scratch, reused every batch (strings keep their capacity).
   SeriesKey keyScratch_;
+  std::vector<WindowSnapshot> windowScratch_;
   std::vector<tsdb::Sample> samplesScratch_;
   /// (job, rank) -> registry entry.
   std::map<std::pair<std::string, int>, SourceInfo> sources_;

@@ -1,6 +1,7 @@
 #include "aggregator/federation.hpp"
 
 #include <algorithm>
+#include <tuple>
 
 #include "common/error.hpp"
 #include "common/logging.hpp"
@@ -252,33 +253,53 @@ void Forwarder::drainStore(double nowSeconds) {
   if (links_.empty() || ring_.empty()) {
     return;  // nowhere to route; leave the windows dirty in the store
   }
-  for (;;) {
-    drainScratch_.clear();
-    const std::size_t got =
-        local_.mutableStore().drainDirty(drainScratch_, 1024);
-    if (got == 0) {
-      break;
-    }
-    for (DirtyWindow& w : drainScratch_) {
-      const CatalogEntry* entry = ring_.route(shardOfSeries(w.key));
-      if (entry == nullptr) {
-        ++counters_.windowsUnroutable;
+  while (local_.mutableStore().drainDirty(drainScratch_, 1024) > 0) {
+    for (const SeriesBlocks::Block& block : drainScratch_.blocks()) {
+      // Every window of a series shares its key, so one route serves all.
+      const auto windows = drainScratch_.windows(block);
+      const CatalogEntry* entry = ring_.route(shardOfSeries(block.key));
+      const auto link =
+          std::find_if(links_.begin(), links_.end(), [&](const auto& l) {
+            return entry != nullptr && l->entry.name == entry->name;
+          });
+      if (link == links_.end()) {
+        counters_.windowsUnroutable += windows.size();
         continue;
       }
-      auto it = std::find_if(
-          links_.begin(), links_.end(),
-          [&](const auto& l) { return l->entry.name == entry->name; });
-      if (it == links_.end()) {
-        ++counters_.windowsUnroutable;
-        continue;
-      }
-      PendingKey key;
-      key.key = std::move(w.key);
-      key.resolution = w.resolution;
-      key.windowIndex = w.windowIndex;
-      (*it)->pending[std::move(key)] = w.rollup;  // newer snapshot wins
+      enqueue(**link, block.key, windows);
     }
   }
+}
+
+void Forwarder::enqueue(Link& link, const SeriesKey& key,
+                        std::span<const WindowSnapshot> windows) {
+  const auto before = [](const WindowSnapshot& a, const WindowSnapshot& b) {
+    return std::tie(a.resolution, a.windowIndex) <
+           std::tie(b.resolution, b.windowIndex);
+  };
+  auto& queued = link.pending[key];
+  for (const WindowSnapshot& window : windows) {
+    const auto pos =
+        std::lower_bound(queued.begin(), queued.end(), window, before);
+    if (pos != queued.end() && !before(window, *pos)) {
+      *pos = window;  // the newer snapshot of a queued window wins
+    } else {
+      queued.insert(pos, window);  // in-order windows append
+    }
+  }
+  // The store has evicted whatever fell off the retention horizon of the
+  // series' newest window, and so would the upstream: drop it.
+  std::int64_t newest[2] = {0, 0};
+  for (const WindowSnapshot& window : queued) {
+    newest[static_cast<int>(window.resolution)] = window.windowIndex;
+  }
+  const StoreOptions& store = local_.store().options();
+  const int retention[2] = {store.fineRetentionWindows,
+                            store.coarseRetentionWindows};
+  std::erase_if(queued, [&](const WindowSnapshot& window) {
+    const int p = static_cast<int>(window.resolution);
+    return window.windowIndex < newest[p] - retention[p] + 1;
+  });
 }
 
 void Forwarder::fillSources(Frame& frame, double nowSeconds) const {
@@ -326,30 +347,37 @@ void Forwarder::sendPending(Link& link, double nowSeconds) {
     if (sourcesDue) {
       fillSources(frame, nowSeconds);
     }
+    // Series in key order, each one's windows in (resolution, index)
+    // order; a frame that fills mid-series leaves the rest queued first.
     auto it = link.pending.begin();
     while (it != link.pending.end() &&
            frame.forwardWindows.size() < options_.maxWindowsPerFrame) {
-      if (coarseOnly && it->first.resolution == Resolution::kFine) {
-        // Degradation hop: under acked upstream pressure, fine windows
-        // are withheld (their records still arrive through the coarse
-        // plane) instead of the frame being dropped wholesale.
-        ++counters_.windowsSuppressed;
-        ctrSuppressed_->add();
-        it = link.pending.erase(it);
-        continue;
+      const SeriesKey& key = it->first;
+      auto& queued = it->second;
+      std::size_t taken = 0;
+      for (; taken < queued.size() &&
+             frame.forwardWindows.size() < options_.maxWindowsPerFrame;
+           ++taken) {
+        const WindowSnapshot& window = queued[taken];
+        if (coarseOnly && window.resolution == Resolution::kFine) {
+          // Degradation hop: under acked upstream pressure, fine windows
+          // are withheld (their records still arrive through the coarse
+          // plane) instead of the frame being dropped wholesale.
+          ++counters_.windowsSuppressed;
+          ctrSuppressed_->add();
+          continue;
+        }
+        const Rollup& rollup = window.rollup;
+        frame.forwardWindows.push_back(
+            {key.job, key.rank, key.metric,
+             static_cast<std::uint8_t>(window.resolution), window.windowIndex,
+             rollup.min, rollup.max, rollup.sum, rollup.count});
       }
-      ForwardWindow w;
-      w.job = it->first.key.job;
-      w.rank = it->first.key.rank;
-      w.metric = it->first.key.metric;
-      w.resolution =
-          it->first.resolution == Resolution::kFine ? 0 : 1;
-      w.windowIndex = it->first.windowIndex;
-      w.min = it->second.min;
-      w.max = it->second.max;
-      w.sum = it->second.sum;
-      w.count = it->second.count;
-      frame.forwardWindows.push_back(std::move(w));
+      if (taken < queued.size()) {
+        queued.erase(queued.begin(),
+                     queued.begin() + static_cast<std::ptrdiff_t>(taken));
+        break;
+      }
       it = link.pending.erase(it);
     }
     if (frame.forwardWindows.empty() && !sourcesDue) {
@@ -428,7 +456,9 @@ bool Forwarder::quiesced() const {
 std::size_t Forwarder::pendingWindows() const {
   std::size_t total = 0;
   for (const auto& link : links_) {
-    total += link->pending.size();
+    for (const auto& [key, queued] : link->pending) {
+      total += queued.size();
+    }
   }
   return total;
 }

@@ -13,8 +13,9 @@
 //     owns virtual points on the ring, so membership changes move only
 //     the series that hashed near the departed daemon.
 //   * Forwarder — the child half of the hop-by-hop protocol.  Drains the
-//     local RollupStore's dirty windows, routes each series through the
-//     ring, and re-batches them upstream as wire-v4 kForward frames,
+//     local RollupStore's dirty windows a series block at a time, routes
+//     each series once through the ring, queues its windows on the
+//     owning link, and re-batches them upstream as wire-v4 kForward frames,
 //     reusing the kBatchAck pressure/ack loop.  Windows are *cumulative
 //     snapshots*, so the loss story needs no persistent send queue: any
 //     reconnect or membership change marks the whole store dirty again
@@ -35,6 +36,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -163,14 +165,6 @@ class Forwarder {
   [[nodiscard]] const HashRing& ring() const { return ring_; }
 
  private:
-  struct PendingKey {
-    SeriesKey key;
-    Resolution resolution = Resolution::kFine;
-    std::int64_t windowIndex = 0;
-
-    friend auto operator<=>(const PendingKey&, const PendingKey&) = default;
-  };
-
   struct Inflight {
     std::uint64_t seq = 0;
     std::uint64_t windows = 0;
@@ -181,10 +175,13 @@ class Forwarder {
     std::unique_ptr<Transport> transport;
     FrameReader reader;
     std::string recvScratch;
-    /// Routed windows awaiting send; keyed so a newer snapshot of the
-    /// same window replaces the queued one in place (bounded by the
-    /// store's retained-window count, never by time).
-    std::map<PendingKey, Rollup> pending;
+    /// Routed windows awaiting send: per series in key order, each
+    /// series' windows in (resolution, index) order.  A newer snapshot of
+    /// a queued window replaces it in place, and queuing a newer block of
+    /// a series trims that series to the retention horizon of its newest
+    /// queued window, so however long the upstream stays away, no series
+    /// queues more windows than the store retains for it.
+    std::map<SeriesKey, std::vector<WindowSnapshot>> pending;
     std::vector<Inflight> inflight;  ///< FIFO; acks are cumulative
     std::uint64_t nextSeq = 1;
     PressureLevel pressure = PressureLevel::kOk;
@@ -199,6 +196,8 @@ class Forwarder {
   void closeLink(Link& link, double nowSeconds);
   void processIncoming(Link& link, double nowSeconds);
   void drainStore(double nowSeconds);
+  void enqueue(Link& link, const SeriesKey& key,
+               std::span<const WindowSnapshot> windows);
   void sendPending(Link& link, double nowSeconds);
   void resync();
   [[nodiscard]] PressureLevel effectivePressure(const Link& link,
@@ -211,7 +210,7 @@ class Forwarder {
   ForwarderCounters counters_;
   HashRing ring_;
   std::vector<std::unique_ptr<Link>> links_;
-  std::vector<DirtyWindow> drainScratch_;
+  SeriesBlocks drainScratch_;
 
   trace::Counter* ctrForwardedBatches_ = nullptr;
   trace::Counter* ctrForwardedWindows_ = nullptr;

@@ -16,11 +16,6 @@ WindowBuffer::const_iterator WindowBuffer::lowerBound(
       [](const Entry& entry, std::int64_t i) { return entry.first < i; });
 }
 
-const Rollup* WindowBuffer::find(std::int64_t index) const {
-  const auto it = lowerBound(index);
-  return it != end() && it->first == index ? &it->second : nullptr;
-}
-
 std::pair<Rollup*, bool> WindowBuffer::findOrInsert(std::int64_t index) {
   if (empty() || index > entries_.back().first) {
     entries_.emplace_back(index, Rollup{});
@@ -93,30 +88,38 @@ double RollupStore::windowSeconds(Resolution resolution) const {
              : options_.fineWindowSeconds * options_.coarseFactor;
 }
 
-void RollupStore::mergeBounded(WindowBuffer& windows, std::int64_t index,
-                               double value, int retention,
-                               std::uint64_t& evicted) {
-  const std::int64_t newest =
-      windows.empty() ? index : std::max(index, windows.back().first);
-  const std::int64_t oldestKept = newest - retention + 1;
-  if (index < oldestKept) {
-    return;  // beyond the retention horizon: too old to matter
-  }
-  windows.findOrInsert(index).first->merge(value);
-  // Evict windows that fell off the horizon (at most a handful per
-  // ingest; amortized O(1)).
-  evicted += windows.evictBefore(oldestKept);
+int RollupStore::retention(Resolution resolution) const {
+  return resolution == Resolution::kFine ? options_.fineRetentionWindows
+                                         : options_.coarseRetentionWindows;
 }
 
-void RollupStore::markDirtyLocked(Series& series, Resolution resolution,
+void RollupStore::evictLocked(Plane& plane, std::int64_t oldestKept,
+                              Shard& shard) {
+  shard.evicted += plane.windows.evictBefore(oldestKept);
+  auto& marks = plane.dirty;
+  if (!marks.empty() && marks.front() < oldestKept) {
+    const auto end = std::lower_bound(marks.begin(), marks.end(), oldestKept);
+    shard.dirty -= static_cast<std::size_t>(end - marks.begin());
+    marks.erase(marks.begin(), end);
+  }
+}
+
+void RollupStore::markDirtyLocked(SeriesNode& node, Resolution resolution,
                                   std::int64_t index, Shard& shard) {
   if (!trackDirty_.load(std::memory_order_relaxed)) {
     return;
   }
-  auto& dirty = resolution == Resolution::kFine ? series.dirtyFine
-                                                : series.dirtyCoarse;
-  if (dirty.insert(index).second) {
-    ++shard.dirty;
+  Series& series = node.second;
+  auto& marks = series[resolution].dirty;
+  const auto pos = std::lower_bound(marks.begin(), marks.end(), index);
+  if (pos != marks.end() && *pos == index) {
+    return;
+  }
+  marks.insert(pos, index);  // in-order ingest appends
+  ++shard.dirty;
+  if (!series.listed) {
+    series.listed = true;
+    shard.dirtySeries.push_back(&node);
   }
 }
 
@@ -129,17 +132,24 @@ std::optional<std::int64_t> RollupStore::fineIndexOf(double timeSeconds,
   return ingestWindowIndex(timeSeconds, options_.fineWindowSeconds);
 }
 
-void RollupStore::mergeLocked(Series& series, std::int64_t fineIndex,
+void RollupStore::mergeLocked(SeriesNode& node, std::int64_t fineIndex,
                               double value, Shard& shard) {
   dataGeneration_.fetch_add(1, std::memory_order_release);
-  mergeBounded(series.fine, fineIndex, value, options_.fineRetentionWindows,
-               shard.evicted);
-  markDirtyLocked(series, Resolution::kFine, fineIndex, shard);
   // fineIndex >= 0 (ingest refuses t < 0), so division is the floor.
-  const std::int64_t coarseIndex = fineIndex / options_.coarseFactor;
-  mergeBounded(series.coarse, coarseIndex, value,
-               options_.coarseRetentionWindows, shard.evicted);
-  markDirtyLocked(series, Resolution::kCoarse, coarseIndex, shard);
+  const std::int64_t indices[] = {fineIndex, fineIndex / options_.coarseFactor};
+  for (const Resolution resolution : {Resolution::kFine, Resolution::kCoarse}) {
+    const std::int64_t index = indices[static_cast<int>(resolution)];
+    Plane& plane = node.second[resolution];
+    const std::int64_t oldestKept =
+        plane.windows.oldestKept(index, retention(resolution));
+    if (index < oldestKept) {
+      continue;  // beyond the retention horizon: too old to matter
+    }
+    plane.windows.findOrInsert(index).first->merge(value);
+    markDirtyLocked(node, resolution, index, shard);
+    // At most a handful of windows fall off per ingest; amortized O(1).
+    evictLocked(plane, oldestKept, shard);
+  }
   ++shard.ingested;
 }
 
@@ -151,7 +161,7 @@ void RollupStore::ingest(const SeriesKey& key, double timeSeconds,
   }
   Shard& shard = shardOf(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
-  mergeLocked(shard.series[key], *fineIndex, value, shard);
+  mergeLocked(*shard.series.try_emplace(key).first, *fineIndex, value, shard);
 }
 
 void RollupStore::ingest(const SeriesKey& key, SeriesRef& ref,
@@ -169,7 +179,7 @@ void RollupStore::ingest(const SeriesKey& key, SeriesRef& ref,
   // freed node.
   const std::uint64_t gen = generation_.load(std::memory_order_acquire);
   if (ref.series == nullptr || ref.generation != gen) {
-    ref.series = &ref.shard->series[key];
+    ref.series = &*ref.shard->series.try_emplace(key).first;
     ref.generation = gen;
   }
   mergeLocked(*ref.series, *fineIndex, value, *ref.shard);
@@ -184,9 +194,13 @@ std::size_t RollupStore::evictSource(const std::string& job, int rank) {
     std::lock_guard<std::mutex> lock(shard->mutex);
     for (auto it = shard->series.begin(); it != shard->series.end();) {
       if (it->first.job == job && it->first.rank == rank) {
-        shard->evicted += it->second.fine.size() + it->second.coarse.size();
-        shard->dirty -=
-            it->second.dirtyFine.size() + it->second.dirtyCoarse.size();
+        for (const Plane& plane : it->second.planes) {
+          shard->evicted += plane.windows.size();
+          shard->dirty -= plane.dirty.size();
+        }
+        if (it->second.listed) {
+          std::erase(shard->dirtySeries, &*it);
+        }
         it = shard->series.erase(it);
         ++dropped;
       } else {
@@ -197,41 +211,42 @@ std::size_t RollupStore::evictSource(const std::string& job, int rank) {
   return dropped;
 }
 
-bool RollupStore::ingestWindow(const SeriesKey& key, Resolution resolution,
-                               std::int64_t windowIndex,
-                               const Rollup& rollup) {
-  if (windowIndex < 0 || rollup.count == 0 || !std::isfinite(rollup.min) ||
-      !std::isfinite(rollup.max) || !std::isfinite(rollup.sum)) {
-    return false;  // hostile or corrupt input: ignore, never throw
-  }
+std::size_t RollupStore::ingestWindows(
+    const SeriesKey& key, std::span<const WindowSnapshot> windows) {
   Shard& shard = shardOf(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
-  Series& series = shard.series[key];
-  auto& windows =
-      resolution == Resolution::kFine ? series.fine : series.coarse;
-  const int retention = resolution == Resolution::kFine
-                            ? options_.fineRetentionWindows
-                            : options_.coarseRetentionWindows;
-  // windowIndex >= 0 and retention >= 1, so this cannot overflow.
-  const std::int64_t oldestKept =
-      (windows.empty() ? windowIndex
-                       : std::max(windowIndex, windows.back().first)) -
-      retention + 1;
-  if (windowIndex < oldestKept) {
-    return false;  // beyond the retention horizon: too old to matter
+  SeriesNode* node = nullptr;  // looked up at the first admissible window
+  std::size_t applied = 0;
+  for (const WindowSnapshot& window : windows) {
+    const Rollup& rollup = window.rollup;
+    if (window.windowIndex < 0 || rollup.count == 0 ||
+        !std::isfinite(rollup.min) || !std::isfinite(rollup.max) ||
+        !std::isfinite(rollup.sum)) {
+      continue;  // hostile or corrupt input: ignore, never throw
+    }
+    if (node == nullptr) {
+      node = &*shard.series.try_emplace(key).first;
+    }
+    Plane& plane = node->second[window.resolution];
+    const std::int64_t oldestKept = plane.windows.oldestKept(
+        window.windowIndex, retention(window.resolution));
+    if (window.windowIndex < oldestKept) {
+      continue;  // beyond the retention horizon: too old to matter
+    }
+    auto [stored, inserted] = plane.windows.findOrInsert(window.windowIndex);
+    if (!inserted && rollup.count <= stored->count) {
+      continue;  // not newer: the stored window stands
+    }
+    // Cumulative snapshots are monotone in count: higher count = newer.
+    // Replacing (never combining) keeps retransmits idempotent.
+    *stored = rollup;
+    markDirtyLocked(*node, window.resolution, window.windowIndex, shard);
+    ++shard.ingested;
+    dataGeneration_.fetch_add(1, std::memory_order_release);
+    evictLocked(plane, oldestKept, shard);
+    ++applied;
   }
-  auto [stored, inserted] = windows.findOrInsert(windowIndex);
-  if (!inserted && rollup.count <= stored->count) {
-    return false;  // not newer: the stored window stands
-  }
-  // Cumulative snapshots are monotone in count: higher count = newer.
-  // Replacing (never combining) keeps retransmits idempotent.
-  *stored = rollup;
-  markDirtyLocked(series, resolution, windowIndex, shard);
-  ++shard.ingested;
-  dataGeneration_.fetch_add(1, std::memory_order_release);
-  shard.evicted += windows.evictBefore(oldestKept);
-  return true;
+  return applied;
 }
 
 void RollupStore::merge(const RollupStore& other) {
@@ -250,18 +265,16 @@ void RollupStore::merge(const RollupStore& other) {
       Shard& shard = shardOf(key);
       std::lock_guard<std::mutex> lock(shard.mutex);
       Series& mine = shard.series[key];
-      const std::pair<WindowBuffer*, const WindowBuffer*> planes[] = {
-          {&mine.fine, &incoming.fine}, {&mine.coarse, &incoming.coarse}};
-      const int retentions[] = {options_.fineRetentionWindows,
-                                options_.coarseRetentionWindows};
-      for (int p = 0; p < 2; ++p) {
-        WindowBuffer& target = *planes[p].first;
-        for (const auto& [index, rollup] : *planes[p].second) {
-          target.findOrInsert(index).first->combine(rollup);
+      for (const Resolution resolution :
+           {Resolution::kFine, Resolution::kCoarse}) {
+        Plane& target = mine[resolution];
+        for (const auto& [index, rollup] : incoming[resolution].windows) {
+          target.windows.findOrInsert(index).first->combine(rollup);
         }
-        if (!target.empty()) {
-          shard.evicted +=
-              target.evictBefore(target.back().first - retentions[p] + 1);
+        if (!target.windows.empty()) {
+          evictLocked(target,
+                      target.windows.back().first - retention(resolution) + 1,
+                      shard);
         }
       }
     }
@@ -288,7 +301,8 @@ StoreSnapshot RollupStore::snapshot() const {
   out.series_.reserve(total);
   for (const auto& shard : shards_) {
     for (const auto& [key, series] : shard->series) {
-      out.series_.push_back({key, series.fine, series.coarse});
+      out.series_.push_back({key, series[Resolution::kFine].windows,
+                             series[Resolution::kCoarse].windows});
     }
   }
   locks.clear();
@@ -363,65 +377,90 @@ void RollupStore::enableDirtyTracking() {
   trackDirty_.store(true, std::memory_order_relaxed);
 }
 
-std::size_t RollupStore::drainDirty(std::vector<DirtyWindow>& out,
+std::size_t RollupStore::drainDirty(SeriesBlocks& out,
                                     std::size_t maxWindows) {
-  std::size_t appended = 0;
+  out.size_ = 0;
+  out.windows_.clear();
+  std::size_t drained = 0;
   for (auto& shard : shards_) {
-    if (appended >= maxWindows) {
+    if (drained >= maxWindows) {
       break;
     }
     std::lock_guard<std::mutex> lock(shard->mutex);
-    if (shard->dirty == 0) {
-      continue;
-    }
-    for (auto& [key, series] : shard->series) {
-      const std::pair<Resolution, std::set<std::int64_t>*> planes[] = {
-          {Resolution::kFine, &series.dirtyFine},
-          {Resolution::kCoarse, &series.dirtyCoarse}};
-      for (const auto& [resolution, dirty] : planes) {
-        const auto& windows =
-            resolution == Resolution::kFine ? series.fine : series.coarse;
-        while (!dirty->empty() && appended < maxWindows) {
-          const std::int64_t index = *dirty->begin();
-          dirty->erase(dirty->begin());
-          --shard->dirty;
-          const Rollup* rollup = windows.find(index);
-          if (rollup == nullptr) {
+    // Series fully drained from the front of the list; a series the
+    // budget splits stays listed first.
+    std::size_t done = 0;
+    for (; done < shard->dirtySeries.size() && drained < maxWindows; ++done) {
+      auto& [key, series] = *shard->dirtySeries[done];
+      if (out.size_ == out.blocks_.size()) {
+        out.blocks_.emplace_back();
+      }
+      SeriesBlocks::Block& block = out.blocks_[out.size_++];
+      block.key = key;  // a spare block's strings keep their capacity
+      block.first = out.windows_.size();
+      block.count = 0;
+      for (const Resolution resolution :
+           {Resolution::kFine, Resolution::kCoarse}) {
+        Plane& plane = series[resolution];
+        auto& marks = plane.dirty;
+        if (marks.empty()) {
+          continue;
+        }
+        // Marks and windows are both index-sorted: walk them together,
+        // from the first marked window.  Marks usually cover the newest
+        // windows, so look there before searching.
+        auto w = plane.windows.end() -
+                 static_cast<std::ptrdiff_t>(
+                     std::min(marks.size(), plane.windows.size()));
+        if (w == plane.windows.end() || w->first != marks.front()) {
+          w = plane.windows.lowerBound(marks.front());
+        }
+        std::size_t taken = 0;
+        for (; taken < marks.size() && drained < maxWindows; ++taken) {
+          while (w != plane.windows.end() && w->first < marks[taken]) {
+            ++w;
+          }
+          if (w == plane.windows.end() || w->first != marks[taken]) {
             continue;  // evicted since it was marked
           }
-          DirtyWindow w;
-          w.key = key;
-          w.resolution = resolution;
-          w.windowIndex = index;
-          w.rollup = *rollup;
-          out.push_back(std::move(w));
-          ++appended;
+          out.windows_.push_back({resolution, w->first, w->second});
+          ++block.count;
+          ++drained;
         }
-        if (appended >= maxWindows) {
-          break;
-        }
+        marks.erase(marks.begin(),
+                    marks.begin() + static_cast<std::ptrdiff_t>(taken));
+        shard->dirty -= taken;
       }
-      if (appended >= maxWindows) {
-        break;
+      if (block.count == 0) {
+        --out.size_;  // every mark it had was evicted
       }
+      if (!series.planes[0].dirty.empty() || !series.planes[1].dirty.empty()) {
+        break;  // split by the budget
+      }
+      series.listed = false;
     }
+    shard->dirtySeries.erase(
+        shard->dirtySeries.begin(),
+        shard->dirtySeries.begin() + static_cast<std::ptrdiff_t>(done));
   }
-  return appended;
+  return drained;
 }
 
 void RollupStore::markAllDirty() {
   for (auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mutex);
-    for (auto& [key, series] : shard->series) {
-      for (const auto& [index, rollup] : series.fine) {
-        if (series.dirtyFine.insert(index).second) {
-          ++shard->dirty;
+    for (auto& node : shard->series) {
+      Series& series = node.second;
+      for (Plane& plane : series.planes) {
+        shard->dirty += plane.windows.size() - plane.dirty.size();
+        plane.dirty.clear();
+        for (const auto& [index, rollup] : plane.windows) {
+          plane.dirty.push_back(index);
         }
       }
-      for (const auto& [index, rollup] : series.coarse) {
-        if (series.dirtyCoarse.insert(index).second) {
-          ++shard->dirty;
-        }
+      if (!series.listed) {
+        series.listed = true;
+        shard->dirtySeries.push_back(&node);
       }
     }
   }
@@ -444,8 +483,7 @@ std::optional<WindowRollup> RollupStore::latest(const SeriesKey& key,
   if (it == shard.series.end()) {
     return std::nullopt;
   }
-  const auto& windows =
-      resolution == Resolution::kFine ? it->second.fine : it->second.coarse;
+  const WindowBuffer& windows = it->second[resolution].windows;
   if (windows.empty()) {
     return std::nullopt;
   }
@@ -470,8 +508,7 @@ std::vector<WindowRollup> RollupStore::range(const SeriesKey& key, double t0,
   if (it == shard.series.end()) {
     return out;
   }
-  const auto& windows =
-      resolution == Resolution::kFine ? it->second.fine : it->second.coarse;
+  const WindowBuffer& windows = it->second[resolution].windows;
   const double width = windowSeconds(resolution);
   const std::int64_t first = clampedWindowIndex(t0, width);
   const std::int64_t last = clampedWindowIndex(t1, width);

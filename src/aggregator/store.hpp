@@ -30,7 +30,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <set>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -162,14 +162,39 @@ inline constexpr double kWindowIndexLimit = 9223372036854775808.0;
   return static_cast<int>(rank);
 }
 
-/// One window flagged as modified since the last drainDirty() — what a
-/// federation Forwarder ships upstream.  `rollup` is the window's
-/// cumulative snapshot at drain time (see wire.hpp ForwardWindow).
-struct DirtyWindow {
-  SeriesKey key;
+/// One window of one series as the federation ships it: drainDirty()
+/// emits these and ingestWindows() applies them.  `rollup` is the
+/// window's cumulative snapshot (see wire.hpp ForwardWindow).
+struct WindowSnapshot {
   Resolution resolution = Resolution::kFine;
   std::int64_t windowIndex = 0;
   Rollup rollup;
+};
+
+/// What drainDirty() fills: one block per drained series, holding its key
+/// once and then its windows in (resolution, index) order.  A caller that
+/// passes the same buffer to every drain reuses its capacity, keys
+/// included, so a steady-state drain allocates nothing.
+class SeriesBlocks {
+ public:
+  struct Block {
+    SeriesKey key;
+    std::size_t first = 0;  ///< the block's windows: [first, first + count)
+    std::size_t count = 0;
+  };
+  [[nodiscard]] std::span<const Block> blocks() const {
+    return {blocks_.data(), size_};
+  }
+  [[nodiscard]] std::span<const WindowSnapshot> windows(
+      const Block& block) const {
+    return {windows_.data() + block.first, block.count};
+  }
+
+ private:
+  friend class RollupStore;
+  std::vector<Block> blocks_;  ///< [0, size_) are live; the rest are spare
+  std::size_t size_ = 0;
+  std::vector<WindowSnapshot> windows_;
 };
 
 /// The retained windows of one series at one resolution: (windowIndex,
@@ -206,8 +231,13 @@ class WindowBuffer {
 
   /// The first window whose index is >= `index`.
   [[nodiscard]] const_iterator lowerBound(std::int64_t index) const;
-  /// The window at `index`, or nullptr.
-  [[nodiscard]] const Rollup* find(std::int64_t index) const;
+
+  /// The oldest index a `retention`-deep horizon keeps once `index`
+  /// lands (index >= 0 and retention >= 1, so this cannot overflow).
+  [[nodiscard]] std::int64_t oldestKept(std::int64_t index,
+                                        int retention) const {
+    return (empty() ? index : std::max(index, back().first)) - retention + 1;
+  }
 
   /// The window at `index`, inserted empty in index order when absent
   /// (appended when it is the newest); `second` is true if inserted.
@@ -273,6 +303,8 @@ class RollupStore {
  private:
   struct Series;
   struct Shard;
+  /// A series map node: dirty lists and SeriesRefs point at these.
+  using SeriesNode = std::pair<const SeriesKey, Series>;
 
  public:
   /// A resolved series handle for repeat ingestion.  The shard a key
@@ -284,7 +316,7 @@ class RollupStore {
   struct SeriesRef {
     std::uint64_t generation = 0;
     Shard* shard = nullptr;
-    Series* series = nullptr;
+    SeriesNode* series = nullptr;
   };
 
   explicit RollupStore(StoreOptions options = {});
@@ -304,7 +336,7 @@ class RollupStore {
 
   // --- read-side snapshot surface (DESIGN.md §12) --------------------------
 
-  /// Monotone counter bumped by every mutation (ingest, ingestWindow,
+  /// Monotone counter bumped by every mutation (ingest, ingestWindows,
   /// evictSource, merge).  Two equal readings bracket an interval in
   /// which no data changed — the query cache's invalidation signal.
   [[nodiscard]] std::uint64_t dataGeneration() const {
@@ -320,19 +352,24 @@ class RollupStore {
 
   // --- federation surface (DESIGN.md §11) ----------------------------------
 
-  /// Applies one forwarded window snapshot: replaces the stored rollup
-  /// when the incoming count is higher (a window's cumulative snapshot is
-  /// monotone in count, so "more records seen" means "newer").  Returns
-  /// false — a merge conflict, counted by the daemon — when the incoming
-  /// snapshot is not newer than what is stored (a retransmit, a stale
-  /// duplicate routed through a second parent, or two origins claiming
-  /// the same series); the stored value is kept in that case unless the
-  /// incoming one is strictly newer.  Respects retention exactly like
-  /// ingest(): windows beyond the horizon are ignored.  A negative index
-  /// is rejected outright: no honest producer emits one, since ingest()
-  /// refuses t < 0.
+  /// Applies forwarded window snapshots of one series in order, under
+  /// one shard lock and one series lookup, and returns how many applied.
+  /// Each replaces the stored rollup only when its count is higher (a
+  /// cumulative snapshot is monotone in count: more records seen means
+  /// newer).  The rest are merge conflicts, counted by the daemon: not
+  /// newer (a retransmit, a duplicate routed through a second parent,
+  /// two origins claiming one series), beyond the retention horizon (as
+  /// for ingest()), or hostile (zero count, non-finite value, or a
+  /// negative index, which no honest producer emits).
+  std::size_t ingestWindows(const SeriesKey& key,
+                            std::span<const WindowSnapshot> windows);
+
+  /// One forwarded window: ingestWindows() over a single snapshot.
   bool ingestWindow(const SeriesKey& key, Resolution resolution,
-                    std::int64_t windowIndex, const Rollup& rollup);
+                    std::int64_t windowIndex, const Rollup& rollup) {
+    const WindowSnapshot window{resolution, windowIndex, rollup};
+    return ingestWindows(key, {&window, 1}) == 1;
+  }
 
   /// Folds every window of `other` into this store with
   /// Rollup::combine(), enforcing this store's retention bounds — the
@@ -343,19 +380,17 @@ class RollupStore {
   void merge(const RollupStore& other);
 
   /// Turns on dirty-window tracking (off by default: the bookkeeping is
-  /// only paid by daemons that host a Forwarder).  Every window touched
-  /// by ingest()/ingestWindow() afterwards is queued for drainDirty().
+  /// only paid by daemons that host a Forwarder).  Every retained window
+  /// touched by ingest()/ingestWindows() afterwards is marked for
+  /// drainDirty(); eviction drops the marks of the windows it removes.
   void enableDirtyTracking();
-  [[nodiscard]] bool dirtyTrackingEnabled() const {
-    return trackDirty_.load(std::memory_order_relaxed);
-  }
 
-  /// Moves up to `maxWindows` dirty windows into `out` (appended), each
-  /// with a snapshot of its current cumulative rollup, and clears their
-  /// dirty marks.  Windows evicted since they were marked are skipped.
-  /// Returns the number appended.  More dirt may remain; callers loop.
-  std::size_t drainDirty(std::vector<DirtyWindow>& out,
-                         std::size_t maxWindows);
+  /// Replaces `out` with up to `maxWindows` dirty windows (a snapshot of
+  /// each one's cumulative rollup) and clears their marks.  Windows
+  /// evicted since they were marked are skipped; a series the budget
+  /// splits stays first in the queue.  Returns the number drained.  More
+  /// dirt may remain; callers loop.
+  std::size_t drainDirty(SeriesBlocks& out, std::size_t maxWindows);
 
   /// Marks every retained window of every series dirty — the full-resync
   /// path after a forwarder reconnects or its upstream set changes.
@@ -385,19 +420,32 @@ class RollupStore {
   [[nodiscard]] const StoreOptions& options() const { return options_; }
 
  private:
-  struct Series {
+  /// One resolution of one series.
+  struct Plane {
     /// Retained windows, bounded by the retention depth.
-    WindowBuffer fine;
-    WindowBuffer coarse;
-    /// Window indices touched since the last drainDirty() (only
-    /// maintained while dirty tracking is on).
-    std::set<std::int64_t> dirtyFine;
-    std::set<std::int64_t> dirtyCoarse;
+    WindowBuffer windows;
+    /// Sorted, unique indices of retained windows touched since they were
+    /// last drained (dirty tracking only); keeps capacity across drains.
+    std::vector<std::int64_t> dirty;
+  };
+
+  struct Series {
+    Plane planes[2];      ///< indexed by Resolution
+    bool listed = false;  ///< on its shard's dirtySeries list
+
+    Plane& operator[](Resolution r) { return planes[static_cast<int>(r)]; }
+    const Plane& operator[](Resolution r) const {
+      return planes[static_cast<int>(r)];
+    }
   };
 
   struct Shard {
     mutable std::mutex mutex;
     std::map<SeriesKey, Series> series;
+    /// Series marked dirty since they were last drained, in the order of
+    /// their first mark; drains visit only these.  Nodes of `series`:
+    /// evictSource() unlists a series before erasing it.
+    std::vector<SeriesNode*> dirtySeries;
     std::uint64_t ingested = 0;
     std::uint64_t evicted = 0;
     std::size_t dirty = 0;  ///< dirty-window marks queued in this shard
@@ -406,21 +454,22 @@ class RollupStore {
   [[nodiscard]] Shard& shardOf(const SeriesKey& key);
   [[nodiscard]] const Shard& shardOf(const SeriesKey& key) const;
   [[nodiscard]] double windowSeconds(Resolution resolution) const;
-
-  static void mergeBounded(WindowBuffer& windows, std::int64_t index,
-                           double value, int retention,
-                           std::uint64_t& evicted);
+  [[nodiscard]] int retention(Resolution resolution) const;
 
   /// The fine window index of an ingestable record, or nullopt for one
   /// ingest() ignores (non-finite, negative time, index not int64).
   [[nodiscard]] std::optional<std::int64_t> fineIndexOf(double timeSeconds,
                                                         double value) const;
 
-  void mergeLocked(Series& series, std::int64_t fineIndex, double value,
+  void mergeLocked(SeriesNode& node, std::int64_t fineIndex, double value,
                    Shard& shard);
 
-  void markDirtyLocked(Series& series, Resolution resolution,
+  void markDirtyLocked(SeriesNode& node, Resolution resolution,
                        std::int64_t index, Shard& shard);
+
+  /// Evicts the plane's windows older than `oldestKept`, and their marks.
+  static void evictLocked(Plane& plane, std::int64_t oldestKept,
+                          Shard& shard);
 
   StoreOptions options_;
   std::vector<std::unique_ptr<Shard>> shards_;

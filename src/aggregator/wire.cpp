@@ -19,19 +19,19 @@ void putU16(std::string& out, std::uint16_t v) {
   out.push_back(static_cast<char>((v >> 8U) & 0xFFU));
 }
 
-void putU32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8U * static_cast<unsigned>(i))) &
-                                    0xFFU));
+/// Appends the sizeof(T) little-endian bytes of `v` in one call.
+template <typename T>
+void putLittleEndian(std::string& out, T v) {
+  char bytes[sizeof(T)];
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    bytes[i] = static_cast<char>((v >> (8U * i)) & 0xFFU);
   }
+  out.append(bytes, sizeof(T));
 }
 
-void putU64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8U * static_cast<unsigned>(i))) &
-                                    0xFFU));
-  }
-}
+void putU32(std::string& out, std::uint32_t v) { putLittleEndian(out, v); }
+
+void putU64(std::string& out, std::uint64_t v) { putLittleEndian(out, v); }
 
 void putI32(std::string& out, std::int32_t v) {
   putU32(out, static_cast<std::uint32_t>(v));

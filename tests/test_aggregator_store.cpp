@@ -298,6 +298,41 @@ void expectStoresIdentical(const RollupStore& expected,
   }
 }
 
+/// One drained window with its series key.
+struct DirtyWindow {
+  SeriesKey key;
+  Resolution resolution = Resolution::kFine;
+  std::int64_t windowIndex = 0;
+  Rollup rollup;
+};
+
+/// RollupStore::drainDirty() with its series blocks flattened, appended
+/// to `out`; returns the number of windows drained.  Checks the block
+/// shape on the way: one non-empty block per series, its windows in
+/// strictly increasing (resolution, index) order.
+std::size_t drainDirty(RollupStore& store, std::vector<DirtyWindow>& out,
+                       std::size_t maxWindows) {
+  SeriesBlocks blocks;
+  const std::size_t drained = store.drainDirty(blocks, maxWindows);
+  std::set<SeriesKey> seen;
+  for (const SeriesBlocks::Block& block : blocks.blocks()) {
+    EXPECT_TRUE(seen.insert(block.key).second) << block.key.metric;
+    const auto windows = blocks.windows(block);
+    EXPECT_FALSE(windows.empty()) << block.key.metric;
+    for (std::size_t i = 0; i < windows.size(); ++i) {
+      const WindowSnapshot& w = windows[i];
+      if (i > 0) {
+        const WindowSnapshot& prev = windows[i - 1];
+        EXPECT_TRUE(std::tie(prev.resolution, prev.windowIndex) <
+                    std::tie(w.resolution, w.windowIndex))
+            << block.key.metric << " window " << w.windowIndex;
+      }
+      out.push_back({block.key, w.resolution, w.windowIndex, w.rollup});
+    }
+  }
+  return drained;
+}
+
 }  // namespace
 
 TEST(AggStoreMerge, PartitionedStoresMergeBitIdenticalToSequential) {
@@ -429,7 +464,7 @@ TEST(AggStoreDirty, TrackingIsOffByDefaultAndDrainsSnapshots) {
   // One fine window + one coarse window touched.
   EXPECT_EQ(store.dirtyCount(), 2U);
   std::vector<DirtyWindow> drained;
-  EXPECT_EQ(store.drainDirty(drained, 100), 2U);
+  EXPECT_EQ(drainDirty(store, drained, 100), 2U);
   EXPECT_EQ(store.dirtyCount(), 0U);
   // The drained rollup is the window's full cumulative snapshot (both
   // records), not a delta since tracking was enabled.
@@ -441,7 +476,7 @@ TEST(AggStoreDirty, TrackingIsOffByDefaultAndDrainsSnapshots) {
   EXPECT_EQ(fine->rollup.count, 2U);
   EXPECT_DOUBLE_EQ(fine->rollup.sum, 4.0);
   // Draining again with no new ingest yields nothing (marks cleared).
-  EXPECT_EQ(store.drainDirty(drained, 100), 0U);
+  EXPECT_EQ(drainDirty(store, drained, 100), 0U);
 }
 
 TEST(AggStoreDirty, MarkAllDirtyQueuesEveryRetainedWindow) {
@@ -452,10 +487,10 @@ TEST(AggStoreDirty, MarkAllDirtyQueuesEveryRetainedWindow) {
     store.ingest({"job", 1, "b"}, static_cast<double>(t) + 0.5, 1.0);
   }
   std::vector<DirtyWindow> drained;
-  store.drainDirty(drained, 1000);
+  drainDirty(store, drained, 1000);
   drained.clear();
   store.markAllDirty();
-  store.drainDirty(drained, 1000);
+  drainDirty(store, drained, 1000);
   // 2 series x (5 fine windows + 1 coarse window).
   EXPECT_EQ(drained.size(), 12U);
 }
@@ -468,13 +503,13 @@ TEST(AggStoreDirty, DrainRespectsBudgetAndSkipsEvictedWindows) {
   store.ingest(kKey, 0.5, 1.0);
   // Budgeted drain: at most one window per call, the rest stays queued.
   std::vector<DirtyWindow> drained;
-  EXPECT_EQ(store.drainDirty(drained, 1), 1U);
+  EXPECT_EQ(drainDirty(store, drained, 1), 1U);
   EXPECT_EQ(store.dirtyCount(), 1U);
   drained.clear();
   // The still-queued window's fine entry is evicted before the drain:
   // jump far ahead so retention drops window 0.
   store.ingest(kKey, 100.5, 1.0);
-  store.drainDirty(drained, 1000);
+  drainDirty(store, drained, 1000);
   for (const auto& window : drained) {
     if (window.resolution == Resolution::kFine) {
       EXPECT_GE(window.windowIndex, 97);  // window 0 never re-surfaces
@@ -659,7 +694,7 @@ class MapModel {
     mark(series, resolution, index);
     ++ingested_;
     ++generation_;
-    evict(windows, oldestKept);
+    evict(series, resolution, oldestKept);
     return true;
   }
 
@@ -673,7 +708,8 @@ class MapModel {
           target[index].combine(rollup);
         }
         if (!target.empty()) {
-          evict(target, target.rbegin()->first - retention(resolution) + 1);
+          evict(mine, resolution,
+                target.rbegin()->first - retention(resolution) + 1);
         }
       }
     }
@@ -753,13 +789,12 @@ class MapModel {
     const std::int64_t newest =
         windows.empty() ? index : std::max(index, windows.rbegin()->first);
     const std::int64_t oldestKept = newest - retention(resolution) + 1;
+    // A record past the horizon merges nothing and marks nothing.
     if (index >= oldestKept) {
       windows[index].merge(value);
-      evict(windows, oldestKept);
+      mark(series, resolution, index);
+      evict(series, resolution, oldestKept);
     }
-    // The store marks the touched index even when the record fell past
-    // the horizon; drainDirty skips it.
-    mark(series, resolution, index);
   }
 
   void mark(Series& series, Resolution resolution, std::int64_t index) {
@@ -768,12 +803,15 @@ class MapModel {
     }
   }
 
-  void evict(std::map<std::int64_t, Rollup>& windows,
-             std::int64_t oldestKept) {
+  /// Evicts the windows older than `oldestKept`, and their dirty marks.
+  void evict(Series& series, Resolution resolution, std::int64_t oldestKept) {
+    auto& windows = series.windows[plane(resolution)];
     while (!windows.empty() && windows.begin()->first < oldestKept) {
       windows.erase(windows.begin());
       ++evicted_;
     }
+    auto& dirty = series.dirty[plane(resolution)];
+    dirty.erase(dirty.begin(), dirty.lower_bound(oldestKept));
   }
 
   StoreOptions options_;
@@ -978,7 +1016,7 @@ TEST(AggStoreProperty, WindowBuffersMatchAMapModelOverRandomSeeds) {
         const std::size_t budget = 1 + rng() % 5;
         std::vector<DirtyWindow> drained;
         std::size_t got = 0;
-        while ((got = store.drainDirty(drained, budget)) > 0) {
+        while ((got = drainDirty(store, drained, budget)) > 0) {
           EXPECT_LE(got, budget);
         }
         std::vector<DirtyWindow> expected = model.drainAll();

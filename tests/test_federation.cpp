@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -363,6 +364,83 @@ TEST(FedDaemon, ForwardFramesIngestIdempotentlyAndCountHops) {
   EXPECT_DOUBLE_EQ(daemon.store().latest(key)->rollup.max, 9.0);
 }
 
+TEST(FedDaemon, InterleavedForwardRunsApplyEachWindowByItsOwnRules) {
+  // One frame whose windows interleave two series (A fine, A coarse, B
+  // fine, A fine again), with hostile and out-of-horizon windows inside
+  // A's runs.  DESIGN.md §11's rules apply per window, whatever run a
+  // window rides in: hostile or beyond-horizon windows are rejected, a
+  // snapshot replaces the stored one only with a higher count, and every
+  // rejected window counts as a merge conflict.
+  StoreOptions storeOptions;
+  storeOptions.fineRetentionWindows = 4;
+  storeOptions.coarseRetentionWindows = 4;
+  PipeHub hub;
+  Aggregator daemon(hub.makeServer(), storeOptions);
+  auto transport = hub.makeClientTransport();
+  ASSERT_TRUE(transport->connect());
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Frame frame;
+  frame.kind = FrameKind::kForward;
+  frame.timeSeconds = 20.0;
+  frame.batchSeq = 1;
+  frame.origin = "node-0";
+  frame.hopCount = 1;
+  frame.forwardWindows = {
+      // A's first run.
+      {"job", 0, "a", 0, 10, 1.0, 3.0, 4.0, 2},   // applied: new window
+      {"job", 0, "a", 0, 11, 0.0, 0.0, 0.0, 0},   // count 0: rejected
+      {"job", 0, "a", 0, 12, 2.0, 2.0, nan, 1},   // NaN sum: rejected
+      {"job", 0, "a", 1, 1, 1.0, 3.0, 4.0, 2},    // applied: coarse plane
+      {"job", 0, "a", 1, -1, 1.0, 1.0, 1.0, 1},   // negative index: rejected
+      // B's run.
+      {"job", 1, "a", 0, 10, 5.0, 5.0, 5.0, 1},   // applied: new series
+      // A's second run.  Once window 13 lands, the fine horizon keeps
+      // indices >= 13 - 4 + 1 = 10.
+      {"job", 0, "a", 0, 13, 7.0, 7.0, 7.0, 1},   // applied
+      {"job", 0, "a", 0, 6, 1.0, 1.0, 1.0, 9},    // beyond horizon: rejected
+      {"job", 0, "a", 0, 10, 0.5, 9.0, 20.0, 5},  // count 5 > 2: replaces
+      {"job", 0, "a", 0, 13, 7.0, 7.0, 7.0, 1},   // count 1 = 1: conflict
+  };
+  ASSERT_TRUE(transport->send(encodeFrame(frame)));
+  daemon.poll(20.0);
+  EXPECT_EQ(daemon.counters().forwardWindows, 5U);
+  EXPECT_EQ(daemon.counters().forwardConflicts, 5U);
+
+  // The retransmit applies nothing: every admissible window is now a
+  // not-newer snapshot, so all ten are conflicts.
+  frame.batchSeq = 2;
+  ASSERT_TRUE(transport->send(encodeFrame(frame)));
+  daemon.poll(20.1);
+  EXPECT_EQ(daemon.counters().forwardWindows, 5U);
+  EXPECT_EQ(daemon.counters().forwardConflicts, 15U);
+
+  struct Expected {
+    double start;
+    Rollup rollup;
+  };
+  const auto expectWindows = [&](const SeriesKey& key, Resolution res,
+                                 const std::vector<Expected>& expected) {
+    const auto stored = daemon.store().range(key, -1e12, 1e12, res);
+    ASSERT_EQ(stored.size(), expected.size()) << key.rank << key.metric;
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(stored[i].windowStartSeconds, expected[i].start);
+      EXPECT_EQ(stored[i].rollup.min, expected[i].rollup.min);
+      EXPECT_EQ(stored[i].rollup.max, expected[i].rollup.max);
+      EXPECT_EQ(stored[i].rollup.sum, expected[i].rollup.sum);
+      EXPECT_EQ(stored[i].rollup.count, expected[i].rollup.count);
+    }
+  };
+  const SeriesKey a{"job", 0, "a"};
+  const SeriesKey b{"job", 1, "a"};
+  expectWindows(a, Resolution::kFine,
+                {{10.0, {0.5, 9.0, 20.0, 5}}, {13.0, {7.0, 7.0, 7.0, 1}}});
+  expectWindows(a, Resolution::kCoarse, {{10.0, {1.0, 3.0, 4.0, 2}}});
+  expectWindows(b, Resolution::kFine, {{10.0, {5.0, 5.0, 5.0, 1}}});
+  expectWindows(b, Resolution::kCoarse, {});
+  EXPECT_EQ(daemon.store().samplesIngested(), 5U);
+}
+
 TEST(FedDaemon, PollClampsBackwardClockSteps) {
   PipeHub hub;
   Aggregator daemon(hub.makeServer());
@@ -480,6 +558,289 @@ TEST(FedForwarder, WindowsWithNoShardOwnerAreCountedUnroutable) {
   local.mutableStore().ingest(key, 1.5, 10.0);
   forwarder.pump(2.0);
   EXPECT_GT(forwarder.counters().windowsUnroutable, 0U);
+}
+
+namespace {
+
+/// The upstream end of a forwarder link, played by hand: a bare server
+/// that collects the kForward frames sent to it and acks on demand.
+struct UpstreamProbe {
+  PipeHub hub;
+  std::unique_ptr<TransportServer> server = hub.makeServer();
+  std::uint64_t connection = 0;
+  FrameReader reader;
+  std::vector<Frame> frames;  ///< every kForward frame received, in order
+
+  Forwarder::TransportFactory factory() {
+    return [this](const CatalogEntry&) { return hub.makeClientTransport(); };
+  }
+
+  void poll() {
+    for (const Delivery& delivery : server->poll()) {
+      connection = delivery.connection;
+      reader.feed(delivery.bytes);
+      Frame frame;
+      while (reader.next(frame)) {
+        if (frame.kind == FrameKind::kForward) {
+          frames.push_back(frame);
+        }
+      }
+    }
+  }
+
+  bool ack(std::uint64_t batchSeq, PressureLevel pressure) {
+    Frame ack;
+    ack.kind = FrameKind::kBatchAck;
+    ack.batchSeq = batchSeq;
+    ack.pressure = pressure;
+    return server->send(connection, encodeFrame(ack));
+  }
+};
+
+}  // namespace
+
+TEST(FedForwarder, SeriesStraddlingAFrameArrivesWholeAndInOrder) {
+  PipeHub localHub;
+  Aggregator local(localHub.makeServer());
+  UpstreamProbe upstream;
+  ForwarderOptions options;
+  options.maxWindowsPerFrame = 4;
+  Forwarder forwarder(local, upstream.factory(), options);
+  forwarder.setUpstreams({makeEntry(DaemonRole::kGroup, "g0", 1)}, 0.0);
+
+  // Series a: fine 0-1 + coarse 0; series b: fine 0-4 + coarse 0.
+  const SeriesKey a{"job", 0, "a"};
+  const SeriesKey b{"job", 0, "b"};
+  for (int t = 0; t < 2; ++t) {
+    local.mutableStore().ingest(a, t + 0.5, 1.0);
+  }
+  for (int t = 0; t < 5; ++t) {
+    local.mutableStore().ingest(b, t + 0.5, 2.0 * t);
+  }
+  forwarder.pump(1.0);
+  upstream.poll();
+
+  // Nine windows through 4-window frames: b straddles all three.
+  ASSERT_EQ(upstream.frames.size(), 3U);
+  std::vector<ForwardWindow> received;
+  for (std::size_t i = 0; i < upstream.frames.size(); ++i) {
+    const Frame& frame = upstream.frames[i];
+    EXPECT_EQ(frame.batchSeq, i + 1);
+    EXPECT_EQ(frame.forwardWindows.size(), i < 2 ? 4U : 1U);
+    received.insert(received.end(), frame.forwardWindows.begin(),
+                    frame.forwardWindows.end());
+  }
+  // Key order, then (resolution, index) order within each series.
+  const std::vector<ForwardWindow> expected = {
+      {"job", 0, "a", 0, 0, 1.0, 1.0, 1.0, 1},
+      {"job", 0, "a", 0, 1, 1.0, 1.0, 1.0, 1},
+      {"job", 0, "a", 1, 0, 1.0, 1.0, 2.0, 2},
+      {"job", 0, "b", 0, 0, 0.0, 0.0, 0.0, 1},
+      {"job", 0, "b", 0, 1, 2.0, 2.0, 2.0, 1},
+      {"job", 0, "b", 0, 2, 4.0, 4.0, 4.0, 1},
+      {"job", 0, "b", 0, 3, 6.0, 6.0, 6.0, 1},
+      {"job", 0, "b", 0, 4, 8.0, 8.0, 8.0, 1},
+      {"job", 0, "b", 1, 0, 0.0, 8.0, 20.0, 5},
+  };
+  EXPECT_EQ(received, expected);
+  EXPECT_EQ(forwarder.counters().windowsForwarded, 9U);
+  EXPECT_EQ(forwarder.pendingWindows(), 0U);
+}
+
+TEST(FedForwarder, WindowsQueuedBehindMaxInflightSendOnceWithTheNewestCount) {
+  PipeHub localHub;
+  Aggregator local(localHub.makeServer());
+  UpstreamProbe upstream;
+  ForwarderOptions options;
+  options.maxInflight = 1;
+  Forwarder forwarder(local, upstream.factory(), options);
+  forwarder.setUpstreams({makeEntry(DaemonRole::kGroup, "g0", 1)}, 0.0);
+
+  const SeriesKey key{"job", 0, "m"};
+  local.mutableStore().ingest(key, 5.5, 1.0);
+  forwarder.pump(6.0);
+  upstream.poll();
+  ASSERT_EQ(upstream.frames.size(), 1U);
+  EXPECT_EQ(forwarder.inflightFrames(), 1U);
+
+  // Window 5 (and its coarse window) dirtied twice more while the only
+  // inflight slot stays unacked: queued, not sent, replaced in place.
+  local.mutableStore().ingest(key, 5.6, 2.0);
+  forwarder.pump(6.1);
+  local.mutableStore().ingest(key, 5.7, 3.0);
+  forwarder.pump(6.2);
+  upstream.poll();
+  EXPECT_EQ(upstream.frames.size(), 1U);
+  EXPECT_EQ(forwarder.pendingWindows(), 2U);
+
+  ASSERT_TRUE(upstream.ack(1, PressureLevel::kOk));
+  forwarder.pump(6.3);
+  upstream.poll();
+  ASSERT_EQ(upstream.frames.size(), 2U);
+  const std::vector<ForwardWindow> expected = {
+      {"job", 0, "m", 0, 5, 1.0, 3.0, 6.0, 3},
+      {"job", 0, "m", 1, 0, 1.0, 3.0, 6.0, 3},
+  };
+  EXPECT_EQ(upstream.frames[1].forwardWindows, expected);
+  EXPECT_EQ(forwarder.pendingWindows(), 0U);
+
+  // Sent once: nothing follows once the second frame is acked too.
+  ASSERT_TRUE(upstream.ack(2, PressureLevel::kOk));
+  forwarder.pump(6.4);
+  upstream.poll();
+  EXPECT_EQ(upstream.frames.size(), 2U);
+  EXPECT_EQ(forwarder.counters().windowsForwarded, 4U);
+  EXPECT_TRUE(forwarder.quiesced());
+}
+
+TEST(FedForwarder, ElevatedPressureWithholdsFineWindowsAndSendsCoarse) {
+  PipeHub localHub;
+  Aggregator local(localHub.makeServer());
+  UpstreamProbe upstream;
+  Forwarder forwarder(local, upstream.factory());
+  forwarder.setUpstreams({makeEntry(DaemonRole::kGroup, "g0", 1)}, 0.0);
+
+  const SeriesKey key{"job", 0, "m"};
+  local.mutableStore().ingest(key, 1.5, 1.0);
+  forwarder.pump(2.0);
+  upstream.poll();
+  ASSERT_EQ(upstream.frames.size(), 1U);
+  ASSERT_TRUE(upstream.ack(1, PressureLevel::kElevated));
+
+  // Two new fine windows and the coarse window they fold into.
+  local.mutableStore().ingest(key, 2.5, 2.0);
+  local.mutableStore().ingest(key, 3.5, 3.0);
+  forwarder.pump(2.1);
+  upstream.poll();
+  EXPECT_EQ(forwarder.upstreamPressure(2.1), PressureLevel::kElevated);
+  ASSERT_EQ(upstream.frames.size(), 2U);
+  const std::vector<ForwardWindow> expected = {
+      {"job", 0, "m", 1, 0, 1.0, 3.0, 6.0, 3},
+  };
+  EXPECT_EQ(upstream.frames[1].forwardWindows, expected);
+  EXPECT_EQ(forwarder.counters().windowsSuppressed, 2U);
+  EXPECT_EQ(forwarder.counters().coarseOnlyFrames, 1U);
+  EXPECT_EQ(forwarder.pendingWindows(), 0U);
+}
+
+namespace {
+
+/// The outage scenario: 100 series, one record per series per second,
+/// 60 fine and 36 coarse windows retained (9 600 windows once full).
+constexpr int kOutageSeries = 100;
+
+StoreOptions outageStoreOptions() {
+  StoreOptions options;
+  options.fineRetentionWindows = 60;
+  options.coarseRetentionWindows = 36;
+  return options;
+}
+
+void ingestOutageSecond(Aggregator& node, int second) {
+  for (int s = 0; s < kOutageSeries; ++s) {
+    node.mutableStore().ingest({"job", s, "m"}, second + 0.5, s + second);
+  }
+}
+
+std::size_t retainedWindows(const RollupStore& store) {
+  std::size_t total = 0;
+  for (const auto& key : store.keys()) {
+    for (const Resolution res : {Resolution::kFine, Resolution::kCoarse}) {
+      total += store.range(key, -1e12, 1e12, res).size();
+    }
+  }
+  return total;
+}
+
+/// Every window `node` retains is in `upstream` with the same rollup.
+void expectHoldsEveryWindow(const RollupStore& node,
+                            const RollupStore& upstream) {
+  for (const auto& key : node.keys()) {
+    for (const Resolution res : {Resolution::kFine, Resolution::kCoarse}) {
+      for (const auto& window : node.range(key, -1e12, 1e12, res)) {
+        const auto held = upstream.range(key, window.windowStartSeconds,
+                                         window.windowStartSeconds, res);
+        ASSERT_EQ(held.size(), 1U)
+            << key.rank << " window " << window.windowStartSeconds;
+        EXPECT_EQ(held[0].rollup.count, window.rollup.count);
+        EXPECT_EQ(held[0].rollup.sum, window.rollup.sum);
+      }
+    }
+  }
+}
+
+/// Pumps `forwarder` and polls `upstream` until the forwarder quiesces.
+double pumpUntilQuiesced(Forwarder& forwarder, Aggregator& upstream,
+                         double t) {
+  for (int round = 0; round < 200 && !forwarder.quiesced(); ++round) {
+    t += 0.25;
+    forwarder.pump(t);
+    upstream.poll(t);
+  }
+  EXPECT_TRUE(forwarder.quiesced());
+  return t;
+}
+
+}  // namespace
+
+TEST(FedForwarder, UpstreamOutageQueueStaysWithinRetainedWindows) {
+  PipeHub nodeHub;
+  PipeHub upstreamHub;
+  Aggregator node(nodeHub.makeServer(), outageStoreOptions());
+  Aggregator upstream(upstreamHub.makeServer(), outageStoreOptions());
+  Forwarder forwarder(node, [&](const CatalogEntry&) {
+    return upstreamHub.makeClientTransport();
+  });
+  forwarder.setUpstreams({makeEntry(DaemonRole::kGroup, "g0", 1)}, 0.0);
+  ingestOutageSecond(node, 0);
+  forwarder.pump(0.9);
+  upstream.poll(0.9);
+  ASSERT_EQ(forwarder.pendingWindows(), 0U);
+
+  // The upstream goes away for 3 000 s while the node keeps ingesting and
+  // draining: the queue must stay bounded by what the store retains.
+  upstreamHub.setDown(true);
+  for (int second = 1; second <= 3000; ++second) {
+    ingestOutageSecond(node, second);
+    forwarder.pump(second + 0.9);
+    if (second % 1000 == 0) {
+      const std::size_t retained = retainedWindows(node.store());
+      EXPECT_EQ(retained, kOutageSeries * (60U + 36U));
+      EXPECT_LE(forwarder.pendingWindows(), retained) << "at " << second;
+    }
+  }
+  EXPECT_EQ(forwarder.counters().framesForwarded, 1U);
+
+  // Back again: the reconnect resyncs every retained window.
+  upstreamHub.setDown(false);
+  pumpUntilQuiesced(forwarder, upstream, 3001.0);
+  EXPECT_GT(forwarder.counters().reconnects, 0U);
+  expectHoldsEveryWindow(node.store(), upstream.store());
+}
+
+TEST(FedForwarder, DirtyMarksWithNoUpstreamStayWithinRetainedWindows) {
+  PipeHub nodeHub;
+  PipeHub upstreamHub;
+  Aggregator node(nodeHub.makeServer(), outageStoreOptions());
+  Aggregator upstream(upstreamHub.makeServer(), outageStoreOptions());
+  Forwarder forwarder(node, [&](const CatalogEntry&) {
+    return upstreamHub.makeClientTransport();
+  });
+
+  // No upstream is known yet: every window stays marked in the store.
+  for (int second = 0; second <= 3000; ++second) {
+    ingestOutageSecond(node, second);
+    forwarder.pump(second + 0.9);
+    if (second > 0 && second % 1000 == 0) {
+      EXPECT_LE(node.store().dirtyCount(), retainedWindows(node.store()))
+          << "at " << second;
+    }
+  }
+
+  // An upstream appears: the membership change resyncs everything.
+  forwarder.setUpstreams({makeEntry(DaemonRole::kGroup, "g0", 1)}, 3001.0);
+  pumpUntilQuiesced(forwarder, upstream, 3001.0);
+  expectHoldsEveryWindow(node.store(), upstream.store());
 }
 
 // --- federation tree ---------------------------------------------------------

@@ -154,6 +154,58 @@ TEST(ZeroAlloc, InternedLookupIsAllocationFree) {
   EXPECT_EQ(allocs, 0u);
 }
 
+// A forwarding node daemon's store in steady state: every record marks
+// its fine and coarse window dirty, and the forwarder drains the marks
+// every period into one reused series-block buffer.  Marks, dirty-series
+// lists and drain blocks all keep their capacity, so neither side
+// allocates once warm.
+TEST(ZeroAlloc, DirtyMarksAndDrainsSteadyState) {
+  constexpr int kSeries = 64;
+  constexpr int kPeriods = 100;
+  aggregator::StoreOptions options;
+  options.fineRetentionWindows = 32;
+  options.coarseRetentionWindows = 8;
+  aggregator::RollupStore store(options);
+  store.enableDirtyTracking();
+  std::vector<aggregator::SeriesKey> keys;
+  for (int rank = 0; rank < kSeries; ++rank) {
+    // Longer than the small-string buffer: block keys must reuse theirs.
+    keys.push_back({"job", rank, "node.hwt.17.user_pct.with.a.long.name"});
+  }
+  std::vector<aggregator::RollupStore::SeriesRef> refs(kSeries);
+  aggregator::SeriesBlocks blocks;
+  int period = 0;
+  std::uint64_t ingestAllocs = 0;
+  std::uint64_t drainAllocs = 0;
+  std::size_t drained = 0;
+  const auto runPeriod = [&] {
+    std::uint64_t before = allochook::allocations();
+    for (int s = 0; s < kSeries; ++s) {
+      store.ingest(keys[s], refs[s], period + 0.5, 1.0);
+    }
+    ingestAllocs += allochook::allocations() - before;
+    before = allochook::allocations();
+    drained += store.drainDirty(blocks, 1024);
+    drainAllocs += allochook::allocations() - before;
+    ++period;
+  };
+  // Warm up past both retention depths (8 coarse windows = 80 periods),
+  // so the window buffers evict and compact as they will from now on.
+  for (int i = 0; i < 4 * 80; ++i) {
+    runPeriod();
+  }
+  ingestAllocs = drainAllocs = drained = 0;
+  for (int i = 0; i < kPeriods; ++i) {
+    runPeriod();
+  }
+  EXPECT_EQ(ingestAllocs, 0u) << "dirty marks must not allocate once warm";
+  EXPECT_EQ(drainAllocs, 0u) << "drains must reuse the block buffer";
+  // One fine and one coarse window per series per period, all shipped.
+  EXPECT_EQ(drained, 2u * kSeries * kPeriods);
+  EXPECT_EQ(blocks.blocks().size(), static_cast<std::size_t>(kSeries));
+  EXPECT_EQ(store.dirtyCount(), 0u);
+}
+
 // Not a zero-allocation path, but the same hook pins its shape: a store
 // snapshot copies each series' two window buffers in one allocation
 // apiece, so its cost follows the series count, not retained history.
