@@ -136,8 +136,7 @@ void BM_ReportRender(benchmark::State& state) {
       sample.timeSeconds = i;
       sample.utimeDelta = 90;
       sample.stimeDelta = 2;
-      sample.affinity = CpuSet::fromList("1-7");
-      r.samples.push_back(sample);
+      r.addSample(sample, CpuSet::fromList("1-7"));
     }
     lwps[tid] = r;
   }
@@ -152,9 +151,7 @@ void BM_CsvExportPerPeriod(benchmark::State& state) {
   core::LwpRecord r;
   r.tid = 1;
   for (int i = 0; i < 100; ++i) {
-    core::LwpSample sample;
-    sample.affinity = CpuSet::fromList("1-7");
-    r.samples.push_back(sample);
+    r.addSample(core::LwpSample{}, CpuSet::fromList("1-7"));
   }
   lwps[1] = r;
   for (auto _ : state) {

@@ -3,8 +3,9 @@
 # built and self-checked (zsbench/check.py: determinism, output checks,
 # transparent wrappers), a Release build with the local compiler, then a
 # sanitizer pass (address + undefined) over the fault-tolerance-critical
-# suites and the federation suite (whose store keeps raw series pointers
-# in per-shard dirty lists), then the JSON-emitting benchmarks and the
+# suites, the federation suite (whose store keeps raw series pointers in
+# per-shard dirty lists) and the common suite (CpuSet's word scans and
+# the fixed-point formatter), then the JSON-emitting benchmarks and the
 # performance-regression gate (scripts/bench_gate.py against
 # bench/baselines/), then a live telemetry smoke test: a real zerosum-aggd
 # --http-port scraped over loopback HTTP, the exposition validated with
@@ -50,11 +51,14 @@ if [[ "$SANITIZE" == 1 ]]; then
   # monitor thread, and the concurrent publish/subscribe + aggregation
   # paths — where memory bugs under fault load would hide — plus the
   # federation suite, whose forwarders drain the store's per-shard lists
-  # of raw series pointers that evictSource() must prune.
+  # of raw series pointers that evictSource() must prune, and the common
+  # and core suites, whose CpuSet word scans and CSV row buffer do raw
+  # index and buffer arithmetic.
   # (Run the binaries directly: ctest registers individual gtest case
   # names, so filtering by executable name matches nothing.)
-  for t in test_procfs test_fault_injection test_core test_export \
-           test_aggregator test_federation test_tsdb test_chaos; do
+  for t in test_common test_procfs test_fault_injection test_core \
+           test_export test_aggregator test_federation test_tsdb \
+           test_chaos; do
     ./build-asan/tests/"$t"
   done
 fi

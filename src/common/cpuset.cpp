@@ -1,5 +1,6 @@
 #include "common/cpuset.hpp"
 
+#include <bit>
 #include <charconv>
 
 #include "common/error.hpp"
@@ -107,7 +108,7 @@ CpuSet CpuSet::range(std::size_t firstCpu, std::size_t lastCpu) {
   }
   CpuSet out;
   for (std::size_t i = firstCpu; i <= lastCpu; ++i) {
-    out.bits_.set(i);
+    out.set(i);
   }
   return out;
 }
@@ -132,33 +133,62 @@ void CpuSet::set(std::size_t cpu) {
     throw StateError("CpuSet::set: index " + std::to_string(cpu) +
                      " exceeds capacity");
   }
-  bits_.set(cpu);
+  words_[cpu / kWordBits] |= std::uint64_t{1} << (cpu % kWordBits);
 }
 
 void CpuSet::clear(std::size_t cpu) {
   if (cpu >= kMaxCpus) {
     throw StateError("CpuSet::clear: index exceeds capacity");
   }
-  bits_.reset(cpu);
+  words_[cpu / kWordBits] &= ~(std::uint64_t{1} << (cpu % kWordBits));
 }
 
 bool CpuSet::test(std::size_t cpu) const {
-  return cpu < kMaxCpus && bits_.test(cpu);
+  return cpu < kMaxCpus &&
+         ((words_[cpu / kWordBits] >> (cpu % kWordBits)) & 1u) != 0;
+}
+
+std::size_t CpuSet::count() const {
+  std::size_t n = 0;
+  for (const std::uint64_t w : words_) {
+    n += static_cast<std::size_t>(std::popcount(w));
+  }
+  return n;
+}
+
+bool CpuSet::empty() const { return findNext(true, 0) == kMaxCpus; }
+
+std::size_t CpuSet::findNext(bool bit, std::size_t from) const {
+  // XOR with `flip` turns the bits looked for into ones.
+  const std::uint64_t flip = bit ? 0 : ~std::uint64_t{0};
+  std::size_t w = from / kWordBits;
+  if (w >= kWords) {
+    return kMaxCpus;
+  }
+  std::uint64_t bits =
+      (words_[w] ^ flip) & (~std::uint64_t{0} << (from % kWordBits));
+  while (bits == 0) {
+    if (++w == kWords) {
+      return kMaxCpus;
+    }
+    bits = words_[w] ^ flip;
+  }
+  return w * kWordBits + static_cast<std::size_t>(std::countr_zero(bits));
 }
 
 std::size_t CpuSet::first() const {
-  for (std::size_t i = 0; i < kMaxCpus; ++i) {
-    if (bits_.test(i)) {
-      return i;
-    }
+  const std::size_t cpu = findNext(true, 0);
+  if (cpu == kMaxCpus) {
+    throw StateError("CpuSet::first on empty set");
   }
-  throw StateError("CpuSet::first on empty set");
+  return cpu;
 }
 
 std::size_t CpuSet::last() const {
-  for (std::size_t i = kMaxCpus; i-- > 0;) {
-    if (bits_.test(i)) {
-      return i;
+  for (std::size_t w = kWords; w-- > 0;) {
+    if (words_[w] != 0) {
+      return w * kWordBits + kWordBits - 1 -
+             static_cast<std::size_t>(std::countl_zero(words_[w]));
     }
   }
   throw StateError("CpuSet::last on empty set");
@@ -166,10 +196,12 @@ std::size_t CpuSet::last() const {
 
 std::vector<std::size_t> CpuSet::toVector() const {
   std::vector<std::size_t> out;
-  out.reserve(bits_.count());
-  for (std::size_t i = 0; i < kMaxCpus; ++i) {
-    if (bits_.test(i)) {
-      out.push_back(i);
+  out.reserve(count());
+  for (std::size_t w = 0; w < kWords; ++w) {
+    // Pop the lowest set bit until the word is empty.
+    for (std::uint64_t bits = words_[w]; bits != 0; bits &= bits - 1) {
+      out.push_back(w * kWordBits +
+                    static_cast<std::size_t>(std::countr_zero(bits)));
     }
   }
   return out;
@@ -177,63 +209,72 @@ std::vector<std::size_t> CpuSet::toVector() const {
 
 std::string CpuSet::toList() const {
   std::string out;
-  std::size_t i = 0;
-  while (i < kMaxCpus) {
-    if (!bits_.test(i)) {
-      ++i;
-      continue;
-    }
-    std::size_t runEnd = i;
-    while (runEnd + 1 < kMaxCpus && bits_.test(runEnd + 1)) {
-      ++runEnd;
-    }
+  // Each run [lo, end) costs two word scans, whatever its length.
+  for (std::size_t lo = findNext(true, 0); lo < kMaxCpus;) {
+    const std::size_t end = findNext(false, lo);
     if (!out.empty()) {
       out += ',';
     }
-    out += std::to_string(i);
-    if (runEnd > i) {
+    out += std::to_string(lo);
+    if (end - 1 > lo) {
       out += '-';
-      out += std::to_string(runEnd);
+      out += std::to_string(end - 1);
     }
-    i = runEnd + 1;
+    lo = findNext(true, end);
   }
   return out;
 }
 
 CpuSet CpuSet::operator&(const CpuSet& o) const {
-  CpuSet out;
-  out.bits_ = bits_ & o.bits_;
+  CpuSet out = *this;
+  out &= o;
   return out;
 }
 
 CpuSet CpuSet::operator|(const CpuSet& o) const {
-  CpuSet out;
-  out.bits_ = bits_ | o.bits_;
+  CpuSet out = *this;
+  out |= o;
   return out;
 }
 
 CpuSet CpuSet::operator-(const CpuSet& o) const {
   CpuSet out;
-  out.bits_ = bits_ & ~o.bits_;
+  for (std::size_t w = 0; w < kWords; ++w) {
+    out.words_[w] = words_[w] & ~o.words_[w];
+  }
   return out;
 }
 
 CpuSet& CpuSet::operator|=(const CpuSet& o) {
-  bits_ |= o.bits_;
+  for (std::size_t w = 0; w < kWords; ++w) {
+    words_[w] |= o.words_[w];
+  }
   return *this;
 }
 
 CpuSet& CpuSet::operator&=(const CpuSet& o) {
-  bits_ &= o.bits_;
+  for (std::size_t w = 0; w < kWords; ++w) {
+    words_[w] &= o.words_[w];
+  }
   return *this;
 }
 
 bool CpuSet::intersects(const CpuSet& o) const {
-  return (bits_ & o.bits_).any();
+  for (std::size_t w = 0; w < kWords; ++w) {
+    if ((words_[w] & o.words_[w]) != 0) {
+      return true;
+    }
+  }
+  return false;
 }
 
 bool CpuSet::containsAll(const CpuSet& o) const {
-  return (o.bits_ & ~bits_).none();
+  for (std::size_t w = 0; w < kWords; ++w) {
+    if ((o.words_[w] & ~words_[w]) != 0) {
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace zerosum

@@ -7,7 +7,7 @@
 // ("1-7,9-15,64") plus the set algebra the contention analyzer needs.
 #pragma once
 
-#include <bitset>
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -48,8 +48,8 @@ class CpuSet {
   void clear(std::size_t cpu);
   [[nodiscard]] bool test(std::size_t cpu) const;
 
-  [[nodiscard]] std::size_t count() const { return bits_.count(); }
-  [[nodiscard]] bool empty() const { return bits_.none(); }
+  [[nodiscard]] std::size_t count() const;
+  [[nodiscard]] bool empty() const;
 
   /// Lowest set index; throws StateError when empty.
   [[nodiscard]] std::size_t first() const;
@@ -76,7 +76,16 @@ class CpuSet {
   bool operator==(const CpuSet& o) const = default;
 
  private:
-  std::bitset<kMaxCpus> bits_;
+  static constexpr std::size_t kWordBits = 64;
+  static constexpr std::size_t kWords = kMaxCpus / kWordBits;
+  static_assert(kMaxCpus % kWordBits == 0, "the scans assume whole words");
+
+  /// Lowest index >= `from` whose bit is `bit`, or kMaxCpus when there is
+  /// none; skips a whole word at a time.
+  [[nodiscard]] std::size_t findNext(bool bit, std::size_t from) const;
+
+  /// Bit i of words_[w] is CPU w * 64 + i.
+  std::array<std::uint64_t, kWords> words_{};
 };
 
 }  // namespace zerosum

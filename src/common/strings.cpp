@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
-#include <cstdio>
 
 namespace zerosum::strings {
 
@@ -113,9 +112,31 @@ std::optional<double> toDouble(std::string_view s) {
 }
 
 std::string fixed(double v, int precision) {
+  std::string out;
+  appendFixed(out, v, precision);
+  return out;
+}
+
+void appendFixed(std::string& out, double v, int precision) {
+  if (precision < 0) {
+    precision = 6;
+  }
+  // std::to_chars with a precision prints exactly as printf does in the
+  // "C" locale.  Short values format on the stack; a longer one goes
+  // straight into `out`, sized for a sign, DBL_MAX's 309 integer digits,
+  // the point and the fraction.
   char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f", precision, v);
-  return buf;
+  const auto small = std::to_chars(buf, buf + sizeof(buf), v,
+                                   std::chars_format::fixed, precision);
+  if (small.ec == std::errc{}) {
+    out.append(buf, small.ptr);
+    return;
+  }
+  const std::size_t at = out.size();
+  out.resize(at + 311 + static_cast<std::size_t>(precision));
+  const auto large = std::to_chars(out.data() + at, out.data() + out.size(), v,
+                                   std::chars_format::fixed, precision);
+  out.resize(static_cast<std::size_t>(large.ptr - out.data()));
 }
 
 std::string zeroPad(std::uint64_t v, int width) {

@@ -75,6 +75,12 @@ std::optional<double> toDouble(std::string_view s);
 /// printf-style %.2f / %.6f rendering without locale surprises.
 std::string fixed(double v, int precision);
 
+/// Appends what snprintf("%.*f", precision, v) prints, for every double
+/// (NaN, infinities and DBL_MAX's 309 integer digits included).  A
+/// negative precision means 6, as in printf.  fixed() and the CSV writer
+/// both format through this.
+void appendFixed(std::string& out, double v, int precision);
+
 /// Left-pads with '0' to `width` digits: zeroPad(7, 3) == "007".
 std::string zeroPad(std::uint64_t v, int width);
 

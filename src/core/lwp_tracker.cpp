@@ -97,7 +97,6 @@ void LwpTracker::sample(double timeSeconds) {
     sample.minorFaults = stat.minorFaults;
     sample.majorFaults = stat.majorFaults;
     sample.processor = stat.processor;
-    sample.affinity = status.cpusAllowed;
     if (!record.samples.empty()) {
       const LwpSample& prev = record.samples.back();
       sample.utimeDelta =
@@ -108,7 +107,7 @@ void LwpTracker::sample(double timeSeconds) {
       sample.utimeDelta = sample.utime;
       sample.stimeDelta = sample.stime;
     }
-    record.samples.push_back(std::move(sample));
+    record.addSample(sample, status.cpusAllowed);
   }
 
   for (auto& [tid, record] : records_) {

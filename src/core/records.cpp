@@ -60,20 +60,22 @@ std::uint64_t LwpRecord::observedMigrations() const {
   return migrations;
 }
 
-const CpuSet& LwpRecord::lastAffinity() const {
-  if (samples.empty()) {
-    return kEmptySet;
+void LwpRecord::addSample(const LwpSample& sample, const CpuSet& affinity) {
+  if (!(affinity == lastAffinity())) {
+    affinityChanges.push_back({samples.size(), affinity});
   }
-  return samples.back().affinity;
+  samples.push_back(sample);
+}
+
+const CpuSet& LwpRecord::lastAffinity() const {
+  return affinityChanges.empty() ? kEmptySet : affinityChanges.back().cpus;
 }
 
 bool LwpRecord::affinityChanged() const {
-  for (std::size_t i = 1; i < samples.size(); ++i) {
-    if (!(samples[i].affinity == samples[i - 1].affinity)) {
-      return true;
-    }
-  }
-  return false;
+  // Entries start at strictly increasing samples, so one starting after
+  // sample 0 exists exactly when the last one does; an entry at sample 0
+  // only records the first affinity.
+  return !affinityChanges.empty() && affinityChanges.back().firstSample > 0;
 }
 
 namespace {

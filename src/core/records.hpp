@@ -14,7 +14,9 @@
 
 namespace zerosum::core {
 
-/// One periodic observation of a light-weight process.
+/// One periodic observation of a light-weight process.  Its affinity is
+/// not here: LwpRecord keeps that as change events, so a sample stays at
+/// 88 bytes where a 2048-bit CpuSet alone takes 256.
 struct LwpSample {
   double timeSeconds = 0.0;
   char state = '?';
@@ -29,7 +31,13 @@ struct LwpSample {
   std::uint64_t utimeDelta = 0;
   std::uint64_t stimeDelta = 0;
   int processor = -1;
-  CpuSet affinity;
+};
+
+/// The affinity an LWP had from sample `firstSample` on, until the next
+/// change.
+struct AffinityChange {
+  std::size_t firstSample = 0;
+  CpuSet cpus;
 };
 
 /// Full history of one LWP over the run.
@@ -41,6 +49,13 @@ struct LwpRecord {
   bool alsoOpenMp = false;
   bool alive = true;  ///< false once the tid vanishes from /proc
   std::vector<LwpSample> samples;
+  /// One entry per affinity change, in sample order.  Samples before the
+  /// first entry had an empty affinity.
+  std::vector<AffinityChange> affinityChanges;
+
+  /// Appends a sample taken with `affinity`; records a change only when
+  /// it differs from lastAffinity().
+  void addSample(const LwpSample& sample, const CpuSet& affinity);
 
   [[nodiscard]] double avgUtimePerPeriod() const;
   [[nodiscard]] double avgStimePerPeriod() const;
@@ -51,6 +66,7 @@ struct LwpRecord {
   /// Number of observed last-CPU changes (a lower bound on migrations —
   /// exactly the quantity the paper reports for Table 2's unbound threads).
   [[nodiscard]] std::uint64_t observedMigrations() const;
+  /// Affinity of the newest sample (empty before any).
   [[nodiscard]] const CpuSet& lastAffinity() const;
   /// True when the affinity list changed between any two samples.
   [[nodiscard]] bool affinityChanged() const;

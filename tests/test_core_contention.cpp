@@ -33,9 +33,9 @@ LwpRecord makeRecord(int tid, LwpType type, const std::string& affinity,
         nvctxTotal * static_cast<std::uint64_t>(i) /
         static_cast<std::uint64_t>(periods);
     s.voluntaryCtx = 10;
-    s.affinity = CpuSet::fromList(affinity);
-    s.processor = static_cast<int>(s.affinity.first());
-    record.samples.push_back(s);
+    const CpuSet cpus = CpuSet::fromList(affinity);
+    s.processor = static_cast<int>(cpus.first());
+    record.addSample(s, cpus);
   }
   return record;
 }

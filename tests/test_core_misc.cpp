@@ -34,8 +34,8 @@ LwpRecord twoSampleRecord() {
   a.nonvoluntaryCtx = 1;
   a.minorFaults = 100;
   a.processor = 2;
-  a.affinity = CpuSet::fromList("1-3,7");
-  r.samples.push_back(a);
+  const CpuSet cpus = CpuSet::fromList("1-3,7");
+  r.addSample(a, cpus);
   LwpSample b = a;
   b.timeSeconds = 2.0;
   b.utime = 170;
@@ -43,7 +43,7 @@ LwpRecord twoSampleRecord() {
   b.stime = 25;
   b.stimeDelta = 15;
   b.processor = 3;
-  r.samples.push_back(b);
+  r.addSample(b, cpus);
   return r;
 }
 

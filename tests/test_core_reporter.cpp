@@ -21,8 +21,7 @@ LwpRecord sampleRecord(int tid, LwpType type, bool dagger, double stime,
   s.utime = s.utimeDelta;
   s.nonvoluntaryCtx = nvctx;
   s.voluntaryCtx = vctx;
-  s.affinity = CpuSet::fromList(cpus);
-  r.samples.push_back(s);
+  r.addSample(s, CpuSet::fromList(cpus));
   return r;
 }
 

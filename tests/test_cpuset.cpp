@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <random>
+#include <string>
+#include <vector>
+
 #include "common/error.hpp"
 
 namespace zerosum {
@@ -213,6 +219,93 @@ TEST_P(CpuSetRoundTrip, FormatParseIdentity) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, CpuSetRoundTrip, ::testing::Range(0, 20));
+
+/// The word scans against a bit-by-bit walk over test(), at the edges of
+/// the 64-bit words and of the whole set.
+void expectMatchesBitwalk(const CpuSet& s) {
+  std::vector<std::size_t> bits;
+  std::string list;
+  for (std::size_t i = 0; i < CpuSet::kMaxCpus; ++i) {
+    if (!s.test(i)) {
+      continue;
+    }
+    bits.push_back(i);
+    if (i > 0 && s.test(i - 1)) {
+      continue;  // inside a run; its end is written below
+    }
+    std::size_t end = i;
+    while (end + 1 < CpuSet::kMaxCpus && s.test(end + 1)) {
+      ++end;
+    }
+    list += (list.empty() ? "" : ",") + std::to_string(i);
+    if (end > i) {
+      list += "-" + std::to_string(end);
+    }
+  }
+  EXPECT_EQ(s.toList(), list);
+  EXPECT_EQ(s.toVector(), bits);
+  EXPECT_EQ(s.count(), bits.size());
+  EXPECT_EQ(s.empty(), bits.empty());
+  if (bits.empty()) {
+    EXPECT_THROW(s.first(), StateError);
+    EXPECT_THROW(s.last(), StateError);
+  } else {
+    EXPECT_EQ(s.first(), bits.front());
+    EXPECT_EQ(s.last(), bits.back());
+  }
+  EXPECT_EQ(CpuSet::fromList(s.toList()), s);
+}
+
+TEST(CpuSet, WordScansMatchBitwalkAtBoundaries) {
+  expectMatchesBitwalk(CpuSet{});
+  expectMatchesBitwalk(CpuSet::firstN(CpuSet::kMaxCpus));
+  const std::vector<std::size_t> edges = {0,   1,   62,   63,  64,
+                                          65,  127, 128, 2046, 2047};
+  for (const std::size_t cpu : edges) {
+    SCOPED_TRACE(cpu);
+    expectMatchesBitwalk(CpuSet::of({cpu}));
+    // The full set less one bit: two runs meeting at that bit.
+    CpuSet holed = CpuSet::firstN(CpuSet::kMaxCpus);
+    holed.clear(cpu);
+    expectMatchesBitwalk(holed);
+  }
+  // Runs that end at, start at, and cross 64-bit word boundaries.
+  expectMatchesBitwalk(CpuSet::fromList("0-63"));
+  expectMatchesBitwalk(CpuSet::fromList("64-127"));
+  expectMatchesBitwalk(CpuSet::fromList("63-64"));
+  expectMatchesBitwalk(CpuSet::fromList("60-200,2040-2047"));
+  expectMatchesBitwalk(CpuSet::fromList("0,63,64,127,128,1983-2047"));
+  expectMatchesBitwalk(CpuSet::fromList("1-2046"));
+}
+
+TEST(CpuSet, WordScansMatchBitwalkOnRandomSets) {
+  constexpr std::array<double, 3> kDensities = {0.01, 0.5, 0.99};
+  std::mt19937_64 rng(2048);
+  for (std::size_t round = 0; round < 200; ++round) {
+    SCOPED_TRACE(round);
+    CpuSet s;
+    // Sparse, half-full and nearly full sets, plus random runs.
+    const double density = kDensities[round % kDensities.size()];
+    std::bernoulli_distribution pick(density);
+    for (std::size_t i = 0; i < CpuSet::kMaxCpus; ++i) {
+      if (pick(rng)) {
+        s.set(i);
+      }
+    }
+    for (int run = 0; run < 4; ++run) {
+      const std::size_t lo = rng() % CpuSet::kMaxCpus;
+      const std::size_t len = rng() % 200;
+      for (std::size_t i = lo; i < std::min(lo + len, CpuSet::kMaxCpus); ++i) {
+        if (round % 2 == 0) {
+          s.set(i);
+        } else {
+          s.clear(i);
+        }
+      }
+    }
+    expectMatchesBitwalk(s);
+  }
+}
 
 }  // namespace
 }  // namespace zerosum

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cstdio>
+#include <cstring>
+#include <limits>
+#include <random>
+
 namespace zerosum::strings {
 namespace {
 
@@ -76,6 +82,53 @@ TEST(Fixed, Precision) {
   EXPECT_EQ(fixed(3.14159, 2), "3.14");
   EXPECT_EQ(fixed(1.0, 6), "1.000000");
   EXPECT_EQ(fixed(-0.5, 1), "-0.5");
+}
+
+/// What snprintf("%.*f") prints, into a buffer wide enough for DBL_MAX.
+std::string printfFixed(double v, int precision) {
+  char buf[512];
+  const int n = std::snprintf(buf, sizeof(buf), "%.*f", precision, v);
+  EXPECT_LT(n, static_cast<int>(sizeof(buf)));
+  return buf;
+}
+
+TEST(Fixed, MatchesPrintfForEveryDouble) {
+  std::vector<double> values = {
+      1e56, -1e55, 1e300, DBL_MAX, -DBL_MAX, 0.0, -0.0,
+      std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::quiet_NaN(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      DBL_MIN, -DBL_TRUE_MIN, 0.0005, 0.125, 2.5, 99.995, 12.345};
+  std::mt19937_64 rng(20231112);
+  std::uniform_real_distribution<double> moderate(-1e7, 1e7);
+  for (int i = 0; i < 2000; ++i) {
+    // Any bit pattern: every exponent, subnormals and NaN payloads.
+    const std::uint64_t bits = rng();
+    double v = 0.0;
+    std::memcpy(&v, &bits, sizeof(v));
+    values.push_back(v);
+    values.push_back(moderate(rng));
+  }
+  for (const double v : values) {
+    for (int precision = 0; precision <= 6; ++precision) {
+      const std::string expected = printfFixed(v, precision);
+      EXPECT_EQ(fixed(v, precision), expected) << "precision " << precision;
+      // appendFixed appends after what the string already holds.
+      std::string out = "x=";
+      appendFixed(out, v, precision);
+      EXPECT_EQ(out, "x=" + expected) << "precision " << precision;
+    }
+  }
+}
+
+TEST(Fixed, LongValuesAreNotTruncated) {
+  // Each is longer than the 63 characters a 64-byte buffer can hold.
+  EXPECT_EQ(fixed(1e56, 6), printfFixed(1e56, 6));
+  EXPECT_GT(fixed(1e56, 6).size(), 63u);
+  EXPECT_GT(fixed(-1e55, 6).size(), 63u);
+  EXPECT_EQ(fixed(DBL_MAX, 0).size(), 309u);
+  EXPECT_EQ(fixed(1.5, -1), "1.500000");  // negative precision means 6
 }
 
 TEST(ZeroPad, Widths) {

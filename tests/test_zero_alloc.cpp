@@ -14,7 +14,10 @@
 //
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <ostream>
+#include <streambuf>
 #include <string>
 #include <vector>
 
@@ -24,6 +27,7 @@
 #include "aggregator/wire.hpp"
 #include "common/cpuset.hpp"
 #include "common/interning.hpp"
+#include "core/csv_export.hpp"
 #include "core/monitor.hpp"
 #include "export/publisher.hpp"
 #include "export/stream.hpp"
@@ -231,6 +235,59 @@ TEST(ZeroAlloc, StoreSnapshotAllocationsIgnoreRetainedWindows) {
   EXPECT_EQ(shallow, snapshotAllocations(500));
   // Two buffers per series plus the snapshot's own vectors.
   EXPECT_LE(shallow, 2U * kSeries + 4U);
+}
+
+/// Counts the bytes a stream receives, and allocates nothing itself.
+class CountingSink final : public std::streambuf {
+ public:
+  std::uint64_t bytes = 0;
+
+ protected:
+  int_type overflow(int_type ch) override {
+    if (!traits_type::eq_int_type(ch, traits_type::eof())) {
+      ++bytes;
+    }
+    return traits_type::not_eof(ch);
+  }
+  std::streamsize xsputn(const char*, std::streamsize n) override {
+    bytes += static_cast<std::uint64_t>(n);
+    return n;
+  }
+};
+
+// Not a zero-allocation path either: the end-of-run LWP table formats its
+// rows into one reused buffer and renders an LWP's affinity text once per
+// change, so its allocations follow the LWPs and their affinity changes,
+// never the number of rows.
+TEST(ZeroAlloc, LogRenderAllocationsIgnoreSampleCount) {
+  constexpr int kLwps = 8;
+  // Both lists are longer than the small-string buffer.
+  const CpuSet before = CpuSet::fromList("1-7,9-15,17-23,25-31,33-39");
+  const CpuSet after = CpuSet::fromList("65-71,73-79,81-87,89-95,97-103");
+  const auto renderAllocations = [&](int samplesPerLwp) {
+    std::map<int, core::LwpRecord> lwps;
+    for (int tid = 100; tid < 100 + kLwps; ++tid) {
+      core::LwpRecord& record = lwps[tid];
+      record.tid = tid;
+      record.type = LwpType::kOpenMp;
+      for (int i = 0; i < samplesPerLwp; ++i) {
+        core::LwpSample sample;
+        sample.timeSeconds = i;
+        sample.utime = static_cast<std::uint64_t>(i) * 97;
+        sample.processor = tid % 7;
+        record.addSample(sample, i < samplesPerLwp / 2 ? before : after);
+      }
+    }
+    CountingSink sink;
+    std::ostream out(&sink);
+    const std::uint64_t start = allochook::allocations();
+    core::CsvExporter::writeLwpSeries(out, lwps);
+    const std::uint64_t allocs = allochook::allocations() - start;
+    // Every row went out: each is longer than 50 bytes.
+    EXPECT_GT(sink.bytes, 50U * kLwps * static_cast<unsigned>(samplesPerLwp));
+    return allocs;
+  };
+  EXPECT_EQ(renderAllocations(10), renderAllocations(1000));
 }
 
 }  // namespace
