@@ -98,8 +98,9 @@ void Aggregator::attachWriter(TsdbWriter* writer) {
 }
 
 PressureLevel Aggregator::pressure() const {
-  double occupancy = static_cast<double>(pending_.size()) /
-                     static_cast<double>(options_.maxPendingBatches);
+  double occupancy =
+      static_cast<double>(pendingDepth_.load(std::memory_order_relaxed)) /
+      static_cast<double>(options_.maxPendingBatches);
   if (writer_ != nullptr) {
     occupancy = std::max(occupancy, writer_->occupancy());
   }
@@ -113,7 +114,20 @@ PressureLevel Aggregator::pressure() const {
 }
 
 std::size_t Aggregator::ingestBacklog() const {
-  return pending_.size() + (writer_ != nullptr ? writer_->pending() : 0);
+  return pendingDepth_.load(std::memory_order_relaxed) +
+         (writer_ != nullptr ? writer_->pending() : 0);
+}
+
+void Aggregator::pushPending(PendingBatch&& batch) {
+  pending_.push_back(std::move(batch));
+  pendingDepth_.store(pending_.size(), std::memory_order_relaxed);
+}
+
+Aggregator::PendingBatch Aggregator::popPending() {
+  PendingBatch batch = std::move(pending_.front());
+  pending_.pop_front();
+  pendingDepth_.store(pending_.size(), std::memory_order_relaxed);
+  return batch;
 }
 
 void Aggregator::persistSource(const std::pair<std::string, int>& key,
@@ -250,8 +264,7 @@ void Aggregator::admitBatch(std::uint64_t connection, ConnState& conn,
     // oldest inline (order preserved) to make room; pressure() is
     // already reading overloaded at this depth.
     ++counters_.admissionBackstops;
-    PendingBatch oldest = std::move(pending_.front());
-    pending_.pop_front();
+    PendingBatch oldest = popPending();
     processBatch(oldest, nowSeconds);
   }
   PendingBatch batch;
@@ -273,7 +286,7 @@ void Aggregator::admitBatch(std::uint64_t connection, ConnState& conn,
     batch.hasStamps = true;
   }
   batch.frame = std::move(frame);
-  pending_.push_back(std::move(batch));
+  pushPending(std::move(batch));
 }
 
 void Aggregator::processBatch(PendingBatch& batch, double nowSeconds) {
@@ -496,8 +509,7 @@ void Aggregator::poll(double nowSeconds) {
     if (writer_ != nullptr && !writer_->hasSpace()) {
       break;
     }
-    PendingBatch batch = std::move(pending_.front());
-    pending_.pop_front();
+    PendingBatch batch = popPending();
     processBatch(batch, nowSeconds);
     ++processed;
   }
@@ -538,8 +550,7 @@ void Aggregator::drainBacklog(double nowSeconds) {
     if (writer_ != nullptr && !writer_->hasSpace()) {
       writer_->flush();
     }
-    PendingBatch batch = std::move(pending_.front());
-    pending_.pop_front();
+    PendingBatch batch = popPending();
     processBatch(batch, nowSeconds);
   }
   if (writer_ != nullptr) {
@@ -707,14 +718,21 @@ std::string Aggregator::dashboard(double nowSeconds) const {
   return out.str();
 }
 
-std::string Aggregator::query(const std::string& requestJson) const {
+void Aggregator::readEngine(const std::function<void()>& read) const {
   if (writer_ != nullptr && writer_->threaded()) {
-    // The worker thread appends to the engine; serialize query-path
-    // reads against it (the engine is single-owner by contract).
+    // The worker thread appends to the engine; serialize reads against
+    // it (the engine is single-owner by contract).
     std::lock_guard<std::mutex> lock(writer_->engineMutex());
-    return runQuery(*this, requestJson);
+    read();
+    return;
   }
-  return runQuery(*this, requestJson);
+  read();
+}
+
+std::string Aggregator::query(const std::string& requestJson) const {
+  std::string answer;
+  readEngine([&] { answer = runQuery(*this, requestJson); });
+  return answer;
 }
 
 }  // namespace zerosum::aggregator

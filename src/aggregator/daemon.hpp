@@ -19,8 +19,10 @@
 // frontier), so "acked" always means "survives a crash".
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -136,6 +138,12 @@ class Aggregator {
 
   [[nodiscard]] const tsdb::Engine* engine() const { return engine_; }
 
+  /// Runs `read`, which may read engine(), while a threaded writer
+  /// cannot append to the engine: under the writer's engine mutex when
+  /// one is attached, plainly otherwise.  Every read of the engine from
+  /// outside poll() goes through here.
+  void readEngine(const std::function<void()>& read) const;
+
   [[nodiscard]] const RollupStore& store() const { return store_; }
   /// Mutable store access for a co-located Forwarder (dirty-window
   /// drain, resync marking).  Not for general use.
@@ -226,6 +234,10 @@ class Aggregator {
   void admitBatch(std::uint64_t connection, ConnState& conn, Frame&& frame,
                   double nowSeconds);
   void processBatch(PendingBatch& batch, double nowSeconds);
+  /// The admission queue's only mutators: they keep pendingDepth_ equal
+  /// to pending_.size().
+  void pushPending(PendingBatch&& batch);
+  [[nodiscard]] PendingBatch popPending();
   /// Applies one admitted kForward frame: source registry upserts, then
   /// one ingestWindows() per run of consecutive same-series windows
   /// (conflicts counted, never fatal).
@@ -255,6 +267,9 @@ class Aggregator {
   DaemonCounters counters_;
   std::map<std::uint64_t, ConnState> connections_;
   std::deque<PendingBatch> pending_;
+  /// pending_.size() for pressure() and ingestBacklog(), which query
+  /// threads call (QueryService::execute) while poll() admits and drains.
+  std::atomic<std::size_t> pendingDepth_{0};
   std::deque<PendingAck> pendingAcks_;
   /// Per-source ingest cache: interned metric name -> resolved store
   /// series.  Keyed by (job, rank) — not per connection — so deferred

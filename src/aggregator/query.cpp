@@ -64,46 +64,48 @@ std::string handleSources(const Aggregator& daemon) {
 }
 
 std::string handleSnapshot(const Aggregator& daemon, const json::Value& req) {
-  const json::Value* jobFilter = req.find("job");
   std::optional<int> rankFilter;
   if (const json::Value* rank = req.find("rank")) {
     rankFilter = rankFromNumber(rank->asNumber());
   }
-  // With a persistence engine attached, the engine is a strict superset
-  // of the store (everything ingested was appended), so snapshots come
-  // from it — series survive daemon restarts and store retention.
-  const tsdb::Engine* engine = daemon.engine();
+  std::optional<std::string> jobFilter;
+  if (const json::Value* job = req.find("job")) {
+    jobFilter = job->asString();
+  }
   std::ostringstream out;
   json::Writer w(out);
   w.beginObject().key("series").beginArray();
-  const auto keys =
-      engine != nullptr ? engine->seriesKeys() : daemon.store().keys();
-  for (const auto& key : keys) {
-    if (jobFilter != nullptr && key.job != jobFilter->asString()) {
-      continue;
-    }
-    if (rankFilter && key.rank != *rankFilter) {
-      continue;
-    }
+  const auto writeSeries = [&w](const SeriesKey& key,
+                                const tsdb::NewestWindows& newest) {
     w.beginObject()
         .field("job", key.job)
         .field("rank", static_cast<std::int64_t>(key.rank))
         .field("metric", key.metric);
-    const auto fine = engine != nullptr
-                          ? engine->latest(key, Resolution::kFine)
-                          : daemon.store().latest(key, Resolution::kFine);
-    if (fine) {
+    if (newest.fine) {
       w.key("fine");
-      writeRollup(w, *fine);
+      writeRollup(w, *newest.fine);
     }
-    const auto coarse = engine != nullptr
-                            ? engine->latest(key, Resolution::kCoarse)
-                            : daemon.store().latest(key, Resolution::kCoarse);
-    if (coarse) {
+    if (newest.coarse) {
       w.key("coarse");
-      writeRollup(w, *coarse);
+      writeRollup(w, *newest.coarse);
     }
     w.endObject();
+  };
+  // With a persistence engine attached, the engine is a strict superset
+  // of the store (everything ingested was appended), so snapshots come
+  // from it — series survive daemon restarts and store retention.
+  if (const tsdb::Engine* engine = daemon.engine()) {
+    engine->forEachNewest(jobFilter, rankFilter, writeSeries);
+  } else {
+    const RollupStore& store = daemon.store();
+    for (const auto& key : store.keys()) {
+      if ((jobFilter && key.job != *jobFilter) ||
+          (rankFilter && key.rank != *rankFilter)) {
+        continue;
+      }
+      writeSeries(key, {store.latest(key, Resolution::kFine),
+                        store.latest(key, Resolution::kCoarse)});
+    }
   }
   w.endArray().endObject();
   return out.str();

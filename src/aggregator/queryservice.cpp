@@ -586,13 +586,20 @@ std::string QueryService::runExport(const StoreSnapshot& snap,
   };
   if (engine != nullptr) {
     // Deep history: the engine is a strict superset of the store's
-    // bounded retention (everything ingested was appended).
-    for (const SeriesKey& key : engine->seriesKeys()) {
+    // bounded retention (everything ingested was appended).  Each read
+    // takes the engine on its own, so a threaded writer's appends wait
+    // for one series at most, never for the whole export.
+    std::vector<SeriesKey> keys;
+    daemon_.readEngine([&] { keys = engine->seriesKeys(); });
+    for (const SeriesKey& key : keys) {
       if (parsed.hasJob && key.job != parsed.job) continue;
       if (parsed.hasRank && key.rank != parsed.rank) continue;
       if (!parsed.metric.empty() && key.metric != parsed.metric) continue;
-      writeSeries(key,
-                  engine->range(key, parsed.t0, parsed.t1, parsed.resolution));
+      std::vector<WindowRollup> rows;
+      daemon_.readEngine([&] {
+        rows = engine->range(key, parsed.t0, parsed.t1, parsed.resolution);
+      });
+      writeSeries(key, rows);
     }
   } else {
     for (const SeriesSnapshot& series : snap.series()) {

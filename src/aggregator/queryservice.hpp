@@ -34,8 +34,9 @@
 //
 // Thread safety: execute() may be called from any thread.  The live
 // store underneath is the sharded RollupStore (safe), pressure() reads
-// are advisory, and the service's own state is split across small
-// mutexes (snapshot, cache, admission) that are never nested.
+// atomic queue depths and is advisory, engine reads go through
+// Aggregator::readEngine, and the service's own state is split across
+// small mutexes (snapshot, cache, admission) that are never nested.
 #pragma once
 
 #include <atomic>

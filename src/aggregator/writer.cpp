@@ -105,14 +105,16 @@ std::size_t TsdbWriter::drainSome(std::size_t maxBatches) {
       }
     }
     {
+      // Under mutex_, so flush() cannot miss the advance between reading
+      // its predicate and waiting.
       std::lock_guard<std::mutex> lock(mutex_);
       counters_.batchesWritten += groupBatches;
       counters_.samplesWritten += group.samples.size();
       if (groupBatches > 1) {
         ++counters_.groupCommits;
       }
+      writtenTicket_.store(group.ticket, std::memory_order_release);
     }
-    writtenTicket_.store(group.ticket, std::memory_order_release);
     written += groupBatches;
   }
   drained_.notify_all();
@@ -132,8 +134,13 @@ void TsdbWriter::flush() {
     }
     return;
   }
+  // Every submitted ticket written, not just an empty queue: the worker
+  // pops a group before it appends it.
   std::unique_lock<std::mutex> lock(mutex_);
-  drained_.wait(lock, [this] { return queue_.empty() || stop_; });
+  drained_.wait(lock, [this] {
+    return stop_ ||
+           writtenTicket_.load(std::memory_order_acquire) + 1 == nextTicket_;
+  });
 }
 
 std::size_t TsdbWriter::pending() const {

@@ -15,8 +15,9 @@
 //     cluster simulation use.
 //   * threaded — a worker thread drains the queue; `zerosum-aggd
 //     --async-writer`.  engineMutex() serializes the worker's appends
-//     against the daemon's query-path reads (the engine itself is
-//     single-writer, not thread-safe).
+//     against the daemon's engine reads — queries and exports, through
+//     Aggregator::readEngine (the engine itself is single-writer, not
+//     thread-safe).
 //
 // Durability contract: writtenTicket() is the highest submission ticket
 // whose batch the engine has appended (WAL-logged).  The daemon gates
@@ -85,7 +86,7 @@ class TsdbWriter {
   void pump();
 
   /// Drains the queue completely (orderly-shutdown path).  Blocks in
-  /// threaded mode until the worker catches up.
+  /// threaded mode until the worker has appended every submitted batch.
   void flush();
 
   /// Highest ticket durably appended to the engine.
@@ -125,7 +126,7 @@ class TsdbWriter {
   mutable std::mutex mutex_;  ///< guards queue_, counters_, nextTicket_
   std::mutex engineMutex_;
   std::condition_variable wake_;     ///< worker: work available / stop
-  std::condition_variable drained_;  ///< flush(): queue emptied
+  std::condition_variable drained_;  ///< flush(): batches written
   std::deque<Pending> queue_;
   WriterCounters counters_;
   std::uint64_t nextTicket_ = 1;

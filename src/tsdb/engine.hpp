@@ -20,20 +20,28 @@
 // aggregates (min/max/sum/count), a window split across a segment and
 // the replayed WAL recombines exactly on read.
 //
-// Read path: range()/latest() look a series up in each segment's sorted
-// footer (one binary search per segment), decode only its matching
-// blocks, and merge them with the hot windows.  seriesKeys() merges a
-// sorted vector of on-disk keys — extended when a segment is added,
-// rebuilt when retention drops one — with the hot map's keys.  Not
+// Read path: range() looks a series up in each segment's sorted footer
+// (one binary search per segment), decodes only its matching blocks, and
+// merges them with the hot windows.  latest() and forEachNewest() read a
+// sorted index instead: each on-disk series' newest fine and coarse
+// window, already folded over the segments in segment order, which they
+// merge with the hot state's newest window exactly as range() would.  The
+// index is built at open (decoding only the blocks that hold a newest
+// window), advanced from the hot windows at compaction, and repaired for
+// the series a retention drop touches; the append path never sees it.
+// seriesKeys() merges the index's keys with the hot map's.  Not
 // thread-safe: one owner (the daemon's poll loop or an offline tool)
 // does everything.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <exception>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -77,6 +85,12 @@ struct SourceRecord {
   std::uint64_t records = 0;
 
   friend bool operator==(const SourceRecord&, const SourceRecord&) = default;
+};
+
+/// A series' newest fine and coarse windows, as latest() answers them.
+struct NewestWindows {
+  std::optional<WindowRollup> fine;
+  std::optional<WindowRollup> coarse;
 };
 
 struct EngineCounters {
@@ -130,9 +144,19 @@ class Engine {
       const SeriesKey& key, double t0, double t1,
       Resolution resolution = Resolution::kFine) const;
 
-  /// Newest window of a series.
+  /// Newest window of a series: the same rollup range() answers for that
+  /// window.  Throws ParseError when a block holding it fails to decode.
   [[nodiscard]] std::optional<WindowRollup> latest(
       const SeriesKey& key, Resolution resolution = Resolution::kFine) const;
+
+  /// Visits, in key order, every series of `job` and `rank` (any job or
+  /// rank when unset) with its newest windows at both resolutions —
+  /// latest()'s answers.  With a job it walks only that job's key range;
+  /// without one it walks every key.  Throws like latest().
+  void forEachNewest(
+      const std::optional<std::string>& job, std::optional<int> rank,
+      const std::function<void(const SeriesKey&, const NewestWindows&)>&
+          visit) const;
 
   /// All series keys, sorted (union of disk and memory).
   [[nodiscard]] std::vector<SeriesKey> seriesKeys() const;
@@ -164,6 +188,32 @@ class Engine {
     std::unique_ptr<SegmentReader> reader;
   };
 
+  /// A series' newest on-disk window at one resolution: its index, and
+  /// its rollup folded over the live segments in segment order — what
+  /// range() merges before the hot windows.  `damage` holds the
+  /// ParseError of a block that holds the window and failed to decode.
+  struct DiskNewest {
+    std::int64_t window = 0;
+    Rollup rollup;
+    std::exception_ptr damage;
+
+    /// Folds in the part of `window` that one footer entry's block holds
+    /// (nothing unless the block ends at it), or records its damage.
+    void fold(const SegmentReader& reader, const SegmentEntry& entry);
+  };
+  struct DiskSeries {
+    std::optional<DiskNewest> fine;
+    std::optional<DiskNewest> coarse;
+
+    [[nodiscard]] std::optional<DiskNewest>& at(Resolution resolution) {
+      return resolution == Resolution::kFine ? fine : coarse;
+    }
+    [[nodiscard]] const std::optional<DiskNewest>& at(
+        Resolution resolution) const {
+      return resolution == Resolution::kFine ? fine : coarse;
+    }
+  };
+
   [[nodiscard]] double windowSeconds(Resolution resolution) const;
   [[nodiscard]] std::string walPath(std::uint64_t seq) const;
   [[nodiscard]] std::string segmentPath(std::uint64_t seq) const;
@@ -173,7 +223,20 @@ class Engine {
   /// returns how many.
   std::size_t mergeSamples(const std::string& job, std::int32_t rank,
                            const std::vector<Sample>& samples);
-  void addDiskKeys(const SegmentReader& reader);
+  /// Builds diskNewest_ from the live segments' footers (recovery).
+  void indexSegments();
+  /// The index rule recovery and a retention drop share: given one
+  /// series' footer entries at one resolution, one span per live segment
+  /// in segment order, its newest window folded over them in that order.
+  [[nodiscard]] std::optional<DiskNewest> newestOf(
+      std::span<const std::span<const SegmentEntry>> parts) const;
+  /// Advances diskNewest_ by the hot windows a compaction just sealed.
+  void indexHotWindows();
+  /// The newest window of a series from its index entry and hot windows
+  /// (either may be null), merged in range()'s order.
+  [[nodiscard]] std::optional<WindowRollup> newestWindow(
+      const DiskSeries* disk, const SeriesWindows* hot,
+      Resolution resolution) const;
   void enforceRetention();
   void persistRegistry() const;
   void loadRegistry();
@@ -184,9 +247,10 @@ class Engine {
   EngineCounters counters_;
 
   std::vector<LiveSegment> segments_;   ///< seq ascending
-  /// Every key some live segment holds, sorted and unique.  Maintained
-  /// per segment, never per sample, so the append path pays nothing.
-  std::vector<SeriesKey> diskKeys_;
+  /// Every key some live segment holds, with its newest on-disk windows.
+  /// Maintained per segment, never per sample, so the append path pays
+  /// nothing.
+  std::map<SeriesKey, DiskSeries> diskNewest_;
   std::map<SeriesKey, SeriesWindows> hot_;
   /// (job id, rank, metric id) -> hot series node.  Avoids building a
   /// SeriesKey (two string copies) and walking hot_ with string
@@ -198,6 +262,9 @@ class Engine {
   std::map<std::pair<std::string, std::int32_t>, SourceRecord> sources_;
   std::unique_ptr<WalWriter> wal_;
   std::uint64_t activeWalSeq_ = 1;
+  /// The lowest WAL sequence that may still exist on disk: compaction
+  /// deletes from here up to the sequence its segment covers.
+  std::uint64_t oldestWalSeq_ = 1;
   std::uint64_t nextSegmentSeq_ = 1;
   /// See dataGeneration().
   std::atomic<std::uint64_t> dataGeneration_{1};

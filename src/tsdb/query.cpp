@@ -51,35 +51,34 @@ std::string handleSources(const Engine& engine) {
 }
 
 std::string handleSnapshot(const Engine& engine, const json::Value& req) {
-  const json::Value* jobFilter = req.find("job");
   std::optional<int> rankFilter;
   if (const json::Value* rank = req.find("rank")) {
     rankFilter = aggregator::rankFromNumber(rank->asNumber());
   }
+  std::optional<std::string> jobFilter;
+  if (const json::Value* job = req.find("job")) {
+    jobFilter = job->asString();
+  }
   std::ostringstream out;
   json::Writer w(out);
   w.beginObject().key("series").beginArray();
-  for (const SeriesKey& key : engine.seriesKeys()) {
-    if (jobFilter != nullptr && key.job != jobFilter->asString()) {
-      continue;
-    }
-    if (rankFilter && key.rank != *rankFilter) {
-      continue;
-    }
-    w.beginObject()
-        .field("job", key.job)
-        .field("rank", static_cast<std::int64_t>(key.rank))
-        .field("metric", key.metric);
-    if (const auto fine = engine.latest(key, Resolution::kFine)) {
-      w.key("fine");
-      writeRollup(w, *fine);
-    }
-    if (const auto coarse = engine.latest(key, Resolution::kCoarse)) {
-      w.key("coarse");
-      writeRollup(w, *coarse);
-    }
-    w.endObject();
-  }
+  engine.forEachNewest(
+      jobFilter, rankFilter,
+      [&w](const SeriesKey& key, const NewestWindows& newest) {
+        w.beginObject()
+            .field("job", key.job)
+            .field("rank", static_cast<std::int64_t>(key.rank))
+            .field("metric", key.metric);
+        if (newest.fine) {
+          w.key("fine");
+          writeRollup(w, *newest.fine);
+        }
+        if (newest.coarse) {
+          w.key("coarse");
+          writeRollup(w, *newest.coarse);
+        }
+        w.endObject();
+      });
   w.endArray().endObject();
   return out.str();
 }

@@ -7,9 +7,11 @@
 #include "aggregator/queryservice.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <cmath>
+#include <filesystem>
 #include <limits>
 #include <memory>
 #include <string>
@@ -19,8 +21,10 @@
 #include "aggregator/daemon.hpp"
 #include "aggregator/transport.hpp"
 #include "aggregator/wire.hpp"
+#include "aggregator/writer.hpp"
 #include "common/json.hpp"
 #include "trace/metrics.hpp"
+#include "tsdb/engine.hpp"
 
 using namespace zerosum;
 using namespace zerosum::aggregator;
@@ -561,4 +565,66 @@ TEST_F(QueryServiceTest, WindowAnswersAreSnapshotIsolated) {
   const QueryResult second = window(6.0);
   ASSERT_EQ(second.status, 200);
   EXPECT_EQ(second.body, first.body);
+}
+
+TEST_F(QueryServiceTest, ExportReadsTheEngineUnderTheThreadedWritersLock) {
+  // The writer thread appends and compacts while the query thread
+  // exports the engine's whole history; each of the export's engine
+  // reads must hold the writer's engine mutex as Aggregator::query does,
+  // or a ThreadSanitizer build reports the race.
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("zs_export_race_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  {
+    tsdb::EngineOptions engineOptions;
+    engineOptions.fsync = tsdb::FsyncPolicy::kOff;
+    engineOptions.walRotateBytes = 8192;  // compactions during the run
+    tsdb::Engine engine(dir.string(), engineOptions);
+    WriterOptions writerOptions;
+    writerOptions.threaded = true;
+    TsdbWriter writer(&engine, writerOptions);
+    QueryServiceOptions queryOptions;
+    queryOptions.cacheMaxEntries = 0;  // every export reads the engine
+    QueryPlane plane(queryOptions);
+    plane.daemon.attachWriter(&writer);
+    constexpr int kPolls = 300;
+    // The writer's backlog can raise the pressure only from this poll on.
+    const auto elevatedFrom =
+        static_cast<int>(writerOptions.maxPendingBatches / 2);
+    std::uint64_t shed = 0;
+    for (int i = 1; i <= kPolls; ++i) {
+      const double t = static_cast<double>(i);
+      // Eight series, so the writer's appends and compactions keep
+      // inserting into the engine's maps.
+      Frame batch = batchFrame(t, static_cast<std::uint64_t>(i));
+      for (int metric = 1; metric < 8; ++metric) {
+        batch.records.push_back(
+            {t, "hwt." + std::to_string(metric) + ".user_pct", 50.0});
+      }
+      ASSERT_TRUE(plane.source->send(encodeFrame(batch)));
+      plane.daemon.poll(t);
+      plane.service.beginPoll(t);
+      const QueryResult result =
+          plane.service.execute("{\"op\":\"export\"}", QueryClass::kBulk, t);
+      if (result.status == 429) {
+        // The exports' reads can keep the writer thread off the engine
+        // for over a hundred polls.  Its backlog then raises the pressure
+        // (a retry-after scaled past the base), and that sheds the export.
+        EXPECT_GE(i, elevatedFrom) << result.body;
+        EXPECT_GT(result.retryAfterSeconds, queryOptions.retryAfterSeconds);
+        ++shed;
+        continue;
+      }
+      ASSERT_EQ(result.status, 200) << result.body;
+    }
+    EXPECT_EQ(plane.service.counters().shedBulk, shed);
+    // A full writer queue leaves batches with the daemon; write them all.
+    plane.daemon.drainBacklog(static_cast<double>(kPolls));
+    std::lock_guard<std::mutex> lock(writer.engineMutex());
+    EXPECT_GT(engine.counters().compactions, 0U);
+    EXPECT_EQ(engine.range({"j1", 0, "hwt.0.user_pct"}, 0.0, 1e9).size(),
+              static_cast<std::size_t>(kPolls));
+  }
+  std::filesystem::remove_all(dir);
 }
