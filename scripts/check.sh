@@ -8,9 +8,13 @@
 # the fixed-point formatter), then the JSON-emitting benchmarks and the
 # performance-regression gate (scripts/bench_gate.py against
 # bench/baselines/), then a live telemetry smoke test: a real zerosum-aggd
-# --http-port scraped over loopback HTTP, the exposition validated with
-# scripts/promlint.py and the query/dashboard plane (GET /api/query,
-# /api/stats, the zerosum-post --http-query client) answered end to end.
+# --http-port --data-dir scraped over loopback HTTP, the exposition
+# validated with scripts/promlint.py, the query/dashboard plane (GET
+# /api/query, /api/stats, the zerosum-post --http-query client) answered
+# end to end, and the three query entry points of the same daemon (the
+# wire's zerosum-post --agg-query, the read plane's GET /api/query, and
+# after the SIGTERM seal the offline zerosum-post --tsdb-query) listing
+# the same series.
 # Finally a live federation smoke: three zerosum-aggd processes form a
 # node -> group -> root tree via the root's catalog and a monitored run
 # discovered through ZS_AGG_CATALOG must surface at the root.
@@ -104,7 +108,8 @@ python3 scripts/bench_gate.py --fresh "$BENCH_OUT"
 echo "=== live telemetry smoke test (/metrics scrape + promlint) ==="
 REPO="$PWD"
 SMOKE_DIR="$(mktemp -d)"
-./build/tools/zerosum-aggd --port 0 --http-port 0 > "$SMOKE_DIR/aggd.log" 2>&1 &
+./build/tools/zerosum-aggd --port 0 --http-port 0 --data-dir "$SMOKE_DIR/tsdb" \
+  > "$SMOKE_DIR/aggd.log" 2>&1 &
 AGGD_PID=$!
 trap 'kill "$AGGD_PID" 2>/dev/null || true' EXIT
 for _ in $(seq 1 50); do
@@ -153,8 +158,48 @@ print(f"smoke: query plane serving ({len(snap['series'])} series, "
 PY
 ./build/tools/zerosum-post --agg-port "$HTTP_PORT" --http-query stats \
   | python3 -c 'import json,sys; json.load(sys.stdin)'
-kill "$AGGD_PID" 2>/dev/null || true
+# One dialect, three entry points: the wire (answered from the tsdb
+# engine) and the read plane (from its store snapshot, refreshed at most
+# every 0.25 s) must list the same rank-0 series...
+python3 - "$REPO/build/tools/zerosum-post" "$WIRE_PORT" "$HTTP_PORT" \
+  "$SMOKE_DIR/keys.json" <<'PY'
+import json, subprocess, sys, time, urllib.request
+post, wire_port, http_port, keys_out = sys.argv[1:5]
+request = '{"op":"snapshot","rank":0}'
+def keys(doc):
+    return sorted([s["job"], s["rank"], s["metric"]] for s in doc["series"])
+deadline = time.time() + 15
+while True:
+    wire = keys(json.loads(subprocess.run(
+        [post, "--agg-port", wire_port, "--agg-query", request],
+        check=True, capture_output=True, text=True).stdout))
+    plane = keys(json.load(urllib.request.urlopen(
+        f"http://127.0.0.1:{http_port}/api/query?op=snapshot&rank=0",
+        timeout=10)))
+    if wire and wire == plane:
+        break
+    if time.time() > deadline:
+        raise SystemExit(f"wire lists {len(wire)} rank-0 series, "
+                         f"the read plane {len(plane)}")
+    time.sleep(0.3)
+json.dump(wire, open(keys_out, "w"))
+print(f"smoke: wire and read plane list the same {len(wire)} series")
+PY
+# ...and so must the sealed data dir, read offline.
+kill -TERM "$AGGD_PID"
+wait "$AGGD_PID"
 trap - EXIT
+grep -q "sealed" "$SMOKE_DIR/aggd.log"
+./build/tools/zerosum-post --tsdb-query '{"op":"snapshot","rank":0}' \
+  --data-dir "$SMOKE_DIR/tsdb" > "$SMOKE_DIR/offline.json"
+python3 - "$SMOKE_DIR/keys.json" "$SMOKE_DIR/offline.json" <<'PY'
+import json, sys
+live = json.load(open(sys.argv[1]))
+offline = sorted([s["job"], s["rank"], s["metric"]]
+                 for s in json.load(open(sys.argv[2]))["series"])
+assert offline == live, f"offline lists {len(offline)} series, live {len(live)}"
+print(f"smoke: the sealed dir lists the same {len(offline)} series offline")
+PY
 rm -rf "$SMOKE_DIR"
 
 echo "=== live federation smoke (node -> group -> root over TCP) ==="

@@ -65,6 +65,21 @@ SourceInfo* Aggregator::sourceOf(const std::string& job, int rank) {
   return it == sources_.end() ? nullptr : &it->second;
 }
 
+SourceInfo recoveredSource(const tsdb::SourceRecord& record) {
+  SourceInfo info;
+  info.hello.job = record.job;
+  info.hello.rank = record.rank;
+  info.hello.worldSize = record.worldSize;
+  info.hello.hostname = record.hostname;
+  info.hello.pid = record.pid;
+  info.state = SourceState::kStale;
+  info.firstSeenSeconds = record.firstSeenSeconds;
+  info.lastSeenSeconds = record.lastSeenSeconds;
+  info.batches = record.batches;
+  info.records = record.records;
+  return info;
+}
+
 void Aggregator::attachEngine(tsdb::Engine* engine) {
   engine_ = engine;
   if (engine_ == nullptr) {
@@ -75,16 +90,7 @@ void Aggregator::attachEngine(tsdb::Engine* engine) {
     if (info.batches != 0 || info.lastSeenSeconds != 0.0) {
       continue;  // live connection already outranks the recovered entry
     }
-    info.hello.job = record.job;
-    info.hello.rank = record.rank;
-    info.hello.worldSize = record.worldSize;
-    info.hello.hostname = record.hostname;
-    info.hello.pid = record.pid;
-    info.state = SourceState::kStale;
-    info.firstSeenSeconds = record.firstSeenSeconds;
-    info.lastSeenSeconds = record.lastSeenSeconds;
-    info.batches = record.batches;
-    info.records = record.records;
+    info = recoveredSource(record);
     int& expected = expectedRanks_[record.job];
     expected = std::max(expected, record.worldSize);
   }

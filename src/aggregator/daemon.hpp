@@ -36,6 +36,7 @@
 
 namespace zerosum::tsdb {
 class Engine;
+struct SourceRecord;
 }
 
 namespace zerosum::aggregator {
@@ -66,6 +67,10 @@ struct SourceInfo {
   /// 1+ = learned from a kForward frame that far down the tree.
   std::uint8_t hops = 0;
 };
+
+/// A registry entry as the engine persisted it (tsdb::SourceRecord): a
+/// source this daemon has not heard from yet, so kStale, without health.
+SourceInfo recoveredSource(const tsdb::SourceRecord& record);
 
 struct DaemonOptions {
   /// Admission queue bound, in batches.  Overflow processes the oldest
@@ -183,8 +188,8 @@ class Aggregator {
   /// stale/missing-rank findings.
   [[nodiscard]] std::string dashboard(double nowSeconds) const;
 
-  /// Executes one JSON query against the store (see query.hpp) — also
-  /// reachable over the wire via kQuery frames.
+  /// Answers one JSON request the way a kQuery frame is answered
+  /// (runQuery, query.hpp), in one readEngine() call.
   [[nodiscard]] std::string query(const std::string& requestJson) const;
 
  private:

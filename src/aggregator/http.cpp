@@ -493,9 +493,8 @@ void mountDaemonEndpoints(HttpServer& http, Aggregator& daemon,
 
   if (queryService == nullptr) {
     http.handle("POST", "/query", [&daemon](const HttpRequest& request) {
-      // runQuery never throws; errors come back as JSON error documents.
-      return HttpResponse{200, "application/json",
-                          daemon.query(request.body) + "\n"};
+      // The wire's answer (query.hpp): errors are JSON error documents.
+      return HttpResponse{200, "application/json", daemon.query(request.body)};
     });
     return;
   }

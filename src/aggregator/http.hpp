@@ -19,7 +19,7 @@
 //   GET  /healthz    liveness + pressure/backlog/source counts (JSON)
 //   GET  /readyz     readiness: 503 while the daemon is overloaded
 //   GET  /dashboard  the existing text dashboard
-//   POST /query      the existing JSON query service
+//   POST /query      the wire's JSON query answer (aggregator/query.hpp)
 #pragma once
 
 #include <cstdint>

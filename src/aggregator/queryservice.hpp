@@ -1,8 +1,9 @@
-// QueryService: the high-traffic read plane of the aggregation daemon —
-// the ROADMAP's "serve many simultaneous dashboard readers while jobs
-// are writing" milestone (DESIGN.md §12).
-//
-// Three mechanisms, layered over the existing store/engine/HTTP stack:
+// QueryService: the read plane of the aggregation daemon, behind GET
+// /api/query and POST /query: many dashboard readers served while jobs
+// are writing (DESIGN.md §12).  Requests are parsed by the one query
+// parser and answered by the op bodies of query.hpp, whose op table
+// lists the ops served here (column H).  Around them the service adds
+// three mechanisms:
 //
 //   1. Snapshot-isolated reads.  Readers never touch the live
 //      RollupStore: the service keeps one shared immutable StoreSnapshot
@@ -47,6 +48,7 @@
 #include <mutex>
 #include <string>
 
+#include "aggregator/query.hpp"
 #include "aggregator/store.hpp"
 #include "trace/metrics.hpp"
 
@@ -114,8 +116,8 @@ class QueryService {
   /// once per iteration, before the HTTP poll that delivers queries.
   void beginPoll(double nowSeconds);
 
-  /// Executes one JSON query (POST body grammar; see DESIGN.md §12).
-  /// Never throws: malformed input yields 400, shed load 429.
+  /// Executes one JSON query (the dialect of query.hpp, read-plane ops).
+  /// Malformed input yields 400, shed load 429.
   [[nodiscard]] QueryResult execute(const std::string& requestJson,
                                     QueryClass cls, double nowSeconds);
 
@@ -142,44 +144,15 @@ class QueryService {
   [[nodiscard]] std::string statsJson(double nowSeconds);
 
  private:
-  /// A query parsed and normalized: every executable field made
-  /// explicit, defaults applied, so `key` is canonical across GET/POST.
-  struct Parsed {
-    std::string op;
-    std::string error;  ///< non-empty -> 400
-    std::string job;
-    bool hasJob = false;
-    int rank = 0;
-    bool hasRank = false;
-    std::string metric;
-    double t0 = 0.0;
-    double t1 = 1e18;
-    Resolution resolution = Resolution::kFine;
-    double windowSeconds = 60.0;  ///< `window` op
-    std::string key;              ///< canonical cache key (sans generation)
-  };
+  /// The canonical cache key of a valid request (sans generation): every
+  /// executable field, so GET and POST forms of one query share it.
+  [[nodiscard]] static std::string cacheKey(const QueryRequest& request);
 
-  static Parsed parseJson(const std::string& requestJson);
-  static Parsed parseParams(const std::string& op,
-                            const std::map<std::string, std::string>& params);
-  /// Fills Parsed::key and validates op-specific requirements.
-  static void normalize(Parsed& parsed);
-
-  [[nodiscard]] QueryResult run(Parsed& parsed, QueryClass cls,
+  [[nodiscard]] QueryResult run(const QueryRequest& request, QueryClass cls,
                                 double nowSeconds);
   /// Admission control: true to execute now, false -> shed (429).
   bool admit(QueryClass cls, double* retryAfter);
   void finish(QueryClass cls, bool cacheHit, double elapsedSeconds);
-
-  [[nodiscard]] std::string runSeries(const StoreSnapshot& snap);
-  [[nodiscard]] std::string runSnapshotOp(const StoreSnapshot& snap,
-                                          const Parsed& parsed);
-  [[nodiscard]] std::string runRange(const StoreSnapshot& snap,
-                                     const Parsed& parsed);
-  [[nodiscard]] std::string runWindow(const StoreSnapshot& snap,
-                                      const Parsed& parsed);
-  [[nodiscard]] std::string runExport(const StoreSnapshot& snap,
-                                      const Parsed& parsed);
 
   [[nodiscard]] std::string cacheLookup(const std::string& key);
   void cacheInsert(const std::string& key, std::uint64_t generation,

@@ -11,9 +11,21 @@ namespace zerosum::aggregator {
 
 WindowBuffer::const_iterator WindowBuffer::lowerBound(
     std::int64_t index) const {
-  return std::lower_bound(
-      begin(), end(), index,
-      [](const Entry& entry, std::int64_t i) { return entry.first < i; });
+  return std::ranges::lower_bound(begin(), end(), index, {}, &Entry::first);
+}
+
+std::pair<WindowBuffer::const_iterator, WindowBuffer::const_iterator>
+WindowBuffer::between(double t0, double t1, double width) const {
+  if (std::isnan(t0) || std::isnan(t1) || t1 < t0) {
+    return {end(), end()};
+  }
+  const auto first = lowerBound(clampedWindowIndex(t0, width));
+  const std::int64_t lastIndex = clampedWindowIndex(t1, width);
+  auto last = first;
+  while (last != end() && last->first <= lastIndex) {
+    ++last;
+  }
+  return {first, last};
 }
 
 std::pair<Rollup*, bool> WindowBuffer::findOrInsert(std::int64_t index) {
@@ -282,11 +294,15 @@ void RollupStore::merge(const RollupStore& other) {
   dataGeneration_.fetch_add(1, std::memory_order_release);
 }
 
-StoreSnapshot RollupStore::snapshot() const {
+StoreSnapshot RollupStore::emptySnapshot() const {
   StoreSnapshot out;
   out.fineWindowSeconds_ = options_.fineWindowSeconds;
-  out.coarseWindowSeconds_ =
-      options_.fineWindowSeconds * options_.coarseFactor;
+  out.coarseWindowSeconds_ = windowSeconds(Resolution::kCoarse);
+  return out;
+}
+
+StoreSnapshot RollupStore::snapshot() const {
+  StoreSnapshot out = emptySnapshot();
   // All shard locks, in index order (writers only ever hold one shard
   // lock, so this cannot deadlock against ingest): the copy and the
   // generation reading describe exactly the same instant.
@@ -306,21 +322,73 @@ StoreSnapshot RollupStore::snapshot() const {
     }
   }
   locks.clear();
-  std::sort(out.series_.begin(), out.series_.end(),
-            [](const SeriesSnapshot& a, const SeriesSnapshot& b) {
-              return a.key < b.key;
-            });
+  std::ranges::sort(out.series_, {}, &SeriesSnapshot::key);
+  return out;
+}
+
+StoreSnapshot RollupStore::snapshotNewest(
+    const std::optional<std::string>& job, std::optional<int> rank,
+    const std::string& metric) const {
+  const auto newest = [](const WindowBuffer& windows) {
+    return WindowBuffer(windows.end() - (windows.empty() ? 0 : 1),
+                        windows.end());
+  };
+  StoreSnapshot out = emptySnapshot();
+  out.generation_ = dataGeneration_.load(std::memory_order_acquire);
+  // One shard lock at a time: ingest into a shard waits for that shard's
+  // share of the walk only.
+  for (const auto& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard->mutex);
+    for (const auto& [key, series] : shard->series) {
+      if (keyMatches(key, job, rank, metric)) {
+        out.series_.push_back({key,
+                               newest(series[Resolution::kFine].windows),
+                               newest(series[Resolution::kCoarse].windows)});
+      }
+    }
+  }
+  std::ranges::sort(out.series_, {}, &SeriesSnapshot::key);
+  return out;
+}
+
+StoreSnapshot RollupStore::snapshotRange(const SeriesKey& key, double t0,
+                                         double t1,
+                                         Resolution resolution) const {
+  StoreSnapshot out = emptySnapshot();
+  // One series: its shard's lock covers every mutation of it.
+  const Shard& shard = shardOf(key);
+  std::lock_guard<std::mutex> lock(shard.mutex);
+  out.generation_ = dataGeneration_.load(std::memory_order_acquire);
+  if (const auto it = shard.series.find(key); it != shard.series.end()) {
+    const auto [first, last] = it->second[resolution].windows.between(
+        t0, t1, windowSeconds(resolution));
+    SeriesSnapshot& series = out.series_.emplace_back();
+    series.key = key;
+    (resolution == Resolution::kFine ? series.fine : series.coarse) =
+        WindowBuffer(first, last);
+  }
   return out;
 }
 
 const SeriesSnapshot* StoreSnapshot::find(const SeriesKey& key) const {
-  const auto it = std::lower_bound(
-      series_.begin(), series_.end(), key,
-      [](const SeriesSnapshot& s, const SeriesKey& k) { return s.key < k; });
+  const auto it =
+      std::ranges::lower_bound(series_, key, {}, &SeriesSnapshot::key);
   if (it == series_.end() || !(it->key == key)) {
     return nullptr;
   }
   return &*it;
+}
+
+std::optional<WindowRollup> StoreSnapshot::newest(const WindowBuffer& windows,
+                                                  double width) {
+  if (windows.empty()) {
+    return std::nullopt;
+  }
+  WindowRollup out;
+  out.windowStartSeconds = static_cast<double>(windows.back().first) * width;
+  out.windowSeconds = width;
+  out.rollup = windows.back().second;
+  return out;
 }
 
 std::optional<WindowRollup> StoreSnapshot::latest(
@@ -329,46 +397,46 @@ std::optional<WindowRollup> StoreSnapshot::latest(
   if (series == nullptr) {
     return std::nullopt;
   }
-  const auto& windows =
-      resolution == Resolution::kFine ? series->fine : series->coarse;
-  if (windows.empty()) {
-    return std::nullopt;
+  return newest(resolution == Resolution::kFine ? series->fine : series->coarse,
+                windowSeconds(resolution));
+}
+
+std::vector<SeriesKey> StoreSnapshot::seriesKeys(
+    const std::optional<std::string>& job, std::optional<int> rank,
+    const std::string& metric) const {
+  std::vector<SeriesKey> out;
+  for (const SeriesSnapshot& series : series_) {
+    if (keyMatches(series.key, job, rank, metric)) {
+      out.push_back(series.key);
+    }
   }
-  const double width = resolution == Resolution::kFine
-                           ? fineWindowSeconds_
-                           : coarseWindowSeconds_;
-  WindowRollup out;
-  out.windowStartSeconds = static_cast<double>(windows.back().first) * width;
-  out.windowSeconds = width;
-  out.rollup = windows.back().second;
   return out;
+}
+
+void StoreSnapshot::forEachNewest(const std::optional<std::string>& job,
+                                  std::optional<int> rank,
+                                  const std::string& metric,
+                                  const NewestVisitor& visit) const {
+  for (const SeriesSnapshot& series : series_) {
+    if (keyMatches(series.key, job, rank, metric)) {
+      visit(series.key, {newest(series.fine, fineWindowSeconds_),
+                         newest(series.coarse, coarseWindowSeconds_)});
+    }
+  }
 }
 
 std::vector<WindowRollup> StoreSnapshot::range(const SeriesKey& key, double t0,
                                                double t1,
                                                Resolution resolution) const {
   std::vector<WindowRollup> out;
-  if (std::isnan(t0) || std::isnan(t1) || t1 < t0) {
-    return out;
-  }
-  const SeriesSnapshot* series = find(key);
-  if (series == nullptr) {
-    return out;
-  }
-  const auto& windows =
-      resolution == Resolution::kFine ? series->fine : series->coarse;
-  const double width = resolution == Resolution::kFine
-                           ? fineWindowSeconds_
-                           : coarseWindowSeconds_;
-  const std::int64_t first = clampedWindowIndex(t0, width);
-  const std::int64_t last = clampedWindowIndex(t1, width);
-  for (auto w = windows.lowerBound(first);
-       w != windows.end() && w->first <= last; ++w) {
-    WindowRollup row;
-    row.windowStartSeconds = static_cast<double>(w->first) * width;
-    row.windowSeconds = width;
-    row.rollup = w->second;
-    out.push_back(row);
+  if (const SeriesSnapshot* series = find(key)) {
+    const double width = windowSeconds(resolution);
+    const auto [first, last] =
+        (resolution == Resolution::kFine ? series->fine : series->coarse)
+            .between(t0, t1, width);
+    for (auto w = first; w != last; ++w) {
+      out.push_back({static_cast<double>(w->first) * width, width, w->second});
+    }
   }
   return out;
 }
@@ -483,44 +551,14 @@ std::optional<WindowRollup> RollupStore::latest(const SeriesKey& key,
   if (it == shard.series.end()) {
     return std::nullopt;
   }
-  const WindowBuffer& windows = it->second[resolution].windows;
-  if (windows.empty()) {
-    return std::nullopt;
-  }
-  const double width = windowSeconds(resolution);
-  WindowRollup out;
-  out.windowStartSeconds = static_cast<double>(windows.back().first) * width;
-  out.windowSeconds = width;
-  out.rollup = windows.back().second;
-  return out;
+  return StoreSnapshot::newest(it->second[resolution].windows,
+                               windowSeconds(resolution));
 }
 
 std::vector<WindowRollup> RollupStore::range(const SeriesKey& key, double t0,
                                              double t1,
                                              Resolution resolution) const {
-  std::vector<WindowRollup> out;
-  if (std::isnan(t0) || std::isnan(t1) || t1 < t0) {
-    return out;
-  }
-  const Shard& shard = shardOf(key);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  const auto it = shard.series.find(key);
-  if (it == shard.series.end()) {
-    return out;
-  }
-  const WindowBuffer& windows = it->second[resolution].windows;
-  const double width = windowSeconds(resolution);
-  const std::int64_t first = clampedWindowIndex(t0, width);
-  const std::int64_t last = clampedWindowIndex(t1, width);
-  for (auto w = windows.lowerBound(first);
-       w != windows.end() && w->first <= last; ++w) {
-    WindowRollup row;
-    row.windowStartSeconds = static_cast<double>(w->first) * width;
-    row.windowSeconds = width;
-    row.rollup = w->second;
-    out.push_back(row);
-  }
-  return out;
+  return snapshotRange(key, t0, t1, resolution).range(key, t0, t1, resolution);
 }
 
 std::vector<SeriesKey> RollupStore::keys() const {

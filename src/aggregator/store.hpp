@@ -25,6 +25,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <map>
 #include <memory>
@@ -210,6 +211,9 @@ class WindowBuffer {
   /// Copies only the live windows, in one allocation.
   WindowBuffer(const WindowBuffer& other)
       : entries_(other.begin(), other.end()) {}
+  /// Copies the windows [first, last) of another buffer.
+  WindowBuffer(const_iterator first, const_iterator last)
+      : entries_(first, last) {}
   WindowBuffer(WindowBuffer&& other) noexcept
       : entries_(std::move(other.entries_)),
         head_(std::exchange(other.head_, 0)) {}
@@ -231,6 +235,11 @@ class WindowBuffer {
 
   /// The first window whose index is >= `index`.
   [[nodiscard]] const_iterator lowerBound(std::int64_t index) const;
+
+  /// The windows, each `width` seconds wide, intersecting [t0, t1]: none
+  /// when a bound is NaN or t1 < t0.
+  [[nodiscard]] std::pair<const_iterator, const_iterator> between(
+      double t0, double t1, double width) const;
 
   /// The oldest index a `retention`-deep horizon keeps once `index`
   /// lands (index >= 0 and retention >= 1, so this cannot overflow).
@@ -258,24 +267,84 @@ struct SeriesSnapshot {
   WindowBuffer coarse;
 };
 
-/// Immutable point-in-time copy of the whole store, taken under every
-/// shard lock so no concurrent ingest can tear it (DESIGN.md §12).  The
-/// query service hands one of these (behind a shared_ptr) to every
-/// reader: a dashboard query runs against a frozen generation no matter
-/// how hard ingest is advancing the live store underneath.
-class StoreSnapshot {
+/// A series' newest fine and coarse windows.
+struct NewestWindows {
+  std::optional<WindowRollup> fine;
+  std::optional<WindowRollup> coarse;
+};
+
+/// True when `key` is of `job`, `rank` and `metric` (any when unset or
+/// empty): the series filter of every query.
+[[nodiscard]] inline bool keyMatches(const SeriesKey& key,
+                                     const std::optional<std::string>& job,
+                                     std::optional<int> rank,
+                                     const std::string& metric) {
+  return (!job || key.job == *job) && (!rank || key.rank == *rank) &&
+         (metric.empty() || key.metric == metric);
+}
+
+/// What a query reads (aggregator/query.hpp): a StoreSnapshot's frozen
+/// windows or a tsdb::Engine's whole history.  Each query op is written
+/// once against this, so every entry point answers it alike.  A series
+/// the filters of seriesKeys() or forEachNewest() exclude is compared,
+/// never copied or read.
+class ReadView {
+ public:
+  using NewestVisitor =
+      std::function<void(const SeriesKey&, const NewestWindows&)>;
+
+  /// The data generation the view reads at.
+  [[nodiscard]] virtual std::uint64_t generation() const = 0;
+
+  /// The keys of every series of `job`, `rank` and `metric` (any when
+  /// unset or empty), sorted; no window is read.
+  [[nodiscard]] virtual std::vector<SeriesKey> seriesKeys(
+      const std::optional<std::string>& job, std::optional<int> rank,
+      const std::string& metric) const = 0;
+
+  /// Visits, in key order, every series of `job`, `rank` and `metric`
+  /// with its newest windows at both resolutions.
+  virtual void forEachNewest(const std::optional<std::string>& job,
+                             std::optional<int> rank,
+                             const std::string& metric,
+                             const NewestVisitor& visit) const = 0;
+
+  /// Windows of `key` intersecting [t0, t1], oldest first.
+  [[nodiscard]] virtual std::vector<WindowRollup> range(
+      const SeriesKey& key, double t0, double t1,
+      Resolution resolution) const = 0;
+};
+
+/// Immutable copy of the store (RollupStore::snapshot(), taken under
+/// every shard lock so no concurrent ingest can tear it; DESIGN.md §12),
+/// or of the part of it one wire query reads (snapshotNewest(),
+/// snapshotRange()).  The query service hands one whole copy (behind a
+/// shared_ptr) to every reader: a dashboard query runs against a frozen
+/// generation no matter how hard ingest is advancing the live store
+/// underneath.
+class StoreSnapshot final : public ReadView {
  public:
   /// The store's data generation at the instant the copy was taken.
-  [[nodiscard]] std::uint64_t generation() const { return generation_; }
+  [[nodiscard]] std::uint64_t generation() const override {
+    return generation_;
+  }
 
   /// Newest window of a series at the given resolution.
   [[nodiscard]] std::optional<WindowRollup> latest(
       const SeriesKey& key, Resolution resolution = Resolution::kFine) const;
 
+  [[nodiscard]] std::vector<SeriesKey> seriesKeys(
+      const std::optional<std::string>& job, std::optional<int> rank,
+      const std::string& metric) const override;
+
+  void forEachNewest(const std::optional<std::string>& job,
+                     std::optional<int> rank, const std::string& metric,
+                     const NewestVisitor& visit) const override;
+
   /// Windows intersecting [t0, t1], oldest first.
   [[nodiscard]] std::vector<WindowRollup> range(
       const SeriesKey& key, double t0, double t1,
-      Resolution resolution = Resolution::kFine) const;
+      Resolution resolution = Resolution::kFine) const override;
 
   /// All captured series, sorted by (job, rank, metric).
   [[nodiscard]] const std::vector<SeriesSnapshot>& series() const {
@@ -284,14 +353,18 @@ class StoreSnapshot {
 
   [[nodiscard]] std::size_t seriesCount() const { return series_.size(); }
   [[nodiscard]] double fineWindowSeconds() const { return fineWindowSeconds_; }
-  [[nodiscard]] double coarseWindowSeconds() const {
-    return coarseWindowSeconds_;
-  }
 
  private:
   friend class RollupStore;
 
   [[nodiscard]] const SeriesSnapshot* find(const SeriesKey& key) const;
+  [[nodiscard]] double windowSeconds(Resolution resolution) const {
+    return resolution == Resolution::kFine ? fineWindowSeconds_
+                                           : coarseWindowSeconds_;
+  }
+  /// The newest of `windows`, `width` seconds wide.
+  [[nodiscard]] static std::optional<WindowRollup> newest(
+      const WindowBuffer& windows, double width);
 
   std::uint64_t generation_ = 0;
   double fineWindowSeconds_ = 1.0;
@@ -350,6 +423,22 @@ class RollupStore {
   /// locks, so it exactly identifies the copied state.
   [[nodiscard]] StoreSnapshot snapshot() const;
 
+  /// A copy of only each resolution's newest window of the series of
+  /// `job`, `rank` and `metric` (any when unset or empty): what a wire
+  /// `snapshot` reads.  It takes one shard lock at a time, so each
+  /// series' windows are of one instant but different shards' need not
+  /// be; its generation() is the one read before the first lock.
+  [[nodiscard]] StoreSnapshot snapshotNewest(
+      const std::optional<std::string>& job, std::optional<int> rank,
+      const std::string& metric) const;
+
+  /// A copy of one series' windows at `resolution` that intersect
+  /// [t0, t1], taken under its shard's lock alone: what a wire `range`
+  /// reads.
+  [[nodiscard]] StoreSnapshot snapshotRange(const SeriesKey& key, double t0,
+                                            double t1,
+                                            Resolution resolution) const;
+
   // --- federation surface (DESIGN.md §11) ----------------------------------
 
   /// Applies forwarded window snapshots of one series in order, under
@@ -403,7 +492,7 @@ class RollupStore {
   [[nodiscard]] std::optional<WindowRollup> latest(
       const SeriesKey& key, Resolution resolution = Resolution::kFine) const;
 
-  /// Windows intersecting [t0, t1], oldest first.
+  /// Windows intersecting [t0, t1], oldest first: snapshotRange()'s.
   [[nodiscard]] std::vector<WindowRollup> range(
       const SeriesKey& key, double t0, double t1,
       Resolution resolution = Resolution::kFine) const;
@@ -450,6 +539,9 @@ class RollupStore {
     std::uint64_t evicted = 0;
     std::size_t dirty = 0;  ///< dirty-window marks queued in this shard
   };
+
+  /// An empty snapshot with this store's window widths.
+  [[nodiscard]] StoreSnapshot emptySnapshot() const;
 
   [[nodiscard]] Shard& shardOf(const SeriesKey& key);
   [[nodiscard]] const Shard& shardOf(const SeriesKey& key) const;

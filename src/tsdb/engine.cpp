@@ -612,10 +612,9 @@ std::optional<WindowRollup> Engine::latest(const SeriesKey& key,
                       hot != hot_.end() ? &hot->second : nullptr, resolution);
 }
 
-void Engine::forEachNewest(
-    const std::optional<std::string>& job, std::optional<int> rank,
-    const std::function<void(const SeriesKey&, const NewestWindows&)>& visit)
-    const {
+void Engine::forEachNewest(const std::optional<std::string>& job,
+                           std::optional<int> rank, const std::string& metric,
+                           const NewestVisitor& visit) const {
   // A job's keys (of one rank, when asked) are one contiguous key range
   // starting at {job, rank, ""}; without a job, one walk of every key
   // skips the other ranks.  Both maps are merged in key order.
@@ -642,7 +641,8 @@ void Engine::forEachNewest(
     const DiskSeries* diskSeries = order <= 0 ? &disk->second : nullptr;
     const SeriesWindows* hotSeries = order >= 0 ? &hot->second : nullptr;
     const SeriesKey& key = order <= 0 ? disk->first : hot->first;
-    if (!rank || key.rank == *rank) {
+    if ((!rank || key.rank == *rank) &&
+        (metric.empty() || key.metric == metric)) {
       visit(key,
             NewestWindows{
                 newestWindow(diskSeries, hotSeries, Resolution::kFine),
@@ -657,11 +657,17 @@ void Engine::forEachNewest(
   }
 }
 
-std::vector<SeriesKey> Engine::seriesKeys() const {
+std::vector<SeriesKey> Engine::seriesKeys(
+    const std::optional<std::string>& job, std::optional<int> rank,
+    const std::string& metric) const {
+  const auto matches = [&](const SeriesKey& key) {
+    return aggregator::keyMatches(key, job, rank, metric);
+  };
   std::vector<SeriesKey> keys;
-  keys.reserve(diskNewest_.size() + hot_.size());
-  std::ranges::set_union(std::views::keys(diskNewest_), std::views::keys(hot_),
-                         std::back_inserter(keys));
+  std::ranges::set_union(
+      std::views::keys(diskNewest_) | std::views::filter(matches),
+      std::views::keys(hot_) | std::views::filter(matches),
+      std::back_inserter(keys));
   return keys;
 }
 

@@ -53,6 +53,7 @@
 
 namespace zerosum::tsdb {
 
+using aggregator::NewestWindows;
 using aggregator::WindowRollup;
 
 struct EngineOptions {
@@ -87,12 +88,6 @@ struct SourceRecord {
   friend bool operator==(const SourceRecord&, const SourceRecord&) = default;
 };
 
-/// A series' newest fine and coarse windows, as latest() answers them.
-struct NewestWindows {
-  std::optional<WindowRollup> fine;
-  std::optional<WindowRollup> coarse;
-};
-
 struct EngineCounters {
   std::uint64_t batchesAppended = 0;
   std::uint64_t samplesAppended = 0;
@@ -105,7 +100,7 @@ struct EngineCounters {
   std::uint64_t segmentsRejected = 0;  ///< recovery: unreadable segments
 };
 
-class Engine {
+class Engine final : public aggregator::ReadView {
  public:
   /// Opens (recovering) or creates the data dir.  Throws ConfigError on
   /// bad options, StateError when the dir cannot be created/opened.
@@ -142,24 +137,38 @@ class Engine {
   /// and the hot state.
   [[nodiscard]] std::vector<WindowRollup> range(
       const SeriesKey& key, double t0, double t1,
-      Resolution resolution = Resolution::kFine) const;
+      Resolution resolution = Resolution::kFine) const override;
 
   /// Newest window of a series: the same rollup range() answers for that
   /// window.  Throws ParseError when a block holding it fails to decode.
   [[nodiscard]] std::optional<WindowRollup> latest(
       const SeriesKey& key, Resolution resolution = Resolution::kFine) const;
 
-  /// Visits, in key order, every series of `job` and `rank` (any job or
-  /// rank when unset) with its newest windows at both resolutions —
-  /// latest()'s answers.  With a job it walks only that job's key range;
-  /// without one it walks every key.  Throws like latest().
-  void forEachNewest(
-      const std::optional<std::string>& job, std::optional<int> rank,
-      const std::function<void(const SeriesKey&, const NewestWindows&)>&
-          visit) const;
+  /// Visits, in key order, every series of `job`, `rank` and `metric`
+  /// (any when unset or empty) with its newest windows at both
+  /// resolutions — latest()'s answers.  With a job it walks only that
+  /// job's key range; without one it walks every key.  Throws like
+  /// latest().
+  void forEachNewest(const std::optional<std::string>& job,
+                     std::optional<int> rank, const std::string& metric,
+                     const NewestVisitor& visit) const override;
+  /// The same over every metric.
+  void forEachNewest(const std::optional<std::string>& job,
+                     std::optional<int> rank,
+                     const NewestVisitor& visit) const {
+    forEachNewest(job, rank, {}, visit);
+  }
 
-  /// All series keys, sorted (union of disk and memory).
-  [[nodiscard]] std::vector<SeriesKey> seriesKeys() const;
+  /// The keys of `job`, `rank` and `metric` (any when unset or empty),
+  /// sorted (union of disk and memory).  No block is decoded, so a
+  /// damaged one does not fail the listing.
+  [[nodiscard]] std::vector<SeriesKey> seriesKeys(
+      const std::optional<std::string>& job, std::optional<int> rank,
+      const std::string& metric) const override;
+  /// Every series key.
+  [[nodiscard]] std::vector<SeriesKey> seriesKeys() const {
+    return seriesKeys(std::nullopt, std::nullopt, {});
+  }
 
   /// Registry entries, sorted by (job, rank).
   [[nodiscard]] std::vector<SourceRecord> sources() const;
@@ -170,6 +179,10 @@ class Engine {
   /// query service can read it without the async-writer engine mutex.
   [[nodiscard]] std::uint64_t dataGeneration() const {
     return dataGeneration_.load(std::memory_order_acquire);
+  }
+  /// dataGeneration(), as a query stamps its answers.
+  [[nodiscard]] std::uint64_t generation() const override {
+    return dataGeneration();
   }
 
   [[nodiscard]] const EngineCounters& counters() const { return counters_; }

@@ -1,0 +1,498 @@
+// The one query dialect (aggregator/query.hpp):
+//   * parity: one seeded data set, half of it sealed into a tsdb segment
+//     and half left in hot windows, answers every snapshot and range alike
+//     through the wire (with and without an engine), the read plane (POST
+//     and GET forms) and the offline engine overload over the sealed dir,
+//     and every entry point rejects the same malformed requests;
+//   * the read plane's export lists an engine's series without decoding
+//     their newest blocks, so one bounded before a damaged block answers;
+//   * a seeded mutation run of the one parser, JSON and GET forms,
+//     through all three entry points: every input gets an answer or an
+//     error body, never an exception.
+#include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <chrono>
+#include <filesystem>
+#include <fstream>
+#include <map>
+#include <memory>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "aggregator/daemon.hpp"
+#include "aggregator/http.hpp"
+#include "aggregator/query.hpp"
+#include "aggregator/queryservice.hpp"
+#include "aggregator/transport.hpp"
+#include "aggregator/wire.hpp"
+#include "common/json.hpp"
+#include "common/stats.hpp"
+#include "trace/metrics.hpp"
+#include "tsdb/engine.hpp"
+#include "tsdb/segment.hpp"
+
+using namespace zerosum;
+using namespace zerosum::aggregator;
+
+namespace {
+
+namespace fs = std::filesystem;
+
+using Params = std::map<std::string, std::string>;
+
+constexpr const char* kJobs[] = {"a", "b"};
+constexpr int kRanks = 3;
+constexpr const char* kMetrics[] = {"m0", "m1", "m2"};
+constexpr int kSeconds = 40;  // four coarse windows
+constexpr double kNow = kSeconds;
+
+/// Two daemons fed the same seeded records over the pipe, one of them
+/// persisting through a tsdb engine; the read plane serves that one.
+class QueryDialectTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    trace::MetricsRegistry::instance().reset();
+    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+    dir_ = fs::temp_directory_path() /
+           (std::string("zs_query_") + info->name() + "_" +
+            std::to_string(::getpid()));
+    fs::remove_all(dir_);
+    tsdb::EngineOptions options;
+    options.fsync = tsdb::FsyncPolicy::kOff;
+    engine_ = std::make_unique<tsdb::Engine>(dir_.string(), options);
+    withEngine_ = std::make_unique<Aggregator>(engineHub_.makeServer());
+    withEngine_->attachEngine(engine_.get());
+    storeOnly_ = std::make_unique<Aggregator>(storeHub_.makeServer());
+    QueryServiceOptions serviceOptions;
+    serviceOptions.maxQueriesPerPoll = 1U << 30;  // nothing is shed here
+    serviceOptions.bulkQueriesPerPoll = 1U << 30;
+    service_ = std::make_unique<QueryService>(*withEngine_, serviceOptions);
+  }
+
+  void TearDown() override {
+    service_.reset();
+    withEngine_.reset();
+    storeOnly_.reset();
+    engine_.reset();
+    fs::remove_all(dir_);
+    trace::MetricsRegistry::instance().reset();
+  }
+
+  /// 2 jobs x 3 ranks x 3 metrics, two records per series and second.
+  /// Integer values, so the store's and the engine's sums agree bit for
+  /// bit; the first half is compacted into a segment, the rest stays hot.
+  void ingest(std::uint64_t seed) {
+    stats::SplitMix64 rng(seed);
+    std::vector<std::unique_ptr<Transport>> sources;
+    for (PipeHub* hub : {&engineHub_, &storeHub_}) {
+      for (const char* job : kJobs) {
+        for (int rank = 0; rank < kRanks; ++rank) {
+          Frame hello;
+          hello.kind = FrameKind::kHello;
+          hello.hello.job = job;
+          hello.hello.rank = rank;
+          hello.hello.worldSize = kRanks;
+          hello.hello.hostname = "node0000";
+          hello.hello.pid = 100 + rank;
+          sources.push_back(hub->makeClientTransport());
+          ASSERT_TRUE(sources.back()->connect());
+          ASSERT_TRUE(sources.back()->send(encodeFrame(hello)));
+        }
+      }
+    }
+    const std::size_t perDaemon = sources.size() / 2;
+    for (int second = 0; second < kSeconds; ++second) {
+      for (std::size_t s = 0; s < perDaemon; ++s) {
+        Frame batch;
+        batch.kind = FrameKind::kBatch;
+        batch.timeSeconds = second + 0.75;
+        for (const char* metric : kMetrics) {
+          for (const double offset : {0.25, 0.75}) {
+            batch.records.push_back(
+                {second + offset, metric,
+                 static_cast<double>(rng.nextBelow(1000))});
+          }
+        }
+        const std::string bytes = encodeFrame(batch);
+        ASSERT_TRUE(sources[s]->send(bytes));
+        ASSERT_TRUE(sources[perDaemon + s]->send(bytes));
+      }
+      withEngine_->poll(second + 1.0);
+      storeOnly_->poll(second + 1.0);
+      if (second == kSeconds / 2) {
+        engine_->compact();
+      }
+    }
+    ASSERT_EQ(engine_->segmentCount(), 1U);
+  }
+
+  /// Opens the sealed data dir the way `zerosum-post --tsdb-query` does.
+  std::unique_ptr<tsdb::Engine> sealAndReopen() {
+    engine_->seal();
+    tsdb::EngineOptions options;
+    options.readOnly = true;
+    return std::make_unique<tsdb::Engine>(dir_.string(), options);
+  }
+
+  fs::path dir_;
+  PipeHub engineHub_;
+  PipeHub storeHub_;
+  std::unique_ptr<tsdb::Engine> engine_;
+  std::unique_ptr<Aggregator> withEngine_;
+  std::unique_ptr<Aggregator> storeOnly_;
+  std::unique_ptr<QueryService> service_;
+};
+
+/// The JSON form of a GET-form request: rank and bounds as numbers.
+std::string jsonOf(const std::string& op, const Params& params) {
+  std::ostringstream out;
+  json::Writer w(out);
+  w.beginObject().field("op", op);
+  for (const auto& [name, value] : params) {
+    if (name == "rank" || name == "t0" || name == "t1") {
+      w.field(name, std::stod(value));
+    } else {
+      w.field(name, value);
+    }
+  }
+  w.endObject();
+  return out.str();
+}
+
+/// The array an answer ends with, named by its `field`: what the entry
+/// points must agree on, without the generation each stamps differently.
+std::string arrayOf(const std::string& body, const std::string& field) {
+  const std::size_t at = body.find("\"" + field + "\":");
+  const std::size_t end = body.rfind(']');
+  return at == std::string::npos || end == std::string::npos || end < at
+             ? "missing " + field + " in " + body
+             : body.substr(at, end + 1 - at);
+}
+
+bool isError(const std::string& body) {
+  return json::parse(body).find("error") != nullptr;
+}
+
+}  // namespace
+
+TEST_F(QueryDialectTest, EveryEntryPointAnswersSnapshotsAndRangesAlike) {
+  ingest(20);
+  struct Request {
+    std::string op;
+    Params params;
+    std::size_t entries;  ///< series or windows expected
+  };
+  const std::vector<Request> requests = {
+      {"snapshot", {}, 18},
+      {"snapshot", {{"job", "a"}}, 9},
+      {"snapshot", {{"rank", "1"}}, 6},
+      {"snapshot", {{"job", "b"}, {"rank", "2"}}, 3},
+      {"snapshot", {{"metric", "m1"}}, 6},
+      {"snapshot", {{"job", "a"}, {"rank", "0"}, {"metric", "m2"}}, 1},
+      {"snapshot", {{"rank", "2"}, {"metric", "m0"}}, 2},
+      {"snapshot", {{"job", "none"}}, 0},
+      {"range", {{"job", "a"}, {"rank", "1"}, {"metric", "m0"}}, 40},
+      {"range",
+       {{"job", "b"}, {"rank", "2"}, {"metric", "m2"}, {"t0", "5"},
+        {"t1", "25.5"}},
+       21},
+      {"range",
+       {{"job", "a"}, {"rank", "0"}, {"metric", "m1"},
+        {"resolution", "coarse"}},
+       4},
+      {"range",
+       {{"job", "b"}, {"rank", "0"}, {"metric", "m0"}, {"t0", "12"},
+        {"t1", "30"}, {"resolution", "coarse"}},
+       3},
+      {"range", {{"metric", "m0"}}, 0},  // job "" and rank 0: no series
+  };
+  std::vector<std::vector<std::string>> answers;
+  for (const Request& request : requests) {
+    const std::string json = jsonOf(request.op, request.params);
+    const QueryResult post =
+        service_->execute(json, QueryClass::kLive, kNow);
+    const QueryResult get = service_->executeParams(
+        request.op, request.params, QueryClass::kLive, kNow);
+    ASSERT_EQ(post.status, 200) << json << post.body;
+    ASSERT_EQ(get.status, 200) << json << get.body;
+    answers.push_back({withEngine_->query(json), storeOnly_->query(json),
+                       post.body, get.body});
+  }
+  const std::unique_ptr<tsdb::Engine> offline = sealAndReopen();
+  const char* entryPoints[] = {"wire (engine)", "wire (store)",
+                               "read plane POST", "read plane GET",
+                               "offline"};
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const Request& request = requests[i];
+    const std::string json = jsonOf(request.op, request.params);
+    answers[i].push_back(runQuery(*offline, json));
+    const std::string field = request.op == "snapshot" ? "series" : "windows";
+    const std::string expected = arrayOf(answers[i][0], field);
+    EXPECT_EQ(json::parse(answers[i][0]).find(field)->asArray().size(),
+              request.entries)
+        << json << answers[i][0];
+    for (std::size_t e = 1; e < answers[i].size(); ++e) {
+      EXPECT_EQ(arrayOf(answers[i][e], field), expected)
+          << json << " through " << entryPoints[e];
+    }
+  }
+}
+
+TEST_F(QueryDialectTest, EveryEntryPointRejectsTheSameMalformedRequests) {
+  ingest(21);
+  const std::vector<std::pair<std::string, Params>> bad = {
+      {"range", {{"job", "a"}, {"rank", "0"}}},  // range needs a metric
+      {"snapshot", {{"resolution", "huge"}}},
+      {"range", {{"job", "a"}, {"rank", "2147483648"}, {"metric", "m0"}}},
+      {"snapshot", {{"rank", "-1e300"}}},
+  };
+  const std::unique_ptr<tsdb::Engine> offline = sealAndReopen();
+  for (const auto& [op, params] : bad) {
+    const std::string json = jsonOf(op, params);
+    EXPECT_TRUE(isError(withEngine_->query(json))) << json;
+    EXPECT_TRUE(isError(storeOnly_->query(json))) << json;
+    EXPECT_TRUE(isError(runQuery(*offline, json))) << json;
+    EXPECT_EQ(service_->execute(json, QueryClass::kLive, kNow).status, 400)
+        << json;
+    EXPECT_EQ(
+        service_->executeParams(op, params, QueryClass::kLive, kNow).status,
+        400)
+        << json;
+  }
+  // JSON has no NaN; the GET form does, and a NaN bound is an error.
+  for (const char* bound : {"t0", "t1"}) {
+    EXPECT_EQ(service_
+                  ->executeParams("range",
+                                  {{"job", "a"}, {"metric", "m0"},
+                                   {bound, "nan"}},
+                                  QueryClass::kLive, kNow)
+                  .status,
+              400)
+        << bound;
+  }
+}
+
+TEST_F(QueryDialectTest, ExportBoundedBeforeADamagedNewestBlockAnswers) {
+  const SeriesKey damaged{"a", 0, "m0"};
+  const SeriesKey intact{"a", 1, "m0"};
+  const std::string dir = (dir_ / "damaged").string();
+  {
+    tsdb::EngineOptions options;
+    options.fsync = tsdb::FsyncPolicy::kOff;
+    tsdb::Engine engine(dir, options);
+    for (const SeriesKey& key : {damaged, intact}) {
+      engine.append(key.job, key.rank, {{1.5, key.metric, 5.0}});
+    }
+    engine.compact();
+    for (const SeriesKey& key : {damaged, intact}) {
+      engine.append(key.job, key.rank, {{4.5, key.metric, 6.0}});
+    }
+    engine.seal();
+    ASSERT_EQ(engine.segmentCount(), 2U);
+  }
+  // Flip the first byte (the window count) of the block that holds the
+  // damaged series' newest fine window, in the second segment.
+  const std::string segment = dir + "/segment-00000002.zss";
+  std::uint64_t offset = 0;
+  {
+    const tsdb::SegmentReader reader(segment);
+    const auto entries = reader.find(damaged, Resolution::kFine);
+    ASSERT_EQ(entries.size(), 1U);
+    offset = entries[0].offset;
+  }
+  {
+    std::fstream file(segment, std::ios::binary | std::ios::in | std::ios::out);
+    file.seekg(static_cast<std::streamoff>(offset));
+    char byte = 0;
+    file.read(&byte, 1);
+    file.seekp(static_cast<std::streamoff>(offset));
+    file.put(static_cast<char>(byte ^ 0x5A));
+  }
+  tsdb::EngineOptions readOnly;
+  readOnly.readOnly = true;
+  tsdb::Engine engine(dir, readOnly);
+  ASSERT_THROW((void)engine.latest(damaged), ParseError);
+  PipeHub hub;
+  Aggregator daemon(hub.makeServer());
+  daemon.attachEngine(&engine);
+  QueryService service(daemon);
+
+  const QueryResult bounded = service.executeParams(
+      "export", {{"metric", "m0"}, {"t1", "3"}}, QueryClass::kBulk, kNow);
+  ASSERT_EQ(bounded.status, 200) << bounded.body;
+  const json::Value answer = json::parse(bounded.body);
+  const auto& series = answer.find("series")->asArray();
+  ASSERT_EQ(series.size(), 2U);
+  for (const json::Value& entry : series) {
+    const auto& windows = entry.find("windows")->asArray();
+    ASSERT_EQ(windows.size(), 1U) << bounded.body;
+    EXPECT_EQ(windows[0].numberOr("max", -1.0), 5.0);
+  }
+}
+
+namespace {
+
+/// Requests the query tests send, as the mutation run's seeds.
+const std::vector<std::string> kJsonSeeds = {
+    R"({"op":"snapshot","rank":0})",
+    R"({"op":"snapshot","rank":9})",
+    R"({"op":"snapshot","job":"a","rank":1,"metric":"m0"})",
+    R"({"op":"range","job":"job","rank":0,"metric":"hwt.0.user_pct","t0":0,"t1":10})",
+    R"({"op":"range","metric":"m1","job":"b","rank":2,"t0":0,"t1":60,"resolution":"coarse"})",
+    R"({"op":"sources"})",
+    R"({"op":"dashboard"})",
+    R"({"op":"catalog"})",
+    R"({"op":"series"})",
+    R"({"op":"stats"})",
+    R"({"op":"export","metric":"m2"})",
+    R"({"op":"window","metric":"m0","window_s":60})",
+    R"({"op":"window","metric":"m","window_s":0})",
+    R"({"op":"snapshot","resolution":"huge"})",
+    R"({"op":"snapshot","rank":-2147483648})",
+    R"({"op":"nope"})",
+    R"({"op":"range"})",
+    "{{{",
+    "[1,2]",
+};
+const std::vector<std::string> kGetSeeds = {
+    "/api/query?op=snapshot&metric=m0",
+    "/api/query?op=series",
+    "/api/query?op=range&job=a&rank=0&metric=m1&t0=-inf&t1=inf",
+    "/api/query?op=range&metric=m&t0=abc",
+    "/api/query?op=window&metric=m2&window_s=60",
+    "/api/query?op=export&class=bulk&metric=m0",
+    "/api/query?op=snapshot&rank=1e300",
+    "/api/query?op=stats",
+};
+const std::vector<std::string> kFields = {
+    "op", "job", "rank", "metric", "t0", "t1", "resolution", "window_s", "x"};
+const std::vector<std::string> kJsonValues = {
+    "null", "true", "[]", "{}", "[1,2]", R"({"a":1})", R"("fine")",
+    R"("coarse")", R"("huge")", R"("")", R"("m0")", R"("a")", R"("range")",
+    R"("snapshot")", R"("window")", R"("export")", R"("\u0000")", "0", "-1",
+    "3.5", "-0", "1e308", "-1e308", "5e-324", "1e999", "2147483648",
+    "-2147483649", "9007199254740993", "NaN", "Infinity", "1e-400"};
+const std::vector<std::string> kGetValues = {
+    "", "inf", "-inf", "nan", "1e308", "-1e308", "5e-324", "1e999", "-0",
+    "2147483648", "-2147483649", "0x10", " 1", "1 ", "%00", "%zz", "%",
+    "abc", "fine", "coarse", "huge", "m0", "a", "range", "window", "export"};
+
+std::size_t below(stats::SplitMix64& rng, std::size_t n) {
+  return static_cast<std::size_t>(rng.nextBelow(n));
+}
+
+/// One to three mutations of `text`: byte flips, inserts, deletes and
+/// truncation, a duplicated key, or a value swapped for one of another
+/// type or a huge or non-finite number.  `get` picks the GET form's
+/// separators and values.
+std::string mutate(stats::SplitMix64& rng, std::string text, bool get) {
+  const std::vector<std::string>& values = get ? kGetValues : kJsonValues;
+  const std::string alphabet =
+      get ? "&=%+?/.-0123456789abcdefinx" : "{}[]\":,.-+eE0123456789 \\nul";
+  const std::size_t edits = 1 + below(rng, 3);
+  for (std::size_t e = 0; e < edits; ++e) {
+    const std::size_t at = below(rng, text.size() + 1);
+    switch (below(rng, 7)) {
+      case 0:  // flip a bit
+        if (at < text.size()) {
+          text[at] = static_cast<char>(text[at] ^ (1 << below(rng, 8)));
+        }
+        break;
+      case 1:  // insert a byte
+        text.insert(at, 1,
+                    below(rng, 4) == 0
+                        ? static_cast<char>(below(rng, 256))
+                        : alphabet[below(rng, alphabet.size())]);
+        break;
+      case 2:  // delete a byte
+        if (at < text.size()) {
+          text.erase(at, 1);
+        }
+        break;
+      case 3:  // truncate
+        text.resize(at);
+        break;
+      case 4: {  // duplicate a key
+        const std::string& field = kFields[below(rng, kFields.size())];
+        const std::string& value = values[below(rng, values.size())];
+        if (get) {
+          text += "&" + field + "=" + value;
+        } else if (const std::size_t open = text.find('{');
+                   open != std::string::npos) {
+          text.insert(open + 1, "\"" + field + "\":" + value + ",");
+        }
+        break;
+      }
+      default: {  // swap a value for another type, or a huge number
+        const std::size_t sep = text.find(get ? '=' : ':', at);
+        if (sep == std::string::npos) {
+          break;
+        }
+        const std::size_t end = text.find_first_of(get ? "&" : ",}", sep + 1);
+        text.replace(sep + 1,
+                     (end == std::string::npos ? text.size() : end) - sep - 1,
+                     values[below(rng, values.size())]);
+        break;
+      }
+    }
+  }
+  return text;
+}
+
+/// An answer is a whole JSON document: one object, newline-terminated.
+bool wellFormed(const std::string& body) {
+  return body.size() >= 3 && body.front() == '{' &&
+         body.compare(body.size() - 2, 2, "}\n") == 0;
+}
+
+}  // namespace
+
+TEST_F(QueryDialectTest, MutatedRequestsGetAnAnswerOrAnErrorNeverAThrow) {
+  ingest(22);
+  const std::unique_ptr<tsdb::Engine> offline = sealAndReopen();
+  stats::SplitMix64 rng(2020);
+  constexpr int kInputs = 10000;  // per form
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < kInputs; ++i) {
+    const std::string request =
+        mutate(rng, kJsonSeeds[below(rng, kJsonSeeds.size())], false);
+    const std::string wire = storeOnly_->query(request);
+    EXPECT_TRUE(wellFormed(wire)) << request << " -> " << wire;
+    const std::string answer = runQuery(*offline, request);
+    EXPECT_TRUE(wellFormed(answer)) << request << " -> " << answer;
+    const QueryResult post =
+        service_->execute(request, QueryClass::kLive, kNow);
+    EXPECT_TRUE(post.status == 200 || post.status == 400)
+        << request << " -> " << post.status;
+    EXPECT_TRUE(wellFormed(post.body)) << request << " -> " << post.body;
+
+    const std::string target =
+        mutate(rng, kGetSeeds[below(rng, kGetSeeds.size())], true);
+    Params params = parseQueryString(target);
+    std::string op;
+    if (const auto it = params.find("op"); it != params.end()) {
+      op = it->second;
+      params.erase(it);
+    }
+    params.erase("class");
+    const QueryResult get =
+        service_->executeParams(op, params, QueryClass::kLive, kNow);
+    EXPECT_TRUE(get.status == 200 || get.status == 400)
+        << target << " -> " << get.status;
+    EXPECT_TRUE(wellFormed(get.body)) << target << " -> " << get.body;
+    if (HasFailure()) {
+      return;  // one reported input is enough
+    }
+  }
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  RecordProperty("inputs", 2 * kInputs);
+  RecordProperty("milliseconds", static_cast<int>(seconds * 1e3));
+  // Both forms produced errors and answers: the run reached the op bodies.
+  const QueryServiceCounters counters = service_->counters();
+  EXPECT_GT(counters.badRequests, 1000U);
+  EXPECT_GT(counters.served, 1000U);
+}

@@ -21,17 +21,18 @@
 #include <string>
 #include <vector>
 
+#include "aggregator/query.hpp"
 #include "cluster/job.hpp"
 #include "common/error.hpp"
 #include "common/json.hpp"
 #include "topology/presets.hpp"
 #include "trace/metrics.hpp"
 #include "tsdb/engine.hpp"
-#include "tsdb/query.hpp"
 #include "tsdb/segment.hpp"
 
 using namespace zerosum;
 using namespace zerosum::tsdb;
+using zerosum::aggregator::runQuery;
 
 namespace {
 

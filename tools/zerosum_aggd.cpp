@@ -11,9 +11,10 @@
 //   --http-port <n>      also serve the telemetry plane over HTTP on this
 //                        port (0 = kernel-assigned, printed on startup):
 //                        GET /metrics (Prometheus text), /healthz,
-//                        /readyz, /dashboard, POST /query, plus the
-//                        query/dashboard service (DESIGN.md §12):
-//                        GET /api/query, GET /api/stats (default off)
+//                        /readyz, /dashboard, plus the read plane
+//                        (DESIGN.md §12): GET /api/query and POST /query
+//                        (its ops: src/aggregator/query.hpp), GET
+//                        /api/stats (default off)
 //   --query-budget <n>   queries admitted per poll across both classes
 //                        (default 128; excess sheds with 429)
 //   --bulk-budget <n>    slice of the per-poll budget bulk-class queries

@@ -21,9 +21,10 @@
 //                     send one JSON query to a live zerosum-aggd and
 //                     print the response (needs no logs); the daemon
 //                     address comes from --agg-host/--agg-port or
-//                     ZS_AGG_HOST/ZS_AGG_PORT.  Shorthand: the words
-//                     sources, snapshot, or dashboard expand to the
-//                     corresponding {"op": ...} request.
+//                     ZS_AGG_HOST/ZS_AGG_PORT.  The request dialect, and
+//                     the ops each entry point answers, are listed in
+//                     src/aggregator/query.hpp.  Shorthand: a bare word w
+//                     is the request {"op":"w"}.
 //   --http-query <target>
 //                     issue one HTTP/1.1 GET against a live zerosum-aggd
 //                     --http-port plane and print the response body
@@ -38,11 +39,12 @@
 //                     answer one JSON query offline from a tsdb data dir
 //                     (--data-dir or ZS_TSDB_DIR) written by
 //                     zerosum-aggd --data-dir; no daemon needed, the dir
-//                     is opened read-only.  Same request dialect as
-//                     --agg-query (ops: sources, snapshot, range, stats)
-//                     and the same bare-word shorthand.
+//                     is opened read-only.  Same request dialect and
+//                     bare-word shorthand as --agg-query; the offline ops
+//                     are listed in src/aggregator/query.hpp.
 //   --data-dir <dir>  the tsdb data dir for --tsdb-query
 #include <algorithm>
+#include <cctype>
 #include <chrono>
 #include <fstream>
 #include <iostream>
@@ -64,7 +66,6 @@
 #include "mpisim/recorder.hpp"
 #include "trace/prometheus.hpp"
 #include "tsdb/engine.hpp"
-#include "tsdb/query.hpp"
 
 using namespace zerosum;
 
@@ -126,6 +127,16 @@ void renderBarsFromTable(const analysis::Table& table,
                 << " |" << bar << "|\n";
     }
   }
+}
+
+/// The request --agg-query and --tsdb-query send: a bare word w is
+/// {"op":"w"}, anything else goes out as given.
+std::string requestOf(const std::string& text) {
+  const bool word =
+      !text.empty() && std::all_of(text.begin(), text.end(), [](char c) {
+        return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
+      });
+  return word ? "{\"op\":\"" + text + "\"}" : text;
 }
 
 }  // namespace
@@ -207,15 +218,11 @@ int main(int argc, char** argv) {
                    "ZS_TSDB_DIR)\n";
       return 2;
     }
-    if (tsdbQuery == "sources" || tsdbQuery == "snapshot" ||
-        tsdbQuery == "stats") {
-      tsdbQuery = "{\"op\":\"" + tsdbQuery + "\"}";
-    }
     try {
       tsdb::EngineOptions options;
       options.readOnly = true;
       const tsdb::Engine engine(tsdbDir, options);
-      std::cout << tsdb::runQuery(engine, tsdbQuery) << '\n';
+      std::cout << aggregator::runQuery(engine, requestOf(tsdbQuery));
     } catch (const Error& e) {
       std::cerr << "zerosum-post: " << tsdbDir << ": " << e.what() << '\n';
       return 1;
@@ -224,8 +231,9 @@ int main(int argc, char** argv) {
   }
 
   if (!httpQuery.empty()) {
-    // Bare-word shorthand mirroring --agg-query; anything starting with
-    // '/' goes out verbatim so arbitrary query parameters work.
+    // Bare words: stats is the /api/stats route, any other word w the
+    // read plane's op w; anything starting with '/' goes out verbatim so
+    // arbitrary query parameters work.
     std::string target = httpQuery;
     if (target.empty() || target[0] != '/') {
       target = target == "stats" ? std::string("/api/stats")
@@ -272,14 +280,9 @@ int main(int argc, char** argv) {
   }
 
   if (!aggQuery.empty()) {
-    // Bare-word shorthand for the common requests.
-    if (aggQuery == "sources" || aggQuery == "snapshot" ||
-        aggQuery == "dashboard") {
-      aggQuery = "{\"op\":\"" + aggQuery + "\"}";
-    }
     aggregator::TcpTransport transport(aggHost, aggPort);
     const auto response = aggregator::requestOverTransport(
-        transport, aggQuery,
+        transport, requestOf(aggQuery),
         [] { std::this_thread::sleep_for(std::chrono::milliseconds(10)); });
     if (!response) {
       std::cerr << "zerosum-post: no response from " << aggHost << ':'
@@ -298,7 +301,7 @@ int main(int argc, char** argv) {
       // fall through to raw output
     }
     if (!printed) {
-      std::cout << *response << '\n';
+      std::cout << *response;
     }
     return 0;
   }
