@@ -1,10 +1,13 @@
 // Micro-benchmarks (google-benchmark): the per-operation costs that bound
 // ZeroSum's overhead budget — /proc text parsing, a full monitor sample as
 // a function of thread count, the MPI interposition per message, CpuSet
-// parsing, and the simulator's scheduler tick.
+// parsing, the simulator's scheduler tick, and the tsdb write path's
+// kernels (the WAL/segment CRC and the segment value codec).
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <iostream>
+#include <random>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -19,6 +22,8 @@
 #include "procfs/parse.hpp"
 #include "procfs/simfs.hpp"
 #include "sim/workload.hpp"
+#include "tsdb/codec.hpp"
+#include "tsdb/crc32.hpp"
 
 namespace {
 
@@ -195,6 +200,42 @@ void BM_TopologyBuildFrontier(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TopologyBuildFrontier);
+
+void BM_Crc32(benchmark::State& state) {
+  const auto size = static_cast<std::size_t>(state.range(0));
+  std::mt19937_64 rng(1);
+  std::string bytes(size, '\0');
+  for (char& byte : bytes) {
+    byte = static_cast<char>(rng());
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(tsdb::crc32(bytes));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(size));
+}
+BENCHMARK(BM_Crc32)->Arg(64)->Arg(1024)->Arg(64 * 1024);
+
+/// One segment block's value column: 600 fine windows of a slowly
+/// varying gauge, as compaction encodes it three times per block.
+void BM_EncodeValues(benchmark::State& state) {
+  std::mt19937_64 rng(7);
+  std::vector<double> values;
+  double v = 250.0;
+  for (int i = 0; i < 600; ++i) {
+    v += static_cast<double>(static_cast<int>(rng() % 100) - 50) / 100.0;
+    values.push_back(v);
+  }
+  std::string out;
+  for (auto _ : state) {
+    out.clear();
+    tsdb::encodeValues(values, out);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(values.size()));
+}
+BENCHMARK(BM_EncodeValues);
 
 }  // namespace
 

@@ -322,31 +322,25 @@ void Aggregator::processBatch(PendingBatch& batch, double nowSeconds) {
   auto& seriesRefs = seriesRefs_[{batch.job, batch.rank}];
   keyScratch_.job.assign(batch.job);
   keyScratch_.rank = batch.rank;
+  idScratch_.clear();
   for (const auto& record : frame.records) {
-    // One intern per record resolves the per-source series ref; the ref
-    // then skips the store's key hash and string compares.
+    // One intern per record resolves the per-source series ref (the ref
+    // then skips the store's key hash and string compares) and names the
+    // record for the engine.
     const names::Id metricId = names::intern(record.name);
     RollupStore::SeriesRef& ref = seriesRefs[metricId];
     keyScratch_.metric.assign(record.name);
     store_.ingest(keyScratch_, ref, record.timeSeconds, record.value);
+    idScratch_.push_back({record.timeSeconds, metricId, record.value});
   }
   std::uint64_t ackTicket = 0;
   if (engine_ != nullptr) {
     // Durable before the batch is acknowledged: either the WAL append
     // happens right here, or the ack is parked until the TsdbWriter's
     // durable frontier passes the batch's ticket.  Either way anything
-    // a client saw acked survives a crash.  The scratch vector (and
-    // each sample's metric string) keeps its capacity across batches.
-    samplesScratch_.resize(frame.records.size());
-    for (std::size_t i = 0; i < frame.records.size(); ++i) {
-      tsdb::Sample& s = samplesScratch_[i];
-      s.timeSeconds = frame.records[i].timeSeconds;
-      s.metric.assign(frame.records[i].name);
-      s.value = frame.records[i].value;
-    }
+    // a client saw acked survives a crash.
     if (writer_ != nullptr) {
-      const auto ticket =
-          writer_->submit(batch.job, batch.rank, samplesScratch_);
+      const auto ticket = writer_->submit(batch.job, batch.rank, idScratch_);
       if (ticket) {
         ackTicket = *ticket;
       } else {
@@ -354,10 +348,10 @@ void Aggregator::processBatch(PendingBatch& batch, double nowSeconds) {
         // records are durable immediately, so the ack needs no ticket.
         ++counters_.writerBypasses;
         std::lock_guard<std::mutex> lock(writer_->engineMutex());
-        engine_->append(batch.job, batch.rank, samplesScratch_);
+        engine_->append(batch.job, batch.rank, idScratch_);
       }
     } else {
-      engine_->append(batch.job, batch.rank, samplesScratch_);
+      engine_->append(batch.job, batch.rank, idScratch_);
     }
   }
   SourceInfo* info = sourceOf(batch.job, batch.rank);

@@ -32,7 +32,6 @@
 #include "aggregator/transport.hpp"
 #include "aggregator/wire.hpp"
 #include "trace/metrics.hpp"
-#include "tsdb/wal.hpp"
 
 namespace zerosum::tsdb {
 class Engine;
@@ -286,7 +285,8 @@ class Aggregator {
   /// Ingest scratch, reused every batch (strings keep their capacity).
   SeriesKey keyScratch_;
   std::vector<WindowSnapshot> windowScratch_;
-  std::vector<tsdb::Sample> samplesScratch_;
+  /// The batch's records as the engine takes them: names interned once.
+  std::vector<IdRecord> idScratch_;
   /// (job, rank) -> registry entry.
   std::map<std::pair<std::string, int>, SourceInfo> sources_;
   /// Highest worldSize announced per job (missing-rank detection).

@@ -7,60 +7,6 @@
 
 namespace zerosum::aggregator {
 
-// --- WindowBuffer ----------------------------------------------------------
-
-WindowBuffer::const_iterator WindowBuffer::lowerBound(
-    std::int64_t index) const {
-  return std::ranges::lower_bound(begin(), end(), index, {}, &Entry::first);
-}
-
-std::pair<WindowBuffer::const_iterator, WindowBuffer::const_iterator>
-WindowBuffer::between(double t0, double t1, double width) const {
-  if (std::isnan(t0) || std::isnan(t1) || t1 < t0) {
-    return {end(), end()};
-  }
-  const auto first = lowerBound(clampedWindowIndex(t0, width));
-  const std::int64_t lastIndex = clampedWindowIndex(t1, width);
-  auto last = first;
-  while (last != end() && last->first <= lastIndex) {
-    ++last;
-  }
-  return {first, last};
-}
-
-std::pair<Rollup*, bool> WindowBuffer::findOrInsert(std::int64_t index) {
-  if (empty() || index > entries_.back().first) {
-    entries_.emplace_back(index, Rollup{});
-    return {&entries_.back().second, true};
-  }
-  if (index == entries_.back().first) {
-    return {&entries_.back().second, false};
-  }
-  // A late window: binary search among the live entries.
-  const auto pos = entries_.begin() + (lowerBound(index) - entries_.cbegin());
-  if (pos->first == index) {
-    return {&pos->second, false};
-  }
-  return {&entries_.insert(pos, Entry{index, Rollup{}})->second, true};
-}
-
-std::size_t WindowBuffer::evictBefore(std::int64_t oldestKept) {
-  const std::size_t firstLive = head_;
-  while (head_ < entries_.size() && entries_[head_].first < oldestKept) {
-    ++head_;
-  }
-  const std::size_t evicted = head_ - firstLive;
-  // Erase the dead prefix once it is at least as long as the live part:
-  // each erase moves no more entries than were evicted since the last
-  // one, which keeps eviction amortised O(1).
-  if (head_ > 0 && head_ >= size()) {
-    entries_.erase(entries_.begin(),
-                   entries_.begin() + static_cast<std::ptrdiff_t>(head_));
-    head_ = 0;
-  }
-  return evicted;
-}
-
 // --- RollupStore -----------------------------------------------------------
 
 RollupStore::RollupStore(StoreOptions options) : options_(options) {
@@ -575,12 +521,20 @@ std::vector<SeriesKey> RollupStore::keys() const {
 
 std::vector<SeriesKey> RollupStore::keysOf(const std::string& job,
                                            int rank) const {
+  // A source's keys are one contiguous run of each shard's sorted map:
+  // copy only that run, then sort only the matches.
+  const SeriesKey from{job, rank, ""};
   std::vector<SeriesKey> out;
-  for (const auto& key : keys()) {
-    if (key.job == job && key.rank == rank) {
-      out.push_back(key);
+  for (const auto& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard->mutex);
+    for (auto it = shard->series.lower_bound(from);
+         it != shard->series.end() && it->first.job == job &&
+         it->first.rank == rank;
+         ++it) {
+      out.push_back(it->first);
     }
   }
+  std::sort(out.begin(), out.end());
   return out;
 }
 

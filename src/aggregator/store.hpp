@@ -113,8 +113,8 @@ struct WindowRollup {
 
 enum class Resolution : std::uint8_t { kFine, kCoarse };
 
-// The helpers below are inline: zs_tsdb uses this header without
-// linking zs_aggregator.
+// The helpers below, and WindowBuffer, are inline: zs_tsdb uses this
+// header without linking zs_aggregator.
 
 /// 2^63: the first double past INT64_MAX; -2^63 is INT64_MIN exactly.
 inline constexpr double kWindowIndexLimit = 9223372036854775808.0;
@@ -206,6 +206,7 @@ class WindowBuffer {
  public:
   using Entry = std::pair<std::int64_t, Rollup>;
   using const_iterator = std::vector<Entry>::const_iterator;
+  using const_reverse_iterator = std::vector<Entry>::const_reverse_iterator;
 
   WindowBuffer() = default;
   /// Copies only the live windows, in one allocation.
@@ -230,16 +231,33 @@ class WindowBuffer {
     return entries_.begin() + static_cast<std::ptrdiff_t>(head_);
   }
   [[nodiscard]] const_iterator end() const { return entries_.end(); }
+  /// The newest window first.
+  [[nodiscard]] const_reverse_iterator rbegin() const {
+    return entries_.rbegin();
+  }
   /// The newest window; the buffer must not be empty.
   [[nodiscard]] const Entry& back() const { return entries_.back(); }
 
   /// The first window whose index is >= `index`.
-  [[nodiscard]] const_iterator lowerBound(std::int64_t index) const;
+  [[nodiscard]] const_iterator lowerBound(std::int64_t index) const {
+    return std::ranges::lower_bound(begin(), end(), index, {}, &Entry::first);
+  }
 
   /// The windows, each `width` seconds wide, intersecting [t0, t1]: none
   /// when a bound is NaN or t1 < t0.
   [[nodiscard]] std::pair<const_iterator, const_iterator> between(
-      double t0, double t1, double width) const;
+      double t0, double t1, double width) const {
+    if (std::isnan(t0) || std::isnan(t1) || t1 < t0) {
+      return {end(), end()};
+    }
+    const auto first = lowerBound(clampedWindowIndex(t0, width));
+    const std::int64_t lastIndex = clampedWindowIndex(t1, width);
+    auto last = first;
+    while (last != end() && last->first <= lastIndex) {
+      ++last;
+    }
+    return {first, last};
+  }
 
   /// The oldest index a `retention`-deep horizon keeps once `index`
   /// lands (index >= 0 and retention >= 1, so this cannot overflow).
@@ -250,10 +268,46 @@ class WindowBuffer {
 
   /// The window at `index`, inserted empty in index order when absent
   /// (appended when it is the newest); `second` is true if inserted.
-  std::pair<Rollup*, bool> findOrInsert(std::int64_t index);
+  std::pair<Rollup*, bool> findOrInsert(std::int64_t index) {
+    if (empty() || index > entries_.back().first) {
+      entries_.emplace_back(index, Rollup{});
+      return {&entries_.back().second, true};
+    }
+    if (index == entries_.back().first) {
+      return {&entries_.back().second, false};
+    }
+    // A late window: binary search among the live entries.
+    const auto pos = entries_.begin() + (lowerBound(index) - entries_.cbegin());
+    if (pos->first == index) {
+      return {&pos->second, false};
+    }
+    return {&entries_.insert(pos, Entry{index, Rollup{}})->second, true};
+  }
 
   /// Evicts every window older than `oldestKept`; returns how many.
-  std::size_t evictBefore(std::int64_t oldestKept);
+  std::size_t evictBefore(std::int64_t oldestKept) {
+    const std::size_t firstLive = head_;
+    while (head_ < entries_.size() && entries_[head_].first < oldestKept) {
+      ++head_;
+    }
+    const std::size_t evicted = head_ - firstLive;
+    // Erase the dead prefix once it is at least as long as the live part:
+    // each erase moves no more entries than were evicted since the last
+    // one, which keeps eviction amortised O(1).
+    if (head_ > 0 && head_ >= size()) {
+      entries_.erase(entries_.begin(),
+                     entries_.begin() + static_cast<std::ptrdiff_t>(head_));
+      head_ = 0;
+    }
+    return evicted;
+  }
+
+  /// Drops every window and keeps the capacity, so refilling the buffer
+  /// to its old size allocates nothing.
+  void clear() {
+    entries_.clear();
+    head_ = 0;
+  }
 
  private:
   std::vector<Entry> entries_;

@@ -38,7 +38,7 @@ TsdbWriter::~TsdbWriter() {
 
 std::optional<std::uint64_t> TsdbWriter::submit(
     const std::string& job, std::int32_t rank,
-    const std::vector<tsdb::Sample>& samples) {
+    std::span<const IdRecord> records) {
   std::uint64_t ticket = 0;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -50,7 +50,7 @@ std::optional<std::uint64_t> TsdbWriter::submit(
     Pending p;
     p.job = job;
     p.rank = rank;
-    p.samples = samples;
+    p.records.assign(records.begin(), records.end());
     p.ticket = ticket;
     queue_.push_back(std::move(p));
     ++counters_.batchesSubmitted;
@@ -78,12 +78,11 @@ std::size_t TsdbWriter::drainSome(std::size_t maxBatches) {
       while (!queue_.empty() && groupBatches + written < maxBatches &&
              queue_.front().job == group.job &&
              queue_.front().rank == group.rank &&
-             group.samples.size() + queue_.front().samples.size() <=
+             group.records.size() + queue_.front().records.size() <=
                  options_.maxGroupSamples) {
         Pending& next = queue_.front();
-        group.samples.insert(group.samples.end(),
-                             std::make_move_iterator(next.samples.begin()),
-                             std::make_move_iterator(next.samples.end()));
+        group.records.insert(group.records.end(), next.records.begin(),
+                             next.records.end());
         group.ticket = next.ticket;
         queue_.pop_front();
         ++groupBatches;
@@ -92,7 +91,7 @@ std::size_t TsdbWriter::drainSome(std::size_t maxBatches) {
     {
       std::lock_guard<std::mutex> engineLock(engineMutex_);
       try {
-        engine_->append(group.job, group.rank, group.samples);
+        engine_->append(group.job, group.rank, group.records);
         engine_->maybeCompact();
       } catch (const Error& e) {
         // A failing disk must not take the daemon down; the batch is
@@ -109,7 +108,7 @@ std::size_t TsdbWriter::drainSome(std::size_t maxBatches) {
       // its predicate and waiting.
       std::lock_guard<std::mutex> lock(mutex_);
       counters_.batchesWritten += groupBatches;
-      counters_.samplesWritten += group.samples.size();
+      counters_.samplesWritten += group.records.size();
       if (groupBatches > 1) {
         ++counters_.groupCommits;
       }

@@ -33,11 +33,12 @@
 #include <deque>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "tsdb/wal.hpp"
+#include "aggregator/wire.hpp"
 
 namespace zerosum::tsdb {
 class Engine;
@@ -74,12 +75,12 @@ class TsdbWriter {
   TsdbWriter(const TsdbWriter&) = delete;
   TsdbWriter& operator=(const TsdbWriter&) = delete;
 
-  /// Queues one batch (copies the samples).  Returns the batch's
+  /// Queues one batch (copies the id records).  Returns the batch's
   /// monotonically increasing ticket, or nullopt when the queue is full
   /// — the caller handles the overflow; the writer never drops silently.
   std::optional<std::uint64_t> submit(const std::string& job,
                                       std::int32_t rank,
-                                      const std::vector<tsdb::Sample>& samples);
+                                      std::span<const IdRecord> records);
 
   /// Sync mode: appends up to maxBatchesPerPump queued batches.  No-op
   /// when threaded (the worker drains).
@@ -111,7 +112,7 @@ class TsdbWriter {
   struct Pending {
     std::string job;
     std::int32_t rank = 0;
-    std::vector<tsdb::Sample> samples;
+    std::vector<IdRecord> records;
     std::uint64_t ticket = 0;
   };
 

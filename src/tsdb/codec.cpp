@@ -13,29 +13,44 @@ void BitWriter::write(std::uint64_t value, unsigned bits) {
   if (bits > 64) {
     throw StateError("BitWriter: more than 64 bits at once");
   }
-  while (bits > 0) {
-    const unsigned room = 8 - pendingBits_;
-    const unsigned take = bits < room ? bits : room;
-    const std::uint64_t chunk =
-        (value >> (bits - take)) & ((take == 64 ? 0 : (1ULL << take)) - 1ULL);
-    pending_ = static_cast<std::uint8_t>(
-        (pending_ << take) | static_cast<std::uint8_t>(chunk));
-    pendingBits_ += take;
-    bits -= take;
-    if (pendingBits_ == 8) {
-      out_.push_back(static_cast<char>(pending_));
-      pending_ = 0;
-      pendingBits_ = 0;
-    }
+  if (bits == 0) {
+    return;
   }
+  if (bits < 64) {
+    value &= (std::uint64_t{1} << bits) - 1U;
+  }
+  const unsigned total = pendingBits_ + bits;
+  if (total < 64) {
+    pending_ = (pending_ << bits) | value;  // bits < 64 here
+    pendingBits_ = total;
+    return;
+  }
+  // The word fills: its top is the pending bits, the rest the high bits
+  // of `value`; the low `spill` bits of `value` stay pending.  Every
+  // shift count is below 64.
+  const unsigned spill = total - 64;
+  const std::uint64_t word =
+      pendingBits_ == 0 ? value
+                        : (pending_ << (64 - pendingBits_)) | (value >> spill);
+  char bytes[8];
+  for (unsigned i = 0; i < 8; ++i) {
+    bytes[i] = static_cast<char>(word >> (56 - 8 * i));
+  }
+  out_.append(bytes, sizeof(bytes));
+  pending_ = spill == 0 ? 0 : value & ((std::uint64_t{1} << spill) - 1U);
+  pendingBits_ = spill;
 }
 
 void BitWriter::flush() {
-  if (pendingBits_ > 0) {
-    out_.push_back(static_cast<char>(pending_ << (8 - pendingBits_)));
-    pending_ = 0;
-    pendingBits_ = 0;
+  if (pendingBits_ == 0) {
+    return;
   }
+  const std::uint64_t word = pending_ << (64 - pendingBits_);
+  for (unsigned i = 0; i * 8 < pendingBits_; ++i) {
+    out_.push_back(static_cast<char>(word >> (56 - 8 * i)));
+  }
+  pending_ = 0;
+  pendingBits_ = 0;
 }
 
 // --- BitReader -------------------------------------------------------------
@@ -166,9 +181,11 @@ void encodeValues(const std::vector<double>& values, std::string& out) {
     putVarint(out, 0);  // empty bit stream — the column stays framed
     return;
   }
-  std::string bitsOut;
+  // The stream goes straight into `out`; its length prefix is slotted in
+  // before it once known (a memmove of the stream, no second buffer).
+  const std::size_t streamAt = out.size();
   {
-    BitWriter w(bitsOut);
+    BitWriter w(out);
     std::uint64_t prev = doubleBits(values[0]);
     w.write(prev, 64);
     unsigned prevLeading = 65;  // sentinel: no reusable window yet
@@ -207,8 +224,9 @@ void encodeValues(const std::vector<double>& values, std::string& out) {
       }
     }
   }
-  putVarint(out, bitsOut.size());
-  out.append(bitsOut);
+  std::string prefix;  // at most 10 bytes: the small-string buffer
+  putVarint(prefix, out.size() - streamAt);
+  out.insert(streamAt, prefix);
 }
 
 std::vector<double> decodeValues(const std::string& data, std::size_t& pos) {

@@ -30,6 +30,8 @@ namespace zerosum::tsdb {
 
 /// Append-only MSB-first bit buffer (the Gorilla value codec needs
 /// sub-byte control codes; everything else is byte-aligned varints).
+/// Bits gather in a 64-bit word that reaches `out` eight bytes at a time,
+/// so `out` holds every written bit only after flush().
 class BitWriter {
  public:
   explicit BitWriter(std::string& out) : out_(out) {}
@@ -42,14 +44,14 @@ class BitWriter {
   void write(std::uint64_t value, unsigned bits);
   void writeBit(bool bit) { write(bit ? 1 : 0, 1); }
 
-  /// Pads the current byte with zero bits and appends it.  Implicit in
-  /// the destructor; idempotent.
+  /// Appends the pending bits, the last byte padded with zero bits.
+  /// Implicit in the destructor; idempotent.
   void flush();
 
  private:
   std::string& out_;
-  std::uint8_t pending_ = 0;   ///< bits accumulated, MSB first
-  unsigned pendingBits_ = 0;
+  std::uint64_t pending_ = 0;  ///< the low pendingBits_ bits, MSB first
+  unsigned pendingBits_ = 0;   ///< < 64 between calls
 };
 
 /// MSB-first bit reader over a byte range; read past the end throws

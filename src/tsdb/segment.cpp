@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -43,12 +44,12 @@ std::uint32_t getU32(const char* data) {
 }
 
 void putF64(std::string& out, double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((bits >> (8U * static_cast<unsigned>(i))) &
-                                    0xFFU));
+  const auto bits = std::bit_cast<std::uint64_t>(v);
+  char bytes[8];
+  for (unsigned i = 0; i < 8; ++i) {
+    bytes[i] = static_cast<char>(bits >> (8U * i));
   }
+  out.append(bytes, sizeof(bytes));
 }
 
 double getF64(const std::string& data, std::size_t& pos) {
@@ -88,31 +89,35 @@ auto footerOrder(const SegmentEntry& entry) {
   return std::tie(entry.key, entry.resolution);
 }
 
-/// Encodes one series+resolution block of windows.
-void encodeBlock(const std::map<std::int64_t, Rollup>& windows,
-                 std::string& out) {
+/// One block's columns, reused from block to block of a segment.
+struct BlockColumns {
   std::vector<std::int64_t> indices;
   std::vector<double> mins;
   std::vector<double> maxs;
   std::vector<double> sums;
   std::vector<std::uint64_t> counts;
-  indices.reserve(windows.size());
-  mins.reserve(windows.size());
-  maxs.reserve(windows.size());
-  sums.reserve(windows.size());
-  counts.reserve(windows.size());
+};
+
+/// Encodes one series+resolution block of windows.
+void encodeBlock(const aggregator::WindowBuffer& windows, std::string& out,
+                 BlockColumns& columns) {
+  columns.indices.clear();
+  columns.mins.clear();
+  columns.maxs.clear();
+  columns.sums.clear();
+  columns.counts.clear();
   for (const auto& [index, rollup] : windows) {
-    indices.push_back(index);
-    mins.push_back(rollup.min);
-    maxs.push_back(rollup.max);
-    sums.push_back(rollup.sum);
-    counts.push_back(rollup.count);
+    columns.indices.push_back(index);
+    columns.mins.push_back(rollup.min);
+    columns.maxs.push_back(rollup.max);
+    columns.sums.push_back(rollup.sum);
+    columns.counts.push_back(rollup.count);
   }
-  encodeTimestamps(indices, out);
-  encodeValues(mins, out);
-  encodeValues(maxs, out);
-  encodeValues(sums, out);
-  encodeCounts(counts, out);
+  encodeTimestamps(columns.indices, out);
+  encodeValues(columns.mins, out);
+  encodeValues(columns.maxs, out);
+  encodeValues(columns.sums, out);
+  encodeCounts(columns.counts, out);
 }
 
 }  // namespace
@@ -139,21 +144,22 @@ std::uint64_t writeSegment(const std::string& path,
   body.push_back(static_cast<char>(kSegmentVersion));
 
   std::vector<SegmentEntry> entries;
+  BlockColumns columns;
   for (const auto& [key, windows] : series) {
     for (const Resolution res : {Resolution::kFine, Resolution::kCoarse}) {
-      const auto& map =
+      const auto& buffer =
           res == Resolution::kFine ? windows.fine : windows.coarse;
-      if (map.empty()) {
+      if (buffer.empty()) {
         continue;
       }
       SegmentEntry entry;
       entry.key = key;
       entry.resolution = res;
       entry.offset = body.size();
-      entry.minWindow = map.begin()->first;
-      entry.maxWindow = map.rbegin()->first;
-      entry.windows = map.size();
-      encodeBlock(map, body);
+      entry.minWindow = buffer.begin()->first;
+      entry.maxWindow = buffer.back().first;
+      entry.windows = buffer.size();
+      encodeBlock(buffer, body, columns);
       entry.length = body.size() - entry.offset;
       entries.push_back(std::move(entry));
     }

@@ -56,10 +56,14 @@ using aggregator::SeriesKey;
 void mergeRollup(Rollup& into, const Rollup& other);
 
 /// In-memory windows of one series at both resolutions (the engine's hot
-/// state and the segment writer's input).
+/// state and the segment writer's input): flat, index-sorted buffers that
+/// keep their capacity when cleared.
 struct SeriesWindows {
-  std::map<std::int64_t, Rollup> fine;
-  std::map<std::int64_t, Rollup> coarse;
+  aggregator::WindowBuffer fine;
+  aggregator::WindowBuffer coarse;
+
+  /// True when neither resolution holds a window.
+  [[nodiscard]] bool empty() const { return fine.empty() && coarse.empty(); }
 };
 
 /// Footer metadata shared by every block in a segment.  SegmentReader
@@ -83,8 +87,9 @@ struct SegmentEntry {
   std::uint64_t windows = 0;
 };
 
-/// Writes a sealed segment atomically; returns the final file size.
-/// Throws StateError on I/O failure (the .tmp file is removed).
+/// Writes a sealed segment atomically; returns the final file size.  A
+/// series' empty buffers get no block and no footer entry.  Throws
+/// StateError on I/O failure (the .tmp file is removed).
 std::uint64_t writeSegment(const std::string& path,
                            const std::map<SeriesKey, SeriesWindows>& series,
                            const SegmentMeta& meta);

@@ -3,12 +3,15 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <bit>
 #include <cerrno>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/interning.hpp"
 #include "tsdb/codec.hpp"
 #include "tsdb/crc32.hpp"
 
@@ -32,12 +35,12 @@ std::uint32_t getU32(const char* data) {
 }
 
 void putF64(std::string& out, double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((bits >> (8U * static_cast<unsigned>(i))) &
-                                    0xFFU));
+  const auto bits = std::bit_cast<std::uint64_t>(v);
+  char bytes[8];
+  for (unsigned i = 0; i < 8; ++i) {
+    bytes[i] = static_cast<char>(bits >> (8U * i));
   }
+  out.append(bytes, sizeof(bytes));
 }
 
 double getF64(const std::string& data, std::size_t& pos) {
@@ -56,7 +59,7 @@ double getF64(const std::string& data, std::size_t& pos) {
   return v;
 }
 
-void putStr(std::string& out, const std::string& s) {
+void putStr(std::string& out, std::string_view s) {
   putVarint(out, s.size());
   out.append(s);
 }
@@ -96,23 +99,40 @@ const char* fsyncPolicyName(FsyncPolicy policy) {
   return "?";
 }
 
+void internSamples(const std::vector<Sample>& samples,
+                   std::vector<IdRecord>& out) {
+  out.reserve(out.size() + samples.size());
+  for (const Sample& sample : samples) {
+    out.push_back(
+        {sample.timeSeconds, names::intern(sample.metric), sample.value});
+  }
+}
+
 void encodeWalPayloadInto(std::string& out, const std::string& job,
                           std::int32_t rank,
-                          const std::vector<Sample>& samples) {
+                          std::span<const IdRecord> records) {
+  const auto named = [](const IdRecord& record) {
+    return record.name != names::kInvalidId;
+  };
   out.push_back(static_cast<char>(kWalVersion));
   putStr(out, job);
   putVarint(out, zigzag(rank));
-  putVarint(out, samples.size());
-  for (const Sample& sample : samples) {
-    putF64(out, sample.timeSeconds);
-    putStr(out, sample.metric);
-    putF64(out, sample.value);
+  putVarint(out,
+            static_cast<std::uint64_t>(std::ranges::count_if(records, named)));
+  for (const IdRecord& record : records) {
+    if (named(record)) {
+      putF64(out, record.timeSeconds);
+      putStr(out, names::lookup(record.name));
+      putF64(out, record.value);
+    }
   }
 }
 
 std::string encodeWalPayload(const WalBatch& batch) {
+  std::vector<IdRecord> records;
+  internSamples(batch.samples, records);
   std::string out;
-  encodeWalPayloadInto(out, batch.job, batch.rank, batch.samples);
+  encodeWalPayloadInto(out, batch.job, batch.rank, records);
   return out;
 }
 
@@ -153,7 +173,15 @@ WalBatch decodeWalPayload(const std::string& payload) {
 
 WalWriter::WalWriter(const std::string& path, FsyncPolicy policy,
                      std::uint64_t batchBytes)
-    : path_(path), policy_(policy), batchBytes_(batchBytes) {
+    : policy_(policy), batchBytes_(batchBytes) {
+  reopen(path);
+}
+
+void WalWriter::reopen(const std::string& path) {
+  close();
+  path_ = path;
+  dirtyBytes_ = 0;
+  appended_ = 0;
   fd_ = ::open(path.c_str(), O_CREAT | O_WRONLY | O_APPEND | O_CLOEXEC, 0644);
   if (fd_ < 0) {
     throw StateError("wal: cannot open " + path + ": " +
@@ -173,11 +201,13 @@ WalWriter::~WalWriter() {
 }
 
 void WalWriter::append(const WalBatch& batch) {
-  append(batch.job, batch.rank, batch.samples);
+  std::vector<IdRecord> records;
+  internSamples(batch.samples, records);
+  append(batch.job, batch.rank, records);
 }
 
 void WalWriter::append(const std::string& job, std::int32_t rank,
-                       const std::vector<Sample>& samples) {
+                       std::span<const IdRecord> records) {
   if (fd_ < 0) {
     throw StateError("wal: append after close");
   }
@@ -187,7 +217,7 @@ void WalWriter::append(const std::string& job, std::int32_t rank,
   std::string& frame = frameScratch_;
   frame.clear();
   frame.append(8, '\0');
-  encodeWalPayloadInto(frame, job, rank, samples);
+  encodeWalPayloadInto(frame, job, rank, records);
   const std::size_t payloadSize = frame.size() - 8;
   if (payloadSize > kMaxWalRecordBytes) {
     throw StateError("wal: record exceeds " +

@@ -26,10 +26,15 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "aggregator/wire.hpp"
+
 namespace zerosum::tsdb {
+
+using aggregator::IdRecord;
 
 enum class FsyncPolicy : std::uint8_t { kAlways, kBatch, kOff };
 
@@ -55,15 +60,22 @@ struct WalBatch {
   friend bool operator==(const WalBatch&, const WalBatch&) = default;
 };
 
+/// Appends one id record per sample to `out`, its metric interned
+/// (names::intern).
+void internSamples(const std::vector<Sample>& samples,
+                   std::vector<IdRecord>& out);
+
+/// The one payload encoder: appends one record payload to `out` (so a
+/// caller-owned buffer keeps its capacity and any prefix already
+/// written), each metric written as its names::lookup() text.  A record
+/// named names::kInvalidId (the interner's table-full answer, which has
+/// no text) is left out rather than logged under an empty name.
+void encodeWalPayloadInto(std::string& out, const std::string& job,
+                          std::int32_t rank,
+                          std::span<const IdRecord> records);
 /// Serializes / parses one record payload (exposed for tests; the
 /// framing and CRC live in the writer/reader).
 std::string encodeWalPayload(const WalBatch& batch);
-/// Same encoding without requiring a WalBatch: appends to `out` so a
-/// caller-owned buffer's capacity (and any prefix already written) is
-/// preserved.
-void encodeWalPayloadInto(std::string& out, const std::string& job,
-                          std::int32_t rank,
-                          const std::vector<Sample>& samples);
 WalBatch decodeWalPayload(const std::string& payload);
 
 /// Append side.  Not thread-safe: the engine is a single writer.
@@ -79,13 +91,17 @@ class WalWriter {
   WalWriter& operator=(const WalWriter&) = delete;
 
   /// Appends one record (write() of the full frame, then the policy's
-  /// sync).  Throws StateError on I/O failure.
-  void append(const WalBatch& batch);
-  /// Same record layout without assembling a WalBatch — the engine's
-  /// hot path appends straight from the daemon's sample vector, and the
-  /// frame buffer is reused across appends.
+  /// sync) straight from id records — the engine's hot path; the frame
+  /// buffer is reused across appends.  Throws StateError on I/O failure.
   void append(const std::string& job, std::int32_t rank,
-              const std::vector<Sample>& samples);
+              std::span<const IdRecord> records);
+  /// The same for a WalBatch, its metrics interned first.
+  void append(const WalBatch& batch);
+
+  /// close(), then opens (creating or appending) `path` in its place.  The
+  /// frame buffer keeps its capacity, so a rotated log appends without
+  /// allocating.  Throws StateError when the file cannot be opened.
+  void reopen(const std::string& path);
 
   /// Forces fdatasync (regardless of policy, except that an already
   /// clean log is a no-op).

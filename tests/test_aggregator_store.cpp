@@ -233,6 +233,34 @@ TEST(AggStore, KeysAreSortedAndFiltered) {
   EXPECT_EQ(keys[3], (SeriesKey{"b", 1, "m"}));
 }
 
+TEST(AggStore, KeysOfMatchesTheFilteredKeyList) {
+  StoreOptions options;
+  options.shards = 8;
+  RollupStore store(options);
+  // "job" is a prefix of "job2": a source's run must stop at its own job.
+  const std::vector<std::string> jobs = {"job", "job2", "other"};
+  for (const std::string& job : jobs) {
+    for (int rank = 0; rank < 8; ++rank) {
+      for (int m = 0; m < 6; ++m) {
+        store.ingest({job, rank, std::to_string(m)}, 1.0, 1.0);
+      }
+    }
+  }
+  const auto all = store.keys();
+  for (const std::string& job : jobs) {
+    for (int rank = -1; rank <= 8; ++rank) {
+      std::vector<SeriesKey> expected;
+      for (const SeriesKey& key : all) {
+        if (key.job == job && key.rank == rank) {
+          expected.push_back(key);
+        }
+      }
+      EXPECT_EQ(store.keysOf(job, rank), expected) << job << " " << rank;
+    }
+  }
+  EXPECT_TRUE(store.keysOf("jo", 0).empty());
+}
+
 TEST(AggStore, OutOfRangeTimeBoundsSelectTheWholeHistory) {
   RollupStore store;
   for (int t = 0; t < 3; ++t) {

@@ -197,13 +197,20 @@ TEST(FaultTransport, DisconnectFaultClosesAndClientMachineryRecovers) {
 
 // --- TsdbWriter ---------------------------------------------------------------
 
+/// Samples as the daemon submits them: id records, each metric interned.
+std::vector<IdRecord> idRecords(const std::vector<tsdb::Sample>& samples) {
+  std::vector<IdRecord> records;
+  tsdb::internSamples(samples, records);
+  return records;
+}
+
 TEST_F(ChaosDirTest, SyncWriterGroupCommitsAndAdvancesTheTicket) {
   tsdb::Engine engine(dir_, {});
   WriterOptions options;
   options.maxBatchesPerPump = 8;
   TsdbWriter writer(&engine, options);
 
-  std::vector<tsdb::Sample> samples{{1.0, "cpu.util", 10.0}};
+  const auto samples = idRecords({{1.0, "cpu.util", 10.0}});
   const auto t1 = writer.submit("job", 0, samples);
   const auto t2 = writer.submit("job", 0, samples);
   const auto t3 = writer.submit("job", 1, samples);
@@ -229,7 +236,7 @@ TEST_F(ChaosDirTest, FullWriterQueueRejectsInsteadOfBlocking) {
   WriterOptions options;
   options.maxPendingBatches = 2;
   TsdbWriter writer(&engine, options);
-  std::vector<tsdb::Sample> samples{{1.0, "m", 1.0}};
+  const auto samples = idRecords({{1.0, "m", 1.0}});
   EXPECT_TRUE(writer.submit("job", 0, samples).has_value());
   EXPECT_TRUE(writer.submit("job", 0, samples).has_value());
   EXPECT_FALSE(writer.hasSpace());
@@ -251,8 +258,8 @@ TEST_F(ChaosDirTest, ThreadedWriterDrainsOnFlushAndShutdown) {
     ASSERT_TRUE(writer.threaded());
     std::uint64_t last = 0;
     for (int i = 0; i < 50; ++i) {
-      std::vector<tsdb::Sample> samples{
-          {1.0 + 0.1 * i, "cpu.util", static_cast<double>(i)}};
+      const auto samples =
+          idRecords({{1.0 + 0.1 * i, "cpu.util", static_cast<double>(i)}});
       const auto ticket = writer.submit("job", i % 4, samples);
       ASSERT_TRUE(ticket.has_value()) << i;
       last = *ticket;

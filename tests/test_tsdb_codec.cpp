@@ -1,17 +1,22 @@
 // Exhaustive round-trip tests for the tsdb compression kernels: bit
 // I/O, varint/zigzag, delta-of-delta timestamps, and the Gorilla-style
 // XOR value codec — including every special double (-0.0, infinities,
-// NaN payloads, denormals) and seeded random fuzz.
+// NaN payloads, denormals) and seeded random fuzz.  The CRC and the bit
+// packer are also pinned to known answers and to slow references kept
+// here, since a different but self-consistent kernel passes every round
+// trip.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
 #include "tsdb/codec.hpp"
+#include "tsdb/crc32.hpp"
 
 using namespace zerosum;
 using namespace zerosum::tsdb;
@@ -96,6 +101,46 @@ TEST(TsdbBits, EveryWidthRoundTrips) {
   }
 }
 
+/// The bit packer one bit at a time, MSB first: the bytes BitWriter must
+/// produce.
+struct BitByBitWriter {
+  std::string bytes;
+  unsigned used = 0;  ///< bits used in bytes.back(); 0 = start a new byte
+
+  void write(std::uint64_t value, unsigned bits) {
+    for (unsigned i = bits; i-- > 0;) {
+      if (used == 0) {
+        bytes.push_back('\0');
+      }
+      if (((value >> i) & 1U) != 0) {
+        bytes.back() = static_cast<char>(
+            static_cast<unsigned char>(bytes.back()) | (0x80U >> used));
+      }
+      used = (used + 1) % 8;
+    }
+  }
+};
+
+TEST(TsdbBits, RandomSequencesMatchABitByBitReference) {
+  // Widths 0-64 in every mix, with garbage above `bits` in every value.
+  std::mt19937_64 rng(20261019);
+  for (int sequence = 0; sequence < 20000; ++sequence) {
+    BitByBitWriter reference;
+    std::string bytes;
+    {
+      BitWriter w(bytes);
+      const auto writes = static_cast<int>(rng() % 24);
+      for (int i = 0; i < writes; ++i) {
+        const auto bits = static_cast<unsigned>(rng() % 65);
+        const std::uint64_t value = rng();
+        w.write(value, bits);
+        reference.write(value, bits);
+      }
+    }
+    ASSERT_EQ(bytes, reference.bytes) << "sequence " << sequence;
+  }
+}
+
 TEST(TsdbBits, ReadPastEndThrows) {
   std::string bytes;
   {
@@ -105,6 +150,69 @@ TEST(TsdbBits, ReadPastEndThrows) {
   BitReader r(bytes);
   (void)r.read(8);  // the padded byte is readable
   EXPECT_THROW(r.read(1), ParseError);
+}
+
+// --- CRC-32 ----------------------------------------------------------------
+
+namespace {
+
+/// CRC-32 straight from the reflected polynomial, one bit at a time: the
+/// reference every table-driven path must match.
+std::uint32_t bitwiseCrc32(const std::string& bytes, std::size_t offset,
+                           std::size_t size) {
+  std::uint32_t c = 0xFFFFFFFFU;
+  for (std::size_t i = offset; i < offset + size; ++i) {
+    c ^= static_cast<unsigned char>(bytes[i]);
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1U) != 0 ? 0xEDB88320U ^ (c >> 1U) : c >> 1U;
+    }
+  }
+  return c ^ 0xFFFFFFFFU;
+}
+
+std::string randomBytes(std::size_t size, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::string bytes(size, '\0');
+  for (char& byte : bytes) {
+    byte = static_cast<char>(rng());
+  }
+  return bytes;
+}
+
+}  // namespace
+
+TEST(TsdbCrc32, KnownAnswers) {
+  EXPECT_EQ(crc32(std::string("123456789")), 0xCBF43926U);
+  EXPECT_EQ(crc32(std::string()), 0U);
+  EXPECT_EQ(crc32(nullptr, 0), 0U);
+  // An empty continuation returns its seed.
+  EXPECT_EQ(crc32(nullptr, 0, 0xCBF43926U), 0xCBF43926U);
+}
+
+TEST(TsdbCrc32, EveryLengthAndAlignmentMatchesTheBitwiseReference) {
+  const std::string bytes = randomBytes(64 + 8, 1);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t size = 0; size <= 64; ++size) {
+      EXPECT_EQ(crc32(bytes.data() + offset, size),
+                bitwiseCrc32(bytes, offset, size))
+          << "offset " << offset << " size " << size;
+    }
+  }
+  for (const std::size_t size : {5000U, 40000U, 1U << 20}) {
+    const std::string big = randomBytes(size, size);
+    EXPECT_EQ(crc32(big), bitwiseCrc32(big, 0, big.size())) << size;
+  }
+}
+
+TEST(TsdbCrc32, SeedContinuesAcrossEverySplit) {
+  const std::string bytes = randomBytes(200, 2);
+  const std::uint32_t whole = crc32(bytes);
+  for (std::size_t split = 0; split <= bytes.size(); ++split) {
+    EXPECT_EQ(crc32(bytes.data() + split, bytes.size() - split,
+                    crc32(bytes.data(), split)),
+              whole)
+        << "split " << split;
+  }
 }
 
 // --- varint / zigzag -------------------------------------------------------

@@ -16,12 +16,16 @@
 #include <fstream>
 #include <limits>
 #include <map>
+#include <memory>
 #include <optional>
 #include <random>
 #include <string>
 #include <vector>
 
+#include "aggregator/client.hpp"
+#include "aggregator/daemon.hpp"
 #include "aggregator/query.hpp"
+#include "aggregator/transport.hpp"
 #include "cluster/job.hpp"
 #include "common/error.hpp"
 #include "common/json.hpp"
@@ -399,7 +403,7 @@ TEST_F(TsdbEngineTest, SegmentWithInvalidWindowWidthsIsRejectedNotAdopted) {
     // No seal: the WAL must replay with sane widths.
   }
   std::map<SeriesKey, SeriesWindows> windows;
-  windows[{"job", 0, "cpu.util"}].fine[1].merge(1.0);
+  windows[{"job", 0, "cpu.util"}].fine.findOrInsert(1).first->merge(1.0);
   struct Widths {
     double fine;
     int factor;
@@ -771,14 +775,59 @@ TEST_F(TsdbEngineTest, SeriesKeysFollowRetentionAndTheHotState) {
   EXPECT_TRUE(engine.range(gone, 0.0, 100.0).empty());
   engine.append("job", 1, {{3.5, "hot", 1.0}});
   EXPECT_EQ(engine.seriesKeys(), (std::vector<SeriesKey>{kept, hot}));
+
+  // `hot` goes idle while `other` keeps the engine compacting.  After two
+  // idle compactions retention drops its only segment, and its emptied
+  // hot buffers must not keep it listed.
+  const SeriesKey other{"job", 1, "other"};
+  engine.compact();
+  engine.append("job", 1, {{4.5, "other", 1.0}});
+  engine.compact();
+  EXPECT_EQ(engine.seriesKeys(), (std::vector<SeriesKey>{hot, other}));
+  engine.append("job", 1, {{5.5, "other", 2.0}});
+  engine.compact();
+  EXPECT_EQ(engine.seriesKeys(), (std::vector<SeriesKey>{other}));
+  std::vector<SeriesKey> visited;
+  engine.forEachNewest(std::nullopt, std::nullopt,
+                       [&](const SeriesKey& key, const NewestWindows&) {
+                         visited.push_back(key);
+                       });
+  EXPECT_EQ(visited, (std::vector<SeriesKey>{other}));
+  EXPECT_FALSE(engine.latest(hot).has_value());
+  EXPECT_TRUE(engine.range(hot, 0.0, 100.0).empty());
+}
+
+TEST_F(TsdbEngineTest, RecordsWithoutANameAreNeitherLoggedNorMerged) {
+  EngineOptions options;
+  options.fsync = FsyncPolicy::kOff;
+  {
+    Engine engine(dir_, options);
+    // kInvalidId is the interner's answer when its table is full.
+    const std::vector<aggregator::IdRecord> records = {
+        {1.5, names::kInvalidId, 1.0}, {1.5, names::intern("m"), 2.0}};
+    engine.append("job", 0, records);
+    EXPECT_EQ(engine.counters().samplesAppended, 1U);
+    EXPECT_EQ(engine.seriesKeys(), (std::vector<SeriesKey>{{"job", 0, "m"}}));
+  }
+  const WalReadResult wal = readWal(walFile(1));
+  ASSERT_EQ(wal.batches.size(), 1U);
+  ASSERT_EQ(wal.batches[0].samples.size(), 1U);
+  EXPECT_EQ(wal.batches[0].samples[0].metric, "m");
+  EXPECT_EQ(wal.batches[0].samples[0].value, 2.0);
 }
 
 // --- read path against a brute-force reference -----------------------------
 
 namespace reads {
 
+/// One series' windows at both resolutions, held in std::maps.
+struct ModelWindows {
+  std::map<std::int64_t, aggregator::Rollup> fine;
+  std::map<std::int64_t, aggregator::Rollup> coarse;
+};
+
 /// Every appended sample, rolled up the way the engine windows them.
-using Reference = std::map<SeriesKey, SeriesWindows>;
+using Reference = std::map<SeriesKey, ModelWindows>;
 
 void expectRows(const std::vector<WindowRollup>& rows,
                 const std::map<std::int64_t, aggregator::Rollup>& windows,
@@ -857,7 +906,7 @@ TEST_F(TsdbEngineTest, ReadsMatchBruteForceAcrossCompactionsAndReopen) {
     // folds split windows in.
     const auto value = static_cast<double>(valueOf(rng));
     samples.push_back({t, metric, value});
-    SeriesWindows& windows = reference[{"job", rank, metric}];
+    reads::ModelWindows& windows = reference[{"job", rank, metric}];
     const auto fine = static_cast<std::int64_t>(std::floor(t));
     windows.fine[fine].merge(value);
     windows.coarse[fine / options.coarseFactor].merge(value);
@@ -1169,6 +1218,150 @@ TEST_F(TsdbEngineTest, ClusterJobSurvivesAggregatorCrashWithZeroLoss) {
     EXPECT_EQ(cold[i].rollup.count, live[i].rollup.count);
     EXPECT_DOUBLE_EQ(cold[i].rollup.min, live[i].rollup.min);
     EXPECT_DOUBLE_EQ(cold[i].rollup.max, live[i].rollup.max);
+  }
+}
+
+// --- the on-disk format, byte for byte --------------------------------------
+
+namespace guard {
+
+/// FNV-1a 64 over every file of a data dir in name order: each file's
+/// name, a NUL, then its bytes.  Written here rather than borrowed from
+/// tsdb::crc32, so a change to the checksum kernel cannot hide a change to
+/// the files it guards.
+std::uint64_t dirChecksum(const std::string& dir) {
+  std::vector<fs::path> files;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    files.push_back(entry.path());
+  }
+  std::sort(files.begin(), files.end());
+  std::uint64_t hash = 14695981039346656037ULL;
+  const auto mix = [&hash](const char* data, std::size_t size) {
+    for (std::size_t i = 0; i < size; ++i) {
+      hash ^= static_cast<unsigned char>(data[i]);
+      hash *= 1099511628211ULL;
+    }
+  };
+  for (const fs::path& path : files) {
+    const std::string name = path.filename().string();
+    mix(name.c_str(), name.size() + 1);
+    std::ifstream in(path, std::ios::binary);
+    const std::string bytes(std::istreambuf_iterator<char>(in), {});
+    mix(bytes.data(), bytes.size());
+  }
+  return hash;
+}
+
+}  // namespace guard
+
+TEST_F(TsdbEngineTest, DaemonStreamWritesTheGuardedWalAndSegmentBytes) {
+  // The data dir's checksum after every 13th period and after seal().  A
+  // change to the WAL, segment or registry bytes fails here; update these
+  // only together with kWalVersion or kSegmentVersion.
+  const std::vector<std::uint64_t> expected = {
+      0x980e257fd1bda89dULL, 0x6ae673f787f5851bULL,
+      0xcf248ef6fb17cc9cULL, 0xffa2cb15399f7342ULL,
+      0x7ac4537f54c6ebd3ULL, 0x70897802874011bfULL,
+      0xc93554d4bf7b3b97ULL, 0x6b036797cbcb3aeeULL,
+      0x5ef9ab088244752eULL, 0x699727f57c1b51bfULL,
+      0x47c5d47a4376247fULL, 0x80e9c8fab5f6f7c9ULL,
+      0x6c9a87d88478f678ULL, 0x53a0e204b23afb4eULL,
+      0xa54769585da6868aULL, 0x46a6bb3581a494a7ULL,
+      0xd3b172ea31c002e8ULL, 0xb5a25effd4e16818ULL,
+      0x3e368e318f533114ULL, 0xc741d3f84760acb5ULL,
+      0x880959e7d001bea7ULL, 0x818c30af16ea22fcULL,
+      0x0a7bd570cf27b3ecULL, 0xbde70e5df298f12dULL,
+      0xc76a44b52e74d444ULL, 0xf2ddebfc6cab04b7ULL,
+      0x266f600f4f7e1fb9ULL, 0x02b7d74a17492aeaULL,
+      0xfa66b7411b9e3236ULL, 0x8838c20bcaa62a1aULL,
+      0x7ec681e91dd174b2ULL,
+  };
+  EngineOptions options;
+  options.fsync = FsyncPolicy::kOff;
+  options.walRotateBytes = 64 * 1024;
+  options.maxSegments = 6;
+  options.coarseFactor = 4;
+  Engine engine(dir_, options);
+  aggregator::PipeHub hub;
+  aggregator::Aggregator daemon(hub.makeServer());
+  daemon.attachEngine(&engine);
+
+  constexpr int kRanks = 6;
+  constexpr int kMetrics = 40;
+  constexpr int kPeriods = 400;
+  std::vector<std::string> metrics;
+  for (int m = 0; m < kMetrics; ++m) {
+    // Every third name is past the 15-character small-string buffer.
+    metrics.push_back(m % 3 == 0 ? "guard.long.metric.name." + std::to_string(m)
+                                 : "g." + std::to_string(m));
+  }
+  aggregator::ClientOptions clientOptions;
+  clientOptions.adaptive = false;
+  clientOptions.reconnectJitterFraction = 0.0;
+  std::vector<std::unique_ptr<aggregator::Client>> clients;
+  for (int rank = 0; rank < kRanks; ++rank) {
+    clients.push_back(std::make_unique<aggregator::Client>(
+        hub.makeClientTransport(),
+        aggregator::Hello{"guard", rank, kRanks,
+                          "node" + std::to_string(rank / 2), 100 + rank},
+        clientOptions));
+  }
+
+  // Raw mt19937 words only: the standard fixes them, unlike its
+  // distributions, so the stream is the same under every library.
+  std::mt19937 rng(20261019U);
+  const auto unit = [&rng] {
+    return static_cast<double>(rng()) / 4294967296.0;
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<std::uint64_t> actual;
+  std::vector<aggregator::WireRecord> records;
+  for (int p = 0; p < kPeriods; ++p) {
+    const double t = 1.0 + p;
+    for (int rank = 0; rank < kRanks; ++rank) {
+      records.clear();
+      for (int m = 0; m < kMetrics; ++m) {
+        double time = t + 0.01 * m;
+        double value = 100.0 * m + rank + 0.25 * (p % 17) + unit();
+        const double roll = unit();
+        if (roll < 0.04) {
+          time -= 8.0 * unit();  // late, by up to 8 s
+        } else if (roll < 0.05) {
+          value = std::numeric_limits<double>::quiet_NaN();
+        } else if (roll < 0.06) {
+          value = roll < 0.055 ? inf : -inf;
+        } else if (roll < 0.07) {
+          time = -1.0 - unit();
+        } else if (roll < 0.08) {
+          value = -value;  // negative values are kept
+        }
+        records.push_back({time, metrics[static_cast<std::size_t>(m)], value});
+        if (unit() < 0.03) {
+          const aggregator::WireRecord duplicate = records.back();
+          records.push_back(duplicate);
+        }
+      }
+      clients[static_cast<std::size_t>(rank)]->enqueue(records, t);
+    }
+    daemon.poll(t);
+    if (p % 13 == 12) {
+      actual.push_back(guard::dirChecksum(dir_));
+    }
+  }
+  const double end = 1.0 + kPeriods;
+  for (auto& client : clients) {
+    client->goodbye(end);
+  }
+  daemon.poll(end);
+  daemon.drainBacklog(end);
+  engine.seal();
+  actual.push_back(guard::dirChecksum(dir_));
+
+  EXPECT_GT(engine.counters().compactions, 30U);
+  EXPECT_GT(engine.counters().segmentsDropped, 20U);
+  ASSERT_EQ(actual.size(), expected.size());
+  for (std::size_t i = 0; i < actual.size(); ++i) {
+    EXPECT_EQ(actual[i], expected[i]) << "checkpoint " << i;
   }
 }
 

@@ -61,15 +61,17 @@ class TsdbSegmentTest : public ::testing::Test {
     std::map<SeriesKey, SeriesWindows> series;
     SeriesWindows& cpu = series[{"job", 0, "cpu.util"}];
     for (std::int64_t w = 100; w < 160; ++w) {
-      cpu.fine[w] = rollupOf({50.0 + static_cast<double>(w % 7),
-                              60.0 - static_cast<double>(w % 5)});
+      *cpu.fine.findOrInsert(w).first =
+          rollupOf({50.0 + static_cast<double>(w % 7),
+                    60.0 - static_cast<double>(w % 5)});
     }
     for (std::int64_t w = 10; w < 16; ++w) {
-      cpu.coarse[w] = rollupOf({55.0, 52.0, 58.0});
+      *cpu.coarse.findOrInsert(w).first = rollupOf({55.0, 52.0, 58.0});
     }
     SeriesWindows& mem = series[{"job", 1, "mem.rss"}];
-    mem.fine[-3] = rollupOf({1.0});  // negative window indices survive
-    mem.fine[0] = rollupOf({2.0, 4.0});
+    // negative window indices survive
+    *mem.fine.findOrInsert(-3).first = rollupOf({1.0});
+    *mem.fine.findOrInsert(0).first = rollupOf({2.0, 4.0});
     return series;
   }
 

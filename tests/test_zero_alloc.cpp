@@ -14,6 +14,9 @@
 //
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <ostream>
@@ -35,6 +38,7 @@
 #include "procfs/procfs.hpp"
 #include "procfs/simfs.hpp"
 #include "sim/workload.hpp"
+#include "tsdb/engine.hpp"
 
 namespace zerosum {
 namespace {
@@ -288,6 +292,50 @@ TEST(ZeroAlloc, LogRenderAllocationsIgnoreSampleCount) {
     return allocs;
   };
   EXPECT_EQ(renderAllocations(10), renderAllocations(1000));
+}
+
+// The durable write path in steady state.  Compaction empties the hot
+// window buffers and keeps them, and the rotated WAL keeps its frame
+// buffer, so once 64 series have been through one compaction cycle a
+// second cycle of in-order appends allocates nothing, though each period
+// adds one fine window per series.
+TEST(ZeroAlloc, EngineAppendSteadyState) {
+  namespace fs = std::filesystem;
+  constexpr int kSeries = 64;
+  constexpr int kPeriods = 40;  // four whole coarse windows of ten
+  const fs::path dir = fs::temp_directory_path() /
+                       ("zs_zero_alloc_engine_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  {
+    tsdb::EngineOptions options;
+    options.fsync = tsdb::FsyncPolicy::kOff;
+    tsdb::Engine engine(dir.string(), options);
+    const std::string job = "job";
+    std::vector<aggregator::IdRecord> records;
+    for (int m = 0; m < kSeries; ++m) {
+      records.push_back(
+          {0.0, names::intern("za.engine.metric." + std::to_string(m)), 0.0});
+    }
+    const auto period = [&](int p) {
+      for (aggregator::IdRecord& record : records) {
+        record.timeSeconds = p + 0.5;
+        record.value = p;
+      }
+      engine.append(job, 0, records);
+    };
+    for (int p = 0; p < kPeriods; ++p) {
+      period(p);
+    }
+    engine.compact();
+    const std::uint64_t before = allochook::allocations();
+    for (int p = kPeriods; p < 2 * kPeriods; ++p) {
+      period(p);
+    }
+    EXPECT_EQ(allochook::allocations() - before, 0U);
+    EXPECT_EQ(engine.counters().samplesAppended,
+              2U * kPeriods * kSeries);
+  }
+  fs::remove_all(dir);
 }
 
 }  // namespace
