@@ -4,16 +4,16 @@
 #
 #   1. the chaos suite (random fault injection over the full client ->
 #      daemon -> tsdb pipeline) repeated SOAK_ITERS times,
-#   2. the federated group-kill-and-recover smoke (bench_federation
-#      --smoke) repeated SOAK_ITERS times,
+#   2. the two federation group-kill failover tests (an in-process tree
+#      and a simulated cluster job) repeated SOAK_ITERS times,
 #   3. a live 3-process node -> group -> root tree over loopback TCP,
 #      formed and torn down SOAK_TREE_ITERS times, each run's records
 #      required to surface at the root,
-#   4. the query-service bench under sustained mixed read/write load,
-#      its shed-never-stall and zero-drop invariants checked each run.
+#   4. the query service's mixed read/write load test, its overload
+#      phase shed-never-stall and zero-drop, repeated SOAK_ITERS times.
 #
-# Bench JSON from the loops lands in build/bench/SOAK_*.json (uploaded
-# as CI artifacts for trend analysis).
+# The gtest loops reshuffle per repetition, so iterations explore
+# different interleavings rather than replaying one.
 #
 # Usage: scripts/soak.sh [iters]   (default SOAK_ITERS=10)
 set -euo pipefail
@@ -27,21 +27,17 @@ echo "=== soak: build (${SOAK_ITERS} iterations per loop) ==="
 cmake -B build -S . >/dev/null
 cmake --build build -j "$(nproc)"
 
-BENCH_OUT="$PWD/build/bench"
 REPO="$PWD"
 
 echo "=== soak 1/4: chaos suite x${SOAK_ITERS} ==="
-# gtest reshuffles per repetition, so iterations explore different
-# interleavings of the fault schedule rather than replaying one.
 ./build/tests/test_chaos --gtest_repeat="$SOAK_ITERS" --gtest_shuffle \
   --gtest_brief=1
 
-echo "=== soak 2/4: federated group-kill smoke x${SOAK_ITERS} ==="
-for i in $(seq 1 "$SOAK_ITERS"); do
-  echo "--- iteration $i/$SOAK_ITERS"
-  ./build/bench/bench_federation --smoke \
-    --out "$BENCH_OUT/SOAK_federation_smoke_$i.json"
-done
+echo "=== soak 2/4: federation group-kill failover x${SOAK_ITERS} ==="
+FAILOVER='FedTree.GroupCrashFailoverLosesNoAckedWindows'
+FAILOVER+=':FedCluster.GroupCrashMidJobFailsOverThroughTheCatalog'
+./build/tests/test_federation --gtest_repeat="$SOAK_ITERS" --gtest_shuffle \
+  --gtest_brief=1 --gtest_filter="$FAILOVER"
 
 echo "=== soak 3/4: live 3-process tree x${SOAK_TREE_ITERS} ==="
 run_tree_smoke() {
@@ -111,10 +107,9 @@ for i in $(seq 1 "$SOAK_TREE_ITERS"); do
   run_tree_smoke
 done
 
-echo "=== soak 4/4: query service under sustained load x${SOAK_ITERS} ==="
-for i in $(seq 1 "$SOAK_ITERS"); do
-  echo "--- iteration $i/$SOAK_ITERS"
-  ./build/bench/bench_query_service --out "$BENCH_OUT/SOAK_query_$i.json"
-done
+echo "=== soak 4/4: query service under mixed load x${SOAK_ITERS} ==="
+./build/tests/test_aggregator --gtest_repeat="$SOAK_ITERS" --gtest_shuffle \
+  --gtest_brief=1 \
+  --gtest_filter='QueryServiceTest.MixedLoadShedsExcessReadsWithoutStallingOrDropping'
 
 echo "=== soak: all loops complete ==="

@@ -373,7 +373,7 @@ void Client::flush(double nowSeconds, bool force) {
     batch.kind = FrameKind::kBatch;
     batch.timeSeconds = nowSeconds;
     batch.batchSeq = nextBatchSeq_;
-    // v3 latency attribution: the batch carries when its oldest record
+    // Latency attribution: the batch carries when its oldest record
     // was queued and when the frame was encoded (both client clock), plus
     // the last completed round-trip so the daemon can expose all four
     // stages without a reverse channel.

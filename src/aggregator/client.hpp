@@ -24,7 +24,7 @@
 //              exhausted); health updates and heartbeats still flow.
 //
 // The ladder escalates on local queue occupancy and on the daemon's
-// acked PressureLevel (wire v2 kBatchAck), and climbs back down after a
+// acked PressureLevel (kBatchAck), and climbs back down after a
 // run of calm pumps.  See DESIGN.md §9 for the exact transition rules.
 //
 // The client is not a thread: the owner (SessionPublisher) calls
@@ -64,7 +64,7 @@ struct ClientOptions {
 
   /// Master switch for the degradation ladder (escalation, coarsening,
   /// ack processing).  Off, the client behaves as the plain bounded
-  /// queue — the zero-allocation benchmarks measure that path.
+  /// queue — the path the ZeroAlloc tests hold to zero allocations.
   bool adaptive = true;
   /// Escalate one ladder level when queue occupancy reaches this.
   double escalateOccupancy = 0.8;

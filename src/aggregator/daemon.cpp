@@ -186,7 +186,6 @@ void Aggregator::flushAcks(double nowSeconds) {
 void Aggregator::handleFrame(std::uint64_t connection, ConnState& conn,
                              Frame& frame, double nowSeconds) {
   ++counters_.framesIngested;
-  conn.version = std::max(conn.version, frame.version);
   if (frame.kind == FrameKind::kQuery) {
     ++counters_.queriesServed;
     Frame response;
@@ -248,11 +247,9 @@ void Aggregator::handleFrame(std::uint64_t connection, ConnState& conn,
       break;
     case FrameKind::kHeartbeat:
       ++counters_.heartbeats;
-      if (conn.version >= 2) {
-        // Heartbeats are answered immediately with a seq-0 ack so idle
-        // (or fully degraded) clients still see the pressure signal.
-        sendAck(connection, 0);
-      }
+      // Heartbeats are answered immediately with a seq-0 ack so idle (or
+      // fully degraded) clients still see the pressure signal.
+      sendAck(connection, 0);
       break;
     case FrameKind::kGoodbye:
       info->state = SourceState::kDeparted;
@@ -275,11 +272,10 @@ void Aggregator::admitBatch(std::uint64_t connection, ConnState& conn,
   }
   PendingBatch batch;
   batch.connection = connection;
-  batch.version = conn.version;
   batch.job = conn.job;
   batch.rank = conn.rank;
   batch.admittedAt = nowSeconds;
-  if (frame.version >= 3 && frame.kind == FrameKind::kBatch) {
+  if (frame.kind == FrameKind::kBatch) {
     // Refine the connection's clock-offset estimate at decode time: the
     // minimum over batches of (daemon now - client encode stamp) bounds
     // the epoch delta from above by the fastest observed transit.
@@ -289,7 +285,6 @@ void Aggregator::admitBatch(std::uint64_t connection, ConnState& conn,
       conn.offsetKnown = true;
     }
     batch.clockOffset = conn.minClockOffset;
-    batch.hasStamps = true;
   }
   batch.frame = std::move(frame);
   pushPending(std::move(batch));
@@ -302,19 +297,17 @@ void Aggregator::processBatch(PendingBatch& batch, double nowSeconds) {
     return;
   }
   const Frame& frame = batch.frame;
-  if (batch.hasStamps) {
-    // Per-stage latency attribution (DESIGN.md §10).  The first stage is
-    // a pure client-clock difference; the second maps the client encode
-    // stamp into the daemon clock via the connection's min-offset
-    // estimate; the third (the client's view of the previous full
-    // round-trip) rides the batch so the daemon exposes all four stages.
-    const double queued = frame.encodeSeconds - frame.enqueueSeconds;
-    if (queued >= 0.0) latEnqueueToSend_->observe(queued);
-    latSendToIngest_->observe(
-        std::max(0.0, (nowSeconds - batch.clockOffset) - frame.encodeSeconds));
-    if (frame.prevRoundtripSeconds >= 0.0) {
-      latRoundtrip_->observe(frame.prevRoundtripSeconds);
-    }
+  // Per-stage latency attribution (DESIGN.md §10).  The first stage is a
+  // pure client-clock difference; the second maps the client encode
+  // stamp into the daemon clock via the connection's min-offset
+  // estimate; the third (the client's view of the previous full
+  // round-trip) rides the batch so the daemon exposes all four stages.
+  const double queued = frame.encodeSeconds - frame.enqueueSeconds;
+  if (queued >= 0.0) latEnqueueToSend_->observe(queued);
+  latSendToIngest_->observe(
+      std::max(0.0, (nowSeconds - batch.clockOffset) - frame.encodeSeconds));
+  if (frame.prevRoundtripSeconds >= 0.0) {
+    latRoundtrip_->observe(frame.prevRoundtripSeconds);
   }
   ++counters_.batchesIngested;
   counters_.recordsIngested += frame.records.size();
@@ -361,9 +354,7 @@ void Aggregator::processBatch(PendingBatch& batch, double nowSeconds) {
     info->records += frame.records.size();
     persistSource({batch.job, batch.rank}, *info);
   }
-  // v2 batches carry a sequence number and expect an ack; v1 batches
-  // (and the admission path for them) stay fire-and-forget.
-  if (batch.version >= 2 && frame.batchSeq != 0) {
+  if (frame.batchSeq != 0) {
     pendingAcks_.push_back(
         {batch.connection, frame.batchSeq, ackTicket, nowSeconds});
   }
@@ -438,7 +429,7 @@ void Aggregator::processForward(PendingBatch& batch, double nowSeconds) {
   // Forwarded windows live in the rollup plane only (recovery is resync,
   // not WAL replay), so the ack needs no writer ticket: "acked" means
   // "applied upstream".
-  if (batch.version >= 2 && frame.batchSeq != 0) {
+  if (frame.batchSeq != 0) {
     pendingAcks_.push_back({batch.connection, frame.batchSeq, 0, nowSeconds});
   }
 }

@@ -6,7 +6,7 @@
 // design: the owner drives poll() from its event loop (the tool's main
 // loop, a test, or the lockstep cluster simulation).
 //
-// Overload handling (wire v2): control frames — Hello, Health,
+// Overload handling: control frames — Hello, Health,
 // Heartbeat, Goodbye, Query — are processed the moment they decode, so
 // liveness and findings always win over bulk data.  kBatch frames pass
 // through a bounded admission queue drained by a per-poll budget; when
@@ -91,7 +91,7 @@ struct DaemonCounters {
   std::uint64_t orphanFrames = 0;   ///< data frames before any Hello
   std::uint64_t sourcesEvicted = 0; ///< stale sources purged from the store
   std::uint64_t queriesServed = 0;
-  std::uint64_t acksSent = 0;           ///< kBatchAck frames (v2 clients)
+  std::uint64_t acksSent = 0;           ///< kBatchAck frames
   std::uint64_t batchesDeferred = 0;    ///< batch-polls spent waiting in
                                         ///< the admission queue
   std::uint64_t admissionBackstops = 0; ///< overflow: oldest forced inline
@@ -154,7 +154,7 @@ class Aggregator {
   [[nodiscard]] RollupStore& mutableStore() { return store_; }
   [[nodiscard]] const DaemonCounters& counters() const { return counters_; }
 
-  /// Current backpressure signal, echoed to v2 clients in every ack.
+  /// Current backpressure signal, echoed to clients in every ack.
   [[nodiscard]] PressureLevel pressure() const;
 
   /// Batches admitted but not yet durably processed (admission queue +
@@ -197,9 +197,6 @@ class Aggregator {
     bool helloSeen = false;
     std::string job;
     int rank = 0;
-    /// Highest wire version seen on this connection; acks only go to
-    /// connections that have spoken v2.
-    std::uint8_t version = kMinWireVersion;
     /// Client-to-daemon clock offset estimate: the running minimum of
     /// (daemon now at decode - batch encodeSeconds).  The minimum over
     /// many batches converges on (clock epoch delta + fastest transit),
@@ -214,14 +211,12 @@ class Aggregator {
   /// closes before it is processed (lossless).
   struct PendingBatch {
     std::uint64_t connection = 0;
-    std::uint8_t version = kMinWireVersion;
     std::string job;
     int rank = 0;
     double admittedAt = 0.0;
     /// Connection clock-offset estimate captured at admission (the
     /// connection may be gone by the time the batch is processed).
     double clockOffset = 0.0;
-    bool hasStamps = false;  ///< v3 batch with latency stamps
     Frame frame;
   };
 

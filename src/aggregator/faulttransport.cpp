@@ -1,23 +1,11 @@
 #include "aggregator/faulttransport.hpp"
 
-#include <algorithm>
-#include <cctype>
-
 #include "common/env.hpp"
 #include "common/error.hpp"
-#include "common/strings.hpp"
 
 namespace zerosum::aggregator {
 
 namespace {
-
-std::string toLower(std::string_view s) {
-  std::string out(s);
-  std::transform(out.begin(), out.end(), out.begin(), [](unsigned char c) {
-    return static_cast<char>(std::tolower(c));
-  });
-  return out;
-}
 
 std::optional<TransportFaultSite> siteFromName(const std::string& name) {
   for (const TransportFaultSite site : kAllTransportFaultSites) {
@@ -88,79 +76,21 @@ std::string transportFaultKindName(TransportFaultKind kind) {
 
 std::vector<TransportFaultRule> parseTransportFaultSpec(
     const std::string& spec) {
-  std::vector<TransportFaultRule> rules;
-  for (const auto& rawElement : strings::split(spec, ',')) {
-    const std::string element = strings::trim(rawElement);
-    if (element.empty()) {
-      continue;
-    }
-    const auto colon = element.find(':');
-    const auto at = element.find('@');
-    if (colon == std::string::npos || at == std::string::npos || at < colon) {
-      throw ConfigError("transport fault spec element '" + element +
-                        "' is not site:kind@schedule");
-    }
-    TransportFaultRule rule;
-    const std::string siteName = toLower(element.substr(0, colon));
-    const auto site = siteFromName(siteName);
-    if (!site) {
-      throw ConfigError("unknown transport fault site '" + siteName +
-                        "' in '" + element + "'");
-    }
-    rule.site = *site;
-    const std::string kindName =
-        toLower(element.substr(colon + 1, at - colon - 1));
-    const auto kind = kindFromName(kindName);
-    if (!kind) {
-      throw ConfigError("unknown transport fault kind '" + kindName +
-                        "' in '" + element + "'");
-    }
-    rule.kind = *kind;
-
-    const std::string schedule = element.substr(at + 1);
-    const auto dots = schedule.find("..");
-    if (dots == std::string::npos) {
-      const auto call = strings::toU64(schedule);
-      if (!call || *call == 0) {
-        throw ConfigError("bad transport fault call index '" + schedule +
-                          "' in '" + element + "'");
-      }
-      rule.firstCall = *call;
-      rule.lastCall = *call;
-    } else {
-      const auto first = strings::toU64(schedule.substr(0, dots));
-      if (!first || *first == 0) {
-        throw ConfigError("bad transport fault window start in '" + element +
-                          "'");
-      }
-      rule.firstCall = *first;
-      const std::string rest = schedule.substr(dots + 2);
-      if (rest.empty()) {
-        rule.lastCall = std::nullopt;  // sticky
-      } else {
-        const auto last = strings::toU64(rest);
-        if (!last || *last < rule.firstCall) {
-          throw ConfigError("bad transport fault window end in '" + element +
-                            "'");
-        }
-        rule.lastCall = *last;
-      }
-    }
-    // Kind/site compatibility: a nonsense combination in a chaos
-    // schedule should fail loudly, not silently no-op.
+  auto rules = faultspec::parse<TransportFaultSite, TransportFaultKind>(
+      spec, "transport fault", siteFromName, kindFromName);
+  // Kind/site compatibility: a nonsense combination in a chaos schedule
+  // should fail loudly, not silently no-op.
+  for (const TransportFaultRule& rule : rules) {
     const bool sendOnly = rule.kind == TransportFaultKind::kPartial ||
                           rule.kind == TransportFaultKind::kDelay;
-    if (sendOnly && rule.site != TransportFaultSite::kSend) {
+    const bool recvOnly = rule.kind == TransportFaultKind::kShort;
+    if ((sendOnly && rule.site != TransportFaultSite::kSend) ||
+        (recvOnly && rule.site != TransportFaultSite::kReceive)) {
       throw ConfigError("transport fault kind '" +
                         transportFaultKindName(rule.kind) +
-                        "' applies only to send in '" + element + "'");
+                        "' does not apply at '" +
+                        transportFaultSiteName(rule.site) + "'");
     }
-    if (rule.kind == TransportFaultKind::kShort &&
-        rule.site != TransportFaultSite::kReceive) {
-      throw ConfigError("transport fault kind 'short' applies only to recv "
-                        "in '" + element + "'");
-    }
-    rules.push_back(rule);
   }
   return rules;
 }
@@ -172,10 +102,6 @@ FaultInjectingTransport::FaultInjectingTransport(
   if (!inner_) {
     throw ConfigError("FaultInjectingTransport requires an inner transport");
   }
-}
-
-void FaultInjectingTransport::addRule(TransportFaultRule rule) {
-  rules_.push_back(rule);
 }
 
 std::uint64_t FaultInjectingTransport::callCount(

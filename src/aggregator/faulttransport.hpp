@@ -12,11 +12,11 @@
 // site names belong to procfs).
 //
 // A schedule is a list of rules; each names a call site, a fault kind,
-// and a window of 1-based call indices at that site:
+// and a window of 1-based call indices at that site, in the grammar
+// procfs::parseFaultSpec shares (common/faultspec.hpp):
 //   send:disconnect@5        one-shot: the 5th send fails and closes
 //   connect:fail@1..3        windowed: the first three connects fail
 //   recv:short@4..           sticky: every receive from the 4th on is split
-// Grammar and window semantics mirror procfs::parseFaultSpec exactly.
 #pragma once
 
 #include <cstdint>
@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "aggregator/transport.hpp"
+#include "common/faultspec.hpp"
 
 namespace zerosum::aggregator {
 
@@ -61,23 +62,13 @@ enum class TransportFaultKind {
 [[nodiscard]] std::string transportFaultSiteName(TransportFaultSite site);
 [[nodiscard]] std::string transportFaultKindName(TransportFaultKind kind);
 
-struct TransportFaultRule {
-  TransportFaultSite site = TransportFaultSite::kSend;
-  TransportFaultKind kind = TransportFaultKind::kDisconnect;
-  /// 1-based call index at `site` where the fault first fires.
-  std::uint64_t firstCall = 1;
-  /// Last call covered; nullopt = sticky.  Defaults to firstCall
-  /// (one-shot).
-  std::optional<std::uint64_t> lastCall = 1;
-
-  [[nodiscard]] bool covers(std::uint64_t call) const {
-    return call >= firstCall && (!lastCall || call <= *lastCall);
-  }
-};
+using TransportFaultRule =
+    faultspec::Rule<TransportFaultSite, TransportFaultKind>;
 
 /// Parses a ZS_AGG_FAULT_SPEC-style string ("site:kind@N",
 /// "site:kind@N..M", "site:kind@N.." joined by commas).  Names are
-/// case-insensitive.  Throws ConfigError on any malformed element.
+/// case-insensitive.  Throws ConfigError on any malformed element, or on
+/// a kind that does not apply at its site.
 [[nodiscard]] std::vector<TransportFaultRule> parseTransportFaultSpec(
     const std::string& spec);
 
@@ -87,8 +78,6 @@ class FaultInjectingTransport final : public Transport {
   explicit FaultInjectingTransport(std::unique_ptr<Transport> inner,
                                    std::vector<TransportFaultRule> rules = {},
                                    std::uint64_t seed = 1);
-
-  void addRule(TransportFaultRule rule);
 
   /// Calls observed at `site` so far (faulted or not).
   [[nodiscard]] std::uint64_t callCount(TransportFaultSite site) const;

@@ -15,7 +15,7 @@
 //   * Forwarder — the child half of the hop-by-hop protocol.  Drains the
 //     local RollupStore's dirty windows a series block at a time, routes
 //     each series once through the ring, queues its windows on the
-//     owning link, and re-batches them upstream as wire-v4 kForward frames,
+//     owning link, and re-batches them upstream as kForward frames,
 //     reusing the kBatchAck pressure/ack loop.  Windows are *cumulative
 //     snapshots*, so the loss story needs no persistent send queue: any
 //     reconnect or membership change marks the whole store dirty again
@@ -29,7 +29,7 @@
 //
 // FederationTree wires a full node -> group -> root tree over in-memory
 // PipeHubs — the deterministic harness behind the cluster simulation's
-// tree mode, the federation tests, and bench_federation.
+// tree mode and the federation tests.
 #pragma once
 
 #include <cstdint>

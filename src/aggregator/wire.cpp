@@ -146,14 +146,10 @@ std::string encodePayload(const Frame& frame) {
       break;
     case FrameKind::kBatch:
       putF64(p, frame.timeSeconds);
-      if (frame.version >= 2) {
-        putU64(p, frame.batchSeq);
-      }
-      if (frame.version >= 3) {
-        putF64(p, frame.enqueueSeconds);
-        putF64(p, frame.encodeSeconds);
-        putF64(p, frame.prevRoundtripSeconds);
-      }
+      putU64(p, frame.batchSeq);
+      putF64(p, frame.enqueueSeconds);
+      putF64(p, frame.encodeSeconds);
+      putF64(p, frame.prevRoundtripSeconds);
       putU32(p, static_cast<std::uint32_t>(frame.records.size()));
       for (const auto& r : frame.records) {
         putF64(p, r.timeSeconds);
@@ -228,11 +224,9 @@ std::string encodePayload(const Frame& frame) {
   return p;
 }
 
-Frame decodePayload(FrameKind kind, std::uint8_t version, const char* data,
-                    std::size_t size) {
+Frame decodePayload(FrameKind kind, const char* data, std::size_t size) {
   Frame frame;
   frame.kind = kind;
-  frame.version = version;
   PayloadReader in(data, size);
   switch (kind) {
     case FrameKind::kHello:
@@ -245,14 +239,10 @@ Frame decodePayload(FrameKind kind, std::uint8_t version, const char* data,
       break;
     case FrameKind::kBatch: {
       frame.timeSeconds = in.f64();
-      if (version >= 2) {
-        frame.batchSeq = in.u64();
-      }
-      if (version >= 3) {
-        frame.enqueueSeconds = in.f64();
-        frame.encodeSeconds = in.f64();
-        frame.prevRoundtripSeconds = in.f64();
-      }
+      frame.batchSeq = in.u64();
+      frame.enqueueSeconds = in.f64();
+      frame.encodeSeconds = in.f64();
+      frame.prevRoundtripSeconds = in.f64();
       const std::uint32_t count = in.u32();
       // 18 bytes = the minimum encoded record (two f64 + empty name).
       if (static_cast<std::size_t>(count) * 18 > size) {
@@ -375,12 +365,9 @@ Frame decodePayload(FrameKind kind, std::uint8_t version, const char* data,
   return frame;
 }
 
-bool validKind(std::uint8_t k, std::uint8_t version) {
-  const auto last = version >= 4   ? FrameKind::kCatalogAck
-                    : version >= 2 ? FrameKind::kBatchAck
-                                   : FrameKind::kResponse;
+bool validKind(std::uint8_t k) {
   return k >= static_cast<std::uint8_t>(FrameKind::kHello) &&
-         k <= static_cast<std::uint8_t>(last);
+         k <= static_cast<std::uint8_t>(FrameKind::kCatalogAck);
 }
 
 }  // namespace
@@ -412,13 +399,9 @@ const char* pressureLevelName(PressureLevel level) {
 }
 
 std::string encodeFrame(const Frame& frame) {
-  if (frame.version < kMinWireVersion || frame.version > kWireVersion) {
-    throw ParseError("wire: cannot encode version " +
-                     std::to_string(frame.version));
-  }
-  if (!validKind(static_cast<std::uint8_t>(frame.kind), frame.version)) {
-    throw ParseError("wire: frame kind not available at version " +
-                     std::to_string(frame.version));
+  if (!validKind(static_cast<std::uint8_t>(frame.kind))) {
+    throw ParseError("wire: cannot encode frame kind " +
+                     std::to_string(static_cast<int>(frame.kind)));
   }
   const std::string payload = encodePayload(frame);
   if (payload.size() > kMaxPayloadBytes) {
@@ -428,7 +411,7 @@ std::string encodeFrame(const Frame& frame) {
   std::string out;
   out.reserve(payload.size() + 6);
   putU32(out, static_cast<std::uint32_t>(payload.size()));
-  putU8(out, frame.version);
+  putU8(out, kWireVersion);
   putU8(out, static_cast<std::uint8_t>(frame.kind));
   out.append(payload);
   return out;
@@ -461,19 +444,18 @@ bool FrameReader::next(Frame& out) {
                      " exceeds limit");
   }
   const std::uint8_t version = static_cast<std::uint8_t>(head[4]);
-  if (version < kMinWireVersion || version > kWireVersion) {
+  if (version != kWireVersion) {
     throw ParseError("wire: version " + std::to_string(version) +
-                     " (accepted " + std::to_string(kMinWireVersion) + ".." +
-                     std::to_string(kWireVersion) + ")");
+                     " (speaks " + std::to_string(kWireVersion) + ")");
   }
   const std::uint8_t kind = static_cast<std::uint8_t>(head[5]);
-  if (!validKind(kind, version)) {
+  if (!validKind(kind)) {
     throw ParseError("wire: unknown frame kind " + std::to_string(kind));
   }
   if (avail < 6 + static_cast<std::size_t>(length)) {
     return false;
   }
-  out = decodePayload(static_cast<FrameKind>(kind), version, head + 6, length);
+  out = decodePayload(static_cast<FrameKind>(kind), head + 6, length);
   consumed_ += 6 + static_cast<std::size_t>(length);
   return true;
 }

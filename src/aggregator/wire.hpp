@@ -12,36 +12,24 @@
 //
 // Integers are little-endian fixed width; strings are u16-length-prefixed.
 // Decoding is strict: a truncated payload, an unknown kind, or a version
-// outside [kMinWireVersion, kWireVersion] throws ParseError — the daemon
-// drops the offending connection and counts the error rather than
-// guessing.
+// other than kWireVersion throws ParseError — the daemon drops the
+// offending connection and counts the error rather than guessing.
 //
-// Version history:
-//   v1  Hello / Batch / Health / Heartbeat / Goodbye / Query / Response.
-//   v2  kBatch gains a u64 batch sequence number (after timeSeconds), and
-//       kBatchAck appears: the daemon's per-batch acknowledgment carrying
-//       its pressure level (ok / elevated / overloaded), the backpressure
-//       signal driving the client's degradation ladder.  A heartbeat is
-//       answered with a seq-0 ack so idle clients see pressure too.
-//   v3  kBatch gains three f64 latency-attribution stamps (after
-//       batchSeq, before the record count):
-//       enqueueSeconds (client clock when the oldest record in the batch
-//       was queued), encodeSeconds (client clock at frame encode), and
-//       prevRoundtripSeconds (duration of the client's most recently
-//       completed batch round-trip; negative = none yet).  The daemon
-//       turns these into per-stage latency histograms; see DESIGN.md §10.
-//   v4  Federation (DESIGN.md §11).  kForward carries pre-aggregated
-//       rollup windows hop-by-hop up the fan-in tree, tagged with the
-//       forwarder identity, origin rank range, and hop count; it reuses
-//       batchSeq + kBatchAck for the pressure/ack protocol.  Window
-//       payloads are cumulative snapshots (min/max/sum/count), so a
-//       retransmit after a reconnect or parent restart replaces rather
-//       than double-counts.  kCatalogAnnounce registers a daemon
-//       {role, host, port, shard-range, generation} with a catalog;
-//       kCatalogAck confirms registration and carries the catalog's
-//       expiry horizon.  Catalog lookups ride kQuery ({"op":"catalog"}).
-// The daemon accepts all versions (old clients keep working, v1 unacked,
-// v2 unstamped); it only sends acks to connections that announced v2+.
+// Every kBatch carries a u64 batch sequence number and three f64
+// latency-attribution stamps (client clock): enqueueSeconds (the oldest
+// record's queue time), encodeSeconds (frame encode) and
+// prevRoundtripSeconds (the last completed batch round-trip; negative =
+// none yet), from which the daemon builds its per-stage latency
+// histograms (DESIGN.md §10).  The daemon acks each batch once durable,
+// and each heartbeat at once with seq 0, in a kBatchAck carrying its
+// pressure level: the backpressure signal behind the client's ladder.
+// Federation (DESIGN.md §11) adds kForward, pre-aggregated rollup windows
+// sent hop-by-hop up the fan-in tree with the forwarder identity, origin
+// rank range and hop count; it reuses batchSeq + kBatchAck.  Windows are
+// cumulative snapshots (min/max/sum/count), so a retransmit replaces
+// rather than double-counts.  kCatalogAnnounce registers a daemon {role,
+// host, port, shard range, generation} with a catalog, and kCatalogAck
+// confirms it with the expiry horizon; lookups ride kQuery.
 #pragma once
 
 #include <cstdint>
@@ -52,10 +40,8 @@
 
 namespace zerosum::aggregator {
 
-/// Protocol version; bumped on any incompatible layout change.
+/// Protocol version, the only one spoken; bumped on any layout change.
 inline constexpr std::uint8_t kWireVersion = 4;
-/// Oldest version the decoder still accepts.
-inline constexpr std::uint8_t kMinWireVersion = 1;
 
 /// Hard ceiling on a single frame's payload (defense against a corrupt
 /// or hostile length prefix allocating gigabytes).
@@ -69,10 +55,10 @@ enum class FrameKind : std::uint8_t {
   kGoodbye = 5,    ///< orderly shutdown of the source
   kQuery = 6,      ///< JSON query request (reader connections)
   kResponse = 7,   ///< JSON query response (daemon -> reader)
-  kBatchAck = 8,   ///< v2: daemon -> client batch/heartbeat ack + pressure
-  kForward = 9,    ///< v4: pre-aggregated rollup windows, child -> parent
-  kCatalogAnnounce = 10,  ///< v4: daemon registration with the catalog
-  kCatalogAck = 11,       ///< v4: catalog -> announcer confirmation
+  kBatchAck = 8,   ///< daemon -> client batch/heartbeat ack + pressure
+  kForward = 9,    ///< pre-aggregated rollup windows, child -> parent
+  kCatalogAnnounce = 10,  ///< daemon registration with the catalog
+  kCatalogAck = 11,       ///< catalog -> announcer confirmation
 };
 
 /// Daemon-side ingest pressure, computed from admission-queue depth and
@@ -204,31 +190,29 @@ struct CatalogEntry {
 /// decode path stays trivially safe).
 struct Frame {
   FrameKind kind = FrameKind::kHeartbeat;
-  /// Version to encode with / version the frame arrived as.
-  std::uint8_t version = kWireVersion;
   Hello hello;                      ///< kHello
   std::vector<WireRecord> records;  ///< kBatch
   HealthUpdate health;              ///< kHealth
   double timeSeconds = 0.0;         ///< kBatch / kHeartbeat / kGoodbye
   std::string text;                 ///< kQuery / kResponse (JSON)
-  /// kBatch (v2+) / kBatchAck: client-assigned sequence number (0 = a
-  /// heartbeat ack, or a v1 batch that carried none).
+  /// kBatch / kForward / kBatchAck: sender-assigned sequence number
+  /// (0 = a heartbeat ack).
   std::uint64_t batchSeq = 0;
   PressureLevel pressure = PressureLevel::kOk;  ///< kBatchAck
-  /// kBatch (v3+): latency-attribution stamps, client clock.  Negative
+  /// kBatch: latency-attribution stamps, client clock.  Negative
   /// prevRoundtripSeconds means "no completed round-trip yet" (0.0 is a
   /// legitimate duration under the lockstep virtual clock).
   double enqueueSeconds = 0.0;
   double encodeSeconds = 0.0;
   double prevRoundtripSeconds = -1.0;
-  // --- kForward (v4) -------------------------------------------------------
+  // --- kForward -------------------------------------------------------------
   std::string origin;     ///< forwarding daemon identity
   std::uint8_t hopCount = 0;  ///< hops already taken (leaf batch = 0)
   std::int32_t rankLo = 0;    ///< origin rank range covered by this frame
   std::int32_t rankHi = -1;   ///< (empty range when rankHi < rankLo)
   std::vector<ForwardSource> forwardSources;
   std::vector<ForwardWindow> forwardWindows;
-  // --- kCatalogAnnounce / kCatalogAck (v4) ---------------------------------
+  // --- kCatalogAnnounce / kCatalogAck --------------------------------------
   CatalogEntry catalogEntry;       ///< kCatalogAnnounce
   double catalogTtlSeconds = 0.0;  ///< kCatalogAck: expiry horizon granted
 };

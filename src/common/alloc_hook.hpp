@@ -1,5 +1,5 @@
 // Global-allocation counting hook, for the zero-allocation guarantees on
-// the sampling hot path (bench_sampling_loop, test_zero_alloc).
+// the sampling hot path (test_zero_alloc).
 //
 // Including this header DEFINES the replaceable global operator new /
 // operator delete set, so it must be included in EXACTLY ONE translation

@@ -1,7 +1,5 @@
 #include "procfs/faultfs.hpp"
 
-#include <algorithm>
-#include <cctype>
 #include <sstream>
 
 #include "common/env.hpp"
@@ -11,14 +9,6 @@
 namespace zerosum::procfs {
 
 namespace {
-
-std::string toLower(std::string_view s) {
-  std::string out(s);
-  std::transform(out.begin(), out.end(), out.begin(), [](unsigned char c) {
-    return static_cast<char>(std::tolower(c));
-  });
-  return out;
-}
 
 std::optional<FaultSite> siteFromName(const std::string& name) {
   for (const FaultSite site : kAllFaultSites) {
@@ -86,65 +76,8 @@ std::string faultKindName(FaultKind kind) {
 }
 
 std::vector<FaultRule> parseFaultSpec(const std::string& spec) {
-  std::vector<FaultRule> rules;
-  for (const auto& rawElement : strings::split(spec, ',')) {
-    const std::string element = strings::trim(rawElement);
-    if (element.empty()) {
-      continue;
-    }
-    const auto colon = element.find(':');
-    const auto at = element.find('@');
-    if (colon == std::string::npos || at == std::string::npos || at < colon) {
-      throw ConfigError("fault spec element '" + element +
-                        "' is not site:kind@schedule");
-    }
-    FaultRule rule;
-    const std::string siteName = toLower(element.substr(0, colon));
-    const auto site = siteFromName(siteName);
-    if (!site) {
-      throw ConfigError("unknown fault site '" + siteName + "' in '" +
-                        element + "'");
-    }
-    rule.site = *site;
-    const std::string kindName =
-        toLower(element.substr(colon + 1, at - colon - 1));
-    const auto kind = kindFromName(kindName);
-    if (!kind) {
-      throw ConfigError("unknown fault kind '" + kindName + "' in '" +
-                        element + "'");
-    }
-    rule.kind = *kind;
-
-    const std::string schedule = element.substr(at + 1);
-    const auto dots = schedule.find("..");
-    if (dots == std::string::npos) {
-      const auto call = strings::toU64(schedule);
-      if (!call || *call == 0) {
-        throw ConfigError("bad fault call index '" + schedule + "' in '" +
-                          element + "'");
-      }
-      rule.firstCall = *call;
-      rule.lastCall = *call;
-    } else {
-      const auto first = strings::toU64(schedule.substr(0, dots));
-      if (!first || *first == 0) {
-        throw ConfigError("bad fault window start in '" + element + "'");
-      }
-      rule.firstCall = *first;
-      const std::string rest = schedule.substr(dots + 2);
-      if (rest.empty()) {
-        rule.lastCall = std::nullopt;  // sticky
-      } else {
-        const auto last = strings::toU64(rest);
-        if (!last || *last < rule.firstCall) {
-          throw ConfigError("bad fault window end in '" + element + "'");
-        }
-        rule.lastCall = *last;
-      }
-    }
-    rules.push_back(rule);
-  }
-  return rules;
+  return faultspec::parse<FaultSite, FaultKind>(spec, "fault", siteFromName,
+                                                kindFromName);
 }
 
 FaultInjectingProcFs::FaultInjectingProcFs(std::unique_ptr<ProcFs> inner,
@@ -154,10 +87,6 @@ FaultInjectingProcFs::FaultInjectingProcFs(std::unique_ptr<ProcFs> inner,
   if (!inner_) {
     throw ConfigError("FaultInjectingProcFs requires an inner provider");
   }
-}
-
-void FaultInjectingProcFs::addRule(FaultRule rule) {
-  rules_.push_back(rule);
 }
 
 std::uint64_t FaultInjectingProcFs::callCount(FaultSite site) const {

@@ -10,7 +10,8 @@
 // exercised end-to-end in tests (and in live runs via ZS_FAULT_SPEC).
 //
 // A fault schedule is a list of rules.  Each rule names a call site, a
-// fault kind, and a window of 1-based call indices at that site:
+// fault kind, and a window of 1-based call indices at that site
+// (common/faultspec.hpp):
 //   taskstat:enoent@3       one-shot: only the 3rd readTaskStat call fails
 //   meminfo:truncate@5..    sticky: every readMeminfo call from the 5th on
 //   stat:garbage@2..4       windowed: calls 2, 3 and 4
@@ -25,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "common/faultspec.hpp"
 #include "procfs/procfs.hpp"
 
 namespace zerosum::procfs {
@@ -56,19 +58,7 @@ enum class FaultKind {
 [[nodiscard]] std::string faultSiteName(FaultSite site);
 [[nodiscard]] std::string faultKindName(FaultKind kind);
 
-struct FaultRule {
-  FaultSite site = FaultSite::kTaskStat;
-  FaultKind kind = FaultKind::kNotFound;
-  /// 1-based call index at `site` where the fault first fires.
-  std::uint64_t firstCall = 1;
-  /// Last call index the fault covers; nullopt = sticky (never stops).
-  /// Defaults to firstCall, i.e. a one-shot fault.
-  std::optional<std::uint64_t> lastCall = 1;
-
-  [[nodiscard]] bool covers(std::uint64_t call) const {
-    return call >= firstCall && (!lastCall || call <= *lastCall);
-  }
-};
+using FaultRule = faultspec::Rule<FaultSite, FaultKind>;
 
 /// Parses a ZS_FAULT_SPEC-style string ("site:kind@N", "site:kind@N..M",
 /// "site:kind@N.." joined by commas).  Site and kind names are
@@ -83,8 +73,6 @@ class FaultInjectingProcFs final : public ProcFs {
   explicit FaultInjectingProcFs(std::unique_ptr<ProcFs> inner,
                                 std::vector<FaultRule> rules = {},
                                 std::uint64_t seed = 1);
-
-  void addRule(FaultRule rule);
 
   /// Calls observed at `site` so far (faulted or not).
   [[nodiscard]] std::uint64_t callCount(FaultSite site) const;

@@ -222,7 +222,7 @@ TEST(AggClient, GoodbyeFlushesQueueThenSignalsDeparture) {
   EXPECT_FALSE(client.connected());
 }
 
-// --- degradation ladder, acks, heartbeats (wire v2) -------------------------
+// --- degradation ladder, acks, heartbeats ----------------------------------
 
 namespace {
 

@@ -25,6 +25,7 @@
 #include "common/json.hpp"
 #include "topology/presets.hpp"
 #include "trace/metrics.hpp"
+#include "trace/prometheus.hpp"
 
 using namespace zerosum;
 using namespace zerosum::aggregator;
@@ -334,6 +335,14 @@ TEST(AggE2E, ClusterJobRanksPublishIntoOneAggregator) {
   EXPECT_TRUE(daemon.missingRanks("e2e").empty());
   EXPECT_EQ(daemon.counters().decodeErrors, 0U);
   EXPECT_EQ(daemon.counters().orphanFrames, 0U);
+  // The in-memory path is lossless: every record a rank offered landed.
+  std::uint64_t enqueued = 0;
+  for (int rank = 0; rank < 4; ++rank) {
+    const ClientCounters& c = job.aggClient(rank).counters();
+    EXPECT_EQ(c.recordsDropped, 0U) << rank;
+    enqueued += c.recordsEnqueued;
+  }
+  EXPECT_EQ(daemon.counters().recordsIngested, enqueued);
 
   // Per-rank rollups: each rank publishes its RSS once per sampled
   // period, so the total count across retained fine windows matches the
@@ -466,7 +475,7 @@ TEST(AggTcp, ConnectBatchQueryAndReconnectAcrossDaemonRestart) {
   EXPECT_GE(client.counters().reconnects, 1U);
 }
 
-// --- admission control, pressure, and ack gating (wire v2) ------------------
+// --- admission control, pressure, and ack gating ----------------------------
 
 namespace {
 
@@ -575,31 +584,6 @@ TEST(AggAdmission, PressureRisesWithBacklogAndRidesEveryAck) {
   EXPECT_EQ(daemon.counters().acksSent, 9U);
 }
 
-TEST(AggAdmission, V1ClientsAreIngestedButNeverAcked) {
-  PipeHub hub;
-  Aggregator daemon(hub.makeServer());
-  RawSource source(hub);
-
-  Frame hello;
-  hello.kind = FrameKind::kHello;
-  hello.version = 1;
-  hello.hello = rankIdentity(0);
-  source.send(hello);
-  Frame batch;
-  batch.kind = FrameKind::kBatch;
-  batch.version = 1;
-  batch.timeSeconds = 1.0;
-  batch.records.push_back({1.0, "m", 5.0});
-  source.send(batch);
-  daemon.poll(1.0);
-
-  EXPECT_EQ(daemon.counters().recordsIngested, 1U);
-  EXPECT_EQ(daemon.counters().acksSent, 0U);
-  std::string bytes;
-  source.transport->receive(bytes);
-  EXPECT_TRUE(bytes.empty()) << "a v1 connection must see no v2 frames";
-}
-
 TEST(AggAdmission, HeartbeatsAnswerImmediatelyWithPressure) {
   PipeHub hub;
   DaemonOptions options;
@@ -668,7 +652,7 @@ TEST(AggAdmission, DrainBacklogFlushesEverythingForOrderlyShutdown) {
   EXPECT_EQ(daemon.counters().recordsIngested, 12U);
 }
 
-// --- per-stage latency attribution (wire v3 stamps, DESIGN.md §10) ----------
+// --- per-stage latency attribution (batch stamps, DESIGN.md §10) ------------
 
 namespace {
 
@@ -727,6 +711,16 @@ TEST(AggLatency, StampedBatchesFeedAllFourStageHistograms) {
       registry.latency("zs.agg.daemon.latency.ingest_to_durable_seconds")
           .stats();
   EXPECT_EQ(durable.count, 3U);
+
+  // ...and the exposition a scrape renders carries all four families.
+  const std::string exposition = trace::renderPrometheus(registry.snapshot());
+  for (const char* stage : {"enqueue_to_send", "send_to_ingest",
+                            "ingest_to_durable", "roundtrip"}) {
+    EXPECT_NE(exposition.find(std::string("zs_agg_daemon_latency_") + stage +
+                              "_seconds_count"),
+              std::string::npos)
+        << stage;
+  }
   trace::MetricsRegistry::instance().reset();
 }
 

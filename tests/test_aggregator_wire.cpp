@@ -188,12 +188,16 @@ TEST(AggWire, TruncatedPayloadThrows) {
 }
 
 TEST(AggWire, VersionMismatchThrows) {
-  std::string bytes = encodeFrame(sampleHello());
-  bytes[4] = static_cast<char>(kWireVersion + 1);  // version byte
-  FrameReader reader;
-  reader.feed(bytes);
-  Frame frame;
-  EXPECT_THROW(reader.next(frame), ParseError);
+  // The wire speaks one version: every other byte value is refused.
+  for (const int version : {0, 1, 2, 3, 5}) {
+    std::string bytes = encodeFrame(sampleHello());
+    ASSERT_EQ(bytes[4], static_cast<char>(kWireVersion));  // version byte
+    bytes[4] = static_cast<char>(version);
+    FrameReader reader;
+    reader.feed(bytes);
+    Frame frame;
+    EXPECT_THROW(reader.next(frame), ParseError) << version;
+  }
 }
 
 TEST(AggWire, UnknownKindThrows) {
@@ -239,8 +243,8 @@ TEST(AggWire, RecordCountMismatchThrows) {
   // payload can hold.
   Frame batch = sampleBatch();
   std::string bytes = encodeFrame(batch);
-  // v3 payload layout: f64 time, u64 batch seq, three f64 latency
-  // stamps, then the u32 record count at offset 6+40.
+  // Payload layout: f64 time, u64 batch seq, three f64 latency stamps,
+  // then the u32 record count at offset 6+40.
   bytes[6 + 40] = '\x7f';
   EXPECT_THROW(decodeFrame(bytes), ParseError);
 }
@@ -253,13 +257,12 @@ TEST(AggWire, EmptyBatchRoundTrips) {
   EXPECT_TRUE(out.records.empty());
 }
 
-// --- wire v2: batch sequence numbers, acks, version compatibility -----------
+// --- batch sequence numbers and acks ----------------------------------------
 
 TEST(AggWire, BatchSeqRoundTripsOnV2) {
   Frame batch = sampleBatch();
   batch.batchSeq = 0xDEADBEEF12345678ULL;
   const Frame out = decodeFrame(encodeFrame(batch));
-  EXPECT_EQ(out.version, kWireVersion);
   EXPECT_EQ(out.batchSeq, 0xDEADBEEF12345678ULL);
   EXPECT_EQ(out.records, batch.records);
 }
@@ -273,33 +276,6 @@ TEST(AggWire, BatchAckRoundTripsSeqAndPressure) {
   EXPECT_EQ(out.kind, FrameKind::kBatchAck);
   EXPECT_EQ(out.batchSeq, 41U);
   EXPECT_EQ(out.pressure, PressureLevel::kOverloaded);
-}
-
-TEST(AggWire, V1BatchDecodesWithoutSeq) {
-  // A v1 client's batch has no sequence number on the wire; the decoder
-  // must accept it and report seq 0 (the "unacked" sentinel).
-  Frame batch = sampleBatch();
-  batch.version = 1;
-  batch.batchSeq = 77;  // must NOT reach the wire at v1
-  const std::string bytes = encodeFrame(batch);
-  const Frame out = decodeFrame(bytes);
-  EXPECT_EQ(out.version, 1);
-  EXPECT_EQ(out.batchSeq, 0U);
-  EXPECT_EQ(out.records, batch.records);
-}
-
-TEST(AggWire, V1CannotCarryAcks) {
-  Frame ack;
-  ack.kind = FrameKind::kBatchAck;
-  ack.version = 1;
-  EXPECT_THROW(encodeFrame(ack), ParseError);
-
-  // The same guard on the decode side: an ack frame stamped v1.
-  Frame v2ack;
-  v2ack.kind = FrameKind::kBatchAck;
-  std::string bytes = encodeFrame(v2ack);
-  bytes[4] = 1;  // version byte
-  EXPECT_THROW(decodeFrame(bytes), ParseError);
 }
 
 TEST(AggWire, AckPressureOutOfRangeThrows) {
@@ -347,18 +323,44 @@ TEST(AggWire, SeededRandomGarbageNeverCrashesTheReader) {
 }
 
 TEST(AggWire, BitFlippedStreamsFailDeterministically) {
-  // Flip one bit somewhere in a valid multi-frame stream.  The reader
-  // must either still decode frames (the flip hit a value field) or
-  // throw ParseError — and two readers over the same corrupted bytes
-  // must agree exactly (deterministic disconnect, no state dependence).
+  // Flip one bit somewhere in a valid stream holding one frame of every
+  // kind, so a flip can land in any payload layout.  The reader must
+  // either still decode frames (the flip hit a value field) or throw
+  // ParseError — and two readers over the same corrupted bytes must
+  // agree exactly (deterministic disconnect, no state dependence).
+  std::vector<Frame> frames = {sampleHello(), sampleBatch()};
+  const auto add = [&frames](FrameKind kind) -> Frame& {
+    frames.emplace_back().kind = kind;
+    frames.back().batchSeq = frames.size();
+    frames.back().timeSeconds = 7.5;
+    return frames.back();
+  };
+  Frame& forward = add(FrameKind::kForward);
+  forward.origin = "node-1";
+  forward.hopCount = 1;
+  forward.rankLo = 0;
+  forward.rankHi = 3;
+  forward.forwardSources.push_back({"job-42", 3, 8, "node0003", 0, 1.5});
+  forward.forwardWindows.push_back(
+      {"job-42", 3, "hwt.0.user_pct", 1, 12, 1.0, 9.0, 15.0, 4});
+  Frame& announce = add(FrameKind::kCatalogAnnounce);
+  announce.catalogEntry = {DaemonRole::kGroup, "g0", "127.0.0.1", 7000,
+                           0, kShardSpace - 1, 3};
+  add(FrameKind::kCatalogAck).catalogTtlSeconds = 15.0;
+  add(FrameKind::kBatchAck).pressure = PressureLevel::kElevated;
+  add(FrameKind::kHealth).health = {100, 5, 2, 1, 3};
+  add(FrameKind::kHeartbeat);
+  add(FrameKind::kGoodbye);
+  add(FrameKind::kQuery).text = R"({"op":"snapshot","rank":3})";
+  add(FrameKind::kResponse).text = R"({"series":[]})";
   std::string clean;
-  for (int i = 0; i < 6; ++i) {
-    Frame frame = (i % 2 == 0) ? sampleHello() : sampleBatch();
-    frame.batchSeq = static_cast<std::uint64_t>(i);
+  for (const Frame& frame : frames) {
     clean += encodeFrame(frame);
   }
+  const int kinds = static_cast<int>(frames.size());
+  ASSERT_EQ(kinds, static_cast<int>(FrameKind::kCatalogAck));
   std::mt19937_64 rng(0xB17F11BULL);
-  for (int trial = 0; trial < 300; ++trial) {
+  for (int trial = 0; trial < 2000; ++trial) {
     std::string bytes = clean;
     const std::size_t bit = rng() % (bytes.size() * 8);
     bytes[bit / 8] = static_cast<char>(
@@ -388,6 +390,6 @@ TEST(AggWire, BitFlippedStreamsFailDeterministically) {
     const auto oneShot = runReader(bytes.size());
     const auto byteWise = runReader(1);
     EXPECT_EQ(oneShot, byteWise) << "trial " << trial << " bit " << bit;
-    EXPECT_LE(oneShot.first, 6);
+    EXPECT_LE(oneShot.first, kinds);
   }
 }

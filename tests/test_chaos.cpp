@@ -397,15 +397,19 @@ TEST(ChaosMatrix, SlowDaemonCoarsensClientsInsteadOfDropping) {
   job.run();
 
   std::uint64_t coarsened = 0;
+  std::uint64_t acked = 0;
   for (int rank = 0; rank < job.totalRanks(); ++rank) {
     const auto& c = job.aggClient(rank).counters();
     coarsened += c.recordsCoarsened;
+    acked += c.recordsAcked;
     EXPECT_EQ(c.recordsDropped, 0U) << rank;
     EXPECT_GT(c.acksReceived, 0U) << rank;
   }
   EXPECT_GT(coarsened, 0U);
   const auto& d = job.aggregatorDaemon()->counters();
   EXPECT_GT(d.batchesDeferred, 0U);
+  // Zero acked loss: no client counts a record acked that never landed.
+  EXPECT_LE(acked, d.recordsIngested);
   EXPECT_EQ(d.recordsIngested,
             [&job] {
               std::uint64_t sent = 0;

@@ -8,10 +8,14 @@
 #include <atomic>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <thread>
+#include <vector>
 
+#include "aggregator/faulttransport.hpp"
 #include "common/env.hpp"
 #include "common/error.hpp"
+#include "common/stats.hpp"
 #include "core/health.hpp"
 #include "core/monitor.hpp"
 #include "gpu/device.hpp"
@@ -83,6 +87,70 @@ TEST(FaultSpec, MalformedThrowsConfigError) {
   EXPECT_THROW((void)parseFaultSpec("taskstat:enoent@x"), ConfigError);
   EXPECT_THROW((void)parseFaultSpec("taskstat:enoent@3..2"), ConfigError);
   EXPECT_THROW((void)parseFaultSpec("taskstat@3:enoent"), ConfigError);
+}
+
+TEST(FaultSpec, MutatedSpecsParseOrThrowConfigErrorNeverAnythingElse) {
+  // 10 000 mutations of valid procfs and transport specs, each fed to
+  // both grammars: a spec parses or throws ConfigError, nothing else.
+  const std::vector<std::string> seeds = {
+      "taskstat:enoent@3, meminfo:truncate@5.. ,stat:garbage@2..4",
+      "listtasks:empty@1,Status:NotFound@2",
+      "send:disconnect@5, CONNECT:fail@1..3, recv:short@4..",
+      "send:partial@7,connect:fail@2..4,send:delay@25..30",
+  };
+  const std::string alphabet = ":@.,0123456789 acdefgilnorstuy";
+  stats::SplitMix64 rng(2023);
+  const auto below = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng.nextBelow(n));
+  };
+  std::uint64_t parsed[2] = {};
+  std::uint64_t refused[2] = {};
+  for (int i = 0; i < 10000; ++i) {
+    std::string spec = seeds[below(seeds.size())];
+    for (std::size_t edits = 1 + below(3); edits > 0; --edits) {
+      const std::size_t at = below(spec.size() + 1);
+      switch (below(5)) {
+        case 0:  // flip a bit
+          if (at < spec.size()) {
+            spec[at] = static_cast<char>(spec[at] ^ (1 << below(8)));
+          }
+          break;
+        case 1:  // insert a grammar byte, or any byte
+          spec.insert(at, 1,
+                      below(4) == 0 ? static_cast<char>(below(256))
+                                    : alphabet[below(alphabet.size())]);
+          break;
+        case 2:  // delete a byte
+          if (at < spec.size()) {
+            spec.erase(at, 1);
+          }
+          break;
+        case 3:  // truncate
+          spec.resize(at);
+          break;
+        default:  // a call index past 64 bits, or zero
+          spec.insert(at, below(2) == 0 ? "18446744073709551616" : "0");
+          break;
+      }
+    }
+    const auto run = [&](std::size_t grammar, auto parse) {
+      try {
+        (void)parse(spec);
+        ++parsed[grammar];
+      } catch (const ConfigError&) {
+        ++refused[grammar];
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "'" << spec << "' threw " << e.what();
+      }
+    };
+    run(0, parseFaultSpec);
+    run(1, aggregator::parseTransportFaultSpec);
+  }
+  // Both outcomes happened in both grammars: mutants reached the rules.
+  for (std::size_t grammar = 0; grammar < 2; ++grammar) {
+    EXPECT_GT(parsed[grammar], 100U) << grammar;
+    EXPECT_GT(refused[grammar], 1000U) << grammar;
+  }
 }
 
 // --- Decorator behaviour over a scripted provider -------------------------

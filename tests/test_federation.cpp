@@ -1,4 +1,4 @@
-// Federation (DESIGN.md §11): wire-v4 frames, consistent-hash sharding,
+// Federation (DESIGN.md §11): its wire frames, consistent-hash sharding,
 // the catalog discovery service, the hop-by-hop Forwarder, the full
 // in-process FederationTree, and ClusterJob's tree-topology mode.  The
 // invariant under test throughout: windows are cumulative snapshots, so
@@ -70,7 +70,7 @@ void expectSubsumed(const RollupStore& child, const RollupStore& parent) {
 
 }  // namespace
 
-// --- wire v4 -----------------------------------------------------------------
+// --- wire frames -------------------------------------------------------------
 
 TEST(FedWire, ForwardFrameRoundTrips) {
   Frame frame;
@@ -866,9 +866,12 @@ double publishThroughTree(FederationTree& tree,
   return t;
 }
 
-std::vector<std::unique_ptr<Client>> makeTreeClients(FederationTree& tree,
-                                                     int ranks) {
-  const int daemons = tree.groups() * tree.nodesPerGroup();
+/// One client per rank, flushing every `batchRecords` records into
+/// `transportFor(rank)`.
+template <typename TransportFor>
+std::vector<std::unique_ptr<Client>> makeClients(int ranks,
+                                                 std::size_t batchRecords,
+                                                 TransportFor transportFor) {
   std::vector<std::unique_ptr<Client>> clients;
   for (int r = 0; r < ranks; ++r) {
     Hello hello;
@@ -876,15 +879,23 @@ std::vector<std::unique_ptr<Client>> makeTreeClients(FederationTree& tree,
     hello.rank = r;
     hello.worldSize = ranks;
     hello.hostname = "nid" + std::to_string(r);
-    const int d = r % daemons;
     ClientOptions options;
-    options.batchRecords = 1;
-    clients.push_back(std::make_unique<Client>(
-        tree.makeNodeTransport(d / tree.nodesPerGroup(),
-                               d % tree.nodesPerGroup()),
-        hello, options));
+    options.batchRecords = batchRecords;
+    clients.push_back(
+        std::make_unique<Client>(transportFor(r), hello, options));
   }
   return clients;
+}
+
+/// Ranks spread round-robin over the tree's node daemons.
+std::vector<std::unique_ptr<Client>> makeTreeClients(
+    FederationTree& tree, int ranks, std::size_t batchRecords = 1) {
+  const int daemons = tree.groups() * tree.nodesPerGroup();
+  return makeClients(ranks, batchRecords, [&tree, daemons](int r) {
+    const int d = r % daemons;
+    return tree.makeNodeTransport(d / tree.nodesPerGroup(),
+                                  d % tree.nodesPerGroup());
+  });
 }
 
 /// Steps the tree (clients pumping alongside) in small increments until
@@ -981,17 +992,130 @@ TEST(FedTree, GroupCrashFailoverLosesNoAckedWindows) {
   // Zero acked loss across the kill: whatever the node daemons hold is
   // at the root, and membership changes + resyncs actually happened.
   std::uint64_t membershipChanges = 0;
+  std::uint64_t resyncs = 0;
   for (int g = 0; g < 3; ++g) {
+    EXPECT_FALSE(tree.node(g, 0).store().keys().empty()) << g;
     expectSubsumed(tree.node(g, 0).store(), tree.root().store());
     membershipChanges +=
         tree.nodeForwarder(g, 0).counters().membershipChanges;
+    resyncs += tree.nodeForwarder(g, 0).counters().resyncs;
   }
   EXPECT_GT(membershipChanges, 3U);  // initial set + outage + restart
+  EXPECT_GT(resyncs, 0U);
   std::set<int> ranksAtRoot;
   for (const auto& key : tree.root().store().keys()) {
     ranksAtRoot.insert(key.rank);
   }
   EXPECT_EQ(ranksAtRoot.size(), 12U);
+}
+
+// --- fan-in versus the flat daemon -------------------------------------------
+
+namespace {
+
+constexpr std::size_t kFanInMetrics = 4;
+
+/// The same capacity for every daemon, flat or tree.  One poll models one
+/// scheduling quantum of daemon CPU per period, so the per-poll batch
+/// budget is the capacity knob; the admission queue is deep enough that
+/// the inline backstop never fires and overflow shows up as backlog.
+DaemonOptions budgetedDaemonOptions() {
+  DaemonOptions options;
+  options.maxBatchesPerPoll = 300;
+  options.maxPendingBatches = 1U << 20;
+  return options;
+}
+
+/// One batch of kFanInMetrics records per client, flushed at enqueue.
+/// The clients never pump, so no daemon's pressure coarsens the load.
+void publishFanInPeriod(std::vector<std::unique_ptr<Client>>& clients,
+                        double t) {
+  std::vector<IdRecord> batch;
+  for (std::size_t m = 0; m < kFanInMetrics; ++m) {
+    batch.push_back({t, names::intern("fed.metric." + std::to_string(m)),
+                     t + static_cast<double>(m)});
+  }
+  for (auto& client : clients) {
+    client->enqueueIds(batch, t);
+  }
+}
+
+/// Records one budgeted flat daemon ingests per virtual second while
+/// `ranks` clients publish for `periods` seconds.
+double flatIngestRate(int ranks, int periods) {
+  PipeHub hub;
+  Aggregator daemon(hub.makeServer(), {}, budgetedDaemonOptions());
+  auto clients = makeClients(ranks, kFanInMetrics,
+                             [&hub](int) { return hub.makeClientTransport(); });
+  for (int period = 0; period < periods; ++period) {
+    publishFanInPeriod(clients, 1.0 + period);
+    daemon.poll(1.0 + period);
+  }
+  return static_cast<double>(daemon.counters().recordsIngested) / periods;
+}
+
+/// The flat daemon never drops an admitted batch, so its total catches up
+/// once the backlog drains; past its per-poll budget it loses timeliness.
+/// Compared is what each topology ingests while the ranks publish, per
+/// virtual second, so the rates are deterministic: a 4x4 tree must take
+/// every record as it comes (within 10 %) and at least twice the flat
+/// rate, then lose no acked window on the way to the root.
+void expectTreeOutrunsFlat(int ranks, int periods, bool killGroup) {
+  const double flatRate = flatIngestRate(ranks, periods);
+  FederationTreeOptions options;
+  options.groups = 4;
+  options.nodesPerGroup = 4;
+  options.daemonOptions = budgetedDaemonOptions();
+  FederationTree tree(options);
+  auto clients = makeTreeClients(tree, ranks, kFanInMetrics);
+  double t = 1.0;
+  for (int period = 0; period < periods; ++period, t += 1.0) {
+    if (killGroup && period == periods * 2 / 5) {
+      tree.crashGroup(0);
+    }
+    publishFanInPeriod(clients, t);
+    tree.step(t);
+  }
+  std::uint64_t treeIngested = 0;
+  for (int g = 0; g < 4; ++g) {
+    for (int n = 0; n < 4; ++n) {
+      treeIngested += tree.node(g, n).counters().recordsIngested;
+    }
+  }
+  const double treeRate = static_cast<double>(treeIngested) / periods;
+  EXPECT_GE(treeRate, static_cast<double>(kFanInMetrics) * ranks / 1.1);
+  EXPECT_GE(treeRate / std::max(flatRate, 1.0), 2.0);
+
+  drainTree(tree, clients, t);
+  ASSERT_TRUE(tree.quiesced());
+  std::size_t nodeSeries = 0;
+  for (int g = 0; g < 4; ++g) {
+    for (int n = 0; n < 4; ++n) {
+      nodeSeries += tree.node(g, n).store().keys().size();
+      expectSubsumed(tree.node(g, n).store(), tree.root().store());
+    }
+  }
+  EXPECT_EQ(nodeSeries, kFanInMetrics * static_cast<std::size_t>(ranks));
+  std::set<int> ranksAtRoot;
+  for (const auto& key : tree.root().store().keys()) {
+    ranksAtRoot.insert(key.rank);
+  }
+  EXPECT_EQ(static_cast<int>(ranksAtRoot.size()), ranks);
+  for (const auto& client : clients) {
+    EXPECT_EQ(client->counters().recordsDropped, 0U);
+  }
+}
+
+}  // namespace
+
+TEST(FedTree, FanInOutrunsTheFlatDaemonAt1000RanksThroughAGroupKill) {
+  // One group dies mid-run and stays dead: its catalog entry ages out
+  // and the node forwarders resync into the survivors.
+  expectTreeOutrunsFlat(1000, 24, /*killGroup=*/true);
+}
+
+TEST(FedTree, FanInOutrunsTheFlatDaemonAt4000Ranks) {
+  expectTreeOutrunsFlat(4000, 12, /*killGroup=*/false);
 }
 
 // --- ClusterJob tree mode ----------------------------------------------------

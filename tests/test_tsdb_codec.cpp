@@ -4,10 +4,12 @@
 // NaN payloads, denormals) and seeded random fuzz.  The CRC and the bit
 // packer are also pinned to known answers and to slow references kept
 // here, since a different but self-consistent kernel passes every round
-// trip.
+// trip.  Last, the compressed size of monitoring-shaped series is held
+// against the CSV text of the same windows.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <limits>
 #include <random>
@@ -426,4 +428,70 @@ TEST(TsdbCodec, ColumnsConcatenateAndDecodeInSequence) {
   expectSameBits(decodeValues(bytes, pos), mins);
   EXPECT_EQ(decodeCounts(bytes, pos), counts);
   EXPECT_EQ(pos, bytes.size());
+}
+
+// --- compression of monitoring-shaped series -------------------------------
+
+namespace {
+
+struct Columns {
+  std::vector<std::int64_t> timestamps;
+  std::vector<double> values;
+  std::vector<std::uint64_t> counts;
+};
+
+/// One series per (rank, metric): regular 1 s windows with the odd gap,
+/// and values random-walking in the quarter-point steps of jiffy-derived
+/// percentages, holding steady a third of the time as an idle core does.
+std::vector<Columns> monitoringSeries(std::size_t series,
+                                      std::size_t windows) {
+  std::mt19937_64 rng(8990);
+  std::vector<Columns> out(series);
+  for (Columns& s : out) {
+    auto t = static_cast<std::int64_t>(rng() % 1000);
+    auto v = static_cast<double>(rng() % 100);
+    for (std::size_t i = 0; i < windows; ++i) {
+      t += 1 + (rng() % 50 == 0 ? static_cast<std::int64_t>(rng() % 5) : 0);
+      if (rng() % 3 != 0) {
+        v += (static_cast<double>(rng() % 9) - 4.0) * 0.25;
+      }
+      s.timestamps.push_back(t);
+      s.values.push_back(v);
+      s.counts.push_back(1 + rng() % 10);
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
+TEST(TsdbCodec, MonitoringSeriesCompressFarBelowTheirCsvText) {
+  std::uint64_t compressed = 0;
+  std::uint64_t csv = 0;
+  std::string bytes;
+  char line[96];
+  for (const Columns& s : monitoringSeries(256, 4096)) {
+    bytes.clear();
+    encodeTimestamps(s.timestamps, bytes);
+    encodeValues(s.values, bytes);
+    encodeCounts(s.counts, bytes);
+    compressed += bytes.size();
+    std::size_t pos = 0;
+    ASSERT_EQ(decodeTimestamps(bytes, pos), s.timestamps);
+    expectSameBits(decodeValues(bytes, pos), s.values);
+    ASSERT_EQ(decodeCounts(bytes, pos), s.counts);
+    // The text a CSV export of the same windows would take.
+    for (std::size_t i = 0; i < s.timestamps.size(); ++i) {
+      csv += static_cast<std::uint64_t>(std::snprintf(
+          line, sizeof(line), "%lld,%.17g,%llu\n",
+          static_cast<long long>(s.timestamps[i]), s.values[i],
+          static_cast<unsigned long long>(s.counts[i])));
+    }
+  }
+  const double csvFraction =
+      static_cast<double>(compressed) / static_cast<double>(csv);
+  // 2 987 811 of 12 636 423 bytes (0.2364) when first recorded: held to
+  // within 10 % of that, and under the 35 % the codec was built to.
+  EXPECT_LE(csvFraction, 1.1 * 2987811.0 / 12636423.0);
+  EXPECT_LT(csvFraction, 0.35);
 }
