@@ -1,8 +1,9 @@
 // Micro-benchmarks (google-benchmark): the per-operation costs that bound
 // ZeroSum's overhead budget — /proc text parsing, a full monitor sample as
 // a function of thread count, the MPI interposition per message, CpuSet
-// parsing, the simulator's scheduler tick, and the tsdb write path's
-// kernels (the WAL/segment CRC and the segment value codec).
+// parsing, the simulator's scheduler tick, the tsdb write path's kernels
+// (the WAL/segment CRC and the segment value codec), and the query answer
+// emitter (json::Writer's numbers and a whole snapshot answer).
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -13,7 +14,10 @@
 #include <string_view>
 #include <vector>
 
+#include "aggregator/query.hpp"
+#include "aggregator/store.hpp"
 #include "common/cpuset.hpp"
+#include "common/json.hpp"
 #include "core/monitor.hpp"
 #include "export/staging.hpp"
 #include "mpisim/patterns.hpp"
@@ -236,6 +240,70 @@ void BM_EncodeValues(benchmark::State& state) {
                           static_cast<std::int64_t>(values.size()));
 }
 BENCHMARK(BM_EncodeValues);
+
+/// json::Writer's number formatting: 1 000 doubles, a third integral
+/// (the integer path), a third with one decimal and a third arbitrary
+/// (both to_chars(general)).
+void BM_JsonNumbers(benchmark::State& state) {
+  std::mt19937_64 rng(11);
+  std::vector<double> values;
+  for (int i = 0; i < 1000; ++i) {
+    const auto draw = static_cast<double>(rng() % 200000) - 100000.0;
+    switch (i % 3) {
+      case 0: values.push_back(draw); break;
+      case 1: values.push_back(draw / 10.0); break;
+      default:
+        values.push_back(draw * 1.000123456789 / 7.0);
+        break;
+    }
+  }
+  std::string out;
+  for (auto _ : state) {
+    out.clear();
+    json::Writer w(out);
+    w.beginArray();
+    for (const double v : values) {
+      w.value(v);
+    }
+    w.endArray();
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(values.size()));
+}
+BENCHMARK(BM_JsonNumbers);
+
+/// A `snapshot` answer for one rank of the durable_ingest shape: 145
+/// series, each with a newest fine and coarse window of a gauge.
+void BM_SnapshotBody(benchmark::State& state) {
+  aggregator::RollupStore store;
+  std::mt19937_64 rng(13);
+  for (int period = 0; period < 43; ++period) {
+    for (int m = 0; m < 145; ++m) {
+      const aggregator::SeriesKey key{"job", 0,
+                                      "hwt." + std::to_string(m) + ".user_pct"};
+      store.ingest(key, period + 0.5,
+                   static_cast<double>(rng() % 10000) / 100.0);
+    }
+  }
+  aggregator::QueryRequest request;
+  request.op = "snapshot";
+  request.job = "job";
+  request.rank = 0;
+  const aggregator::StoreSnapshot snapshot =
+      store.snapshotNewest(request.job, request.rank, request.metric);
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    const std::string body = aggregator::snapshotBody(snapshot, request);
+    bytes = body.size();
+    benchmark::DoNotOptimize(body.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_SnapshotBody);
 
 }  // namespace
 

@@ -4,8 +4,10 @@
 # transparent wrappers), a Release build with the local compiler, then a
 # sanitizer pass (address + undefined) over the fault-tolerance-critical
 # suites, the federation suite (whose store keeps raw series pointers in
-# per-shard dirty lists) and the common suite (CpuSet's word scans and
-# the fixed-point formatter), then the Figure 8 overhead benchmark, which
+# per-shard dirty lists), the common suite (CpuSet's word scans and the
+# fixed-point formatter), the trace suite (the JSON writer's escaper and
+# to_chars buffers) and the HTTP suite (response framing and the request
+# parser), then the Figure 8 overhead benchmark, which
 # exits nonzero past the paper's < 0.5% budget, then a live telemetry
 # smoke test: a real zerosum-aggd --http-port --data-dir scraped over
 # loopback HTTP, the exposition validated with scripts/promlint.py, the
@@ -56,12 +58,14 @@ if [[ "$SANITIZE" == 1 ]]; then
   # federation suite, whose forwarders drain the store's per-shard lists
   # of raw series pointers that evictSource() must prune, and the common
   # and core suites, whose CpuSet word scans and CSV row buffer do raw
-  # index and buffer arithmetic.
+  # index and buffer arithmetic, and the trace and HTTP suites, whose
+  # JSON escaper, to_chars buffers and response framing do raw offset
+  # arithmetic on the query answer path.
   # (Run the binaries directly: ctest registers individual gtest case
   # names, so filtering by executable name matches nothing.)
   for t in test_common test_procfs test_fault_injection test_core \
            test_export test_aggregator test_federation test_tsdb \
-           test_chaos; do
+           test_chaos test_trace test_http; do
     ./build-asan/tests/"$t"
   done
 fi

@@ -1,7 +1,6 @@
 #include "aggregator/catalog.hpp"
 
 #include <algorithm>
-#include <sstream>
 
 #include "aggregator/query.hpp"
 #include "common/json.hpp"
@@ -105,7 +104,7 @@ std::optional<CatalogEntry> Catalog::find(const std::string& name,
 }
 
 std::string Catalog::toJson(double nowSeconds) const {
-  std::ostringstream out;
+  std::string out;
   json::Writer writer(out);
   writer.beginObject();
   writer.key("entries").beginArray();
@@ -127,7 +126,7 @@ std::string Catalog::toJson(double nowSeconds) const {
   }
   writer.endArray();
   writer.endObject();
-  return out.str();
+  return out;
 }
 
 std::optional<std::vector<CatalogEntry>> Catalog::parseJson(

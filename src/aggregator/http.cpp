@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
 
 #include "aggregator/daemon.hpp"
@@ -157,17 +156,28 @@ HttpResponse HttpServer::dispatch(const HttpRequest& request) {
 void HttpServer::respond(std::uint64_t connection, const HttpRequest* request,
                          const HttpResponse& response, bool keepAlive) {
   (void)request;
-  std::ostringstream out;
-  out << "HTTP/1.1 " << response.status << " "
-      << httpStatusReason(response.status) << "\r\n"
-      << "Content-Type: " << response.contentType << "\r\n"
-      << "Content-Length: " << response.body.size() << "\r\n"
-      << "Connection: " << (keepAlive ? "keep-alive" : "close") << "\r\n";
+  // Status line, headers and body in one string, sized up front (the
+  // extra headers are a Retry-After at most).  Appends rather than `+`:
+  // gcc 12 at -O3 reports false -Wrestrict positives on std::string
+  // concatenation.
+  std::string out;
+  out.reserve(256 + response.contentType.size() + response.body.size());
+  out.append("HTTP/1.1 ")
+      .append(std::to_string(response.status))
+      .append(" ")
+      .append(httpStatusReason(response.status))
+      .append("\r\nContent-Type: ")
+      .append(response.contentType)
+      .append("\r\nContent-Length: ")
+      .append(std::to_string(response.body.size()))
+      .append("\r\nConnection: ")
+      .append(keepAlive ? "keep-alive" : "close")
+      .append("\r\n");
   for (const auto& [name, value] : response.headers) {
-    out << name << ": " << value << "\r\n";
+    out.append(name).append(": ").append(value).append("\r\n");
   }
-  out << "\r\n" << response.body;
-  server_->send(connection, out.str());
+  out.append("\r\n").append(response.body);
+  server_->send(connection, out);
   if (response.status >= 400) {
     ++counters_.errors;
     metricErrors_->add();
@@ -392,8 +402,9 @@ namespace {
 /// Maps a finished QueryResult onto the HTTP surface: status passes
 /// through, shed queries gain a Retry-After header (integer seconds,
 /// rounded up, per RFC 9110).
-HttpResponse toHttpResponse(const QueryResult& result) {
-  HttpResponse response{result.status, "application/json", result.body, {}};
+HttpResponse toHttpResponse(QueryResult&& result) {
+  HttpResponse response{result.status, "application/json",
+                        std::move(result.body), {}};
   if (result.status == 429 && result.retryAfterSeconds > 0.0) {
     response.headers["Retry-After"] = std::to_string(
         static_cast<long long>(std::ceil(result.retryAfterSeconds)));
@@ -439,7 +450,7 @@ void mountDaemonEndpoints(HttpServer& http, Aggregator& daemon,
         case SourceState::kDeparted: ++departed; break;
       }
     }
-    std::ostringstream body;
+    std::string body;
     json::Writer w(body);
     w.beginObject()
         .field("ready", ready)
@@ -469,8 +480,8 @@ void mountDaemonEndpoints(HttpServer& http, Aggregator& daemon,
         .field("clock_regressions", daemon.counters().clockRegressions)
         .endObject()
         .endObject();
-    body << "\n";
-    return body.str();
+    body.push_back('\n');
+    return body;
   };
 
   http.handle("GET", "/healthz", [healthJson](const HttpRequest&) {

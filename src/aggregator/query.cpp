@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <sstream>
 #include <vector>
 
 #include "aggregator/catalog.hpp"
@@ -72,7 +71,7 @@ void writeKey(json::Writer& w, const SeriesKey& key) {
 /// The `sources` answer.  `live` adds the fields only a running daemon
 /// knows: each source's state and its last health report.
 std::string sourcesBody(const std::vector<SourceInfo>& sources, bool live) {
-  std::ostringstream out;
+  std::string out;
   json::Writer w(out);
   w.beginObject().key("sources").beginArray();
   for (const SourceInfo& info : sources) {
@@ -83,7 +82,7 @@ std::string sourcesBody(const std::vector<SourceInfo>& sources, bool live) {
         .field("hostname", info.hello.hostname)
         .field("pid", static_cast<std::int64_t>(info.hello.pid));
     if (live) {
-      w.field("state", std::string(sourceStateName(info.state)));
+      w.field("state", sourceStateName(info.state));
     }
     w.field("first_seen_s", info.firstSeenSeconds)
         .field("last_seen_s", info.lastSeenSeconds)
@@ -103,8 +102,8 @@ std::string sourcesBody(const std::vector<SourceInfo>& sources, bool live) {
     w.endObject();
   }
   w.endArray().endObject();
-  out << '\n';
-  return out.str();
+  out.push_back('\n');
+  return out;
 }
 
 std::string dashboardBody(const Aggregator& daemon) {
@@ -112,11 +111,11 @@ std::string dashboardBody(const Aggregator& daemon) {
   for (const auto& info : daemon.sources()) {
     now = std::max(now, info.lastSeenSeconds);
   }
-  std::ostringstream out;
+  std::string out;
   json::Writer w(out);
   w.beginObject().field("text", daemon.dashboard(now)).endObject();
-  out << '\n';
-  return out.str();
+  out.push_back('\n');
+  return out;
 }
 
 std::string catalogBody(const Aggregator& daemon) {
@@ -124,13 +123,15 @@ std::string catalogBody(const Aggregator& daemon) {
   if (catalog == nullptr) {
     return errorBody("this daemon hosts no catalog");
   }
-  return catalog->toJson(daemon.lastPollSeconds()) + '\n';
+  std::string body = catalog->toJson(daemon.lastPollSeconds());
+  body.push_back('\n');
+  return body;
 }
 
 /// The engine's own counters: the offline `stats` answer.
 std::string engineStatsBody(const tsdb::Engine& engine) {
   const tsdb::EngineCounters& c = engine.counters();
-  std::ostringstream out;
+  std::string out;
   json::Writer w(out);
   w.beginObject()
       .field("data_dir", engine.dir())
@@ -146,8 +147,8 @@ std::string engineStatsBody(const tsdb::Engine& engine) {
       .field("wal_repairs", c.walRepairs)
       .field("segments_rejected", c.segmentsRejected)
       .endObject();
-  out << '\n';
-  return out.str();
+  out.push_back('\n');
+  return out;
 }
 
 /// The ops the wire and offline entry points read from a view.
@@ -252,15 +253,15 @@ QueryRequest parseQuery(const std::string& op,
 // --- op bodies ---------------------------------------------------------------
 
 std::string errorBody(const std::string& message) {
-  std::ostringstream out;
+  std::string out;
   json::Writer w(out);
   w.beginObject().field("error", message).endObject();
-  out << '\n';
-  return out.str();
+  out.push_back('\n');
+  return out;
 }
 
 std::string seriesBody(const ReadView& view) {
-  std::ostringstream out;
+  std::string out;
   json::Writer w(out);
   w.beginObject()
       .field("generation", view.generation())
@@ -272,12 +273,12 @@ std::string seriesBody(const ReadView& view) {
     w.endObject();
   }
   w.endArray().endObject();
-  out << '\n';
-  return out.str();
+  out.push_back('\n');
+  return out;
 }
 
 std::string snapshotBody(const ReadView& view, const QueryRequest& request) {
-  std::ostringstream out;
+  std::string out;
   json::Writer w(out);
   w.beginObject()
       .field("generation", view.generation())
@@ -297,13 +298,13 @@ std::string snapshotBody(const ReadView& view, const QueryRequest& request) {
                        w.endObject();
                      });
   w.endArray().endObject();
-  out << '\n';
-  return out.str();
+  out.push_back('\n');
+  return out;
 }
 
 std::string rangeBody(const ReadView& view, const QueryRequest& request) {
   const SeriesKey key = request.rangeKey();
-  std::ostringstream out;
+  std::string out;
   json::Writer w(out);
   w.beginObject()
       .field("generation", view.generation())
@@ -318,8 +319,8 @@ std::string rangeBody(const ReadView& view, const QueryRequest& request) {
     writeWindowRow(w, row);
   }
   w.endArray().endObject();
-  out << '\n';
-  return out.str();
+  out.push_back('\n');
+  return out;
 }
 
 std::string windowBody(const ReadView& view, const QueryRequest& request,
@@ -339,7 +340,7 @@ std::string windowBody(const ReadView& view, const QueryRequest& request,
   const Resolution resolution = request.windowSeconds <= fineSpanSeconds
                                    ? Resolution::kFine
                                    : Resolution::kCoarse;
-  std::ostringstream out;
+  std::string out;
   json::Writer w(out);
   w.beginObject()
       .field("generation", view.generation())
@@ -369,8 +370,8 @@ std::string windowBody(const ReadView& view, const QueryRequest& request,
         .endObject();
   }
   w.endArray().endObject();
-  out << '\n';
-  return out.str();
+  out.push_back('\n');
+  return out;
 }
 
 std::string exportBody(const ReadView& view, const QueryRequest& request,
@@ -379,7 +380,7 @@ std::string exportBody(const ReadView& view, const QueryRequest& request,
   guard([&] {
     keys = view.seriesKeys(request.job, request.rank, request.metric);
   });
-  std::ostringstream out;
+  std::string out;
   json::Writer w(out);
   w.beginObject()
       .field("source", source)
@@ -399,8 +400,8 @@ std::string exportBody(const ReadView& view, const QueryRequest& request,
     w.endArray().endObject();
   }
   w.endArray().endObject();
-  out << '\n';
-  return out.str();
+  out.push_back('\n');
+  return out;
 }
 
 // --- entry points ------------------------------------------------------------

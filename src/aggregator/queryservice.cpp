@@ -124,7 +124,7 @@ std::string QueryService::statsJson(double nowSeconds) {
     std::lock_guard<std::mutex> lock(snapMutex_);
     if (snap_) generation = snap_->generation();
   }
-  std::ostringstream out;
+  std::string out;
   json::Writer w(out);
   w.beginObject()
       .field("time_seconds", nowSeconds)
@@ -153,8 +153,8 @@ std::string QueryService::statsJson(double nowSeconds) {
       .field("refreshes", c.snapshotRefreshes)
       .endObject()
       .endObject();
-  out << '\n';
-  return out.str();
+  out.push_back('\n');
+  return out;
 }
 
 // --- execution -------------------------------------------------------------

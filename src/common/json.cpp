@@ -3,121 +3,164 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 
 #include "common/error.hpp"
 
 namespace zerosum::json {
 
-std::string quote(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
+namespace {
+
+/// Appends `s` double-quoted, escaped per JSON string rules: runs that
+/// need no escape are appended whole.
+void appendQuoted(std::string& out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
   out.push_back('"');
-  for (const char c : s) {
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') {
+      continue;
+    }
+    out.append(s.data() + run, i - run);
+    run = i + 1;
     switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
+      case '"': out.append("\\\""); break;
+      case '\\': out.append("\\\\"); break;
+      case '\b': out.append("\\b"); break;
+      case '\f': out.append("\\f"); break;
+      case '\n': out.append("\\n"); break;
+      case '\r': out.append("\\r"); break;
+      case '\t': out.append("\\t"); break;
+      default: {
+        const char escape[] = {'\\', 'u', '0', '0', kHex[c >> 4U],
+                               kHex[c & 0xFU]};
+        out.append(escape, sizeof(escape));
+      }
     }
   }
+  out.append(s.data() + run, s.size() - run);
   out.push_back('"');
-  return out;
 }
 
+template <typename Int>
+void appendInteger(std::string& out, Int v) {
+  char buf[24];
+  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);
+  (void)ec;  // 24 bytes hold every 64-bit integer
+  out.append(buf, static_cast<std::size_t>(ptr - buf));
+}
+
+}  // namespace
+
 // --- Writer ----------------------------------------------------------------
+
+Writer::~Writer() {
+  if (stream_ != nullptr && !own_.empty()) {
+    try {
+      handOver();
+    } catch (...) {
+      // Only a stream set to throw throws, and its state already holds
+      // the failure (setstate records badbit before it throws), so its
+      // owner still sees it; the exception must not leave a destructor.
+    }
+  }
+}
+
+void Writer::handOver() {
+  stream_->write(own_.data(), static_cast<std::streamsize>(own_.size()));
+  own_.clear();
+}
 
 void Writer::beforeValue() {
   if (stack_.empty()) {
     return;  // top-level document value
   }
-  if (stack_.back() == Frame::kObject && !keyPending_) {
-    throw StateError("json: value inside an object requires a key");
-  }
-  if (stack_.back() == Frame::kArray) {
-    if (!first_.back()) {
-      out_ << ',';
+  Level& level = stack_.back();
+  if (level.frame == Frame::kObject) {
+    if (!keyPending_) {
+      throw StateError("json: value inside an object requires a key");
     }
-    first_.back() = false;
+    keyPending_ = false;
+    return;
   }
-  keyPending_ = false;
+  if (!level.empty) {
+    out_.push_back(',');
+  }
+  level.empty = false;
+}
+
+void Writer::open(Frame frame, char bracket) {
+  beforeValue();
+  out_.push_back(bracket);
+  stack_.push_back({frame, true});
 }
 
 Writer& Writer::beginObject() {
-  beforeValue();
-  out_ << '{';
-  stack_.push_back(Frame::kObject);
-  first_.push_back(true);
-  return *this;
+  open(Frame::kObject, '{');
+  return emitted();
 }
 
 Writer& Writer::endObject() {
-  if (stack_.empty() || stack_.back() != Frame::kObject || keyPending_) {
+  if (stack_.empty() || stack_.back().frame != Frame::kObject ||
+      keyPending_) {
     throw StateError("json: endObject without matching beginObject");
   }
-  out_ << '}';
+  out_.push_back('}');
   stack_.pop_back();
-  first_.pop_back();
-  return *this;
+  return emitted();
 }
 
 Writer& Writer::beginArray() {
-  beforeValue();
-  out_ << '[';
-  stack_.push_back(Frame::kArray);
-  first_.push_back(true);
-  return *this;
+  open(Frame::kArray, '[');
+  return emitted();
 }
 
 Writer& Writer::endArray() {
-  if (stack_.empty() || stack_.back() != Frame::kArray) {
+  if (stack_.empty() || stack_.back().frame != Frame::kArray) {
     throw StateError("json: endArray without matching beginArray");
   }
-  out_ << ']';
+  out_.push_back(']');
   stack_.pop_back();
-  first_.pop_back();
-  return *this;
+  return emitted();
 }
 
-Writer& Writer::key(const std::string& k) {
-  if (stack_.empty() || stack_.back() != Frame::kObject || keyPending_) {
+Writer& Writer::key(std::string_view k) {
+  if (stack_.empty() || stack_.back().frame != Frame::kObject ||
+      keyPending_) {
     throw StateError("json: key() outside an object");
   }
-  if (!first_.back()) {
-    out_ << ',';
+  Level& level = stack_.back();
+  if (!level.empty) {
+    out_.push_back(',');
   }
-  first_.back() = false;
-  out_ << quote(k) << ':';
+  level.empty = false;
+  appendQuoted(out_, k);
+  out_.push_back(':');
   keyPending_ = true;
-  return *this;
+  return emitted();
 }
 
-Writer& Writer::value(const std::string& v) {
+Writer& Writer::value(std::string_view v) {
   beforeValue();
-  out_ << quote(v);
-  return *this;
+  appendQuoted(out_, v);
+  return emitted();
 }
-
-Writer& Writer::value(const char* v) { return value(std::string(v)); }
 
 Writer& Writer::value(double v) {
   beforeValue();
+  // Integral values in (-1e6, 1e6) print their integer digits, which is
+  // exactly what to_chars(general) prints for them (see the header).
+  if (v > -1e6 && v < 1e6) {
+    const auto whole = static_cast<std::int32_t>(v);
+    if (static_cast<double>(whole) == v && (whole != 0 || !std::signbit(v))) {
+      appendInteger(out_, whole);
+      return emitted();
+    }
+  }
   if (!std::isfinite(v)) {
     // JSON has no Infinity/NaN; null is the conventional substitute.
-    out_ << "null";
-    return *this;
+    out_.append("null");
+    return emitted();
   }
   // Shortest round-trip form (Ryū via to_chars): the fewest digits that
   // parse back to exactly `v`, so persisted rollups survive a
@@ -128,32 +171,32 @@ Writer& Writer::value(double v) {
   if (ec != std::errc{}) {
     throw StateError("json: cannot format number");
   }
-  out_.write(buf, ptr - buf);
-  return *this;
+  out_.append(buf, static_cast<std::size_t>(ptr - buf));
+  return emitted();
 }
 
 Writer& Writer::value(std::int64_t v) {
   beforeValue();
-  out_ << v;
-  return *this;
+  appendInteger(out_, v);
+  return emitted();
 }
 
 Writer& Writer::value(std::uint64_t v) {
   beforeValue();
-  out_ << v;
-  return *this;
+  appendInteger(out_, v);
+  return emitted();
 }
 
 Writer& Writer::value(bool v) {
   beforeValue();
-  out_ << (v ? "true" : "false");
-  return *this;
+  out_.append(v ? "true" : "false");
+  return emitted();
 }
 
 Writer& Writer::null() {
   beforeValue();
-  out_ << "null";
-  return *this;
+  out_.append("null");
+  return emitted();
 }
 
 // --- Value -----------------------------------------------------------------

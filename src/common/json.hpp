@@ -1,9 +1,17 @@
-// Minimal JSON support for the self-observability layer.
+// Minimal JSON support: the query answer emitter and a strict reader.
 //
 // Two halves, both deliberately small:
-//   * json::Writer — streaming emitter with correct string escaping, used
-//     by the Chrome trace_event exporter (trace/chrome_export) and the
-//     machine-readable bench result files (BENCH_*.json).
+//   * json::Writer — the emitter behind every query answer (the op bodies
+//     in aggregator/query.cpp, the read plane's /api/stats and /healthz,
+//     the catalog), and also the Chrome trace_event exporter, the metrics
+//     JSON, the tsdb source registry and the bench result files.  It
+//     formats into one std::string: a caller that owns the answer passes
+//     its string and gets every byte appended there; a caller that holds
+//     an std::ostream gets the same formatting into the writer's own
+//     string, handed to the stream whenever a whole document is complete,
+//     whenever that string passes 64 KiB, and at destruction.  So a
+//     stream holds each finished document while the writer is still
+//     alive, and a caller may write to the stream between documents.
 //   * json::Value / json::parse — a strict recursive-descent reader for
 //     the documents this repository itself emits (trace files, bench
 //     results), so zerosum-post can summarize a trace without a external
@@ -13,6 +21,16 @@
 //     the hardening guarantees: container nesting is limited to 64
 //     levels, duplicate object keys resolve to the last occurrence, and
 //     any bytes after the document are an error.
+//
+// Numbers: integers print with std::to_chars.  A double prints as
+// std::to_chars(general) does, the shortest digits that parse back to
+// the same value in %g's layout with precision 6: plain digits while the
+// decimal exponent is below 6, scientific from 1e6 on.  So a finite
+// integral double in (-1e6, 1e6), other than -0, has exactly its integer
+// digits as that form, and takes the integer formatter instead: the same
+// bytes for less work (Json.NumbersMatchToCharsGeneral compares the two).
+// Every other finite double goes through to_chars(general); a NaN or an
+// infinity prints null, since JSON has neither.
 #pragma once
 
 #include <cstdint>
@@ -20,21 +38,28 @@
 #include <memory>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace zerosum::json {
 
-/// Escapes and double-quotes `s` per JSON string rules.
-std::string quote(const std::string& s);
-
-/// Streaming JSON emitter.  The caller provides structure through
+/// JSON emitter.  The caller provides structure through
 /// beginObject/beginArray and key/value calls; the writer tracks comma
 /// placement.  Misuse (value without key inside an object, unbalanced
-/// end) throws StateError — emitting a malformed trace file silently
-/// would defeat the purpose of the exporter.
+/// end) throws StateError — emitting a malformed document silently would
+/// defeat the purpose of every reader.
 class Writer {
  public:
-  explicit Writer(std::ostream& out) : out_(out) {}
+  /// String mode: every byte is appended to `out`.
+  explicit Writer(std::string& out) : out_(out) {}
+  /// Stream mode: formats into the writer's own string and hands it to
+  /// `stream` at each complete document, past 64 KiB, and at destruction.
+  /// `stream` must outlive the writer.
+  explicit Writer(std::ostream& stream) : out_(own_), stream_(&stream) {}
+  ~Writer();
+
+  Writer(const Writer&) = delete;
+  Writer& operator=(const Writer&) = delete;
 
   Writer& beginObject();
   Writer& endObject();
@@ -42,10 +67,12 @@ class Writer {
   Writer& endArray();
 
   /// Emits the key of the next key/value pair (objects only).
-  Writer& key(const std::string& k);
+  Writer& key(std::string_view k);
 
-  Writer& value(const std::string& v);
-  Writer& value(const char* v);
+  Writer& value(std::string_view v);
+  /// A string, not a bool: without this overload a const char* would
+  /// convert to bool ahead of std::string_view.
+  Writer& value(const char* v) { return value(std::string_view(v)); }
   Writer& value(double v);
   Writer& value(std::int64_t v);
   Writer& value(std::uint64_t v);
@@ -54,7 +81,7 @@ class Writer {
 
   /// key() + value() in one call.
   template <typename T>
-  Writer& field(const std::string& k, const T& v) {
+  Writer& field(std::string_view k, const T& v) {
     key(k);
     return value(v);
   }
@@ -64,11 +91,30 @@ class Writer {
 
  private:
   enum class Frame : std::uint8_t { kObject, kArray };
-  void beforeValue();
+  struct Level {
+    Frame frame;
+    bool empty;  ///< no member or element written yet
+  };
 
-  std::ostream& out_;
-  std::vector<Frame> stack_;
-  std::vector<bool> first_;
+  void beforeValue();
+  void open(Frame frame, char bracket);
+  /// Stream mode: hands the buffer over when the document is complete
+  /// or the buffer has grown past kStreamChunk.
+  Writer& emitted() {
+    if (stream_ != nullptr &&
+        (stack_.empty() || own_.size() > kStreamChunk)) {
+      handOver();
+    }
+    return *this;
+  }
+  void handOver();
+
+  static constexpr std::size_t kStreamChunk = 64 * 1024;
+
+  std::string own_;  ///< stream mode's buffer
+  std::string& out_;
+  std::ostream* stream_ = nullptr;
+  std::vector<Level> stack_;
   bool keyPending_ = false;
 };
 

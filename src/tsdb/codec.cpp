@@ -90,7 +90,7 @@ void putVarint(std::string& out, std::uint64_t value) {
   out.push_back(static_cast<char>(value));
 }
 
-std::uint64_t getVarint(const std::string& data, std::size_t& pos) {
+std::uint64_t getVarint(std::string_view data, std::size_t& pos) {
   std::uint64_t value = 0;
   unsigned shift = 0;
   for (int i = 0; i < 10; ++i) {
@@ -130,7 +130,7 @@ void encodeTimestamps(const std::vector<std::int64_t>& ts, std::string& out) {
   }
 }
 
-std::vector<std::int64_t> decodeTimestamps(const std::string& data,
+std::vector<std::int64_t> decodeTimestamps(std::string_view data,
                                            std::size_t& pos) {
   const std::uint64_t count = getVarint(data, pos);
   if (count > data.size() - pos + 1) {
@@ -229,7 +229,7 @@ void encodeValues(const std::vector<double>& values, std::string& out) {
   out.insert(streamAt, prefix);
 }
 
-std::vector<double> decodeValues(const std::string& data, std::size_t& pos) {
+std::vector<double> decodeValues(std::string_view data, std::size_t& pos) {
   const std::uint64_t count = getVarint(data, pos);
   const std::uint64_t byteLen = getVarint(data, pos);
   if (byteLen > data.size() - pos) {
@@ -283,7 +283,7 @@ void encodeCounts(const std::vector<std::uint64_t>& counts,
   }
 }
 
-std::vector<std::uint64_t> decodeCounts(const std::string& data,
+std::vector<std::uint64_t> decodeCounts(std::string_view data,
                                         std::size_t& pos) {
   const std::uint64_t count = getVarint(data, pos);
   if (count > data.size() - pos + 1) {

@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace zerosum::tsdb {
@@ -84,8 +85,10 @@ class BitReader {
 void putVarint(std::string& out, std::uint64_t value);
 
 /// Reads one varint from `data` at `pos`, advancing `pos`; throws
-/// ParseError on truncation or a varint longer than 10 bytes.
-std::uint64_t getVarint(const std::string& data, std::size_t& pos);
+/// ParseError on truncation or a varint longer than 10 bytes.  Every
+/// decoder reads a std::string_view, so a segment's blocks decode where
+/// they are mapped.
+std::uint64_t getVarint(std::string_view data, std::size_t& pos);
 
 /// Zigzag mapping: 0,-1,1,-2,... -> 0,1,2,3,...
 [[nodiscard]] constexpr std::uint64_t zigzag(std::int64_t v) {
@@ -105,7 +108,7 @@ std::uint64_t getVarint(const std::string& data, std::size_t& pos);
 void encodeTimestamps(const std::vector<std::int64_t>& ts, std::string& out);
 
 /// Decodes one timestamp column starting at `pos`, advancing `pos`.
-std::vector<std::int64_t> decodeTimestamps(const std::string& data,
+std::vector<std::int64_t> decodeTimestamps(std::string_view data,
                                            std::size_t& pos);
 
 // --- value column (Gorilla XOR) --------------------------------------------
@@ -117,14 +120,14 @@ std::vector<std::int64_t> decodeTimestamps(const std::string& data,
 void encodeValues(const std::vector<double>& values, std::string& out);
 
 /// Decodes one value column starting at `pos`, advancing `pos`.
-std::vector<double> decodeValues(const std::string& data, std::size_t& pos);
+std::vector<double> decodeValues(std::string_view data, std::size_t& pos);
 
 // --- count column (varint) -------------------------------------------------
 
 /// Encodes u64 counts as [varint count][varint...]; window sample counts
 /// are small and near-constant, so plain varints beat bit tricks.
 void encodeCounts(const std::vector<std::uint64_t>& counts, std::string& out);
-std::vector<std::uint64_t> decodeCounts(const std::string& data,
+std::vector<std::uint64_t> decodeCounts(std::string_view data,
                                         std::size_t& pos);
 
 }  // namespace zerosum::tsdb

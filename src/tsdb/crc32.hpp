@@ -8,7 +8,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
+#include <string_view>
 
 namespace zerosum::tsdb {
 
@@ -17,7 +17,7 @@ namespace zerosum::tsdb {
 [[nodiscard]] std::uint32_t crc32(const void* data, std::size_t size,
                                   std::uint32_t seed = 0);
 
-[[nodiscard]] inline std::uint32_t crc32(const std::string& bytes,
+[[nodiscard]] inline std::uint32_t crc32(std::string_view bytes,
                                          std::uint32_t seed = 0) {
   return crc32(bytes.data(), bytes.size(), seed);
 }

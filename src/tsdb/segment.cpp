@@ -52,7 +52,7 @@ void putF64(std::string& out, double v) {
   out.append(bytes, sizeof(bytes));
 }
 
-double getF64(const std::string& data, std::size_t& pos) {
+double getF64(std::string_view data, std::size_t& pos) {
   if (pos + 8 > data.size()) {
     throw ParseError("segment: f64 truncated");
   }
@@ -73,12 +73,12 @@ void putStr(std::string& out, const std::string& s) {
   out.append(s);
 }
 
-std::string getStr(const std::string& data, std::size_t& pos) {
+std::string getStr(std::string_view data, std::size_t& pos) {
   const std::uint64_t n = getVarint(data, pos);
   if (n > data.size() - pos) {
     throw ParseError("segment: string truncated");
   }
-  std::string s = data.substr(pos, n);
+  std::string s(data.substr(pos, n));
   pos += n;
   return s;
 }
@@ -271,11 +271,11 @@ SegmentReader::SegmentReader(const std::string& path) : path_(path) {
   if (footerLen + 8ULL + sizeof(kHeaderMagic) + 1 > size_) {
     throw ParseError("segment: " + path + " footer length implausible");
   }
-  const std::string footer(data_ + size_ - 8 - footerLen, footerLen);
+  const std::string_view footer(data_ + size_ - 8 - footerLen, footerLen);
   if (footer.size() < 4) {
     throw ParseError("segment: " + path + " footer too short");
   }
-  const std::string checked = footer.substr(0, footer.size() - 4);
+  const std::string_view checked = footer.substr(0, footer.size() - 4);
   if (crc32(checked) != getU32(footer.data() + footer.size() - 4)) {
     throw ParseError("segment: " + path + " footer crc mismatch");
   }
@@ -304,8 +304,10 @@ SegmentReader::SegmentReader(const std::string& path) : path_(path) {
     entry.minWindow = unzigzag(getVarint(checked, pos));
     entry.maxWindow = unzigzag(getVarint(checked, pos));
     entry.windows = getVarint(checked, pos);
-    if (entry.offset < sizeof(kHeaderMagic) + 1 ||
-        entry.offset + entry.length > blocksEnd) {
+    // Written so that no sum can wrap: readWindows decodes these bytes in
+    // place.
+    if (entry.offset < sizeof(kHeaderMagic) + 1 || entry.length > blocksEnd ||
+        entry.offset > blocksEnd - entry.length) {
       throw ParseError("segment: block extent out of bounds");
     }
     entries_.push_back(std::move(entry));
@@ -346,9 +348,9 @@ SegmentReader::~SegmentReader() {
 
 std::vector<std::pair<std::int64_t, Rollup>> SegmentReader::readWindows(
     const SegmentEntry& entry) const {
-  // The columns decode out of a copy of the block bounded by the footer
-  // extent; the codec's strict bounds checks do the rest.
-  const std::string block(data_ + entry.offset, entry.length);
+  // The columns decode in place, out of the mapped bytes bounded by the
+  // footer extent; the codec's strict bounds checks do the rest.
+  const std::string_view block(data_ + entry.offset, entry.length);
   std::size_t pos = 0;
   const std::vector<std::int64_t> indices = decodeTimestamps(block, pos);
   const std::vector<double> mins = decodeValues(block, pos);

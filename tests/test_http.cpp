@@ -1,13 +1,16 @@
 // The HTTP telemetry plane: request parsing over byte-split frames,
 // bounds and error paths, keep-alive/pipelining, the mounted daemon
 // endpoint set (/metrics, /healthz, /readyz, /dashboard, /query), and
-// one loopback-TCP end-to-end check.  Everything except the TCP test
-// runs over the deterministic PipeHub, so byte-level edge cases need no
-// sockets.
+// one loopback-TCP end-to-end check, and a seeded mutation run of
+// request streams against the mounted daemon.  Everything except the TCP
+// test runs over the deterministic PipeHub, so byte-level edge cases need
+// no sockets.
 #include "aggregator/http.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
 #include <chrono>
 #include <memory>
 #include <string>
@@ -21,6 +24,7 @@
 #include "aggregator/wire.hpp"
 #include "common/error.hpp"
 #include "common/json.hpp"
+#include "common/stats.hpp"
 #include "trace/metrics.hpp"
 
 using namespace zerosum;
@@ -687,4 +691,210 @@ TEST_F(HttpTest, WithoutAQueryServiceLegacyPostQueryStillWorks) {
   client.send("POST /query HTTP/1.1\r\nContent-Length: " +
               std::to_string(query.size()) + "\r\n\r\n" + query);
   EXPECT_EQ(statusOf(client.exchange(*plane.http)), 200);
+}
+
+namespace {
+
+/// Splits a byte stream of back-to-back responses, checking each: a
+/// status line, then a header block whose Content-Length equals the
+/// body's size.  Empty on success, else what is wrong.
+std::string checkResponses(const std::string& stream, std::size_t& count) {
+  std::size_t pos = 0;
+  while (pos < stream.size()) {
+    const std::size_t lineEnd = stream.find("\r\n", pos);
+    const std::size_t headerEnd = stream.find("\r\n\r\n", pos);
+    if (lineEnd == std::string::npos || headerEnd == std::string::npos) {
+      return "an incomplete response at byte " + std::to_string(pos);
+    }
+    const std::string line = stream.substr(pos, lineEnd - pos);
+    if (line.size() < 14 || line.compare(0, 9, "HTTP/1.1 ") != 0 ||
+        std::isdigit(static_cast<unsigned char>(line[9])) == 0 ||
+        std::isdigit(static_cast<unsigned char>(line[10])) == 0 ||
+        std::isdigit(static_cast<unsigned char>(line[11])) == 0 ||
+        line[12] != ' ') {
+      return "a bad status line: " + line;
+    }
+    const std::string headers = stream.substr(lineEnd, headerEnd + 2 - lineEnd);
+    const std::size_t lenAt = headers.find("\r\nContent-Length: ");
+    if (lenAt == std::string::npos) {
+      return "no Content-Length in " + headers;
+    }
+    const std::size_t digits = lenAt + 18;
+    const std::size_t length = std::stoul(
+        headers.substr(digits, headers.find('\r', digits) - digits));
+    const std::size_t end = headerEnd + 4 + length;
+    if (end > stream.size()) {
+      return "a body shorter than its Content-Length: " + line;
+    }
+    pos = end;
+    ++count;
+  }
+  return "";
+}
+
+std::size_t below(stats::SplitMix64& rng, std::size_t n) {
+  return static_cast<std::size_t>(rng.nextBelow(n));
+}
+
+/// One to four mutations of a request stream: bit flips, inserted bytes
+/// (mostly the grammar's own), deletions, truncation, a duplicated span,
+/// or a Content-Length value swapped for another.
+std::string mutateRequest(stats::SplitMix64& rng, std::string text) {
+  static const std::string kAlphabet =
+      "\r\n :/?&=%+-.0123456789GETPOSHTX\t";
+  static const char* const kLengths[] = {
+      "0", "1", "-1", "26", "257", "99999999999999999999", "abc", "", " 5",
+      "1e3"};
+  const std::size_t edits = 1 + below(rng, 4);
+  for (std::size_t e = 0; e < edits; ++e) {
+    const std::size_t at = below(rng, text.size() + 1);
+    switch (below(rng, 6)) {
+      case 0:  // flip a bit
+        if (at < text.size()) {
+          text[at] = static_cast<char>(text[at] ^ (1 << below(rng, 8)));
+        }
+        break;
+      case 1:  // insert a byte
+        text.insert(at, 1,
+                    below(rng, 4) == 0
+                        ? static_cast<char>(below(rng, 256))
+                        : kAlphabet[below(rng, kAlphabet.size())]);
+        break;
+      case 2:  // delete a span
+        text.erase(std::min(at, text.size()), 1 + below(rng, 8));
+        break;
+      case 3:  // truncate
+        text.resize(at);
+        break;
+      case 4: {  // duplicate a span: pipelined and overlapping requests
+        const std::size_t from = below(rng, text.size() + 1);
+        const std::size_t length = below(rng, text.size() - from + 1);
+        text.insert(at, text.substr(from, length));
+        break;
+      }
+      default: {  // another Content-Length
+        const std::size_t header = text.find("Content-Length: ", at);
+        if (header == std::string::npos) {
+          break;
+        }
+        const std::size_t value = header + 16;
+        const std::size_t end = text.find('\r', value);
+        text.replace(value,
+                     (end == std::string::npos ? text.size() : end) - value,
+                     kLengths[below(rng, std::size(kLengths))]);
+        break;
+      }
+    }
+  }
+  return text;
+}
+
+std::string post(const std::string& body, const std::string& extra = "") {
+  return "POST /query HTTP/1.1\r\nContent-Length: " +
+         std::to_string(body.size()) + "\r\n" + extra + "\r\n" + body;
+}
+
+}  // namespace
+
+TEST_F(HttpTest, MutatedRequestsGetAResponseOrACloseNeverACrash) {
+  // Small bounds, so the flush below can always complete a pending body.
+  HttpLimits limits;
+  limits.maxRequestLineBytes = 256;
+  limits.maxHeaderBytes = 512;
+  limits.maxBodyBytes = 256;
+  PipeHub wireHub;
+  PipeHub httpHub;
+  Aggregator daemon(wireHub.makeServer());
+  QueryService service(daemon);
+  HttpServer http(httpHub.makeServer(), limits);
+  mountDaemonEndpoints(http, daemon, [] { return 1.0; },
+                       {{"job", "j1"}, {"role", "daemon"}}, &service);
+  auto source = wireHub.makeClientTransport();
+  ASSERT_TRUE(source->connect());
+  ASSERT_TRUE(source->send(encodeFrame(helloFrame(0))));
+  ASSERT_TRUE(source->send(encodeFrame(batchFrame(1.0, 1))));
+  daemon.poll(1.0);
+
+  const std::string snapshot = R"({"op":"snapshot","rank":0})";
+  const std::vector<std::string> seeds = {
+      "GET /healthz HTTP/1.1\r\nHost: zs\r\n\r\n",
+      "GET /readyz HTTP/1.0\r\n\r\n",
+      "GET /dashboard HTTP/1.1\r\nConnection: close\r\n\r\n",
+      "GET /api/query?op=snapshot&metric=hwt.0.user_pct HTTP/1.1\r\n\r\n",
+      "GET /api/query?op=range&job=j1&rank=0&metric=hwt.0.user_pct&t0=0"
+      "&t1=10 HTTP/1.1\r\nX-Query-Class: bulk\r\n\r\n",
+      "GET /api/stats HTTP/1.1\r\n\r\n",
+      post(snapshot),
+      post(R"({"op":"window","metric":"hwt.0.user_pct","window_s":5})",
+           "Connection: keep-alive\r\n"),
+      "GET /readyz HTTP/1.1\r\n\r\nGET /api/query?op=series HTTP/1.1\r\n\r\n" +
+          post(snapshot),
+      post(R"({"op":"export"})") + "GET /healthz HTTP/1.1\r\n\r\n",
+  };
+  // Line feeds past any body the bounds admit: a request still pending
+  // after the mutated stream completes, and the blank lines after it make
+  // a malformed request, which closes the connection.
+  const std::string flush(2 * (limits.maxBodyBytes + 8), '\n');
+
+  stats::SplitMix64 rng(2323);
+  constexpr int kInputs = 10000;
+  std::size_t responses = 0;
+  std::size_t closedEarly = 0;
+  double now = 1.0;
+  auto poll = [&] {
+    try {
+      http.poll(now);
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "poll threw: " << e.what();
+    }
+  };
+  for (int i = 0; i < kInputs; ++i) {
+    service.beginPoll(now);
+    const std::string stream =
+        mutateRequest(rng, seeds[below(rng, seeds.size())]);
+    const std::unique_ptr<Transport> client = httpHub.makeClientTransport();
+    ASSERT_TRUE(client->connect());
+    // At random split points, polling between the pieces.
+    std::string received;
+    bool open = true;
+    for (std::size_t at = 0; at < stream.size() && open;) {
+      const std::size_t piece = 1 + below(rng, stream.size() - at);
+      open = client->send(stream.substr(at, piece));
+      at += piece;
+      poll();
+      open = client->receive(received) && open;
+    }
+    poll();
+    open = client->receive(received) && open;
+    std::size_t count = 0;
+    const std::string wrong = checkResponses(received, count);
+    EXPECT_EQ(wrong, "") << "request stream:\n" << stream;
+    responses += count;
+    if (!open) {
+      ++closedEarly;
+    } else {
+      // Still open: it must serve what is pending and then close.
+      ASSERT_TRUE(client->send(flush));
+      poll();
+      std::string after;
+      const bool stillOpen = client->receive(after);
+      std::size_t more = 0;
+      EXPECT_EQ(checkResponses(after, more), "") << stream;
+      EXPECT_TRUE(more > 0 || !stillOpen)
+          << "neither served nor closed:\n" << stream;
+      responses += more;
+    }
+    client->close();
+    poll();
+    now += 0.001;
+    if (HasFailure()) {
+      return;  // one reported input is enough
+    }
+  }
+  RecordProperty("responses", static_cast<int>(responses));
+  // The run reached both outcomes, and the server holds no connection.
+  EXPECT_GT(closedEarly, 100U);
+  EXPECT_GT(responses, static_cast<std::size_t>(kInputs));
+  EXPECT_EQ(http.counters().connectionsOpened,
+            http.counters().connectionsClosed);
 }

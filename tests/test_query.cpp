@@ -6,13 +6,20 @@
 //     and every entry point rejects the same malformed requests;
 //   * the read plane's export lists an engine's series without decoding
 //     their newest blocks, so one bounded before a damaged block answers;
+//   * the bytes of every answer: a fingerprint of each entry point's
+//     answer to edge values (-0, an overflowing sum, numbers past 1e6,
+//     names that need escaping) and of whole HTTP responses, pinned;
 //   * a seeded mutation run of the one parser, JSON and GET forms,
 //     through all three entry points: every input gets an answer or an
-//     error body, never an exception.
+//     error body, never an exception;
+//   * a seeded mutation run of json::parse over real answers: each
+//     mutated document parses or throws ParseError, nothing else.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -21,12 +28,14 @@
 #include <string>
 #include <vector>
 
+#include "aggregator/catalog.hpp"
 #include "aggregator/daemon.hpp"
 #include "aggregator/http.hpp"
 #include "aggregator/query.hpp"
 #include "aggregator/queryservice.hpp"
 #include "aggregator/transport.hpp"
 #include "aggregator/wire.hpp"
+#include "common/error.hpp"
 #include "common/json.hpp"
 #include "common/stats.hpp"
 #include "trace/metrics.hpp"
@@ -151,7 +160,7 @@ std::string jsonOf(const std::string& op, const Params& params) {
   json::Writer w(out);
   w.beginObject().field("op", op);
   for (const auto& [name, value] : params) {
-    if (name == "rank" || name == "t0" || name == "t1") {
+    if (name == "rank" || name == "t0" || name == "t1" || name == "window_s") {
       w.field(name, std::stod(value));
     } else {
       w.field(name, value);
@@ -334,6 +343,273 @@ TEST_F(QueryDialectTest, ExportBoundedBeforeADamagedNewestBlockAnswers) {
 
 namespace {
 
+/// FNV-1a, 64-bit: a fingerprint of an answer's bytes.
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    hash ^= static_cast<std::uint8_t>(c);
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+/// Metric names that need escaping in an answer.
+const std::string kQuoteName = "q\"uote";
+const std::string kBackslashName = "back\\slash";
+const std::string kControlName =
+    std::string("ctl\x01") + "byte\ttab\x1b" "esc";
+
+/// The FNV-1a of each answer of AnswerBytesMatchTheParent, in the order
+/// the test takes them, as the code before the string-backed writer
+/// printed them.
+constexpr std::uint64_t kParentAnswers[] = {
+    0x1999c4f916cdd170ULL, 0x7125c9200b285943ULL, 0x7125c9200b285943ULL,
+    0x7125c9200b285943ULL, 0x31b716209e074000ULL, 0xee4810e05edc6acbULL,
+    0xee4810e05edc6acbULL, 0xee4810e05edc6acbULL, 0x6a605956b15b8e16ULL,
+    0xa9a876e8520c1a4fULL, 0xa9a876e8520c1a4fULL, 0xa9a876e8520c1a4fULL,
+    0x70dff02f41287555ULL, 0x714f66d0683cd2f4ULL, 0x714f66d0683cd2f4ULL,
+    0x714f66d0683cd2f4ULL, 0x4c9cfa7224633adeULL, 0x898aa1bf5c59bcf1ULL,
+    0x898aa1bf5c59bcf1ULL, 0x898aa1bf5c59bcf1ULL, 0x1087a723a6a2252dULL,
+    0xccdd2a2888f7812eULL, 0xccdd2a2888f7812eULL, 0xccdd2a2888f7812eULL,
+    0x4858040aa78a3afeULL, 0x759696143870f91dULL, 0x759696143870f91dULL,
+    0x759696143870f91dULL, 0xe087f605a35c6ca9ULL, 0x1a7e2f44990b4218ULL,
+    0x1a7e2f44990b4218ULL, 0x1a7e2f44990b4218ULL, 0xffdcfc88ad740e3bULL,
+    0xe20c312a3c061614ULL, 0xe20c312a3c061614ULL, 0xe20c312a3c061614ULL,
+    0x0613230c2cc26378ULL, 0xf4727054c173ea7dULL, 0xf4727054c173ea7dULL,
+    0xf4727054c173ea7dULL, 0xf69318412f7a9038ULL, 0xfe670ba98762ea17ULL,
+    0xfe670ba98762ea17ULL, 0xfe670ba98762ea17ULL, 0x7aca38cc47e666d5ULL,
+    0x03b2ce5de73aeb3eULL, 0x03b2ce5de73aeb3eULL, 0x03b2ce5de73aeb3eULL,
+    0x2b845aaa984a2168ULL, 0x5972a6b4ca54aab9ULL, 0x5972a6b4ca54aab9ULL,
+    0x5972a6b4ca54aab9ULL, 0x4425d1d328bfca38ULL, 0xb5178c6fc5b6cb5bULL,
+    0xb5178c6fc5b6cb5bULL, 0xb5178c6fc5b6cb5bULL, 0x36dfad5b716b0f7eULL,
+    0xefc425fc14341865ULL, 0xefc425fc14341865ULL, 0xefc425fc14341865ULL,
+    0xda4c4b690486bc76ULL, 0xda4c4b690486bc76ULL, 0xda4c4b690486bc76ULL,
+    0xda4c4b690486bc76ULL, 0xd58f5ee4358e90cbULL, 0xd58f5ee4358e90cbULL,
+    0xd58f5ee4358e90cbULL, 0xd58f5ee4358e90cbULL, 0xc5727ebb9cd8e234ULL,
+    0xc5727ebb9cd8e234ULL, 0xc5727ebb9cd8e234ULL, 0xc5727ebb9cd8e234ULL,
+    0x0a0ae76cd5c1ca42ULL, 0x0a0ae76cd5c1ca42ULL, 0x650b6f165ca95760ULL,
+    0x650b6f165ca95760ULL, 0x2937a4b63b091cd2ULL, 0xdf2041b555f67cb6ULL,
+    0xec54871c5f8bec2aULL, 0xec54871c5f8bec2aULL, 0xa170aeb4dd4ea3ccULL,
+    0xa170aeb4dd4ea3ccULL, 0x0437500b74d86998ULL, 0x0437500b74d86998ULL,
+    0x3cd3da962e2d618cULL, 0x3cd3da962e2d618cULL, 0xfbb6e5f5edcc3e24ULL,
+    0xfbb6e5f5edcc3e24ULL, 0x4ab898df50defd6bULL, 0xf06ca5eef8e9f621ULL,
+    0xb6543b3a9ff62aaaULL, 0xecf1fc605d58f64cULL, 0x8450aedfd870fb55ULL,
+    0x0ebd1b7eff46c159ULL, 0x57e8cc5d0e1ece34ULL, 0xf31487009ed685e9ULL,
+    0x7d67c01e98523527ULL, 0xa082ae5603489cc3ULL, 0x6060ae3d2a37e64bULL,
+    0x27a1599183e6a4cfULL, 0xd0fbe7b291e33574ULL, 0xb1c5209d7b2ff471ULL,
+    0x9c1d22ecf5705caeULL, 0xc5f8c8d27c93e09dULL, 0xc2d0e983ae045898ULL,
+    0x6208009e8f449d94ULL, 0x896b5c4ad63088fdULL, 0xb01f85e56d16ed97ULL,
+    0x5fc536e4844f52beULL, 0x0f752726a8449939ULL, 0x08546e07baeff6dbULL,
+    0xf9494b559c4663e5ULL, 0xda4c4b690486bc76ULL, 0xd58f5ee4358e90cbULL,
+    0xc5727ebb9cd8e234ULL, 0x7d764c3aad9e9e41ULL, 0x6e24a604f9f8bf0fULL,
+};
+
+}  // namespace
+
+TEST_F(QueryDialectTest, AnswerBytesMatchTheParent) {
+  ingest(23);
+  // Edge values under job "e", rank 0: -0; two 1.7e308 records in one
+  // window, whose sum overflows so that the window's avg prints null;
+  // integers at and past 1e6 and values just inside it; 1e-5; and three
+  // names the escaper must rewrite.
+  {
+    std::vector<std::unique_ptr<Transport>> sources;
+    Frame hello;
+    hello.kind = FrameKind::kHello;
+    hello.hello.job = "e";
+    hello.hello.rank = 0;
+    hello.hello.worldSize = 1;
+    hello.hello.hostname = "node\"0001";
+    hello.hello.pid = 7;
+    Frame batch;
+    batch.kind = FrameKind::kBatch;
+    batch.timeSeconds = 42.75;
+    batch.records = {
+        {41.25, "neg0", -0.0},      {41.25, "huge", 1.7e308},
+        {41.75, "huge", 1.7e308},   {41.25, "big", 1e6},
+        {41.5, "big", 1234567.0},   {41.75, "big", 2.5e9},
+        {42.25, "big", -1e6},       {42.5, "big", 999999.5},
+        {42.75, "big", -999999.0},  {41.5, "tiny", 1e-5},
+        {42.5, "tiny", 0.1},        {41.5, kQuoteName, 1.0},
+        {41.5, kBackslashName, 2.0}, {41.5, kControlName, 3.0},
+    };
+    for (PipeHub* hub : {&engineHub_, &storeHub_}) {
+      sources.push_back(hub->makeClientTransport());
+      ASSERT_TRUE(sources.back()->connect());
+      ASSERT_TRUE(sources.back()->send(encodeFrame(hello)));
+      ASSERT_TRUE(sources.back()->send(encodeFrame(batch)));
+    }
+    withEngine_->poll(43.0);
+    storeOnly_->poll(43.0);
+  }
+  Catalog catalog;
+  for (const char* name : {"root", "group\"1", "node\\2"}) {
+    CatalogEntry entry;
+    entry.role = name[0] == 'r' ? DaemonRole::kRoot : DaemonRole::kGroup;
+    entry.name = name;
+    entry.host = "host\n0";
+    entry.port = 4000;
+    entry.shardHi = 1000;
+    catalog.announce(entry, 40.5);
+  }
+  storeOnly_->attachCatalog(&catalog);
+
+  // Every entry point, every op it answers.  Each answer is taken in
+  // this order; the read plane's counters and cache, which its stats
+  // answer prints, depend on it.
+  enum : unsigned { kWire = 1, kPost = 2, kGet = 4, kOffline = 8 };
+  struct Request {
+    std::string op;
+    Params params;
+    unsigned entryPoints;
+  };
+  const unsigned kAll = kWire | kPost | kGet | kOffline;
+  const std::vector<Request> requests = {
+      {"snapshot", {}, kAll},
+      {"snapshot", {{"job", "e"}}, kAll},
+      {"snapshot", {{"job", "a"}, {"rank", "1"}}, kAll},
+      {"snapshot", {{"metric", "m1"}}, kAll},
+      {"snapshot", {{"rank", "0"}, {"metric", kQuoteName}}, kAll},
+      {"range", {{"job", "a"}, {"rank", "1"}, {"metric", "m0"}}, kAll},
+      {"range",
+       {{"job", "b"}, {"rank", "2"}, {"metric", "m2"}, {"t0", "5"},
+        {"t1", "25.5"}},
+       kAll},
+      {"range",
+       {{"job", "a"}, {"rank", "0"}, {"metric", "m1"},
+        {"resolution", "coarse"}},
+       kAll},
+      {"range", {{"job", "e"}, {"metric", "huge"}}, kAll},
+      {"range", {{"job", "e"}, {"metric", "neg0"}}, kAll},
+      {"range", {{"job", "e"}, {"metric", "big"}}, kAll},
+      {"range",
+       {{"job", "e"}, {"metric", "big"}, {"resolution", "coarse"}},
+       kAll},
+      {"range", {{"job", "e"}, {"metric", "tiny"}}, kAll},
+      {"range", {{"job", "e"}, {"metric", kControlName}}, kAll},
+      {"range", {{"job", "e"}, {"metric", kBackslashName}}, kAll},
+      {"range", {{"job", "a"}, {"rank", "0"}}, kAll},  // no metric
+      {"snapshot", {{"resolution", "huge"}}, kAll},
+      {"nope", {}, kAll},
+      {"sources", {}, kWire | kOffline},
+      {"dashboard", {}, kWire},
+      {"catalog", {}, kWire},
+      {"series", {}, kPost | kGet},
+      {"window", {{"metric", "m0"}, {"window_s", "5"}}, kPost | kGet},
+      {"window", {{"metric", "big"}, {"window_s", "30"}}, kPost | kGet},
+      {"export",
+       {{"metric", "m2"}, {"t0", "10"}, {"t1", "20"},
+        {"resolution", "coarse"}},
+       kPost | kGet},
+      {"export", {{"job", "e"}}, kPost | kGet},
+      {"stats", {}, kPost | kGet | kOffline},
+  };
+  std::vector<std::string> labels;
+  std::vector<std::string> answers;
+  auto take = [&](const std::string& label, std::string answer) {
+    labels.push_back(label);
+    answers.push_back(std::move(answer));
+  };
+  for (const Request& request : requests) {
+    const std::string json = jsonOf(request.op, request.params);
+    if ((request.entryPoints & kWire) != 0) {
+      take("wire (engine) " + json, withEngine_->query(json));
+      take("wire (store) " + json, storeOnly_->query(json));
+    }
+    if ((request.entryPoints & kPost) != 0) {
+      take("POST " + json,
+           service_->execute(json, QueryClass::kLive, kNow).body);
+    }
+    if ((request.entryPoints & kGet) != 0) {
+      take("GET " + json, service_
+                              ->executeParams(request.op, request.params,
+                                              QueryClass::kLive, kNow)
+                              .body);
+    }
+  }
+
+  // Whole HTTP responses: 200s from the read plane and the health
+  // document, a 404, and a 429 with its Retry-After header.
+  QueryServiceOptions shedAll;
+  shedAll.maxQueriesPerPoll = 0;
+  shedAll.retryAfterSeconds = 1.25;
+  QueryService shedding(*withEngine_, shedAll);
+  const std::string post = R"({"op":"snapshot","job":"e"})";
+  const std::vector<std::pair<QueryService*, std::string>> http = {
+      {service_.get(),
+       "GET /api/query?op=range&job=e&rank=0&metric=big HTTP/1.1\r\n\r\n"},
+      {service_.get(), "GET /api/query?op=snapshot&metric=q%22uote "
+                       "HTTP/1.1\r\nConnection: close\r\n\r\n"},
+      {service_.get(), "POST /query HTTP/1.1\r\nContent-Length: " +
+                           std::to_string(post.size()) + "\r\n\r\n" + post},
+      {service_.get(), "GET /healthz HTTP/1.1\r\n\r\n"},
+      {service_.get(), "GET /api/stats HTTP/1.0\r\n\r\n"},
+      {service_.get(), "GET /missing HTTP/1.1\r\n\r\n"},
+      {&shedding, "GET /api/query?op=series HTTP/1.1\r\n\r\n"},
+  };
+  for (const auto& [service, bytes] : http) {
+    PipeHub hub;
+    HttpServer server(hub.makeServer());
+    mountDaemonEndpoints(server, *withEngine_, [] { return kNow; },
+                         {{"job", "j"}, {"role", "daemon"}}, service);
+    const std::unique_ptr<Transport> client = hub.makeClientTransport();
+    ASSERT_TRUE(client->connect());
+    ASSERT_TRUE(client->send(bytes));
+    std::string response;
+    for (int i = 0; i < 3; ++i) {
+      server.poll(kNow);
+      client->receive(response);
+    }
+    take("HTTP " + bytes.substr(0, bytes.find('\r')), response);
+  }
+
+  const std::unique_ptr<tsdb::Engine> offline = sealAndReopen();
+  for (const Request& request : requests) {
+    if ((request.entryPoints & kOffline) != 0) {
+      const std::string json = jsonOf(request.op, request.params);
+      std::string answer = runQuery(*offline, json);
+      // The data dir's name holds the test's pid.
+      if (const std::size_t at = answer.find(dir_.string());
+          at != std::string::npos) {
+        answer.replace(at, dir_.string().size(), "DIR");
+      }
+      take("offline " + json, std::move(answer));
+    }
+  }
+
+  std::string table;
+  for (std::size_t i = 0; i < answers.size(); ++i) {
+    char hex[24];
+    std::snprintf(hex, sizeof(hex), "0x%016llxULL,",
+                  static_cast<unsigned long long>(fnv1a(answers[i])));
+    table += (i % 3 == 0 ? "\n    " : " ");
+    table += hex;
+  }
+  ASSERT_EQ(answers.size(), std::size(kParentAnswers))
+      << "FNV-1a of every answer:" << table;
+  for (std::size_t i = 0; i < answers.size(); ++i) {
+    EXPECT_EQ(fnv1a(answers[i]), kParentAnswers[i])
+        << labels[i] << " answered\n"
+        << answers[i];
+  }
+  // The edge values reached the answers: an overflowed avg is null, a
+  // -0 minimum keeps its sign, integers from 1e6 on print in the
+  // shortest form, and control bytes escape as lowercase \u00xx.
+  const std::string& huge = answers[8 * 4];
+  EXPECT_NE(huge.find(R"("avg":null)"), std::string::npos) << huge;
+  const std::string& neg0 = answers[9 * 4];
+  EXPECT_NE(neg0.find(R"("min":-0,)"), std::string::npos) << neg0;
+  const std::string& big = answers[10 * 4];
+  EXPECT_NE(big.find(R"("min":1e+06,)"), std::string::npos) << big;
+  EXPECT_NE(big.find(R"("max":2.5e+09,)"), std::string::npos) << big;
+  const std::string& escaped = answers[13 * 4];
+  EXPECT_NE(escaped.find(R"("metric":"ctl\u0001byte\ttab\u001besc")"),
+            std::string::npos)
+      << escaped;
+}
+
+namespace {
+
 /// Requests the query tests send, as the mutation run's seeds.
 const std::vector<std::string> kJsonSeeds = {
     R"({"op":"snapshot","rank":0})",
@@ -495,4 +771,107 @@ TEST_F(QueryDialectTest, MutatedRequestsGetAnAnswerOrAnErrorNeverAThrow) {
   const QueryServiceCounters counters = service_->counters();
   EXPECT_GT(counters.badRequests, 1000U);
   EXPECT_GT(counters.served, 1000U);
+}
+
+namespace {
+
+/// One to three mutations of a JSON document: bit flips, truncation, an
+/// inserted structural character or digit, or a duplicated span.
+std::string mutateDocument(stats::SplitMix64& rng, std::string text) {
+  static const std::string kInserts = "{[\"\\,0123456789";
+  const std::size_t edits = 1 + below(rng, 3);
+  for (std::size_t e = 0; e < edits; ++e) {
+    const std::size_t at = below(rng, text.size() + 1);
+    switch (below(rng, 4)) {
+      case 0:  // flip a bit
+        if (at < text.size()) {
+          text[at] = static_cast<char>(text[at] ^ (1 << below(rng, 8)));
+        }
+        break;
+      case 1:  // truncate
+        text.resize(at);
+        break;
+      case 2:  // insert a structural character or a digit
+        text.insert(at, 1, kInserts[below(rng, kInserts.size())]);
+        break;
+      default: {  // duplicate a span
+        const std::size_t from = below(rng, text.size() + 1);
+        const std::size_t length =
+            std::min<std::size_t>(below(rng, text.size() - from + 1), 4096);
+        text.insert(at, text.substr(from, length));
+        break;
+      }
+    }
+  }
+  return text;
+}
+
+}  // namespace
+
+TEST(Json, MutatedDocumentsParseOrThrowParseError) {
+  trace::MetricsRegistry::instance().reset();
+  PipeHub hub;
+  Aggregator daemon(hub.makeServer());
+  QueryService service(daemon);
+  const std::unique_ptr<Transport> source = hub.makeClientTransport();
+  ASSERT_TRUE(source->connect());
+  Frame hello;
+  hello.kind = FrameKind::kHello;
+  hello.hello.job = "a";
+  hello.hello.hostname = "node0000";
+  ASSERT_TRUE(source->send(encodeFrame(hello)));
+  stats::SplitMix64 values(24);
+  for (int second = 0; second < 12; ++second) {
+    Frame batch;
+    batch.kind = FrameKind::kBatch;
+    batch.timeSeconds = second + 0.5;
+    for (const char* metric : kMetrics) {
+      batch.records.push_back(
+          {second + 0.5, metric, values.nextDouble() * 1e3 - 5e2});
+    }
+    ASSERT_TRUE(source->send(encodeFrame(batch)));
+    daemon.poll(second + 1.0);
+  }
+  service.beginPoll(12.0);
+  auto read = [&](const std::string& request) {
+    return service.execute(request, QueryClass::kLive, 12.0).body;
+  };
+  const std::vector<std::string> answers = {
+      read(R"({"op":"snapshot"})"),
+      read(R"({"op":"range","job":"a","rank":0,"metric":"m0"})"),
+      read(R"({"op":"range","job":"a","rank":0,"metric":"m1",)"
+           R"("resolution":"coarse"})"),
+      read(R"({"op":"window","metric":"m2","window_s":5})"),
+      daemon.query(R"({"op":"sources"})"),
+      read(R"({"op":"stats"})"),
+  };
+  for (const std::string& answer : answers) {
+    ASSERT_NO_THROW(json::parse(answer)) << answer;
+  }
+
+  stats::SplitMix64 rng(2424);
+  constexpr int kInputs = 10000;
+  int parsed = 0;
+  int rejected = 0;
+  for (int i = 0; i < kInputs; ++i) {
+    const std::string text =
+        mutateDocument(rng, answers[below(rng, answers.size())]);
+    try {
+      (void)json::parse(text);
+      ++parsed;
+    } catch (const ParseError&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "threw " << e.what() << " on\n" << text;
+      break;
+    } catch (...) {
+      ADD_FAILURE() << "threw a non-exception on\n" << text;
+      break;
+    }
+  }
+  RecordProperty("parsed", parsed);
+  // Both outcomes were reached: some edits keep a document valid.
+  EXPECT_GT(parsed, 100);
+  EXPECT_GT(rejected, kInputs / 2);
+  trace::MetricsRegistry::instance().reset();
 }

@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -20,6 +23,7 @@
 #include "analysis/selfprofile.hpp"
 #include "common/error.hpp"
 #include "common/json.hpp"
+#include "common/stats.hpp"
 #include "core/monitor.hpp"
 #include "gpu/simulated.hpp"
 #include "procfs/faultfs.hpp"
@@ -396,6 +400,121 @@ TEST(Json, NonFiniteDoublesPrintAsNull) {
   EXPECT_EQ(printedNumber(std::numeric_limits<double>::quiet_NaN()), "null");
   EXPECT_NO_THROW(json::parse(
       "[" + printedNumber(std::numeric_limits<double>::quiet_NaN()) + "]"));
+}
+
+namespace {
+
+/// What std::to_chars(general) prints for `v`, or null when `v` is not
+/// finite: the writer's contract for every double.
+std::string toCharsGeneral(double v) {
+  if (!std::isfinite(v)) {
+    return "null";
+  }
+  char buf[32];
+  const auto result =
+      std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general);
+  return std::string(buf, result.ptr);
+}
+
+/// `v` written as a top-level scalar in string mode.
+std::string writtenNumber(double v) {
+  std::string out;
+  json::Writer w(out);
+  w.value(v);
+  return out;
+}
+
+}  // namespace
+
+TEST(Json, NumbersMatchToCharsGeneral) {
+  std::vector<double> cases;
+  for (int i = -2000; i <= 2000; ++i) {
+    cases.push_back(i);
+  }
+  double power = 1.0;
+  for (int k = 0; k <= 7; ++k, power *= 10.0) {
+    for (int d = -2; d <= 2; ++d) {
+      cases.push_back(power + d);
+      cases.push_back(-power + d);
+    }
+  }
+  const double two53 = 9007199254740992.0;
+  for (const double v :
+       {0.0, -0.0, two53 - 1, two53 + 1, -(two53 - 1), -(two53 + 1),
+        999999.5, -999999.5, std::nextafter(1e6, 0.0),
+        std::nextafter(1e6, 2e6), std::nextafter(-1e6, 0.0),
+        std::nextafter(-1e6, -2e6), std::numeric_limits<double>::denorm_min(),
+        std::numeric_limits<double>::max(), 1e-5,
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN()}) {
+    cases.push_back(v);
+  }
+  stats::SplitMix64 rng(2310);
+  for (int i = 0; i < 200000; ++i) {
+    cases.push_back(static_cast<double>(
+        static_cast<std::int64_t>(rng.nextBelow(1999999)) - 999999));
+  }
+  for (int i = 0; i < 200000; ++i) {
+    cases.push_back(std::bit_cast<double>(rng.next()));
+  }
+  std::size_t mismatches = 0;
+  for (const double v : cases) {
+    const std::string written = writtenNumber(v);
+    const std::string expected = toCharsGeneral(v);
+    if (written != expected && ++mismatches <= 5) {
+      ADD_FAILURE() << "bits " << std::bit_cast<std::uint64_t>(v)
+                    << ": wrote " << written << ", to_chars " << expected;
+    }
+  }
+  EXPECT_EQ(mismatches, 0U) << "of " << cases.size();
+}
+
+TEST(Json, StreamWriterHandsOverEachCompleteDocument) {
+  std::ostringstream out;
+  {
+    json::Writer w(out);
+    w.beginObject().field("a", std::int64_t{1}).key("b").beginArray();
+    w.value(2.5).value("x");
+    w.endArray();
+    EXPECT_EQ(out.str(), "");  // still buffered: the document is open
+    w.endObject();
+    // Whole as soon as the outermost container closes, writer alive.
+    EXPECT_EQ(out.str(), R"({"a":1,"b":[2.5,"x"]})");
+    out << '\n';  // the caller's own bytes, between documents
+    w.value(std::uint64_t{7});  // a top-level scalar is a document too
+    EXPECT_EQ(out.str(), "{\"a\":1,\"b\":[2.5,\"x\"]}\n7");
+    w.beginObject().field("open", true);
+  }
+  // The destructor hands over what an unfinished document had.
+  EXPECT_EQ(out.str(), "{\"a\":1,\"b\":[2.5,\"x\"]}\n7{\"open\":true");
+
+  // A long document reaches the stream in pieces of at most 64 KiB plus
+  // one token, and the pieces join into the string mode's bytes.
+  std::ostringstream streamed;
+  std::string expected;
+  json::Writer stream(streamed);
+  json::Writer string(expected);
+  stream.beginArray();
+  string.beginArray();
+  constexpr std::size_t kPiece = 64 * 1024 + 32;
+  std::size_t handed = 0;
+  std::size_t pieces = 0;
+  for (int i = 0; i < 200000; ++i) {
+    const double v = i % 3 == 0 ? i : i * 0.1;
+    stream.value(v);
+    string.value(v);
+    const auto now = static_cast<std::size_t>(streamed.tellp());
+    if (now != handed) {
+      EXPECT_LE(now - handed, kPiece) << "element " << i;
+      handed = now;
+      ++pieces;
+    }
+  }
+  stream.endArray();
+  string.endArray();
+  EXPECT_GT(pieces, 10U);
+  EXPECT_EQ(streamed.str(), expected);
 }
 
 // --- Overhead attribution -------------------------------------------------

@@ -1,7 +1,8 @@
 // Segment tests: write/read round-trip, footer verification (missing
 // footer, corrupted CRC, truncated file), atomic publish, mergeRollup
-// associativity, the mmap-or-buffered read path, and find() over a
-// footer that breaks the writer's (key, resolution) order.
+// associativity, the mmap-or-buffered read path, find() over a footer
+// that breaks the writer's (key, resolution) order, and a footer extent
+// whose offset + length wraps.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -407,6 +408,35 @@ TEST_F(TsdbSegmentTest, UnsortedFooterWithRepeatedEntryAnswersLikeALinearScan) {
   const auto window4 = engine.range(b, 4.0, 4.5);
   ASSERT_EQ(window4.size(), 1U);
   EXPECT_EQ(window4[0].rollup.sum, 1e16 + 2.0);
+}
+
+TEST_F(TsdbSegmentTest, BlockExtentWhoseEndWrapsIsRejectedAtOpen) {
+  // One block entry at the first block byte with a length of 2^64 - 1:
+  // offset + length wraps to 4, inside the file.  readWindows decodes
+  // the mapped bytes in place, so open must refuse the extent.
+  std::string file = "ZSSG";
+  file.push_back('\x01');
+  file += "block";
+  std::string footer;
+  putVarint(footer, 1);
+  putString(footer, "job");
+  putVarint(footer, zigzag(0));
+  putString(footer, "m");
+  footer.push_back(static_cast<char>(Resolution::kFine));
+  putVarint(footer, 5);                      // offset
+  putVarint(footer, ~std::uint64_t{0});      // length
+  putVarint(footer, zigzag(0));              // minWindow
+  putVarint(footer, zigzag(0));              // maxWindow
+  putVarint(footer, 1);                      // windows
+  putLittleEndian(footer, std::bit_cast<std::uint64_t>(1.0), 8);
+  putVarint(footer, 10);                     // coarse factor
+  putVarint(footer, 0);                      // WAL sequence covered
+  putLittleEndian(footer, crc32(footer), 4);
+  putLittleEndian(footer, footer.size(), 4);
+  footer += "ZSFT";
+  file += footer;
+  writeFileBytes(file);
+  EXPECT_THROW(SegmentReader reader(path_), ParseError);
 }
 
 }  // namespace
