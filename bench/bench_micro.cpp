@@ -2,16 +2,22 @@
 // ZeroSum's overhead budget — /proc text parsing, a full monitor sample as
 // a function of thread count, the MPI interposition per message, CpuSet
 // parsing, the simulator's scheduler tick, the tsdb write path's kernels
-// (the WAL/segment CRC and the segment value codec), and the query answer
-// emitter (json::Writer's numbers and a whole snapshot answer).
+// (the WAL/segment CRC and the segment value codec), the query answer
+// emitter (json::Writer's numbers and a whole snapshot answer), and a
+// read-plane refresh at full retention against concurrent ingest.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <iostream>
+#include <optional>
 #include <random>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "aggregator/query.hpp"
@@ -304,6 +310,71 @@ void BM_SnapshotBody(benchmark::State& state) {
                           static_cast<std::int64_t>(bytes));
 }
 BENCHMARK(BM_SnapshotBody);
+
+/// A read-plane refresh at full retention: 4 640 series (32 ranks x 145
+/// metrics, the benchmark's root store) holding 600 fine and 70 coarse
+/// windows each, while a second thread ingests the next periods.  The
+/// time is one snapshot(), taken every 10 ms; `drop_ms` is letting go of
+/// the previous one, as the query service does at each refresh; and
+/// `max_ingest_wait_ms` is the longest one ingest call of the other
+/// thread took over the run (a refresh holds every shard lock while it
+/// builds).
+void BM_StoreSnapshotFullRetention(benchmark::State& state) {
+  using Clock = std::chrono::steady_clock;
+  aggregator::RollupStore store;  // retains 600 fine, 360 coarse windows
+  std::vector<aggregator::SeriesKey> keys;
+  for (int rank = 0; rank < 32; ++rank) {
+    for (int m = 0; m < 145; ++m) {
+      keys.push_back({"job", rank, "hwt." + std::to_string(m) + ".user_pct"});
+    }
+  }
+  std::vector<aggregator::RollupStore::SeriesRef> refs(keys.size());
+  constexpr int kPeriods = 700;  // 600 fine windows, 70 coarse
+  for (int period = 0; period < kPeriods; ++period) {
+    for (std::size_t s = 0; s < keys.size(); ++s) {
+      store.ingest(keys[s], refs[s], period + 0.5, static_cast<double>(s));
+    }
+  }
+  std::atomic<bool> stop{false};
+  std::atomic<std::int64_t> maxWaitNs{0};
+  std::thread ingest([&] {
+    std::int64_t longest = 0;
+    for (int period = kPeriods; !stop.load(std::memory_order_relaxed);
+         ++period) {
+      for (std::size_t s = 0; s < keys.size(); ++s) {
+        const auto start = Clock::now();
+        store.ingest(keys[s], refs[s], period + 0.5, static_cast<double>(s));
+        longest = std::max<std::int64_t>(
+            longest, std::chrono::duration_cast<std::chrono::nanoseconds>(
+                         Clock::now() - start)
+                         .count());
+      }
+      maxWaitNs.store(longest, std::memory_order_relaxed);
+    }
+  });
+  std::optional<aggregator::StoreSnapshot> previous;
+  double dropSeconds = 0.0;
+  for (auto _ : state) {
+    const auto start = Clock::now();
+    aggregator::StoreSnapshot snapshot = store.snapshot();
+    const auto built = Clock::now();
+    previous = std::move(snapshot);
+    const auto dropped = Clock::now();
+    state.SetIterationTime(std::chrono::duration<double>(built - start).count());
+    dropSeconds += std::chrono::duration<double>(dropped - built).count();
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  stop.store(true, std::memory_order_relaxed);
+  ingest.join();
+  state.counters["drop_ms"] =
+      dropSeconds * 1e3 / static_cast<double>(state.iterations());
+  state.counters["max_ingest_wait_ms"] =
+      static_cast<double>(maxWaitNs.load(std::memory_order_relaxed)) / 1e6;
+}
+BENCHMARK(BM_StoreSnapshotFullRetention)
+    ->Iterations(40)
+    ->Unit(benchmark::kMillisecond)
+    ->UseManualTime();
 
 }  // namespace
 

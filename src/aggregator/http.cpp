@@ -176,7 +176,7 @@ void HttpServer::respond(std::uint64_t connection, const HttpRequest* request,
   for (const auto& [name, value] : response.headers) {
     out.append(name).append(": ").append(value).append("\r\n");
   }
-  out.append("\r\n").append(response.body);
+  out.append("\r\n").append(response.body.str());
   server_->send(connection, out);
   if (response.status >= 400) {
     ++counters_.errors;

@@ -29,6 +29,7 @@
 #include <string>
 
 #include "aggregator/transport.hpp"
+#include "common/shared_text.hpp"
 #include "trace/metrics.hpp"
 #include "trace/prometheus.hpp"
 
@@ -55,7 +56,7 @@ struct HttpRequest {
 
 struct HttpResponse {
   HttpResponse() = default;
-  HttpResponse(int status_, std::string contentType_, std::string body_,
+  HttpResponse(int status_, std::string contentType_, SharedText body_,
                std::map<std::string, std::string> headers_ = {})
       : status(status_),
         contentType(std::move(contentType_)),
@@ -64,7 +65,8 @@ struct HttpResponse {
 
   int status = 200;
   std::string contentType = "text/plain; charset=utf-8";
-  std::string body;
+  /// Shared, so a cached query answer reaches the wire with one copy.
+  SharedText body;
   /// Extra response headers (e.g. Retry-After on a 429), emitted after
   /// the standard set.  Names are sent as given.
   std::map<std::string, std::string> headers;

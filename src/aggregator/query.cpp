@@ -267,11 +267,10 @@ std::string seriesBody(const ReadView& view) {
       .field("generation", view.generation())
       .key("series")
       .beginArray();
-  for (const SeriesKey& key :
-       view.seriesKeys(std::nullopt, std::nullopt, {})) {
+  view.forEachKey(std::nullopt, std::nullopt, {}, [&w](const SeriesKey& key) {
     writeKey(w, key);
     w.endObject();
-  }
+  });
   w.endArray().endObject();
   out.push_back('\n');
   return out;
@@ -349,26 +348,27 @@ std::string windowBody(const ReadView& view, const QueryRequest& request,
       .field("anchor_s", anchor)
       .key("series")
       .beginArray();
-  for (const SeriesKey& key :
-       view.seriesKeys(request.job, request.rank, request.metric)) {
-    Rollup rollup;
-    std::uint64_t buckets = 0;
-    for (const WindowRollup& row : view.range(
-             key, anchor - request.windowSeconds, anchor, resolution)) {
-      rollup.combine(row.rollup);
-      ++buckets;
-    }
-    ++folded;
-    w.beginObject()
-        .field("job", key.job)
-        .field("rank", static_cast<std::int64_t>(key.rank))
-        .field("min", rollup.min)
-        .field("avg", rollup.avg())
-        .field("max", rollup.max)
-        .field("count", rollup.count)
-        .field("buckets", buckets)
-        .endObject();
-  }
+  view.forEachKey(request.job, request.rank, request.metric,
+                  [&](const SeriesKey& key) {
+                    Rollup rollup;
+                    std::uint64_t buckets = 0;
+                    for (const WindowRollup& row :
+                         view.range(key, anchor - request.windowSeconds,
+                                    anchor, resolution)) {
+                      rollup.combine(row.rollup);
+                      ++buckets;
+                    }
+                    ++folded;
+                    w.beginObject()
+                        .field("job", key.job)
+                        .field("rank", static_cast<std::int64_t>(key.rank))
+                        .field("min", rollup.min)
+                        .field("avg", rollup.avg())
+                        .field("max", rollup.max)
+                        .field("count", rollup.count)
+                        .field("buckets", buckets)
+                        .endObject();
+                  });
   w.endArray().endObject();
   out.push_back('\n');
   return out;

@@ -63,6 +63,8 @@ QueryResult QueryService::executeParams(
 std::shared_ptr<const StoreSnapshot> QueryService::snapshot(
     double nowSeconds) {
   std::shared_ptr<const StoreSnapshot> out;
+  // The replaced snapshot, let go of after snapMutex_ is released.
+  std::shared_ptr<const StoreSnapshot> previous;
   bool refreshed = false;
   std::uint64_t keepGeneration = 0;
   {
@@ -74,6 +76,7 @@ std::shared_ptr<const StoreSnapshot> QueryService::snapshot(
     if (!snap_ ||
         (stale && nowSeconds - lastRefreshSeconds_ >=
                       options_.snapshotMinIntervalSeconds)) {
+      previous = std::move(snap_);
       snap_ = std::make_shared<const StoreSnapshot>(daemon_.store().snapshot());
       lastRefreshSeconds_ = nowSeconds;
       refreshed = true;
@@ -212,7 +215,7 @@ QueryResult QueryService::run(const QueryRequest& request, QueryClass cls,
       cacheKey(request) + "#g" + std::to_string(generation);
 
   if (options_.cacheMaxEntries > 0) {
-    std::string hit = cacheLookup(key);
+    SharedText hit = cacheLookup(key);
     if (!hit.empty()) {
       // Cache hits bypass admission: they cost no snapshot or store
       // work, so serving them cannot starve ingest even under overload.
@@ -236,7 +239,7 @@ QueryResult QueryService::run(const QueryRequest& request, QueryClass cls,
   }
   cacheMisses_.fetch_add(1, std::memory_order_relaxed);
 
-  std::string body;
+  SharedText body;
   if (request.op == "series") {
     body = seriesBody(*snap);
   } else if (request.op == "snapshot") {
@@ -306,11 +309,11 @@ void QueryService::finish(QueryClass cls, bool cacheHit,
 
 // --- result cache ----------------------------------------------------------
 
-std::string QueryService::cacheLookup(const std::string& key) {
+SharedText QueryService::cacheLookup(const std::string& key) {
   std::lock_guard<std::mutex> lock(cacheMutex_);
   const auto it = cacheIndex_.find(key);
   if (it == cacheIndex_.end()) {
-    return "";
+    return {};
   }
   lru_.splice(lru_.begin(), lru_, it->second);
   return it->second->body;
@@ -318,7 +321,7 @@ std::string QueryService::cacheLookup(const std::string& key) {
 
 void QueryService::cacheInsert(const std::string& key,
                                std::uint64_t generation,
-                               const std::string& body) {
+                               const SharedText& body) {
   std::lock_guard<std::mutex> lock(cacheMutex_);
   if (const auto it = cacheIndex_.find(key); it != cacheIndex_.end()) {
     // Another thread computed the same miss concurrently; keep the

@@ -11,7 +11,7 @@
 //      dataGeneration() has advanced AND a minimum interval has elapsed.
 //      Every query runs against a frozen generation — no torn reads, no
 //      reader-side shard-lock contention against ingest, and the cost of
-//      the full-store copy is amortized over every reader in the window.
+//      a refresh is amortized over every reader in the window.
 //
 //   2. A bounded query-result cache keyed by (normalized query, data
 //      generation).  GET and POST forms of the same logical query
@@ -19,7 +19,9 @@
 //      embeds the generation it was computed at, so an ingest-driven
 //      generation bump invalidates implicitly (stale keys can never be
 //      asked for again) and a sweep on refresh reclaims the memory.
-//      Within one generation the cache returns bit-identical bodies.
+//      Within one generation the cache returns bit-identical bodies; a
+//      hit shares the cached body with its response, so the bytes are
+//      copied once, into the HTTP response, outside the cache lock.
 //      `window` keeps no state of its own either: it folds each series'
 //      trailing fine windows from the snapshot, or its coarse windows
 //      once the span outgrows fine retention, so its answer, like every
@@ -50,6 +52,7 @@
 
 #include "aggregator/query.hpp"
 #include "aggregator/store.hpp"
+#include "common/shared_text.hpp"
 #include "trace/metrics.hpp"
 
 namespace zerosum::aggregator {
@@ -66,7 +69,7 @@ struct QueryServiceOptions {
   std::size_t cacheMaxEntries = 256;
   std::size_t cacheMaxBytes = 4 * 1024 * 1024;
   /// Snapshot refresh rate limit: even under continuous ingest the
-  /// full-store copy is taken at most this often.
+  /// store is snapshotted at most this often.
   double snapshotMinIntervalSeconds = 0.25;
   /// Admission budgets, reset by beginPoll(): total queries per poll,
   /// and the slice of that total bulk-class queries may use.
@@ -98,7 +101,9 @@ struct QueryServiceCounters {
 /// Outcome of one execute().
 struct QueryResult {
   int status = 200;  ///< 200, 400, or 429
-  std::string body;  ///< JSON document (trailing newline included)
+  /// JSON document (trailing newline included); a cache hit shares the
+  /// cached bytes.
+  SharedText body;
   bool cacheHit = false;
   double retryAfterSeconds = 0.0;  ///< > 0 only when status == 429
 };
@@ -154,9 +159,10 @@ class QueryService {
   bool admit(QueryClass cls, double* retryAfter);
   void finish(QueryClass cls, bool cacheHit, double elapsedSeconds);
 
-  [[nodiscard]] std::string cacheLookup(const std::string& key);
+  /// The cached body of `key`, shared; empty on a miss.
+  [[nodiscard]] SharedText cacheLookup(const std::string& key);
   void cacheInsert(const std::string& key, std::uint64_t generation,
-                   const std::string& body);
+                   const SharedText& body);
   void cacheSweep(std::uint64_t keepGeneration);
 
   const Aggregator& daemon_;
@@ -171,7 +177,7 @@ class QueryService {
   struct CacheEntry {
     std::string key;
     std::uint64_t generation = 0;
-    std::string body;
+    SharedText body;
   };
   mutable std::mutex cacheMutex_;
   std::list<CacheEntry> lru_;  ///< front = most recently used

@@ -1,11 +1,39 @@
 #include "aggregator/store.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
 
 #include "common/error.hpp"
 
 namespace zerosum::aggregator {
+
+namespace {
+
+/// Calls `emit` on every element of the sorted `runs` ([first, last)
+/// pairs) in one ascending order of `keyOf`: a k-way merge over a heap of
+/// the runs' heads.  No key may appear in two runs.
+template <typename It, typename KeyOf, typename Emit>
+void mergeRuns(std::vector<std::pair<It, It>>& runs, KeyOf keyOf,
+               Emit emit) {
+  std::erase_if(runs, [](const auto& run) { return run.first == run.second; });
+  const auto later = [&keyOf](const auto& a, const auto& b) {
+    return keyOf(*b.first) < keyOf(*a.first);
+  };
+  std::make_heap(runs.begin(), runs.end(), later);
+  while (!runs.empty()) {
+    std::pop_heap(runs.begin(), runs.end(), later);
+    auto& run = runs.back();
+    emit(*run.first);
+    if (++run.first == run.second) {
+      runs.pop_back();
+    } else {
+      std::push_heap(runs.begin(), runs.end(), later);
+    }
+  }
+}
+
+}  // namespace
 
 // --- RollupStore -----------------------------------------------------------
 
@@ -252,23 +280,43 @@ StoreSnapshot RollupStore::snapshot() const {
   // All shard locks, in index order (writers only ever hold one shard
   // lock, so this cannot deadlock against ingest): the copy and the
   // generation reading describe exactly the same instant.
+  using Run = std::pair<std::map<SeriesKey, Series>::const_iterator,
+                        std::map<SeriesKey, Series>::const_iterator>;
   std::vector<std::unique_lock<std::mutex>> locks;
+  std::vector<Run> runs;
   locks.reserve(shards_.size());
+  runs.reserve(shards_.size());
   std::size_t total = 0;
   for (const auto& shard : shards_) {
     locks.emplace_back(shard->mutex);
     total += shard->series.size();
+    runs.emplace_back(shard->series.begin(), shard->series.end());
   }
   out.generation_ = dataGeneration_.load(std::memory_order_acquire);
+  // The merge fixes the order; the copy then touches each series' key
+  // and window chunks, which lie all over the heap, so it requests them
+  // a few series ahead instead of waiting on each miss in turn.
+  std::vector<const SeriesNode*> order;
+  order.reserve(total);
+  mergeRuns(
+      runs, [](const SeriesNode& node) -> const SeriesKey& { return node.first; },
+      [&order](const SeriesNode& node) { order.push_back(&node); });
+  constexpr std::size_t kAhead = 8;
   out.series_.reserve(total);
-  for (const auto& shard : shards_) {
-    for (const auto& [key, series] : shard->series) {
-      out.series_.push_back({key, series[Resolution::kFine].windows,
-                             series[Resolution::kCoarse].windows});
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    if (i + 2 * kAhead < order.size()) {
+      __builtin_prefetch(&order[i + 2 * kAhead]->second);
     }
+    if (i + kAhead < order.size()) {
+      const SeriesNode& ahead = *order[i + kAhead];
+      __builtin_prefetch(ahead.first.metric.data());
+      ahead.second[Resolution::kFine].windows.prefetch();
+      ahead.second[Resolution::kCoarse].windows.prefetch();
+    }
+    const SeriesNode& node = *order[i];
+    out.series_.push_back({node.first, node.second[Resolution::kFine].windows,
+                           node.second[Resolution::kCoarse].windows});
   }
-  locks.clear();
-  std::ranges::sort(out.series_, {}, &SeriesSnapshot::key);
   return out;
 }
 
@@ -276,24 +324,44 @@ StoreSnapshot RollupStore::snapshotNewest(
     const std::optional<std::string>& job, std::optional<int> rank,
     const std::string& metric) const {
   const auto newest = [](const WindowBuffer& windows) {
-    return WindowBuffer(windows.end() - (windows.empty() ? 0 : 1),
-                        windows.end());
+    return windows.slice(windows.end() - (windows.empty() ? 0 : 1),
+                         windows.end());
   };
   StoreSnapshot out = emptySnapshot();
   out.generation_ = dataGeneration_.load(std::memory_order_acquire);
   // One shard lock at a time: ingest into a shard waits for that shard's
-  // share of the walk only.
+  // share of the walk only.  Each shard's matches are one sorted run.
+  std::vector<SeriesSnapshot> found;
+  std::vector<std::size_t> runEnds;
+  runEnds.reserve(shards_.size());
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mutex);
     for (const auto& [key, series] : shard->series) {
       if (keyMatches(key, job, rank, metric)) {
-        out.series_.push_back({key,
-                               newest(series[Resolution::kFine].windows),
-                               newest(series[Resolution::kCoarse].windows)});
+        found.push_back({key, newest(series[Resolution::kFine].windows),
+                         newest(series[Resolution::kCoarse].windows)});
       }
     }
+    runEnds.push_back(found.size());
   }
-  std::ranges::sort(out.series_, {}, &SeriesSnapshot::key);
+  using Run = std::pair<std::vector<SeriesSnapshot>::iterator,
+                        std::vector<SeriesSnapshot>::iterator>;
+  std::vector<Run> runs;
+  runs.reserve(runEnds.size());
+  auto first = found.begin();
+  for (const std::size_t end : runEnds) {
+    const auto last = found.begin() + static_cast<std::ptrdiff_t>(end);
+    runs.emplace_back(first, last);
+    first = last;
+  }
+  out.series_.reserve(found.size());
+  mergeRuns(
+      runs, [](const SeriesSnapshot& series) -> const SeriesKey& {
+        return series.key;
+      },
+      [&out](SeriesSnapshot& series) {
+        out.series_.push_back(std::move(series));
+      });
   return out;
 }
 
@@ -311,7 +379,7 @@ StoreSnapshot RollupStore::snapshotRange(const SeriesKey& key, double t0,
     SeriesSnapshot& series = out.series_.emplace_back();
     series.key = key;
     (resolution == Resolution::kFine ? series.fine : series.coarse) =
-        WindowBuffer(first, last);
+        it->second[resolution].windows.slice(first, last);
   }
   return out;
 }
@@ -347,16 +415,15 @@ std::optional<WindowRollup> StoreSnapshot::latest(
                 windowSeconds(resolution));
 }
 
-std::vector<SeriesKey> StoreSnapshot::seriesKeys(
-    const std::optional<std::string>& job, std::optional<int> rank,
-    const std::string& metric) const {
-  std::vector<SeriesKey> out;
+void StoreSnapshot::forEachKey(const std::optional<std::string>& job,
+                               std::optional<int> rank,
+                               const std::string& metric,
+                               const KeyVisitor& visit) const {
   for (const SeriesSnapshot& series : series_) {
     if (keyMatches(series.key, job, rank, metric)) {
-      out.push_back(series.key);
+      visit(series.key);
     }
   }
-  return out;
 }
 
 void StoreSnapshot::forEachNewest(const std::optional<std::string>& job,

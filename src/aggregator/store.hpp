@@ -12,13 +12,23 @@
 // truncation: the store answers "now" and "recently", not "ever").
 //
 // Window layout: each series keeps one WindowBuffer per resolution, the
-// retained (windowIndex, rollup) pairs sorted by index in one contiguous
-// vector.  In-order ingest appends at the newest end, eviction advances a
-// head offset over the oldest end (the dead prefix is erased once it is
-// as long as the live part, so eviction is amortised O(1)), and a late
-// window is placed by binary search.  A snapshot therefore copies two
-// flat buffers per series, one allocation each, however many windows
-// they retain (DESIGN.md §12).
+// retained (windowIndex, rollup) pairs sorted by index in fixed-size
+// chunks of WindowBuffer::kChunkWindows windows.  The full chunks hang
+// off one reference-counted array of chunk pointers (the spine); the
+// chunk holding the newest window (the tail) sits beside it; a buffer's
+// first tail holds kFirstChunkWindows and doubles as windows come, so a
+// series with few windows stays small.  In-order ingest writes into the
+// tail, and a full tail joins the spine; eviction
+// advances a head offset and turns emptied chunks into spares for the
+// next tail; a late window is placed by binary search.  A copy of a
+// buffer takes one reference on the spine and one on the tail and copies
+// only its newest window, so a snapshot costs the same per series however
+// many windows it retains.  Afterwards the store keeps writing its newest
+// window and appending to the tail in place (no copy reads those slots);
+// a write to an older window a snapshot still holds copies that chunk
+// first, and a spine a snapshot holds is replaced, sharing its chunks,
+// only when a tail fills or a late window lands in a full chunk
+// (DESIGN.md §12).
 #pragma once
 
 #include <algorithm>
@@ -26,10 +36,12 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <new>
 #include <optional>
 #include <span>
 #include <string>
@@ -199,44 +211,197 @@ class SeriesBlocks {
 };
 
 /// The retained windows of one series at one resolution: (windowIndex,
-/// rollup) pairs sorted by index in one contiguous vector whose first
-/// `head_` entries are evicted (see the layout note at the top of this
-/// file).  Iteration yields the live windows, oldest first.
+/// rollup) pairs sorted by index, kept in fixed-size chunks.  The full
+/// chunks sit behind one array of chunk pointers (the spine) and the
+/// newest window's chunk (the tail) beside it; copies of the buffer share
+/// both and keep their own copy of their newest window, which is the one
+/// the store keeps changing (see the layout note at the top of this
+/// file).  Iteration yields the live windows, oldest first.  Like a
+/// std::vector, one buffer may be read (and copied) from many threads, or
+/// written from one.
 class WindowBuffer {
  public:
   using Entry = std::pair<std::int64_t, Rollup>;
-  using const_iterator = std::vector<Entry>::const_iterator;
-  using const_reverse_iterator = std::vector<Entry>::const_reverse_iterator;
+  /// Windows per chunk (a power of two).
+  static constexpr std::size_t kChunkWindows = 16;
+  /// Windows a buffer's first chunk holds; it doubles up to a full
+  /// chunk as the windows come, so a series with few windows stays small.
+  static constexpr std::size_t kFirstChunkWindows = 4;
+
+ private:
+  /// A chunk's header.  Its windows follow it in the same allocation,
+  /// each written before it is read (never zero-filled).
+  struct alignas(Entry) Chunk {
+    /// The spines and buffers holding this chunk.
+    std::atomic<std::uint32_t> owners{1};
+    std::uint32_t capacity = 0;  ///< kChunkWindows unless it is a tail
+
+    Entry* entries() { return reinterpret_cast<Entry*>(this + 1); }
+  };
+
+  /// Chunk pointers: the full chunks, oldest first, then spare chunks.
+  /// One allocation, the pointers following this header.
+  struct alignas(Chunk*) Spine {
+    /// The buffers holding this spine.
+    std::atomic<std::uint32_t> owners{1};
+    std::uint32_t count = 0;  ///< chunk pointers held
+    std::uint32_t capacity = 0;
+
+    Chunk** chunks() { return reinterpret_cast<Chunk**>(this + 1); }
+  };
+
+ public:
+  /// Random access over the live windows; any write to the buffer
+  /// invalidates it.
+  class const_iterator {
+   public:
+    using iterator_concept = std::random_access_iterator_tag;
+    using iterator_category = std::random_access_iterator_tag;
+    using value_type = Entry;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const Entry*;
+    using reference = const Entry&;
+
+    const_iterator() = default;
+
+    reference operator*() const {
+      if (pos_ == newestPos_) {
+        return *newest_;
+      }
+      const std::size_t c = pos_ / kChunkWindows;
+      return (c < sealed_ ? spine_->chunks()[c] : tail_)
+          ->entries()[pos_ % kChunkWindows];
+    }
+    pointer operator->() const { return &**this; }
+    reference operator[](difference_type n) const { return *(*this + n); }
+
+    const_iterator& operator++() {
+      ++pos_;
+      return *this;
+    }
+    const_iterator operator++(int) {
+      const const_iterator old = *this;
+      ++pos_;
+      return old;
+    }
+    const_iterator& operator--() {
+      --pos_;
+      return *this;
+    }
+    const_iterator operator--(int) {
+      const const_iterator old = *this;
+      --pos_;
+      return old;
+    }
+    const_iterator& operator+=(difference_type n) {
+      pos_ = static_cast<std::size_t>(static_cast<difference_type>(pos_) + n);
+      return *this;
+    }
+    const_iterator& operator-=(difference_type n) { return *this += -n; }
+    friend const_iterator operator+(const_iterator it, difference_type n) {
+      return it += n;
+    }
+    friend const_iterator operator+(difference_type n, const_iterator it) {
+      return it += n;
+    }
+    friend const_iterator operator-(const_iterator it, difference_type n) {
+      return it -= n;
+    }
+    friend difference_type operator-(const const_iterator& a,
+                                     const const_iterator& b) {
+      return static_cast<difference_type>(a.pos_) -
+             static_cast<difference_type>(b.pos_);
+    }
+    friend bool operator==(const const_iterator& a, const const_iterator& b) {
+      return a.pos_ == b.pos_;
+    }
+    friend auto operator<=>(const const_iterator& a, const const_iterator& b) {
+      return a.pos_ <=> b.pos_;
+    }
+
+   private:
+    friend class WindowBuffer;
+    const_iterator(const WindowBuffer& buffer, std::size_t pos)
+        : spine_(buffer.spine_),
+          tail_(buffer.tail_),
+          sealed_(buffer.sealed_),
+          newest_(&buffer.newest_),
+          newestPos_(buffer.detached_ ? buffer.head_ + buffer.size_ - 1
+                                      : static_cast<std::size_t>(-1)),
+          pos_(pos) {}
+
+    Spine* spine_ = nullptr;
+    Chunk* tail_ = nullptr;
+    std::size_t sealed_ = 0;
+    const Entry* newest_ = nullptr;
+    std::size_t newestPos_ = static_cast<std::size_t>(-1);
+    std::size_t pos_ = 0;  ///< counted from the first chunk's first slot
+  };
+  using const_reverse_iterator = std::reverse_iterator<const_iterator>;
 
   WindowBuffer() = default;
-  /// Copies only the live windows, in one allocation.
+  /// Shares the other buffer's windows: no allocation.
   WindowBuffer(const WindowBuffer& other)
-      : entries_(other.begin(), other.end()) {}
-  /// Copies the windows [first, last) of another buffer.
-  WindowBuffer(const_iterator first, const_iterator last)
-      : entries_(first, last) {}
-  WindowBuffer(WindowBuffer&& other) noexcept
-      : entries_(std::move(other.entries_)),
-        head_(std::exchange(other.head_, 0)) {}
+      : WindowBuffer(other.slice(other.begin(), other.end())) {}
+  WindowBuffer(WindowBuffer&& other) noexcept { swap(other); }
   /// Copy and move assignment: `other` was copied or moved in above.
   WindowBuffer& operator=(WindowBuffer other) noexcept {
-    entries_.swap(other.entries_);
-    std::swap(head_, other.head_);
+    swap(other);
     return *this;
   }
-
-  [[nodiscard]] bool empty() const { return head_ == entries_.size(); }
-  [[nodiscard]] std::size_t size() const { return entries_.size() - head_; }
-  [[nodiscard]] const_iterator begin() const {
-    return entries_.begin() + static_cast<std::ptrdiff_t>(head_);
+  ~WindowBuffer() {
+    release(spine_);
+    release(tail_);
   }
-  [[nodiscard]] const_iterator end() const { return entries_.end(); }
+
+  /// The windows [first, last) of this buffer, sharing its chunks; the
+  /// slice keeps its own copy of its newest window.  No allocation.
+  [[nodiscard]] WindowBuffer slice(const_iterator first,
+                                   const_iterator last) const {
+    WindowBuffer out;
+    if (first == last) {
+      return out;
+    }
+    const std::size_t newest = (last.pos_ - 1) / kChunkWindows;
+    out.tail_ = chunk(newest);
+    out.tail_->owners.fetch_add(1, std::memory_order_relaxed);
+    if (first.pos_ / kChunkWindows == newest) {
+      out.head_ = first.pos_ - newest * kChunkWindows;  // no spine needed
+    } else {
+      spine_->owners.fetch_add(1, std::memory_order_relaxed);
+      out.spine_ = spine_;
+      out.sealed_ = newest;
+      out.head_ = first.pos_;
+    }
+    out.size_ = static_cast<std::size_t>(last - first);
+    out.oldest_ = first->first;
+    out.newest_ = *(last - 1);
+    out.detached_ = true;
+    out.shared_.store(true, std::memory_order_relaxed);
+    shared_.store(true, std::memory_order_relaxed);
+    return out;
+  }
+
+  /// Asks the CPU for what a copy of this buffer writes: the reference
+  /// counts of the spine and the tail.
+  void prefetch() const {
+    __builtin_prefetch(spine_, 1);
+    __builtin_prefetch(tail_, 1);
+  }
+
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] const_iterator begin() const { return {*this, head_}; }
+  [[nodiscard]] const_iterator end() const { return {*this, head_ + size_}; }
   /// The newest window first.
   [[nodiscard]] const_reverse_iterator rbegin() const {
-    return entries_.rbegin();
+    return const_reverse_iterator(end());
   }
   /// The newest window; the buffer must not be empty.
-  [[nodiscard]] const Entry& back() const { return entries_.back(); }
+  [[nodiscard]] const Entry& back() const {
+    return detached_ ? newest_
+                     : tail_->entries()[(head_ + size_ - 1) % kChunkWindows];
+  }
 
   /// The first window whose index is >= `index`.
   [[nodiscard]] const_iterator lowerBound(std::int64_t index) const {
@@ -267,51 +432,373 @@ class WindowBuffer {
   }
 
   /// The window at `index`, inserted empty in index order when absent
-  /// (appended when it is the newest); `second` is true if inserted.
+  /// (appended when it is the newest); `second` is true if inserted.  A
+  /// chunk a copy of the buffer still shares is copied before the write.
   std::pair<Rollup*, bool> findOrInsert(std::int64_t index) {
-    if (empty() || index > entries_.back().first) {
-      entries_.emplace_back(index, Rollup{});
-      return {&entries_.back().second, true};
+    noteCopies();
+    if (detached_) {
+      ownTail();  // a copy changes: its newest window rejoins its tail
     }
-    if (index == entries_.back().first) {
-      return {&entries_.back().second, false};
+    if (size_ > 0 && index >= back().first) {
+      // The newest window, or a new one in the same chunk: only the tail
+      // is touched.
+      const std::size_t end = head_ + size_;
+      if (index == back().first) {
+        return {&tailSlot(end - 1).second, false};
+      }
+      if (end % kChunkWindows != 0) {
+        Entry& slot = openTailSlot(end);
+        ++size_;
+        slot = {index, Rollup{}};
+        return {&slot.second, true};
+      }
     }
-    // A late window: binary search among the live entries.
-    const auto pos = entries_.begin() + (lowerBound(index) - entries_.cbegin());
-    if (pos->first == index) {
-      return {&pos->second, false};
+    if (empty() || index > back().first) {
+      Entry& slot = append();
+      slot = {index, Rollup{}};
+      if (size_ == 1) {
+        oldest_ = index;
+      }
+      return {&slot.second, true};
     }
-    return {&entries_.insert(pos, Entry{index, Rollup{}})->second, true};
+    // A late window.  Offsets from head_ survive a new spine, which moves
+    // head_.
+    const std::size_t offset = lowerBound(index).pos_ - head_;
+    if ((head_ + offset) / kChunkWindows < sealed_) {
+      ownSpine();
+    }
+    if (at(head_ + offset).first == index) {
+      return {&writable(head_ + offset).second, false};
+    }
+    append();  // the slot the newest window shifts into
+    ownTail();
+    const std::size_t pos = head_ + offset;
+    for (std::size_t c = pos / kChunkWindows; c < sealed_; ++c) {
+      ownChunk(c);
+    }
+    for (std::size_t p = head_ + size_ - 1; p > pos; --p) {
+      slot(p) = slot(p - 1);
+    }
+    slot(pos) = {index, Rollup{}};
+    if (offset == 0) {
+      oldest_ = index;
+    }
+    return {&slot(pos).second, true};
   }
 
-  /// Evicts every window older than `oldestKept`; returns how many.
+  /// Evicts every window older than `oldestKept`; returns how many.  A
+  /// chunk left without a live window becomes a spare for the next one
+  /// to fill.
   std::size_t evictBefore(std::int64_t oldestKept) {
-    const std::size_t firstLive = head_;
-    while (head_ < entries_.size() && entries_[head_].first < oldestKept) {
-      ++head_;
+    if (size_ == 0 || oldest_ >= oldestKept) {
+      return 0;
     }
-    const std::size_t evicted = head_ - firstLive;
-    // Erase the dead prefix once it is at least as long as the live part:
-    // each erase moves no more entries than were evicted since the last
-    // one, which keeps eviction amortised O(1).
-    if (head_ > 0 && head_ >= size()) {
-      entries_.erase(entries_.begin(),
-                     entries_.begin() + static_cast<std::ptrdiff_t>(head_));
-      head_ = 0;
+    std::size_t evicted = 0;
+    while (size_ > 0 && at(head_).first < oldestKept) {
+      ++head_;
+      --size_;
+      ++evicted;
+    }
+    if (size_ == 0) {
+      clear();
+      return evicted;
+    }
+    oldest_ = at(head_).first;
+    // Full chunks before head_ are dead.  They move to the spares now if
+    // no copy shares the spine; otherwise the next new spine drops them.
+    const std::size_t dead = head_ / kChunkWindows;
+    if (dead > 0 && holdSpineAlone()) {
+      Chunk** chunks = spine_->chunks();
+      std::rotate(chunks, chunks + dead, chunks + spine_->count);
+      shift(dead);
     }
     return evicted;
   }
 
-  /// Drops every window and keeps the capacity, so refilling the buffer
-  /// to its old size allocates nothing.
+  /// Drops every window.  The chunks no copy shares stay as spares, so
+  /// refilling the buffer to its old size allocates nothing.
   void clear() {
-    entries_.clear();
+    noteCopies();
+    if (spine_ != nullptr && !holdSpineAlone()) {
+      release(std::exchange(spine_, nullptr));
+    }
+    if (tail_ != nullptr && !ownTail_ &&
+        tail_->owners.load(std::memory_order_acquire) != 1) {
+      release(std::exchange(tail_, nullptr));
+    }
+    ownTail_ = ownFree_ = tail_ != nullptr;
+    detached_ = false;
+    sealed_ = 0;
     head_ = 0;
+    size_ = 0;
+    frozenEnd_ = 0;
   }
 
  private:
-  std::vector<Entry> entries_;
-  std::size_t head_ = 0;  ///< entries_[0, head_) are evicted
+  void swap(WindowBuffer& other) noexcept {
+    std::swap(tail_, other.tail_);
+    std::swap(head_, other.head_);
+    std::swap(size_, other.size_);
+    std::swap(oldest_, other.oldest_);
+    std::swap(ownTail_, other.ownTail_);
+    std::swap(ownFree_, other.ownFree_);
+    std::swap(detached_, other.detached_);
+    std::swap(ownSpine_, other.ownSpine_);
+    other.shared_.store(
+        shared_.exchange(other.shared_.load(std::memory_order_relaxed),
+                         std::memory_order_relaxed),
+        std::memory_order_relaxed);
+    std::swap(spine_, other.spine_);
+    std::swap(sealed_, other.sealed_);
+    std::swap(frozenEnd_, other.frozenEnd_);
+    std::swap(newest_, other.newest_);
+  }
+
+  static Chunk* makeChunk(std::size_t capacity) {
+    auto* chunk =
+        new (::operator new(sizeof(Chunk) + capacity * sizeof(Entry))) Chunk;
+    chunk->capacity = static_cast<std::uint32_t>(capacity);
+    return chunk;
+  }
+  static void release(Chunk* chunk) {
+    if (chunk != nullptr &&
+        chunk->owners.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      chunk->~Chunk();
+      ::operator delete(chunk);
+    }
+  }
+  static void release(Spine* spine) {
+    if (spine == nullptr ||
+        spine->owners.fetch_sub(1, std::memory_order_acq_rel) != 1) {
+      return;
+    }
+    for (std::uint32_t c = 0; c < spine->count; ++c) {
+      release(spine->chunks()[c]);
+    }
+    destroy(spine);
+  }
+  static Spine* makeSpine(std::size_t capacity) {
+    void* raw = ::operator new(sizeof(Spine) + capacity * sizeof(Chunk*));
+    auto* spine = new (raw) Spine;
+    spine->capacity = static_cast<std::uint32_t>(capacity);
+    return spine;
+  }
+  static void destroy(Spine* spine) {
+    spine->~Spine();
+    ::operator delete(spine);
+  }
+  /// A copy of slots [from, to) of `chunk`, to write in its place, with
+  /// room for `capacity` windows.
+  static Chunk* copyOf(Chunk* chunk, std::size_t from, std::size_t to,
+                       std::size_t capacity) {
+    Chunk* copy = makeChunk(capacity);
+    std::copy(chunk->entries() + from, chunk->entries() + to,
+              copy->entries() + from);
+    return copy;
+  }
+
+  [[nodiscard]] Chunk* chunk(std::size_t c) const {
+    return c < sealed_ ? spine_->chunks()[c] : tail_;
+  }
+  [[nodiscard]] const Entry& at(std::size_t pos) const {
+    if (detached_ && pos == head_ + size_ - 1) {
+      return newest_;
+    }
+    return chunk(pos / kChunkWindows)->entries()[pos % kChunkWindows];
+  }
+  /// The slot at `pos`, in a chunk the caller made this buffer's own.
+  Entry& slot(std::size_t pos) {
+    return chunk(pos / kChunkWindows)->entries()[pos % kChunkWindows];
+  }
+
+  /// Forgets what this buffer held alone once a copy has been made: the
+  /// copy may share the spine and the tail, and reads their windows up to
+  /// (not including) its newest one, before frozenEnd_ - 1.
+  void noteCopies() {
+    if (shared_.load(std::memory_order_relaxed)) {
+      shared_.store(false, std::memory_order_relaxed);
+      ownSpine_ = false;
+      ownTail_ = false;
+      frozenEnd_ = head_ + size_;
+    }
+  }
+
+  /// Moves every position down by `chunks` whole chunks, which left the
+  /// front of the spine.
+  void shift(std::size_t chunks) {
+    const std::size_t by = chunks * kChunkWindows;
+    sealed_ -= chunks;
+    head_ -= by;
+    frozenEnd_ -= std::min(frozenEnd_, by);
+  }
+
+  /// True when no copy holds the spine (an acquire load, pairing with
+  /// the acq_rel release of a copy that let go).
+  bool holdSpineAlone() {
+    noteCopies();
+    if (!ownSpine_ && spine_->owners.load(std::memory_order_acquire) == 1) {
+      ownSpine_ = true;
+    }
+    return ownSpine_;
+  }
+
+  /// Makes the spine this buffer's alone: a spine a copy still holds is
+  /// replaced by a new one holding the live full chunks, which both
+  /// spines then share.
+  void ownSpine() {
+    if (spine_ == nullptr) {
+      spine_ = makeSpine(2);
+      ownSpine_ = true;
+      return;
+    }
+    if (holdSpineAlone()) {
+      return;
+    }
+    const std::size_t from = std::min(head_ / kChunkWindows, sealed_);
+    Spine* spine = makeSpine(std::max<std::size_t>(sealed_ - from + 2, 2));
+    for (std::size_t c = from; c < sealed_; ++c) {
+      Chunk* full = spine_->chunks()[c];
+      full->owners.fetch_add(1, std::memory_order_relaxed);
+      spine->chunks()[spine->count++] = full;
+    }
+    shift(from);
+    release(std::exchange(spine_, spine));
+    ownSpine_ = true;
+  }
+
+  /// Copies the tail first if a copy of the buffer holds it too; a
+  /// copy's own newest window rejoins it.  Only the slots this buffer
+  /// reads are copied: the buffer that filled the chunk may be writing
+  /// the others.
+  void ownTail() {
+    noteCopies();
+    if (ownTail_) {
+      return;
+    }
+    const std::size_t base = sealed_ * kChunkWindows;
+    const std::size_t end = head_ + size_;
+    if (tail_->owners.load(std::memory_order_acquire) != 1) {
+      const std::size_t from = head_ > base ? head_ - base : 0;
+      const std::size_t to = end - base - (detached_ ? 1 : 0);
+      release(std::exchange(
+          tail_, copyOf(tail_, from, std::max(from, to), tail_->capacity)));
+    }
+    if (detached_) {
+      tail_->entries()[(end - 1) % kChunkWindows] = newest_;
+      detached_ = false;
+    }
+    ownTail_ = ownFree_ = true;
+  }
+
+  /// The tail's slot at `pos`, made writable.  The buffer that filled the
+  /// tail writes its slots from frozenEnd_ - 1 on in place: every copy
+  /// reads those from its own newest window, or not at all.
+  Entry& tailSlot(std::size_t pos) {
+    if (!ownTail_ && !(ownFree_ && pos + 1 >= frozenEnd_)) {
+      ownTail();
+    }
+    return tail_->entries()[pos % kChunkWindows];
+  }
+
+  /// Copies full chunk `c` of the buffer's own spine first if another
+  /// spine holds it too.
+  void ownChunk(std::size_t c) {
+    Chunk*& full = spine_->chunks()[c];
+    if (full->owners.load(std::memory_order_acquire) != 1) {
+      const std::size_t base = c * kChunkWindows;
+      const std::size_t from = head_ > base ? head_ - base : 0;
+      release(std::exchange(
+          full, copyOf(full, from, kChunkWindows, kChunkWindows)));
+    }
+  }
+
+  /// The slot at `pos` made writable; a full chunk's spine must be this
+  /// buffer's own already.
+  /// The tail's slot at `pos`, past the newest window, made writable; a
+  /// tail without room for it is replaced by one twice as large.
+  Entry& openTailSlot(std::size_t pos) {
+    const std::size_t slot = pos % kChunkWindows;
+    if (slot >= tail_->capacity) {
+      const std::size_t base = sealed_ * kChunkWindows;
+      const std::size_t from = head_ > base ? head_ - base : 0;
+      release(std::exchange(
+          tail_, copyOf(tail_, from, slot,
+                        std::min(2 * std::size_t{tail_->capacity},
+                                 kChunkWindows))));
+      ownTail_ = ownFree_ = true;
+    }
+    return tailSlot(pos);
+  }
+
+  Entry& writable(std::size_t pos) {
+    if (pos / kChunkWindows < sealed_) {
+      ownChunk(pos / kChunkWindows);
+      return slot(pos);
+    }
+    return tailSlot(pos);
+  }
+
+  /// Opens the slot after the newest window and returns it.  A full tail
+  /// joins the spine first, and a spare chunk (else a new one) becomes
+  /// the tail.
+  Entry& append() {
+    if (size_ == 0) {
+      if (tail_ == nullptr) {
+        tail_ = makeChunk(kFirstChunkWindows);
+        ownTail_ = ownFree_ = true;
+      } else {
+        ownTail();
+      }
+      head_ = sealed_ * kChunkWindows;
+    } else if ((head_ + size_) % kChunkWindows == 0) {
+      ownSpine();
+      Chunk* next = nullptr;
+      if (spine_->count > sealed_) {
+        next = spine_->chunks()[sealed_];  // a spare
+        if (next->owners.load(std::memory_order_acquire) != 1) {
+          release(next);
+          next = makeChunk(kChunkWindows);
+        }
+      } else {
+        if (spine_->count == spine_->capacity) {
+          Spine* larger = makeSpine(2 * std::size_t{spine_->capacity});
+          std::copy_n(spine_->chunks(), spine_->count, larger->chunks());
+          larger->count = spine_->count;
+          destroy(std::exchange(spine_, larger));
+        }
+        ++spine_->count;
+        next = makeChunk(kChunkWindows);
+      }
+      spine_->chunks()[sealed_++] = std::exchange(tail_, next);
+      ownTail_ = ownFree_ = true;
+    } else {
+      openTailSlot(head_ + size_);
+    }
+    ++size_;
+    return slot(head_ + size_ - 1);
+  }
+
+  // What each write reads first, then the rest.
+  Chunk* tail_ = nullptr;    ///< the chunk holding the newest window
+  std::size_t head_ = 0;     ///< the oldest live window's position
+  std::size_t size_ = 0;     ///< live windows
+  std::int64_t oldest_ = 0;  ///< the oldest live window's index
+  bool ownTail_ = false;     ///< no copy or other spine holds tail_
+  /// This buffer filled tail_, so it alone may write the slots past what
+  /// the copies sharing it read.
+  bool ownFree_ = false;
+  bool detached_ = false;  ///< the newest window is newest_
+  bool ownSpine_ = false;  ///< no copy holds spine_
+  /// Set when a copy is made: the copy may share spine_ and tail_.
+  /// Copies of a store's buffers are made under the shard lock its
+  /// writes take.
+  mutable std::atomic<bool> shared_{false};
+  Spine* spine_ = nullptr;
+  std::size_t sealed_ = 0;  ///< full chunks in spine_, before the spares
+  /// Past the newest window of any copy made since writes began.
+  std::size_t frozenEnd_ = 0;
+  /// A copy's newest window, its own rather than its tail's slot.
+  Entry newest_;
 };
 
 /// Point-in-time copy of one series' retained windows (both planes).
@@ -340,21 +827,32 @@ struct NewestWindows {
 /// What a query reads (aggregator/query.hpp): a StoreSnapshot's frozen
 /// windows or a tsdb::Engine's whole history.  Each query op is written
 /// once against this, so every entry point answers it alike.  A series
-/// the filters of seriesKeys() or forEachNewest() exclude is compared,
+/// the filters of forEachKey() or forEachNewest() exclude is compared,
 /// never copied or read.
 class ReadView {
  public:
+  using KeyVisitor = std::function<void(const SeriesKey&)>;
   using NewestVisitor =
       std::function<void(const SeriesKey&, const NewestWindows&)>;
 
   /// The data generation the view reads at.
   [[nodiscard]] virtual std::uint64_t generation() const = 0;
 
-  /// The keys of every series of `job`, `rank` and `metric` (any when
-  /// unset or empty), sorted; no window is read.
-  [[nodiscard]] virtual std::vector<SeriesKey> seriesKeys(
+  /// Visits, in key order, the key of every series of `job`, `rank` and
+  /// `metric` (any when unset or empty); no window is read.
+  virtual void forEachKey(const std::optional<std::string>& job,
+                          std::optional<int> rank, const std::string& metric,
+                          const KeyVisitor& visit) const = 0;
+
+  /// forEachKey()'s keys, copied.
+  [[nodiscard]] std::vector<SeriesKey> seriesKeys(
       const std::optional<std::string>& job, std::optional<int> rank,
-      const std::string& metric) const = 0;
+      const std::string& metric) const {
+    std::vector<SeriesKey> keys;
+    forEachKey(job, rank, metric,
+               [&keys](const SeriesKey& key) { keys.push_back(key); });
+    return keys;
+  }
 
   /// Visits, in key order, every series of `job`, `rank` and `metric`
   /// with its newest windows at both resolutions.
@@ -387,9 +885,9 @@ class StoreSnapshot final : public ReadView {
   [[nodiscard]] std::optional<WindowRollup> latest(
       const SeriesKey& key, Resolution resolution = Resolution::kFine) const;
 
-  [[nodiscard]] std::vector<SeriesKey> seriesKeys(
-      const std::optional<std::string>& job, std::optional<int> rank,
-      const std::string& metric) const override;
+  void forEachKey(const std::optional<std::string>& job,
+                  std::optional<int> rank, const std::string& metric,
+                  const KeyVisitor& visit) const override;
 
   void forEachNewest(const std::optional<std::string>& job,
                      std::optional<int> rank, const std::string& metric,
@@ -471,17 +969,21 @@ class RollupStore {
   }
 
   /// Takes a point-in-time copy of every retained window under all shard
-  /// locks (ingest stalls for the duration of the copy, which is why the
-  /// query service rate-limits refreshes and shares one snapshot across
-  /// readers).  The snapshot's generation() is read under the same
-  /// locks, so it exactly identifies the copied state.
+  /// locks, listed in key order by merging the shards' sorted maps.  The
+  /// copy shares each series' window chunks instead of copying windows,
+  /// so ingest stalls for time that grows with the series count, not the
+  /// retention depth (the query service also rate-limits refreshes and
+  /// shares one snapshot across readers).  The snapshot's generation() is
+  /// read under the same locks, so it exactly identifies the copied
+  /// state.
   [[nodiscard]] StoreSnapshot snapshot() const;
 
   /// A copy of only each resolution's newest window of the series of
   /// `job`, `rank` and `metric` (any when unset or empty): what a wire
-  /// `snapshot` reads.  It takes one shard lock at a time, so each
-  /// series' windows are of one instant but different shards' need not
-  /// be; its generation() is the one read before the first lock.
+  /// `snapshot` reads.  It takes one shard lock at a time and merges the
+  /// shards' sorted runs, so each series' windows are of one instant but
+  /// different shards' need not be; its generation() is the one read
+  /// before the first lock.
   [[nodiscard]] StoreSnapshot snapshotNewest(
       const std::optional<std::string>& job, std::optional<int> rank,
       const std::string& metric) const;
@@ -584,7 +1086,7 @@ class RollupStore {
 
   struct Shard {
     mutable std::mutex mutex;
-    std::map<SeriesKey, Series> series;
+    std::map<SeriesKey, Series> series;  ///< sorted: snapshots merge them
     /// Series marked dirty since they were last drained, in the order of
     /// their first mark; drains visit only these.  Nodes of `series`:
     /// evictSource() unlists a series before erasing it.

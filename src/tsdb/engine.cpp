@@ -8,7 +8,6 @@
 #include <fstream>
 #include <iterator>
 #include <limits>
-#include <ranges>
 #include <span>
 #include <sstream>
 #include <tuple>
@@ -645,9 +644,10 @@ std::optional<WindowRollup> Engine::latest(const SeriesKey& key,
                       hot != hot_.end() ? &hot->second : nullptr, resolution);
 }
 
-void Engine::forEachNewest(const std::optional<std::string>& job,
-                           std::optional<int> rank, const std::string& metric,
-                           const NewestVisitor& visit) const {
+template <typename Visit>
+void Engine::walkSeries(const std::optional<std::string>& job,
+                        std::optional<int> rank, const std::string& metric,
+                        Visit&& visit) const {
   // A job's keys (of one rank, when asked) are one contiguous key range
   // starting at {job, rank, ""}; without a job, one walk of every key
   // skips the other ranks.  Both maps are merged in key order.
@@ -682,10 +682,7 @@ void Engine::forEachNewest(const std::optional<std::string>& job,
     const SeriesKey& key = order <= 0 ? disk->first : hot->first;
     if ((!rank || key.rank == *rank) &&
         (metric.empty() || key.metric == metric)) {
-      visit(key,
-            NewestWindows{
-                newestWindow(diskSeries, hotSeries, Resolution::kFine),
-                newestWindow(diskSeries, hotSeries, Resolution::kCoarse)});
+      visit(key, diskSeries, hotSeries);
     }
     if (diskSeries != nullptr) {
       ++disk;
@@ -696,22 +693,24 @@ void Engine::forEachNewest(const std::optional<std::string>& job,
   }
 }
 
-std::vector<SeriesKey> Engine::seriesKeys(
-    const std::optional<std::string>& job, std::optional<int> rank,
-    const std::string& metric) const {
-  const auto matches = [&](const SeriesKey& key) {
-    return aggregator::keyMatches(key, job, rank, metric);
-  };
-  const auto holdsData = [](const auto& entry) {
-    return !entry.second.empty();
-  };
-  std::vector<SeriesKey> keys;
-  std::ranges::set_union(
-      std::views::keys(diskNewest_) | std::views::filter(matches),
-      hot_ | std::views::filter(holdsData) | std::views::keys |
-          std::views::filter(matches),
-      std::back_inserter(keys));
-  return keys;
+void Engine::forEachNewest(const std::optional<std::string>& job,
+                           std::optional<int> rank, const std::string& metric,
+                           const NewestVisitor& visit) const {
+  walkSeries(job, rank, metric,
+             [&](const SeriesKey& key, const DiskSeries* disk,
+                 const SeriesWindows* hot) {
+               visit(key, NewestWindows{
+                              newestWindow(disk, hot, Resolution::kFine),
+                              newestWindow(disk, hot, Resolution::kCoarse)});
+             });
+}
+
+void Engine::forEachKey(const std::optional<std::string>& job,
+                        std::optional<int> rank, const std::string& metric,
+                        const KeyVisitor& visit) const {
+  walkSeries(job, rank, metric,
+             [&visit](const SeriesKey& key, const DiskSeries*,
+                      const SeriesWindows*) { visit(key); });
 }
 
 std::vector<SourceRecord> Engine::sources() const {

@@ -36,7 +36,7 @@
 // index is built at open (decoding only the blocks that hold a newest
 // window), advanced from the hot windows at compaction, and repaired for
 // the series a retention drop touches; the append path never sees it.
-// seriesKeys() merges the index's keys with the hot map's.  Reads treat
+// forEachKey() merges the index's keys with the hot map's.  Reads treat
 // a hot series whose buffers are empty as absent.  Not thread-safe: one
 // owner (the daemon's poll loop or an offline tool) does everything.
 #pragma once
@@ -172,12 +172,13 @@ class Engine final : public aggregator::ReadView {
     forEachNewest(job, rank, {}, visit);
   }
 
-  /// The keys of `job`, `rank` and `metric` (any when unset or empty),
-  /// sorted (union of disk and memory).  No block is decoded, so a
-  /// damaged one does not fail the listing.
-  [[nodiscard]] std::vector<SeriesKey> seriesKeys(
-      const std::optional<std::string>& job, std::optional<int> rank,
-      const std::string& metric) const override;
+  /// Visits, in key order, the keys of `job`, `rank` and `metric` (any
+  /// when unset or empty): the union of disk and memory.  No block is
+  /// decoded, so a damaged one does not fail the listing.
+  void forEachKey(const std::optional<std::string>& job,
+                  std::optional<int> rank, const std::string& metric,
+                  const KeyVisitor& visit) const override;
+  using ReadView::seriesKeys;
   /// Every series key.
   [[nodiscard]] std::vector<SeriesKey> seriesKeys() const {
     return seriesKeys(std::nullopt, std::nullopt, {});
@@ -261,6 +262,13 @@ class Engine final : public aggregator::ReadView {
       std::span<const std::span<const SegmentEntry>> parts) const;
   /// Advances diskNewest_ by the hot windows a compaction just sealed.
   void indexHotWindows();
+  /// Calls `visit(key, disk, hot)`, in key order, for every series of
+  /// `job`, `rank` and `metric` (any when unset or empty) on disk or
+  /// holding hot data; either pointer is null where the series is absent.
+  template <typename Visit>
+  void walkSeries(const std::optional<std::string>& job,
+                  std::optional<int> rank, const std::string& metric,
+                  Visit&& visit) const;
   /// The newest window of a series from its index entry and hot windows
   /// (either may be null), merged in range()'s order.
   [[nodiscard]] std::optional<WindowRollup> newestWindow(

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -13,6 +14,7 @@
 #include <random>
 #include <set>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -1084,4 +1086,380 @@ TEST(AggStoreProperty, WindowBuffersMatchAMapModelOverRandomSeeds) {
   EXPECT_GT(windowsAccepted, 100U);
   EXPECT_GT(windowsRejected, 100U);
   EXPECT_GT(windowsDrained, 100U);
+}
+
+// --- chunked windows: deep retention, shared chunks, frozen snapshots ---------
+
+namespace {
+
+using FrozenSeries = std::map<SeriesKey, MapModel::Series>;
+
+/// A snapshot against the model state it was taken from, window by window.
+void expectFrozen(const StoreSnapshot& snap, const FrozenSeries& expected) {
+  ASSERT_EQ(snap.seriesCount(), expected.size());
+  auto it = expected.begin();
+  for (const SeriesSnapshot& series : snap.series()) {
+    EXPECT_EQ(series.key, it->first);
+    EXPECT_TRUE(sameWindows(series.fine, it->second.windows[0]))
+        << series.key.metric;
+    EXPECT_TRUE(sameWindows(series.coarse, it->second.windows[1]))
+        << series.key.metric;
+    ++it;
+  }
+}
+
+}  // namespace
+
+TEST(AggStoreProperty, DeepRetentionStoreMatchesTheModelAndSnapshotsStayFrozen) {
+  constexpr auto kChunk = static_cast<int>(WindowBuffer::kChunkWindows);
+  std::size_t recordsMerged = 0;
+  std::size_t forwardedAccepted = 0;
+  std::size_t snapshotsChecked = 0;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    std::mt19937_64 rng(seed * 104729);
+    StoreOptions options;
+    options.fineWindowSeconds = (rng() % 2 == 0) ? 1.0 : 0.5;
+    options.coarseFactor = 2 + static_cast<int>(rng() % 3);
+    // Two to five chunks deep, rarely chunk-aligned.
+    options.fineRetentionWindows =
+        2 * kChunk + static_cast<int>(rng() % (3 * kChunk));
+    options.coarseRetentionWindows =
+        kChunk + static_cast<int>(rng() % (2 * kChunk));
+    options.shards = 1 + static_cast<int>(rng() % 4);
+    const double lateSpan = 1.5 * options.fineWindowSeconds *
+                            options.fineRetentionWindows;
+
+    RollupStore store(options);
+    MapModel model(options);
+    const std::uint64_t base = store.dataGeneration();
+    store.enableDirtyTracking();
+    model.enableDirtyTracking();
+    Feeder feeder{std::mt19937_64(seed),
+                  {{"job", 0, "cpu"}, {"job", 1, "cpu"}, {"job", 0, "mem"},
+                   {"other", 3, "gpu.busy"}},
+                  std::vector<RollupStore::SeriesRef>(4)};
+    // Snapshots held across later writes, each with what it must read.
+    std::vector<std::pair<StoreSnapshot, FrozenSeries>> held;
+    const auto checkHeld = [&] {
+      for (const auto& [snap, expected] : held) {
+        expectFrozen(snap, expected);
+        ++snapshotsChecked;
+      }
+    };
+
+    for (int step = 0; step < 3000; ++step) {
+      const std::uint64_t op = rng() % 100;
+      if (op < 70) {
+        const std::size_t before = model.ingested();
+        feeder.step(store, model, lateSpan);
+        recordsMerged += model.ingested() - before;
+      } else if (op < 85) {
+        // A forwarded window anywhere in the retained span, or just past
+        // it, newer than the stored one or not.
+        const SeriesKey& key = feeder.keys[rng() % feeder.keys.size()];
+        const Resolution resolution =
+            rng() % 3 == 0 ? Resolution::kCoarse : Resolution::kFine;
+        const double width = resolution == Resolution::kFine
+                                 ? options.fineWindowSeconds
+                                 : options.fineWindowSeconds *
+                                       options.coarseFactor;
+        const int depth = resolution == Resolution::kFine
+                              ? options.fineRetentionWindows
+                              : options.coarseRetentionWindows;
+        const auto newest =
+            static_cast<std::int64_t>(std::floor(feeder.clock / width));
+        const std::int64_t index =
+            newest + 1 -
+            static_cast<std::int64_t>(rng() % static_cast<std::uint64_t>(
+                                                   depth + 4));
+        const double low = static_cast<double>(rng() % 50);
+        const Rollup rollup{low, low + 10.0, low * 3.0 + 10.0,
+                            1 + rng() % 6};
+        const bool accepted =
+            store.ingestWindow(key, resolution, index, rollup);
+        EXPECT_EQ(accepted, model.ingestWindow(key, resolution, index, rollup))
+            << "index " << index;
+        forwardedAccepted += accepted ? 1 : 0;
+      } else if (op < 88) {
+        RollupStore other(options);
+        MapModel otherModel(options);
+        Feeder otherFeeder{std::mt19937_64(rng()),
+                           {{"job", 0, "cpu"}, {"job", 2, "cpu"}},
+                           std::vector<RollupStore::SeriesRef>(2),
+                           std::max(0.0, feeder.clock - lateSpan)};
+        const int records = 1 + static_cast<int>(rng() % 60);
+        for (int i = 0; i < records; ++i) {
+          otherFeeder.step(other, otherModel, lateSpan);
+        }
+        store.merge(other);
+        model.merge(otherModel);
+      } else if (op < 91) {
+        std::vector<DirtyWindow> drained;
+        while (drainDirty(store, drained, 64) > 0) {
+        }
+        EXPECT_EQ(drained.size(), model.drainAll().size());
+      } else if (op < 93) {
+        const SeriesKey& key = feeder.keys[rng() % feeder.keys.size()];
+        store.evictSource(key.job, key.rank);
+        model.evictSource(key.job, key.rank);
+      } else {
+        // Hold this snapshot in place of a random older one.
+        StoreSnapshot snap = store.snapshot();
+        expectSameSnapshot(snap, store, model);
+        std::pair<StoreSnapshot, FrozenSeries> entry{std::move(snap),
+                                                     model.series()};
+        if (held.size() < 4) {
+          held.push_back(std::move(entry));
+        } else {
+          held[rng() % held.size()] = std::move(entry);
+        }
+      }
+      if (step % 25 == 0) {
+        expectSameState(store, model, base);
+        checkHeld();
+      }
+      if (::testing::Test::HasFailure()) {
+        FAIL() << "diverged at step " << step;
+      }
+    }
+    expectSameState(store, model, base);
+    checkHeld();
+    // Several chunks' worth of windows came and went.
+    EXPECT_GT(model.evicted(), 8U * WindowBuffer::kChunkWindows);
+  }
+  EXPECT_GT(recordsMerged, 10000U);
+  EXPECT_GT(forwardedAccepted, 1000U);
+  EXPECT_GT(snapshotsChecked, 1000U);
+}
+
+TEST(AggStoreProperty, WindowBufferMatchesAFlatModelAndItsCopiesStayFrozen) {
+  constexpr std::size_t kChunk = WindowBuffer::kChunkWindows;
+  using Flat = std::vector<WindowBuffer::Entry>;
+  const auto same = [](const WindowBuffer& actual, const Flat& expected) {
+    if (actual.size() != expected.size() ||
+        actual.empty() != expected.empty()) {
+      return false;
+    }
+    auto it = expected.begin();
+    for (const auto& [index, rollup] : actual) {
+      if (index != it->first || !sameRollup(rollup, it->second)) {
+        return false;
+      }
+      ++it;
+    }
+    return expected.empty() || (actual.back().first == expected.back().first &&
+                                actual.rbegin()->first == expected.back().first);
+  };
+  std::size_t clears = 0;
+  std::size_t copiesChecked = 0;
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    std::mt19937_64 rng(seed * 7727);
+    const auto retention = static_cast<std::int64_t>(
+        2 * kChunk + rng() % (4 * kChunk));
+    WindowBuffer buffer;
+    Flat flat;
+    std::vector<std::pair<WindowBuffer, Flat>> copies;
+    std::int64_t newest = 0;
+    for (int step = 0; step < 4000; ++step) {
+      const std::uint64_t op = rng() % 100;
+      if (op < 80) {
+        // Mostly the newest window or the next; sometimes a late one
+        // anywhere in the span, which shifts windows across chunks.
+        std::int64_t index = newest + static_cast<std::int64_t>(rng() % 2);
+        if (rng() % 5 == 0) {
+          index = newest - static_cast<std::int64_t>(
+                               rng() % static_cast<std::uint64_t>(retention));
+        }
+        newest = std::max(newest, index);
+        const double value = static_cast<double>(rng() % 1000);
+        const auto pos = std::ranges::lower_bound(flat, index, {},
+                                                  &WindowBuffer::Entry::first);
+        const bool absent = pos == flat.end() || pos->first != index;
+        auto [rollup, inserted] = buffer.findOrInsert(index);
+        EXPECT_EQ(inserted, absent);
+        rollup->merge(value);
+        (absent ? flat.insert(pos, {index, Rollup{}}) : pos)->second.merge(
+            value);
+        const std::int64_t oldestKept = newest - retention + 1;
+        const auto keep = std::ranges::lower_bound(
+            flat, oldestKept, {}, &WindowBuffer::Entry::first);
+        const auto evicted = static_cast<std::size_t>(keep - flat.begin());
+        flat.erase(flat.begin(), keep);
+        EXPECT_EQ(buffer.evictBefore(oldestKept), evicted);
+      } else if (op < 82) {
+        buffer.clear();
+        flat.clear();
+        ++clears;
+      } else if (op < 84) {
+        // A jump past the whole horizon empties the buffer by eviction.
+        newest += retention + static_cast<std::int64_t>(rng() % kChunk);
+        const std::int64_t oldestKept = newest - retention + 1;
+        EXPECT_EQ(buffer.evictBefore(oldestKept), flat.size());
+        flat.clear();
+      } else if (op < 92) {
+        // A copy of the whole buffer, or of a sub-range (as a wire
+        // snapshot or range takes), held across later writes.
+        std::pair<WindowBuffer, Flat> copy;
+        if (rng() % 2 == 0 || flat.empty()) {
+          copy = {buffer, flat};
+        } else {
+          const std::size_t from = rng() % flat.size();
+          const std::size_t to = from + 1 + rng() % (flat.size() - from);
+          const auto first = buffer.begin() + static_cast<std::ptrdiff_t>(from);
+          const auto last = buffer.begin() + static_cast<std::ptrdiff_t>(to);
+          copy = {buffer.slice(first, last),
+                  Flat(flat.begin() + static_cast<std::ptrdiff_t>(from),
+                       flat.begin() + static_cast<std::ptrdiff_t>(to))};
+        }
+        if (copies.size() < 6) {
+          copies.push_back(std::move(copy));
+        } else {
+          copies[rng() % copies.size()] = std::move(copy);
+        }
+      } else if (op < 94 && !copies.empty()) {
+        // A copy written to copies what it shares, leaving the buffer be.
+        auto& [copy, expected] = copies[rng() % copies.size()];
+        const std::int64_t index =
+            expected.empty() ? 0 : expected.back().first + 1;
+        copy.findOrInsert(index).first->merge(1.0);
+        expected.push_back({index, Rollup{1.0, 1.0, 1.0, 1}});
+      } else {
+        // Move assignment and move construction keep the windows.
+        WindowBuffer moved(std::move(buffer));
+        buffer = WindowBuffer();
+        buffer = std::move(moved);
+      }
+      ASSERT_TRUE(same(buffer, flat)) << "step " << step;
+      for (const auto& [copy, expected] : copies) {
+        ASSERT_TRUE(same(copy, expected)) << "copy, step " << step;
+        ++copiesChecked;
+      }
+    }
+  }
+  EXPECT_GT(clears, 100U);
+  EXPECT_GT(copiesChecked, 10000U);
+}
+
+TEST(AggStoreSnapshot, SeriesAreListedInKeyOrderForShardCountsOneToSixteen) {
+  std::mt19937_64 rng(29);
+  std::vector<SeriesKey> keys;
+  for (const char* job : {"a", "job", "zz"}) {
+    for (int rank = -2; rank < 9; ++rank) {
+      for (int m = 0; m < 12; ++m) {
+        keys.push_back({job, rank, "metric." + std::to_string(rng() % 40)});
+      }
+    }
+  }
+  std::ranges::sort(keys);
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  const auto keysOf = [](const StoreSnapshot& snap) {
+    std::vector<SeriesKey> out;
+    for (const SeriesSnapshot& series : snap.series()) {
+      out.push_back(series.key);
+    }
+    return out;
+  };
+  for (int shards = 1; shards <= 16; ++shards) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    StoreOptions options;
+    options.shards = shards;
+    RollupStore store(options);
+    std::vector<SeriesKey> shuffled = keys;
+    std::ranges::shuffle(shuffled, rng);
+    for (const SeriesKey& key : shuffled) {
+      store.ingest(key, 1.5, 1.0);
+    }
+    EXPECT_EQ(keysOf(store.snapshot()), keys);
+    EXPECT_EQ(keysOf(store.snapshotNewest(std::nullopt, std::nullopt, "")),
+              keys);
+    const std::string metric = keys[keys.size() / 2].metric;
+    std::vector<SeriesKey> filtered;
+    for (const SeriesKey& key : keys) {
+      if (key.job == "job" && key.metric == metric) {
+        filtered.push_back(key);
+      }
+    }
+    ASSERT_FALSE(filtered.empty());
+    EXPECT_EQ(keysOf(store.snapshotNewest("job", std::nullopt, metric)),
+              filtered);
+    EXPECT_EQ(store.snapshot().seriesKeys("job", std::nullopt, metric),
+              filtered);
+  }
+}
+
+// Ingest on one thread while another takes snapshots and reads them
+// twice: every window of a snapshot holds what was ingested into it, and
+// reading it again after more ingest gives the same answer.  Run under
+// ThreadSanitizer, this also checks that a write never touches a chunk a
+// snapshot shares.
+TEST(AggStoreConcurrency, SnapshotsStayFrozenWhileAnotherThreadIngests) {
+  constexpr int kSeries = 24;
+  constexpr int kPeriods = 1500;
+  StoreOptions options;
+  options.fineRetentionWindows = 3 * WindowBuffer::kChunkWindows + 5;
+  options.coarseRetentionWindows = WindowBuffer::kChunkWindows + 3;
+  options.shards = 4;
+  RollupStore store(options);
+  store.enableDirtyTracking();
+  std::vector<SeriesKey> keys;
+  for (int s = 0; s < kSeries; ++s) {
+    keys.push_back({"job", s % 6, "metric.with.a.long.name." + std::to_string(s)});
+  }
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    std::vector<RollupStore::SeriesRef> refs(kSeries);
+    SeriesBlocks blocks;
+    for (int period = 0; period < kPeriods; ++period) {
+      for (int s = 0; s < kSeries; ++s) {
+        // Every record of fine window w has value w, so each window's
+        // min and max are its index whatever else arrives.
+        store.ingest(keys[s], refs[s], period + 0.25, period);
+        if (period % 7 == 0 && period >= 3) {
+          store.ingest(keys[s], period - 2.5, period - 3);  // late
+        }
+      }
+      if (period % 5 == 0) {
+        store.ingestWindow(keys[period % kSeries], Resolution::kFine, period,
+                           Rollup{double(period), double(period),
+                                  1000.0 * period, 1000});
+      }
+      store.drainDirty(blocks, 256);
+    }
+    done.store(true, std::memory_order_release);
+  });
+  const auto read = [](const StoreSnapshot& snap) {
+    double total = 0.0;
+    for (const SeriesSnapshot& series : snap.series()) {
+      for (const auto& [index, rollup] : series.fine) {
+        EXPECT_EQ(rollup.min, static_cast<double>(index));
+        EXPECT_EQ(rollup.max, static_cast<double>(index));
+        total += rollup.sum + static_cast<double>(rollup.count);
+      }
+      for (const auto& [index, rollup] : series.coarse) {
+        total += rollup.sum + static_cast<double>(rollup.count);
+      }
+    }
+    return total;
+  };
+  int snapshots = 0;
+  while (!done.load(std::memory_order_acquire) || snapshots == 0) {
+    const StoreSnapshot snap = store.snapshot();
+    const double first = read(snap);
+    std::this_thread::yield();
+    EXPECT_EQ(read(snap), first);
+    std::vector<SeriesKey> listed;
+    for (const SeriesSnapshot& series : snap.series()) {
+      listed.push_back(series.key);
+    }
+    EXPECT_TRUE(std::ranges::is_sorted(listed));
+    ++snapshots;
+    if (::testing::Test::HasFailure()) {
+      break;
+    }
+  }
+  writer.join();
+  EXPECT_GT(snapshots, 0);
+  EXPECT_EQ(store.seriesCount(), static_cast<std::size_t>(kSeries));
 }

@@ -215,8 +215,8 @@ TEST(ZeroAlloc, DirtyMarksAndDrainsSteadyState) {
 }
 
 // Not a zero-allocation path, but the same hook pins its shape: a store
-// snapshot copies each series' two window buffers in one allocation
-// apiece, so its cost follows the series count, not retained history.
+// snapshot shares each series' window chunks instead of copying them, so
+// its cost follows the series count, not retained history.
 TEST(ZeroAlloc, StoreSnapshotAllocationsIgnoreRetainedWindows) {
   constexpr int kSeries = 64;
   const auto snapshotAllocations = [](int windowsPerSeries) {
@@ -239,6 +239,39 @@ TEST(ZeroAlloc, StoreSnapshotAllocationsIgnoreRetainedWindows) {
   EXPECT_EQ(shallow, snapshotAllocations(500));
   // Two buffers per series plus the snapshot's own vectors.
   EXPECT_LE(shallow, 2U * kSeries + 4U);
+}
+
+// The bytes behind that shape: a snapshot shares each series' window
+// chunks, so a deeper history costs it one more chunk pointer per chunk
+// and no window bytes.
+TEST(ZeroAlloc, StoreSnapshotBytesIgnoreRetainedWindows) {
+  constexpr int kSeries = 64;
+  constexpr std::size_t kChunk = aggregator::WindowBuffer::kChunkWindows;
+  const auto chunks = [](std::size_t windows) {
+    return (windows + kChunk - 1) / kChunk;
+  };
+  const auto snapshotBytes = [](int windowsPerSeries) {
+    aggregator::RollupStore store;  // coarse windows are 10 fine wide
+    for (int rank = 0; rank < kSeries; ++rank) {
+      const aggregator::SeriesKey key{"job", rank, "cpu"};
+      for (int w = 0; w < windowsPerSeries; ++w) {
+        store.ingest(key, static_cast<double>(w) + 0.5, 1.0);
+      }
+    }
+    const std::uint64_t before = allochook::allocatedBytes();
+    const aggregator::StoreSnapshot snap = store.snapshot();
+    const std::uint64_t bytes = allochook::allocatedBytes() - before;
+    EXPECT_EQ(snap.series().back().fine.size(),
+              static_cast<std::size_t>(windowsPerSeries));
+    return bytes;
+  };
+  const std::uint64_t shallow = snapshotBytes(5);
+  const std::uint64_t deep = snapshotBytes(500);
+  // 500 fine windows fill chunks(500) chunks, their 50 coarse windows
+  // chunks(50): one pointer each, per series.
+  const std::uint64_t deepChunks = kSeries * (chunks(500) + chunks(50));
+  EXPECT_GE(deep, shallow);
+  EXPECT_LE(deep - shallow, deepChunks * sizeof(void*));
 }
 
 /// Counts the bytes a stream receives, and allocates nothing itself.
