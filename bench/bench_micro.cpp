@@ -25,7 +25,6 @@
 #include "common/cpuset.hpp"
 #include "common/json.hpp"
 #include "core/monitor.hpp"
-#include "export/staging.hpp"
 #include "mpisim/patterns.hpp"
 #include "topology/presets.hpp"
 #include "mpisim/recorder.hpp"
@@ -178,20 +177,6 @@ void BM_CsvExportPerPeriod(benchmark::State& state) {
 }
 BENCHMARK(BM_CsvExportPerPeriod);
 
-void BM_StagingWriteStep(benchmark::State& state) {
-  exporter::StagingWriter writer("/tmp/zs_bench_staging.bin");
-  const std::vector<double> row{1.0, 2.0};
-  for (auto _ : state) {
-    writer.beginStep();
-    for (int v = 0; v < 20; ++v) {
-      writer.put("metric." + std::to_string(v), row);
-    }
-    writer.endStep();
-  }
-  state.SetItemsProcessed(state.iterations() * 20);
-}
-BENCHMARK(BM_StagingWriteStep);
-
 void BM_GyrokineticPatternGen(benchmark::State& state) {
   mpisim::patterns::GyrokineticParams params;
   params.steps = 1;
@@ -317,7 +302,7 @@ BENCHMARK(BM_SnapshotBody);
 /// time is one snapshot(), taken every 10 ms; `drop_ms` is letting go of
 /// the previous one, as the query service does at each refresh; and
 /// `max_ingest_wait_ms` is the longest one ingest call of the other
-/// thread took over the run (a refresh holds every shard lock while it
+/// thread took over the run (a refresh holds the store lock while it
 /// builds).
 void BM_StoreSnapshotFullRetention(benchmark::State& state) {
   using Clock = std::chrono::steady_clock;

@@ -1,13 +1,11 @@
 // Data-export pipeline (paper §3.3 / §6): monitor a real run of the
 // miniQMC proxy while streaming every period's metrics to
 //   * a MetricStream subscriber (an LDMS-style live consumer printing a
-//     one-line ticker),
+//     one-line ticker), and
 //   * the PerfStubs ToolApi (a TAU-style tool, here the bundled recording
-//     backend), and
-//   * an ADIOS2-style staging file — then read the staging file back and
-//     summarize a series from it.
+//     backend) — then list a few of the counters the tool captured.
 //
-//   $ ./live_export [threads] [steps] [staging-file]
+//   $ ./live_export [threads] [steps]
 #include <unistd.h>
 
 #include <cstdlib>
@@ -17,7 +15,6 @@
 #include "core/monitor.hpp"
 #include "export/perfstubs.hpp"
 #include "export/publisher.hpp"
-#include "export/staging.hpp"
 #include "procfs/procfs.hpp"
 #include "proxyapps/miniqmc.hpp"
 
@@ -26,8 +23,6 @@ using namespace zerosum;
 int main(int argc, char** argv) {
   const int threads = argc > 1 ? std::atoi(argv[1]) : 2;
   const int steps = argc > 2 ? std::atoi(argv[2]) : 3000;
-  const std::string stagingPath =
-      argc > 3 ? argv[3] : "zerosum_metrics.zstg";
 
   // The TAU-style tool attaches through the PerfStubs interface.
   auto tauLike = std::make_shared<exporter::RecordingBackend>();
@@ -51,7 +46,6 @@ int main(int argc, char** argv) {
   exporter::SessionPublisher::Options options;
   options.perfstubs = true;
   exporter::SessionPublisher publisher(&stream, options);
-  publisher.openStaging(stagingPath);
 
   core::Config cfg;
   cfg.period = std::chrono::milliseconds(100);
@@ -71,7 +65,6 @@ int main(int argc, char** argv) {
   params.electrons = 64;
   const auto result = proxyapps::runMiniQmc(params);
   session.stop();
-  publisher.closeStaging();
   exporter::ToolApi::instance().deregisterBackend();
 
   std::cout << "\nminiQMC proxy: " << result.moves << " moves in "
@@ -79,20 +72,16 @@ int main(int argc, char** argv) {
   std::cout << "published " << publisher.periodsPublished()
             << " periods; stream carried " << stream.recordsPublished()
             << " records\n";
-  std::cout << "PerfStubs backend captured " << tauLike->counters().size()
-            << " distinct counters\n";
-
-  // Post-run: read the staging file back like an analysis tool would.
-  exporter::StagingReader reader(stagingPath);
-  std::cout << "staging file '" << stagingPath << "' holds "
-            << reader.stepCount() << " steps; variables in step 0:\n";
+  const auto counters = tauLike->counters();
+  std::cout << "PerfStubs backend captured " << counters.size()
+            << " distinct counters:\n";
   int shown = 0;
-  for (const auto& name : reader.variables(0)) {
+  for (const auto& [name, values] : counters) {
     if (++shown > 8) {
       std::cout << "  ...\n";
       break;
     }
-    std::cout << "  " << name << '\n';
+    std::cout << "  " << name << " (" << values.size() << " values)\n";
   }
   return 0;
 }

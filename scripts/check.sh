@@ -4,7 +4,7 @@
 # transparent wrappers), a Release build with the local compiler, then a
 # sanitizer pass (address + undefined) over the fault-tolerance-critical
 # suites, the federation suite (whose store keeps raw series pointers in
-# per-shard dirty lists), the common suite (CpuSet's word scans and the
+# its dirty list), the common suite (CpuSet's word scans and the
 # fixed-point formatter), the trace suite (the JSON writer's escaper and
 # to_chars buffers) and the HTTP suite (response framing and the request
 # parser), then the Figure 8 overhead benchmark, which
@@ -55,8 +55,8 @@ if [[ "$SANITIZE" == 1 ]]; then
   # The suites that exercise the /proc parsers, fault injection, the
   # monitor thread, and the concurrent publish/subscribe + aggregation
   # paths — where memory bugs under fault load would hide — plus the
-  # federation suite, whose forwarders drain the store's per-shard lists
-  # of raw series pointers that evictSource() must prune, and the common
+  # federation suite, whose forwarders drain the store's list of raw
+  # series pointers that evictSource() must prune, and the common
   # and core suites, whose CpuSet word scans and CSV row buffer do raw
   # index and buffer arithmetic, and the trace and HTTP suites, whose
   # JSON escaper, to_chars buffers and response framing do raw offset

@@ -79,18 +79,15 @@ const CatalogEntry* HashRing::route(std::uint32_t shard) const {
 
 bool HashRing::sameMembership(
     const std::vector<CatalogEntry>& entries) const {
-  if (entries.size() != entries_.size()) {
-    return false;
-  }
-  // Both sides are small (the upstream set); compare as sorted-by-name.
-  auto sortedByName = [](std::vector<CatalogEntry> v) {
-    std::sort(v.begin(), v.end(),
-              [](const CatalogEntry& a, const CatalogEntry& b) {
-                return a.name < b.name;
-              });
-    return v;
-  };
-  return sortedByName(entries) == sortedByName(entries_);
+  // Equal as multisets: each incoming entry pairs with a distinct ring
+  // entry, in any order.  The upstream set is a handful of entries, so
+  // counting each one's copies on both sides takes a few comparisons
+  // and no allocation.
+  return entries.size() == entries_.size() &&
+         std::ranges::all_of(entries, [&](const CatalogEntry& entry) {
+           return std::ranges::count(entries, entry) ==
+                  std::ranges::count(entries_, entry);
+         });
 }
 
 // --- Forwarder --------------------------------------------------------------

@@ -10,8 +10,8 @@
 //      (shared_ptr, copy-on-read) and refreshes it only when the store's
 //      dataGeneration() has advanced AND a minimum interval has elapsed.
 //      Every query runs against a frozen generation — no torn reads, no
-//      reader-side shard-lock contention against ingest, and the cost of
-//      a refresh is amortized over every reader in the window.
+//      reader holding the store lock against ingest, and the cost of a
+//      refresh is amortized over every reader in the window.
 //
 //   2. A bounded query-result cache keyed by (normalized query, data
 //      generation).  GET and POST forms of the same logical query
@@ -36,10 +36,11 @@
 //      Cache hits are always served: they cost no snapshot work.
 //
 // Thread safety: execute() may be called from any thread.  The live
-// store underneath is the sharded RollupStore (safe), pressure() reads
-// atomic queue depths and is advisory, engine reads go through
-// Aggregator::readEngine, and the service's own state is split across
-// small mutexes (snapshot, cache, admission) that are never nested.
+// store underneath is the RollupStore, behind its one lock (safe),
+// pressure() reads atomic queue depths and is advisory, engine reads go
+// through Aggregator::readEngine, and the service's own state is split
+// across small mutexes (snapshot, cache, admission) that are never
+// nested.
 #pragma once
 
 #include <atomic>

@@ -1,7 +1,11 @@
 // RollupStore: the aggregation daemon's time-series state.
 //
-// Series are keyed by (job, rank, metric) and sharded by key hash so
-// concurrent ingest from many connections contends on different locks.
+// Series are keyed by (job, rank, metric) in one sorted map under one
+// lock.  Any thread may call any member; in practice the one writer is
+// the daemon loop (or a federation step), and readers on other threads
+// (QueryService::execute) take the same lock.  A source's series, and a
+// job's, are one run of the map, so the calls that name one walk that
+// run from lower_bound instead of scanning the store.
 // Each series keeps fixed-window rollups — min/avg/max/count, the paper's
 // Listing-2 statistic set — at two resolutions (a fine window and a
 // coarse window of `coarseFactor` fine widths), with bounded retention
@@ -39,7 +43,6 @@
 #include <iterator>
 #include <limits>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <new>
 #include <optional>
@@ -61,8 +64,6 @@ struct StoreOptions {
   int coarseRetentionWindows = 360;
   /// A source is evicted after this long without any frame.
   double staleSeconds = 30.0;
-  /// Shard count (power of two); more shards = less ingest contention.
-  int shards = 8;
 };
 
 /// min/avg/max/count over one window (avg derived from sum/count).
@@ -790,7 +791,7 @@ class WindowBuffer {
   bool detached_ = false;  ///< the newest window is newest_
   bool ownSpine_ = false;  ///< no copy holds spine_
   /// Set when a copy is made: the copy may share spine_ and tail_.
-  /// Copies of a store's buffers are made under the shard lock its
+  /// Copies of a store's buffers are made under the store lock its
   /// writes take.
   mutable std::atomic<bool> shared_{false};
   Spine* spine_ = nullptr;
@@ -868,7 +869,7 @@ class ReadView {
 };
 
 /// Immutable copy of the store (RollupStore::snapshot(), taken under
-/// every shard lock so no concurrent ingest can tear it; DESIGN.md §12),
+/// the store lock so no concurrent ingest can tear it; DESIGN.md §12),
 /// or of the part of it one wire query reads (snapshotNewest(),
 /// snapshotRange()).  The query service hands one whole copy (behind a
 /// shared_ptr) to every reader: a dashboard query runs against a frozen
@@ -927,20 +928,17 @@ class StoreSnapshot final : public ReadView {
 class RollupStore {
  private:
   struct Series;
-  struct Shard;
-  /// A series map node: dirty lists and SeriesRefs point at these.
+  /// A series map node: the dirty list and SeriesRefs point at these.
   using SeriesNode = std::pair<const SeriesKey, Series>;
 
  public:
-  /// A resolved series handle for repeat ingestion.  The shard a key
-  /// hashes to never changes, so it is cached once; the series node is
+  /// A resolved series handle for repeat ingestion: the series node is
   /// cached until an eviction bumps the store generation, and then
   /// re-resolved lazily.  Callers that ingest the same series every
   /// period (the daemon) keep one ref per series and skip the per-record
-  /// key hash and string-compare map walk.  Treat as opaque.
+  /// string-compare map walk.  Treat as opaque.
   struct SeriesRef {
     std::uint64_t generation = 0;
-    Shard* shard = nullptr;
     SeriesNode* series = nullptr;
   };
 
@@ -950,8 +948,8 @@ class RollupStore {
   void ingest(const SeriesKey& key, double timeSeconds, double value);
 
   /// Same, through a cached handle: resolves `ref` on first use (or
-  /// after an eviction invalidated it) and merges without hashing or
-  /// comparing the key strings afterwards.
+  /// after an eviction invalidated it) and merges without comparing the
+  /// key strings afterwards.
   void ingest(const SeriesKey& key, SeriesRef& ref, double timeSeconds,
               double value);
 
@@ -968,29 +966,25 @@ class RollupStore {
     return dataGeneration_.load(std::memory_order_acquire);
   }
 
-  /// Takes a point-in-time copy of every retained window under all shard
-  /// locks, listed in key order by merging the shards' sorted maps.  The
-  /// copy shares each series' window chunks instead of copying windows,
-  /// so ingest stalls for time that grows with the series count, not the
-  /// retention depth (the query service also rate-limits refreshes and
-  /// shares one snapshot across readers).  The snapshot's generation() is
-  /// read under the same locks, so it exactly identifies the copied
-  /// state.
+  /// Takes a point-in-time copy of every retained window under the store
+  /// lock, in key order.  The copy shares each series' window chunks
+  /// instead of copying windows, so ingest stalls for time that grows
+  /// with the series count, not the retention depth (the query service
+  /// also rate-limits refreshes and shares one snapshot across readers).
+  /// The snapshot's generation() is read under the same lock, so it
+  /// exactly identifies the copied state.
   [[nodiscard]] StoreSnapshot snapshot() const;
 
   /// A copy of only each resolution's newest window of the series of
   /// `job`, `rank` and `metric` (any when unset or empty): what a wire
-  /// `snapshot` reads.  It takes one shard lock at a time and merges the
-  /// shards' sorted runs, so each series' windows are of one instant but
-  /// different shards' need not be; its generation() is the one read
-  /// before the first lock.
+  /// `snapshot` reads.  Taken under the store lock; when a job is given,
+  /// only that job's (or that source's) run of keys is walked.
   [[nodiscard]] StoreSnapshot snapshotNewest(
       const std::optional<std::string>& job, std::optional<int> rank,
       const std::string& metric) const;
 
   /// A copy of one series' windows at `resolution` that intersect
-  /// [t0, t1], taken under its shard's lock alone: what a wire `range`
-  /// reads.
+  /// [t0, t1], taken under the store lock: what a wire `range` reads.
   [[nodiscard]] StoreSnapshot snapshotRange(const SeriesKey& key, double t0,
                                             double t1,
                                             Resolution resolution) const;
@@ -998,7 +992,7 @@ class RollupStore {
   // --- federation surface (DESIGN.md §11) ----------------------------------
 
   /// Applies forwarded window snapshots of one series in order, under
-  /// one shard lock and one series lookup, and returns how many applied.
+  /// one lock and one series lookup, and returns how many applied.
   /// Each replaces the stored rollup only when its count is higher (a
   /// cumulative snapshot is monotone in count: more records seen means
   /// newer).  The rest are merge conflicts, counted by the daemon: not
@@ -1041,7 +1035,7 @@ class RollupStore {
   /// path after a forwarder reconnects or its upstream set changes.
   void markAllDirty();
 
-  /// Dirty windows currently queued (approximate under concurrency).
+  /// Dirty windows currently queued.
   [[nodiscard]] std::size_t dirtyCount() const;
 
   /// Newest window of a series at the given resolution.
@@ -1076,7 +1070,7 @@ class RollupStore {
 
   struct Series {
     Plane planes[2];      ///< indexed by Resolution
-    bool listed = false;  ///< on its shard's dirtySeries list
+    bool listed = false;  ///< on dirtySeries_
 
     Plane& operator[](Resolution r) { return planes[static_cast<int>(r)]; }
     const Plane& operator[](Resolution r) const {
@@ -1084,23 +1078,17 @@ class RollupStore {
     }
   };
 
-  struct Shard {
-    mutable std::mutex mutex;
-    std::map<SeriesKey, Series> series;  ///< sorted: snapshots merge them
-    /// Series marked dirty since they were last drained, in the order of
-    /// their first mark; drains visit only these.  Nodes of `series`:
-    /// evictSource() unlists a series before erasing it.
-    std::vector<SeriesNode*> dirtySeries;
-    std::uint64_t ingested = 0;
-    std::uint64_t evicted = 0;
-    std::size_t dirty = 0;  ///< dirty-window marks queued in this shard
-  };
+  using SeriesMap = std::map<SeriesKey, Series>;
 
   /// An empty snapshot with this store's window widths.
   [[nodiscard]] StoreSnapshot emptySnapshot() const;
 
-  [[nodiscard]] Shard& shardOf(const SeriesKey& key);
-  [[nodiscard]] const Shard& shardOf(const SeriesKey& key) const;
+  /// The first series of `job`, and of `rank` when given: keys sort by
+  /// job, then rank, then metric, so that job's (or source's) series run
+  /// from here.  Caller holds mutex_.
+  [[nodiscard]] SeriesMap::const_iterator firstOf(
+      const std::string& job, std::optional<int> rank) const;
+
   [[nodiscard]] double windowSeconds(Resolution resolution) const;
   [[nodiscard]] int retention(Resolution resolution) const;
 
@@ -1109,18 +1097,24 @@ class RollupStore {
   [[nodiscard]] std::optional<std::int64_t> fineIndexOf(double timeSeconds,
                                                         double value) const;
 
-  void mergeLocked(SeriesNode& node, std::int64_t fineIndex, double value,
-                   Shard& shard);
+  void mergeLocked(SeriesNode& node, std::int64_t fineIndex, double value);
 
   void markDirtyLocked(SeriesNode& node, Resolution resolution,
-                       std::int64_t index, Shard& shard);
+                       std::int64_t index);
 
   /// Evicts the plane's windows older than `oldestKept`, and their marks.
-  static void evictLocked(Plane& plane, std::int64_t oldestKept,
-                          Shard& shard);
+  void evictLocked(Plane& plane, std::int64_t oldestKept);
 
   StoreOptions options_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  mutable std::mutex mutex_;  ///< guards everything below but the atomics
+  SeriesMap series_;
+  /// Series marked dirty since they were last drained, in the order of
+  /// their first mark; drains visit only these.  Nodes of series_:
+  /// evictSource() unlists a series before erasing it.
+  std::vector<SeriesNode*> dirtySeries_;
+  std::uint64_t ingested_ = 0;
+  std::uint64_t evicted_ = 0;
+  std::size_t dirty_ = 0;  ///< dirty-window marks queued
   /// Bumped by evictSource; outstanding SeriesRefs from older
   /// generations re-resolve instead of touching freed nodes.
   std::atomic<std::uint64_t> generation_{1};

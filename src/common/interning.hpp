@@ -6,9 +6,9 @@
 // integer Id.  The hot path then carries Ids: exporter::Record holds two
 // Ids instead of two std::strings, the aggregation client queues Ids, and
 // the tsdb ingest path keys its series caches by Id.  Names are resolved
-// back to text only at the edges (wire encode, CSV/staging write, tool
-// feeds), so steady-state sampling performs no heap allocation and no
-// repeated string hashing.
+// back to text only at the edges (wire encode, CSV write, tool feeds),
+// so steady-state sampling performs no heap allocation and no repeated
+// string hashing.
 //
 // Concurrency contract, matching the trace ring's design philosophy:
 //   * intern() takes a mutex, but only the *first* sight of a name does

@@ -24,17 +24,6 @@ SessionPublisher::SessionPublisher(MetricStream* stream, Options options)
   }
 }
 
-void SessionPublisher::openStaging(const std::string& path) {
-  staging_ = std::make_unique<StagingWriter>(path);
-}
-
-void SessionPublisher::closeStaging() {
-  if (staging_) {
-    staging_->close();
-    staging_.reset();
-  }
-}
-
 void SessionPublisher::attachAggregator(
     std::unique_ptr<aggregator::Client> client) {
   if (client == nullptr) {
@@ -167,20 +156,6 @@ void SessionPublisher::publish(const core::MonitorSession& session,
       nameScratch_.assign(record.nameView());
       ToolApi::instance().sampleCounter(nameScratch_, record.value);
     }
-  }
-
-  if (staging_) {
-    ZS_TRACE_SCOPE("zs.export.staging");
-    staging_->beginStep();
-    // One variable per record name: a 1x2 row [time, value]; downstream
-    // readers reassemble series across steps.
-    for (const auto& record : batch) {
-      nameScratch_.assign(record.nameView());
-      rowScratch_[0] = record.timeSeconds;
-      rowScratch_[1] = record.value;
-      staging_->put(nameScratch_, rowScratch_);
-    }
-    staging_->endStep();
   }
 
   if (aggregator_) {

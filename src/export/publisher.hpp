@@ -2,10 +2,10 @@
 // after every sampling period it turns the newest observations into
 // (a) a MetricStream batch (LDMS-style service feed),
 // (b) PerfStubs counter samples (TAU-style tool feed), and
-// (c) one staging step (the ADIOS2-style refactored log).
+// (c) a batch for an attached aggregation client.
 // Wire it with MonitorSession::setSampleCallback; in async mode the
 // callback runs on the monitor thread, so all three sinks are
-// thread-safe-by-construction (stream locks, ToolApi locks, the writer is
+// thread-safe-by-construction (stream locks, ToolApi locks, the client is
 // owned by the publisher).
 #pragma once
 
@@ -18,7 +18,6 @@
 #include "aggregator/client.hpp"
 #include "common/interning.hpp"
 #include "core/monitor.hpp"
-#include "export/staging.hpp"
 #include "export/stream.hpp"
 
 namespace zerosum::exporter {
@@ -38,10 +37,6 @@ class SessionPublisher {
   explicit SessionPublisher(MetricStream* stream)
       : SessionPublisher(stream, Options{}) {}
   SessionPublisher(MetricStream* stream, Options options);
-
-  /// Adds an ADIOS2-style staging sink (one step per period).
-  void openStaging(const std::string& path);
-  void closeStaging();
 
   /// Attaches an aggregation client (paper §6: cross-process collection).
   /// Every published batch is also forwarded to the daemon, along with a
@@ -81,7 +76,6 @@ class SessionPublisher {
 
   MetricStream* stream_;
   Options options_;
-  std::unique_ptr<StagingWriter> staging_;
   std::unique_ptr<aggregator::Client> aggregator_;
   std::uint64_t periods_ = 0;
 
@@ -89,7 +83,6 @@ class SessionPublisher {
   Batch batchScratch_;
   std::vector<aggregator::IdRecord> wireScratch_;
   std::string nameScratch_;           ///< id -> text for string-taking sinks
-  std::vector<double> rowScratch_{0.0, 0.0};  ///< staging [time, value] row
   names::Id sourceId_ = names::kInvalidId;
   bool sourceCached_ = false;
   std::int32_t sourceRank_ = 0;

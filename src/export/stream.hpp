@@ -3,8 +3,8 @@
 // application-side data to system-side services (LDMS) and tools (TAU).
 //
 // A small in-process pub/sub bus: the monitor publishes one batch of
-// records per sampling period; any number of subscribers (a staging
-// writer, a dashboard, a test) receive the batches synchronously in
+// records per sampling period; any number of subscribers (a tool feed,
+// a dashboard, a test) receive the batches synchronously in
 // registration order.  Thread-safe: the monitor thread publishes while
 // subscribers come and go, and unsubscribe() does not return while the
 // subscriber is mid-delivery on another thread — after it returns, the

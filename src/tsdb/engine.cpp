@@ -428,7 +428,7 @@ void Engine::DiskNewest::fold(const SegmentReader& reader,
   try {
     for (const auto& [index, part] : reader.readWindows(entry)) {
       if (index == window) {
-        mergeRollup(rollup, part);
+        rollup.combine(part);
       }
     }
   } catch (const ParseError&) {
@@ -520,7 +520,7 @@ void Engine::indexHotWindows() {
       if (!newest || newest->window < index) {
         newest = DiskNewest{index, rollup, {}};
       } else if (newest->window == index && !newest->damage) {
-        mergeRollup(newest->rollup, rollup);
+        newest->rollup.combine(rollup);
       }
     }
   }
@@ -560,7 +560,7 @@ std::vector<WindowRollup> Engine::range(const SeriesKey& key, double t0,
   const std::int64_t last = aggregator::clampedWindowIndex(t1, width);
 
   // A window may be split across several segments plus the hot state;
-  // mergeRollup is associative, so accumulating in index order
+  // Rollup::combine is associative, so accumulating in index order
   // reconstructs the same rollup a single store would have held.
   std::map<std::int64_t, Rollup> merged;
   for (const LiveSegment& segment : segments_) {
@@ -572,7 +572,7 @@ std::vector<WindowRollup> Engine::range(const SeriesKey& key, double t0,
         if (index < first || index > last) {
           continue;
         }
-        mergeRollup(merged[index], rollup);
+        merged[index].combine(rollup);
       }
     }
   }
@@ -583,7 +583,7 @@ std::vector<WindowRollup> Engine::range(const SeriesKey& key, double t0,
                               : hotIt->second.coarse;
     for (auto w = windows.lowerBound(first);
          w != windows.end() && w->first <= last; ++w) {
-      mergeRollup(merged[w->first], w->second);
+      merged[w->first].combine(w->second);
     }
   }
 
@@ -625,7 +625,7 @@ std::optional<WindowRollup> Engine::newestWindow(
     index = sealed->window;
     row.rollup = sealed->rollup;
     if (live != nullptr && live->first == index) {
-      mergeRollup(row.rollup, live->second);  // range(): disk, then hot
+      row.rollup.combine(live->second);  // range(): disk, then hot
     }
   } else {
     index = live->first;

@@ -122,20 +122,6 @@ void encodeBlock(const aggregator::WindowBuffer& windows, std::string& out,
 
 }  // namespace
 
-void mergeRollup(Rollup& into, const Rollup& other) {
-  if (other.count == 0) {
-    return;
-  }
-  if (into.count == 0) {
-    into = other;
-    return;
-  }
-  into.min = std::min(into.min, other.min);
-  into.max = std::max(into.max, other.max);
-  into.sum += other.sum;
-  into.count += other.count;
-}
-
 std::uint64_t writeSegment(const std::string& path,
                            const std::map<SeriesKey, SeriesWindows>& series,
                            const SegmentMeta& meta) {

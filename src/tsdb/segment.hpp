@@ -50,11 +50,6 @@ using aggregator::Resolution;
 using aggregator::Rollup;
 using aggregator::SeriesKey;
 
-/// Merges a whole rollup into another (the read-side counterpart of
-/// Rollup::merge(double); associative, so windows split across segments
-/// recombine exactly).
-void mergeRollup(Rollup& into, const Rollup& other);
-
 /// In-memory windows of one series at both resolutions (the engine's hot
 /// state and the segment writer's input): flat, index-sorted buffers that
 /// keep their capacity when cleared.

@@ -221,6 +221,79 @@ TEST(AggStore, EvictSourceDropsAllSeriesOfThatRankOnly) {
   EXPECT_EQ(store.keysOf("job", 1).size(), 1U);
 }
 
+TEST(AggStore, EvictSourceDropsExactlyItsOwnRunOfKeys) {
+  // "jo" is a prefix of "job" and "job" of "job2", the ranks reach both
+  // ends of int, and "" sorts before every other metric.  Where one
+  // job's keys end, the next job's begin with the same rank (jo/0 then
+  // job/0, job/INT_MAX then job2/INT_MAX), and each eviction below runs
+  // while the sources on both sides of it are still there: a source's
+  // run of keys must start and stop at its own.
+  constexpr int kMin = std::numeric_limits<int>::min();
+  constexpr int kMax = std::numeric_limits<int>::max();
+  const std::vector<std::pair<std::string, int>> sources = {
+      {"jo", 0}, {"job", kMax}, {"jo", kMin},
+      {"job", 0}, {"job2", kMax}, {"jo", -1}};
+  const std::vector<std::string> metrics = {"", "a", "b"};
+  RollupStore store;
+  for (const auto& [job, rank] : sources) {
+    for (const std::string& metric : metrics) {
+      store.ingest({job, rank, metric}, 1.0, 1.0);
+    }
+  }
+  std::vector<SeriesKey> remaining = store.keys();
+  ASSERT_EQ(remaining.size(), sources.size() * metrics.size());
+  for (const auto& [job, rank] : sources) {
+    SCOPED_TRACE(job + " " + std::to_string(rank));
+    std::vector<SeriesKey> own;
+    for (const std::string& metric : metrics) {
+      own.push_back({job, rank, metric});
+    }
+    EXPECT_EQ(store.keysOf(job, rank), own);
+    EXPECT_EQ(store.evictSource(job, rank), metrics.size());
+    std::erase_if(remaining, [&](const SeriesKey& key) {
+      return key.job == job && key.rank == rank;
+    });
+    EXPECT_EQ(store.keys(), remaining);
+    EXPECT_TRUE(store.keysOf(job, rank).empty());
+    EXPECT_EQ(store.evictSource(job, rank), 0U);
+  }
+  EXPECT_EQ(store.seriesCount(), 0U);
+  // Each series held one fine and one coarse window.
+  EXPECT_EQ(store.windowsEvicted(), 2 * sources.size() * metrics.size());
+}
+
+TEST(AggStore, EvictedSeriesLeaveTheDirtyQueueAndHeldRefsReResolve) {
+  RollupStore store;
+  store.enableDirtyTracking();
+  const SeriesKey gone{"job", 0, "a"};
+  const SeriesKey kept{"job", 1, "a"};
+  RollupStore::SeriesRef ref;
+  store.ingest(gone, ref, 1.5, 2.0);
+  store.ingest(kept, 1.5, 3.0);
+  store.ingest({"job", 0, ""}, 1.5, 4.0);
+  EXPECT_EQ(store.dirtyCount(), 6U);  // a fine and a coarse window each
+  EXPECT_EQ(store.evictSource("job", 0), 2U);
+  EXPECT_EQ(store.dirtyCount(), 2U);
+  SeriesBlocks blocks;
+  EXPECT_EQ(store.drainDirty(blocks, 100), 2U);
+  ASSERT_EQ(blocks.blocks().size(), 1U);
+  EXPECT_EQ(blocks.blocks()[0].key, kept);
+  EXPECT_EQ(store.dirtyCount(), 0U);
+
+  // The source returns: the ref held across the eviction resolves to a
+  // new series instead of the erased one.
+  store.ingest(gone, ref, 2.5, 5.0);
+  const auto rows = store.range(gone, 0.0, 10.0);
+  ASSERT_EQ(rows.size(), 1U);
+  EXPECT_EQ(rows[0].windowStartSeconds, 2.0);
+  EXPECT_EQ(rows[0].rollup.count, 1U);
+  EXPECT_EQ(rows[0].rollup.sum, 5.0);
+  EXPECT_EQ(store.seriesCount(), 2U);
+  EXPECT_EQ(store.drainDirty(blocks, 100), 2U);
+  ASSERT_EQ(blocks.blocks().size(), 1U);
+  EXPECT_EQ(blocks.blocks()[0].key, gone);
+}
+
 TEST(AggStore, KeysAreSortedAndFiltered) {
   RollupStore store;
   store.ingest({"b", 1, "m"}, 1.0, 1.0);
@@ -236,9 +309,7 @@ TEST(AggStore, KeysAreSortedAndFiltered) {
 }
 
 TEST(AggStore, KeysOfMatchesTheFilteredKeyList) {
-  StoreOptions options;
-  options.shards = 8;
-  RollupStore store(options);
+  RollupStore store;
   // "job" is a prefix of "job2": a source's run must stop at its own job.
   const std::vector<std::string> jobs = {"job", "job2", "other"};
   for (const std::string& job : jobs) {
@@ -977,7 +1048,7 @@ TEST(AggStoreProperty, WindowBuffersMatchAMapModelOverRandomSeeds) {
     options.coarseFactor = 2 + static_cast<int>(rng() % 3);
     options.fineRetentionWindows = 1 + static_cast<int>(rng() % 8);
     options.coarseRetentionWindows = 1 + static_cast<int>(rng() % 4);
-    options.shards = 1 << (rng() % 3);
+    rng();  // discarded, so each seed keeps drawing the cases it always has
     // Late samples reach up to two horizons back, so some merge into an
     // older retained window and some are rejected.
     const double lateSpan = 2.0 * options.fineWindowSeconds *
@@ -1126,7 +1197,7 @@ TEST(AggStoreProperty, DeepRetentionStoreMatchesTheModelAndSnapshotsStayFrozen) 
         2 * kChunk + static_cast<int>(rng() % (3 * kChunk));
     options.coarseRetentionWindows =
         kChunk + static_cast<int>(rng() % (2 * kChunk));
-    options.shards = 1 + static_cast<int>(rng() % 4);
+    rng();  // discarded, so each seed keeps drawing the cases it always has
     const double lateSpan = 1.5 * options.fineWindowSeconds *
                             options.fineRetentionWindows;
 
@@ -1342,10 +1413,11 @@ TEST(AggStoreProperty, WindowBufferMatchesAFlatModelAndItsCopiesStayFrozen) {
   EXPECT_GT(copiesChecked, 10000U);
 }
 
-TEST(AggStoreSnapshot, SeriesAreListedInKeyOrderForShardCountsOneToSixteen) {
+TEST(AggStoreSnapshot, SeriesAreListedInKeyOrder) {
   std::mt19937_64 rng(29);
   std::vector<SeriesKey> keys;
-  for (const char* job : {"a", "job", "zz"}) {
+  // "job" is a prefix of "job2": a job's run of keys must stop at its own.
+  for (const char* job : {"a", "job", "job2", "zz"}) {
     for (int rank = -2; rank < 9; ++rank) {
       for (int m = 0; m < 12; ++m) {
         keys.push_back({job, rank, "metric." + std::to_string(rng() % 40)});
@@ -1361,32 +1433,38 @@ TEST(AggStoreSnapshot, SeriesAreListedInKeyOrderForShardCountsOneToSixteen) {
     }
     return out;
   };
-  for (int shards = 1; shards <= 16; ++shards) {
-    SCOPED_TRACE("shards " + std::to_string(shards));
-    StoreOptions options;
-    options.shards = shards;
-    RollupStore store(options);
-    std::vector<SeriesKey> shuffled = keys;
-    std::ranges::shuffle(shuffled, rng);
-    for (const SeriesKey& key : shuffled) {
-      store.ingest(key, 1.5, 1.0);
-    }
-    EXPECT_EQ(keysOf(store.snapshot()), keys);
-    EXPECT_EQ(keysOf(store.snapshotNewest(std::nullopt, std::nullopt, "")),
-              keys);
-    const std::string metric = keys[keys.size() / 2].metric;
-    std::vector<SeriesKey> filtered;
-    for (const SeriesKey& key : keys) {
-      if (key.job == "job" && key.metric == metric) {
-        filtered.push_back(key);
-      }
-    }
-    ASSERT_FALSE(filtered.empty());
-    EXPECT_EQ(keysOf(store.snapshotNewest("job", std::nullopt, metric)),
-              filtered);
-    EXPECT_EQ(store.snapshot().seriesKeys("job", std::nullopt, metric),
-              filtered);
+  RollupStore store;
+  std::vector<SeriesKey> shuffled = keys;
+  std::ranges::shuffle(shuffled, rng);
+  for (const SeriesKey& key : shuffled) {
+    store.ingest(key, 1.5, 1.0);
   }
+  EXPECT_EQ(keysOf(store.snapshot()), keys);
+  EXPECT_EQ(keysOf(store.snapshotNewest(std::nullopt, std::nullopt, "")),
+            keys);
+  const std::string metric = keys[keys.size() / 2].metric;
+  std::vector<SeriesKey> filtered;
+  std::vector<SeriesKey> ofJob;
+  std::vector<SeriesKey> ofRank;
+  for (const SeriesKey& key : keys) {
+    if (key.job == "job" && key.metric == metric) {
+      filtered.push_back(key);
+    }
+    if (key.job == "job") {
+      ofJob.push_back(key);
+    }
+    if (key.job == "job" && key.rank == 3) {
+      ofRank.push_back(key);
+    }
+  }
+  ASSERT_FALSE(filtered.empty());
+  EXPECT_EQ(keysOf(store.snapshotNewest("job", std::nullopt, metric)),
+            filtered);
+  EXPECT_EQ(store.snapshot().seriesKeys("job", std::nullopt, metric),
+            filtered);
+  // A job's run of keys starts at its lowest rank, -2 here.
+  EXPECT_EQ(keysOf(store.snapshotNewest("job", std::nullopt, "")), ofJob);
+  EXPECT_EQ(keysOf(store.snapshotNewest("job", 3, "")), ofRank);
 }
 
 // Ingest on one thread while another takes snapshots and reads them
@@ -1400,7 +1478,6 @@ TEST(AggStoreConcurrency, SnapshotsStayFrozenWhileAnotherThreadIngests) {
   StoreOptions options;
   options.fineRetentionWindows = 3 * WindowBuffer::kChunkWindows + 5;
   options.coarseRetentionWindows = WindowBuffer::kChunkWindows + 3;
-  options.shards = 4;
   RollupStore store(options);
   store.enableDirtyTracking();
   std::vector<SeriesKey> keys;

@@ -1,12 +1,11 @@
-// Export subsystem: MetricStream pub/sub, PerfStubs-style tool API,
-// ADIOS2-style staging container, and the SessionPublisher glue.
+// Export subsystem: MetricStream pub/sub, PerfStubs-style tool API, and
+// the SessionPublisher glue.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -14,7 +13,6 @@
 #include "common/error.hpp"
 #include "export/perfstubs.hpp"
 #include "export/publisher.hpp"
-#include "export/staging.hpp"
 #include "export/stream.hpp"
 #include "core/zerosum.hpp"
 #include "procfs/simfs.hpp"
@@ -197,120 +195,9 @@ TEST(ToolApi, RecordingBackendCapturesEverything) {
   EXPECT_EQ(backend->metadataMap().at("hostname"), "frontier-sim");
 }
 
-class StagingTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    path_ = (std::filesystem::temp_directory_path() / "zs_staging_test.bin")
-                .string();
-    std::filesystem::remove(path_);
-  }
-  void TearDown() override { std::filesystem::remove(path_); }
-  std::string path_;
-};
-
-TEST_F(StagingTest, WriteReadRoundTrip) {
-  {
-    StagingWriter writer(path_);
-    writer.beginStep();
-    writer.put("alpha", VariableData{{1.0, 2.0}, {3.0, 4.0}});
-    writer.put("beta", std::vector<double>{7.5});
-    writer.endStep();
-    writer.beginStep();
-    writer.put("alpha", std::vector<double>{9.0, 10.0});
-    writer.endStep();
-    writer.close();
-    EXPECT_EQ(writer.stepsWritten(), 2u);
-  }
-  StagingReader reader(path_);
-  EXPECT_EQ(reader.stepCount(), 2u);
-  const auto vars = reader.variables(0);
-  EXPECT_EQ(vars.size(), 2u);
-  const VariableData alpha0 = reader.get(0, "alpha");
-  ASSERT_EQ(alpha0.size(), 2u);
-  EXPECT_EQ(alpha0[1], (std::vector<double>{3.0, 4.0}));
-  EXPECT_EQ(reader.get(0, "beta"), (VariableData{{7.5}}));
-  EXPECT_EQ(reader.get(1, "alpha"), (VariableData{{9.0, 10.0}}));
-}
-
-TEST_F(StagingTest, RandomAccessSkipsSteps) {
-  {
-    StagingWriter writer(path_);
-    for (int step = 0; step < 50; ++step) {
-      writer.beginStep();
-      writer.put("v", std::vector<double>{static_cast<double>(step)});
-      writer.endStep();
-    }
-  }
-  StagingReader reader(path_);
-  EXPECT_EQ(reader.stepCount(), 50u);
-  EXPECT_EQ(reader.get(37, "v"), (VariableData{{37.0}}));
-  EXPECT_EQ(reader.get(3, "v"), (VariableData{{3.0}}));  // backwards seek
-}
-
-TEST_F(StagingTest, WriterProtocolErrors) {
-  StagingWriter writer(path_);
-  EXPECT_THROW(writer.put("x", std::vector<double>{1.0}), StateError);
-  EXPECT_THROW(writer.endStep(), StateError);
-  writer.beginStep();
-  EXPECT_THROW(writer.beginStep(), StateError);
-  writer.put("x", std::vector<double>{1.0});
-  EXPECT_THROW(writer.put("x", std::vector<double>{2.0}), StateError);
-  EXPECT_THROW(writer.put("", std::vector<double>{1.0}), StateError);
-  EXPECT_THROW(writer.put("ragged", VariableData{{1.0}, {1.0, 2.0}}),
-               StateError);
-  writer.close();
-  EXPECT_THROW(writer.beginStep(), StateError);
-}
-
-TEST_F(StagingTest, CloseSealsOpenStep) {
-  {
-    StagingWriter writer(path_);
-    writer.beginStep();
-    writer.put("x", std::vector<double>{5.0});
-    // no endStep(): close() (and the destructor) seal it
-  }
-  StagingReader reader(path_);
-  EXPECT_EQ(reader.stepCount(), 1u);
-  EXPECT_EQ(reader.get(0, "x"), (VariableData{{5.0}}));
-}
-
-TEST_F(StagingTest, ReaderRejectsGarbage) {
-  {
-    std::ofstream out(path_);
-    out << "this is not a staging container at all, but it is long "
-           "enough to hold a trailer";
-  }
-  EXPECT_THROW(StagingReader reader(path_), ParseError);
-  EXPECT_THROW(StagingReader reader("/nonexistent/zs.bin"), NotFoundError);
-}
-
-TEST_F(StagingTest, ReaderRejectsTruncation) {
-  {
-    StagingWriter writer(path_);
-    writer.beginStep();
-    writer.put("x", std::vector<double>{1.0, 2.0, 3.0});
-    writer.endStep();
-  }
-  const auto size = std::filesystem::file_size(path_);
-  std::filesystem::resize_file(path_, size - 9);
-  EXPECT_THROW(StagingReader reader(path_), ParseError);
-}
-
-TEST_F(StagingTest, UnknownStepAndVariableThrow) {
-  {
-    StagingWriter writer(path_);
-    writer.beginStep();
-    writer.put("x", std::vector<double>{1.0});
-    writer.endStep();
-  }
-  StagingReader reader(path_);
-  EXPECT_THROW(reader.get(5, "x"), NotFoundError);
-  EXPECT_THROW(reader.get(0, "nope"), NotFoundError);
-}
-
 // --- SessionPublisher ------------------------------------------------------
 
-class PublisherTest : public StagingTest {
+class PublisherTest : public ::testing::Test {
  protected:
   PublisherTest() : node_(CpuSet::fromList("0-3"), 4ULL << 30) {
     sim::MiniQmcConfig qmc;
@@ -413,35 +300,6 @@ TEST_F(PublisherTest, PerfstubsCountersFlow) {
   EXPECT_EQ(counters.at(mainUtime).size(), 2u);
 }
 
-TEST_F(PublisherTest, StagingStepsMirrorPeriods) {
-  MetricStream stream;
-  SessionPublisher publisher(&stream);
-  publisher.openStaging(path_);
-  session_->setSampleCallback(
-      [&publisher](const core::MonitorSession& session, double t) {
-        publisher.publish(session, t);
-      });
-  runPeriods(4);
-  publisher.closeStaging();
-
-  StagingReader reader(path_);
-  EXPECT_EQ(reader.stepCount(), 4u);
-  // Reassemble the main thread's utime series across steps.
-  const std::string mainUtime =
-      "lwp." + std::to_string(rank_.pid) + ".utime_delta";
-  std::vector<double> series;
-  for (std::uint64_t step = 0; step < reader.stepCount(); ++step) {
-    const auto rows = reader.get(step, mainUtime);
-    ASSERT_EQ(rows.size(), 1u);
-    ASSERT_EQ(rows[0].size(), 2u);  // [time, value]
-    series.push_back(rows[0][1]);
-  }
-  EXPECT_EQ(series.size(), 4u);
-  // The rank is busy: utime deltas are substantial each period.
-  for (double v : series) {
-    EXPECT_GT(v, 10.0);
-  }
-}
 
 TEST(Finalize, FlushesIdentityAndHealthToToolApi) {
   // A registered backend must receive the final metadata dump and health

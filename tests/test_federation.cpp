@@ -205,6 +205,41 @@ TEST(FedRing, SameMembershipDetectsGenerationChanges) {
   EXPECT_FALSE(ring.sameMembership({set[0]}));
 }
 
+TEST(FedRing, SameMembershipIgnoresOrderButNotFieldsOrRepeats) {
+  const std::vector<CatalogEntry> set = {
+      makeEntry(DaemonRole::kGroup, "g0", 1),
+      makeEntry(DaemonRole::kGroup, "g1", 1, 0, 999),
+      makeEntry(DaemonRole::kGroup, "g2", 3),
+  };
+  const HashRing ring(set);
+  // The same set in another order.
+  EXPECT_TRUE(ring.sameMembership({set[2], set[0], set[1]}));
+  EXPECT_TRUE(ring.sameMembership({set[1], set[2], set[0]}));
+
+  // One field of one entry changed.
+  auto changed = set;
+  changed[2].generation = 4;
+  EXPECT_FALSE(ring.sameMembership(changed));
+  changed = set;
+  changed[1].shardHi = 1000;
+  EXPECT_FALSE(ring.sameMembership(changed));
+  changed = set;
+  changed[0].port = 7001;
+  EXPECT_FALSE(ring.sameMembership(changed));
+
+  // A repeated name: each entry must pair with a distinct ring entry.
+  const std::vector<CatalogEntry> repeated = {
+      makeEntry(DaemonRole::kGroup, "g0", 1),
+      makeEntry(DaemonRole::kGroup, "g0", 2),
+  };
+  const HashRing twice(repeated);
+  EXPECT_TRUE(twice.sameMembership({repeated[1], repeated[0]}));
+  EXPECT_FALSE(twice.sameMembership({repeated[0], repeated[0]}));
+  EXPECT_FALSE(twice.sameMembership({repeated[1], repeated[1]}));
+  EXPECT_FALSE(HashRing({repeated[0], repeated[0]})
+                   .sameMembership({repeated[0], repeated[1]}));
+}
+
 // --- catalog -----------------------------------------------------------------
 
 TEST(FedCatalog, AssignsGenerationsAndDetectsRestarts) {

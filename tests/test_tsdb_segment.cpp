@@ -1,5 +1,5 @@
 // Segment tests: write/read round-trip, footer verification (missing
-// footer, corrupted CRC, truncated file), atomic publish, mergeRollup
+// footer, corrupted CRC, truncated file), atomic publish, Rollup::combine
 // associativity, the mmap-or-buffered read path, find() over a footer
 // that breaks the writer's (key, resolution) order, and a footer extent
 // whose offset + length wraps.
@@ -95,16 +95,16 @@ TEST_F(TsdbSegmentTest, MergeRollupMatchesScalarMergeAndIsAssociative) {
   Rollup left = rollupOf({3.0, -1.0});
   Rollup right = rollupOf({7.0, 2.0, 2.0});
   Rollup merged = left;
-  mergeRollup(merged, right);
+  merged.combine(right);
   expectRollupEq(merged, whole);
 
   // Merging into an empty rollup adopts the other side verbatim.
   Rollup empty;
-  mergeRollup(empty, right);
+  empty.combine(right);
   expectRollupEq(empty, right);
   // And merging an empty right side is a no-op.
   Rollup copy = left;
-  mergeRollup(copy, Rollup{});
+  copy.combine(Rollup{});
   expectRollupEq(copy, left);
 }
 
@@ -324,7 +324,7 @@ std::map<std::int64_t, Rollup> linearScan(
       continue;
     }
     for (const auto& [index, rollup] : reader.readWindows(entry)) {
-      mergeRollup(merged[index], rollup);
+      merged[index].combine(rollup);
     }
   }
   return merged;
