@@ -18,7 +18,8 @@
 # zerosum-post --tsdb-query) listing the same series.
 # Finally a live federation smoke: three zerosum-aggd processes form a
 # node -> group -> root tree via the root's catalog and a monitored run
-# discovered through ZS_AGG_CATALOG must surface at the root.
+# discovered through ZS_AGG_CATALOG must surface at the root, as sources
+# and as forwarded windows its read plane answers from.
 #
 # Usage: scripts/check.sh [--no-sanitize]
 set -euo pipefail
@@ -174,7 +175,10 @@ rm -rf "$SMOKE_DIR"
 echo "=== live federation smoke (node -> group -> root over TCP) ==="
 # Three real zerosum-aggd processes form a tree through the root's
 # catalog; a monitored run discovers the node daemon via ZS_AGG_CATALOG
-# and its records must surface at the root as hop-2 forwarded sources.
+# and its records must surface at the root as hop-2 forwarded sources
+# and as forwarded windows the root's read plane answers from.  (Source
+# refreshes ride window-less kForward frames, so a hop-2 source alone
+# does not show that any window arrived.)
 FED_DIR="$(mktemp -d)"
 GROUP_PID=""
 NODE_PID=""
@@ -221,12 +225,17 @@ while True:
     h = json.load(urllib.request.urlopen(
         f"http://127.0.0.1:{port}/healthz", timeout=10))
     by_hop = h["sources"]["by_hop"]
-    if any(int(hops) >= 2 and count > 0 for hops, count in by_hop.items()):
-        print(f"smoke: root sees federated sources {by_hop} "
-              f"({h['fanin']['forward_windows']} windows forwarded)")
+    windows = h["fanin"]["forward_windows"]
+    snap = json.load(urllib.request.urlopen(
+        f"http://127.0.0.1:{port}/api/query?op=snapshot", timeout=10))
+    hop2 = any(int(hops) >= 2 and count > 0 for hops, count in by_hop.items())
+    if hop2 and windows > 0 and len(snap["series"]) > 0:
+        print(f"smoke: root sees federated sources {by_hop}, {windows} "
+              f"windows forwarded, {len(snap['series'])} series answered")
         break
     if time.time() > deadline:
-        raise SystemExit(f"no hop-2 source reached the root: {h}")
+        raise SystemExit(f"no hop-2 source and forwarded windows reached "
+                         f"the root ({len(snap['series'])} series): {h}")
     time.sleep(0.3)
 PY
 kill "$ROOT_PID" "$GROUP_PID" "$NODE_PID" 2>/dev/null || true

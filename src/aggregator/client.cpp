@@ -310,7 +310,7 @@ void Client::enqueueIds(const std::vector<IdRecord>& records,
   ZS_TRACE_SCOPE("zs.agg.client.enqueue");
   counters_.recordsEnqueued += records.size();
   ctrEnqueued_->add(records.size());
-  switch (options_.adaptive ? level_ : DegradeLevel::kFull) {
+  switch (level_) {
     case DegradeLevel::kFull:
       for (const auto& record : records) {
         pushQueued(record, nowSeconds);
@@ -420,13 +420,11 @@ void Client::flush(double nowSeconds, bool force) {
 
 void Client::pump(double nowSeconds) {
   ZS_TRACE_SCOPE("zs.agg.client.pump");
-  if (options_.adaptive) {
-    processIncoming(nowSeconds);
-    updateLadder(nowSeconds);
-    if (coarseOpen_ &&
-        nowSeconds - coarseWindowStart_ >= options_.coarsenWindowSeconds) {
-      closeCoarseWindow(nowSeconds);
-    }
+  processIncoming(nowSeconds);
+  updateLadder(nowSeconds);
+  if (coarseOpen_ &&
+      nowSeconds - coarseWindowStart_ >= options_.coarsenWindowSeconds) {
+    closeCoarseWindow(nowSeconds);
   }
   maybeHeartbeat(nowSeconds);
   flush(nowSeconds, /*force=*/false);

@@ -62,10 +62,6 @@ struct ClientOptions {
   /// every rank jitters differently by default.
   std::uint64_t jitterSeed = 0;
 
-  /// Master switch for the degradation ladder (escalation, coarsening,
-  /// ack processing).  Off, the client behaves as the plain bounded
-  /// queue — the path the ZeroAlloc tests hold to zero allocations.
-  bool adaptive = true;
   /// Escalate one ladder level when queue occupancy reaches this.
   double escalateOccupancy = 0.8;
   /// A pump is "calm" when occupancy is below this and acked pressure

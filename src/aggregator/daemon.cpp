@@ -396,30 +396,16 @@ void Aggregator::processForward(PendingBatch& batch, double nowSeconds) {
     maxHopsSeen_ = frame.hopCount;
     gaugeFaninMaxHops_->set(static_cast<double>(maxHopsSeen_));
   }
-  // Window application, one run of consecutive same-series windows at a
-  // time: cumulative snapshots replace when newer; a not-newer snapshot
-  // is a merge conflict (retransmit after a resync, or a duplicate route
-  // during a membership change) — counted, kept.
-  const auto& windows = frame.forwardWindows;
+  // Window application, one series block at a time: cumulative
+  // snapshots replace when newer; a not-newer snapshot is a merge
+  // conflict (retransmit after a resync, or a duplicate route during a
+  // membership change) — counted, kept.
+  const SeriesBlocks& series = frame.forwardSeries;
   std::uint64_t applied = 0;
-  for (std::size_t first = 0; first < windows.size();) {
-    const ForwardWindow& head = windows[first];
-    windowScratch_.clear();
-    for (; first < windows.size() && windows[first].rank == head.rank &&
-           windows[first].metric == head.metric &&
-           windows[first].job == head.job;
-         ++first) {
-      const ForwardWindow& w = windows[first];
-      windowScratch_.push_back(
-          {w.resolution == 0 ? Resolution::kFine : Resolution::kCoarse,
-           w.windowIndex, Rollup{w.min, w.max, w.sum, w.count}});
-    }
-    keyScratch_.job.assign(head.job);
-    keyScratch_.rank = head.rank;
-    keyScratch_.metric.assign(head.metric);
-    applied += store_.ingestWindows(keyScratch_, windowScratch_);
+  for (const SeriesBlocks::Block& block : series.blocks()) {
+    applied += store_.ingestWindows(block.key, series.windows(block));
   }
-  const std::uint64_t conflicts = windows.size() - applied;
+  const std::uint64_t conflicts = series.windowCount() - applied;
   counters_.forwardWindows += applied;
   counters_.forwardConflicts += conflicts;
   ctrFaninWindows_->add(applied);

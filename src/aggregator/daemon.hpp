@@ -279,7 +279,6 @@ class Aggregator {
       seriesRefs_;
   /// Ingest scratch, reused every batch (strings keep their capacity).
   SeriesKey keyScratch_;
-  std::vector<WindowSnapshot> windowScratch_;
   /// The batch's records as the engine takes them: names interned once.
   std::vector<IdRecord> idScratch_;
   /// (job, rank) -> registry entry.

@@ -344,19 +344,19 @@ void Forwarder::sendPending(Link& link, double nowSeconds) {
     if (sourcesDue) {
       fillSources(frame, nowSeconds);
     }
-    // Series in key order, each one's windows in (resolution, index)
+    // One block per series in key order, windows in (resolution, index)
     // order; a frame that fills mid-series leaves the rest queued first.
+    SeriesBlocks& out = frame.forwardSeries;
     auto it = link.pending.begin();
     while (it != link.pending.end() &&
-           frame.forwardWindows.size() < options_.maxWindowsPerFrame) {
-      const SeriesKey& key = it->first;
+           out.windowCount() < options_.maxWindowsPerFrame) {
+      out.open() = it->first;
       auto& queued = it->second;
       std::size_t taken = 0;
       for (; taken < queued.size() &&
-             frame.forwardWindows.size() < options_.maxWindowsPerFrame;
+             out.windowCount() < options_.maxWindowsPerFrame;
            ++taken) {
-        const WindowSnapshot& window = queued[taken];
-        if (coarseOnly && window.resolution == Resolution::kFine) {
+        if (coarseOnly && queued[taken].resolution == Resolution::kFine) {
           // Degradation hop: under acked upstream pressure, fine windows
           // are withheld (their records still arrive through the coarse
           // plane) instead of the frame being dropped wholesale.
@@ -364,12 +364,9 @@ void Forwarder::sendPending(Link& link, double nowSeconds) {
           ctrSuppressed_->add();
           continue;
         }
-        const Rollup& rollup = window.rollup;
-        frame.forwardWindows.push_back(
-            {key.job, key.rank, key.metric,
-             static_cast<std::uint8_t>(window.resolution), window.windowIndex,
-             rollup.min, rollup.max, rollup.sum, rollup.count});
+        out.push(queued[taken]);
       }
+      out.dropEmpty();  // every window it had was withheld
       if (taken < queued.size()) {
         queued.erase(queued.begin(),
                      queued.begin() + static_cast<std::ptrdiff_t>(taken));
@@ -377,7 +374,8 @@ void Forwarder::sendPending(Link& link, double nowSeconds) {
       }
       it = link.pending.erase(it);
     }
-    if (frame.forwardWindows.empty() && !sourcesDue) {
+    const std::size_t windows = out.windowCount();
+    if (windows == 0 && !sourcesDue) {
       break;  // pressure suppression consumed everything sendable
     }
     if (!link.transport->send(encodeFrame(frame))) {
@@ -391,13 +389,12 @@ void Forwarder::sendPending(Link& link, double nowSeconds) {
       link.lastSourceRefresh = nowSeconds;
       sourcesDue = false;
     }
-    link.inflight.push_back(
-        {link.nextSeq, static_cast<std::uint64_t>(frame.forwardWindows.size())});
+    link.inflight.push_back({link.nextSeq, windows});
     ++link.nextSeq;
     ++counters_.framesForwarded;
-    counters_.windowsForwarded += frame.forwardWindows.size();
+    counters_.windowsForwarded += windows;
     ctrForwardedBatches_->add();
-    ctrForwardedWindows_->add(frame.forwardWindows.size());
+    ctrForwardedWindows_->add(windows);
     if (coarseOnly) {
       ++counters_.coarseOnlyFrames;
     }

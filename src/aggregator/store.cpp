@@ -191,34 +191,6 @@ std::size_t RollupStore::ingestWindows(
   return applied;
 }
 
-void RollupStore::merge(const RollupStore& other) {
-  // Copy the other store's windows under its lock, then release it
-  // before taking this store's (no lock ordering between stores).
-  std::vector<std::pair<SeriesKey, Series>> copied;
-  {
-    std::lock_guard<std::mutex> lock(other.mutex_);
-    copied.assign(other.series_.begin(), other.series_.end());
-  }
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (auto& [key, incoming] : copied) {
-      Series& mine = series_[key];
-      for (const Resolution resolution :
-           {Resolution::kFine, Resolution::kCoarse}) {
-        Plane& target = mine[resolution];
-        for (const auto& [index, rollup] : incoming[resolution].windows) {
-          target.windows.findOrInsert(index).first->combine(rollup);
-        }
-        if (!target.windows.empty()) {
-          evictLocked(target,
-                      target.windows.back().first - retention(resolution) + 1);
-        }
-      }
-    }
-  }
-  dataGeneration_.fetch_add(1, std::memory_order_release);
-}
-
 StoreSnapshot RollupStore::emptySnapshot() const {
   StoreSnapshot out;
   out.fineWindowSeconds_ = options_.fineWindowSeconds;
@@ -378,22 +350,15 @@ void RollupStore::enableDirtyTracking() {
 
 std::size_t RollupStore::drainDirty(SeriesBlocks& out,
                                     std::size_t maxWindows) {
-  out.size_ = 0;
-  out.windows_.clear();
-  std::size_t drained = 0;
+  out.clear();
   std::lock_guard<std::mutex> lock(mutex_);
   // Series fully drained from the front of the list; a series the budget
   // splits stays listed first.
   std::size_t done = 0;
-  for (; done < dirtySeries_.size() && drained < maxWindows; ++done) {
+  for (; done < dirtySeries_.size() && out.windowCount() < maxWindows;
+       ++done) {
     auto& [key, series] = *dirtySeries_[done];
-    if (out.size_ == out.blocks_.size()) {
-      out.blocks_.emplace_back();
-    }
-    SeriesBlocks::Block& block = out.blocks_[out.size_++];
-    block.key = key;  // a spare block's strings keep their capacity
-    block.first = out.windows_.size();
-    block.count = 0;
+    out.open() = key;  // a spare block's strings keep their capacity
     for (const Resolution resolution :
          {Resolution::kFine, Resolution::kCoarse}) {
       Plane& plane = series[resolution];
@@ -411,24 +376,21 @@ std::size_t RollupStore::drainDirty(SeriesBlocks& out,
         w = plane.windows.lowerBound(marks.front());
       }
       std::size_t taken = 0;
-      for (; taken < marks.size() && drained < maxWindows; ++taken) {
+      for (; taken < marks.size() && out.windowCount() < maxWindows;
+           ++taken) {
         while (w != plane.windows.end() && w->first < marks[taken]) {
           ++w;
         }
         if (w == plane.windows.end() || w->first != marks[taken]) {
           continue;  // evicted since it was marked
         }
-        out.windows_.push_back({resolution, w->first, w->second});
-        ++block.count;
-        ++drained;
+        out.push({resolution, w->first, w->second});
       }
       marks.erase(marks.begin(),
                   marks.begin() + static_cast<std::ptrdiff_t>(taken));
       dirty_ -= taken;
     }
-    if (block.count == 0) {
-      --out.size_;  // every mark it had was evicted
-    }
+    out.dropEmpty();  // every mark it had was evicted
     if (!series.planes[0].dirty.empty() || !series.planes[1].dirty.empty()) {
       break;  // split by the budget
     }
@@ -436,7 +398,7 @@ std::size_t RollupStore::drainDirty(SeriesBlocks& out,
   }
   dirtySeries_.erase(dirtySeries_.begin(),
                      dirtySeries_.begin() + static_cast<std::ptrdiff_t>(done));
-  return drained;
+  return out.windowCount();
 }
 
 void RollupStore::markAllDirty() {

@@ -88,11 +88,10 @@ struct Rollup {
     ++count;
   }
 
-  /// Folds another partial rollup over the same window in (federation
-  /// merge path).  Exact for min/max/count; the sum is exact arithmetic
-  /// too, but bit-identity with a single sequential store holds only when
-  /// the two inputs partition the records by series (then each series'
-  /// sum was accumulated in the original ingest order).
+  /// Folds another partial rollup in (query folds, tsdb reads).  Exact
+  /// for min/max/count; the sum is exact arithmetic too, but
+  /// bit-identical to a sequential ingest only when both partials summed
+  /// their records in the original ingest order.
   void combine(const Rollup& other) {
     if (other.count == 0) {
       return;
@@ -176,19 +175,19 @@ inline constexpr double kWindowIndexLimit = 9223372036854775808.0;
   return static_cast<int>(rank);
 }
 
-/// One window of one series as the federation ships it: drainDirty()
-/// emits these and ingestWindows() applies them.  `rollup` is the
-/// window's cumulative snapshot (see wire.hpp ForwardWindow).
+/// One window of one series as the federation ships it (drainDirty(),
+/// kForward, ingestWindows()).  `rollup` is the window's cumulative
+/// snapshot, so a receiver replaces it instead of accumulating.
 struct WindowSnapshot {
   Resolution resolution = Resolution::kFine;
   std::int64_t windowIndex = 0;
   Rollup rollup;
 };
 
-/// What drainDirty() fills: one block per drained series, holding its key
-/// once and then its windows in (resolution, index) order.  A caller that
-/// passes the same buffer to every drain reuses its capacity, keys
-/// included, so a steady-state drain allocates nothing.
+/// What drainDirty() fills and kForward carries: one block per series,
+/// holding its key once and then its windows in (resolution, index)
+/// order.  A caller that refills the same buffer reuses its capacity,
+/// keys included, so a steady-state drain allocates nothing.
 class SeriesBlocks {
  public:
   struct Block {
@@ -203,9 +202,40 @@ class SeriesBlocks {
       const Block& block) const {
     return {windows_.data() + block.first, block.count};
   }
+  [[nodiscard]] std::size_t windowCount() const { return windows_.size(); }
+
+  void reserve(std::size_t blocks, std::size_t windows) {
+    blocks_.reserve(blocks);
+    windows_.reserve(windows);
+  }
+  /// Empties the buffer, keeping every block's capacity.
+  void clear() {
+    size_ = 0;
+    windows_.clear();
+  }
+  /// Opens a block after the last one and returns its key to fill.
+  SeriesKey& open() {
+    if (size_ == blocks_.size()) {
+      blocks_.emplace_back();
+    }
+    Block& block = blocks_[size_++];
+    block.first = windows_.size();
+    block.count = 0;
+    return block.key;
+  }
+  /// Appends a window to the last opened block.
+  void push(const WindowSnapshot& window) {
+    windows_.push_back(window);
+    ++blocks_[size_ - 1].count;
+  }
+  /// Drops the last block when it holds no window.
+  void dropEmpty() {
+    if (size_ > 0 && blocks_[size_ - 1].count == 0) {
+      --size_;
+    }
+  }
 
  private:
-  friend class RollupStore;
   std::vector<Block> blocks_;  ///< [0, size_) are live; the rest are spare
   std::size_t size_ = 0;
   std::vector<WindowSnapshot> windows_;
@@ -960,8 +990,8 @@ class RollupStore {
   // --- read-side snapshot surface (DESIGN.md §12) --------------------------
 
   /// Monotone counter bumped by every mutation (ingest, ingestWindows,
-  /// evictSource, merge).  Two equal readings bracket an interval in
-  /// which no data changed — the query cache's invalidation signal.
+  /// evictSource).  Two equal readings bracket an interval in which no
+  /// data changed — the query cache's invalidation signal.
   [[nodiscard]] std::uint64_t dataGeneration() const {
     return dataGeneration_.load(std::memory_order_acquire);
   }
@@ -1009,14 +1039,6 @@ class RollupStore {
     const WindowSnapshot window{resolution, windowIndex, rollup};
     return ingestWindows(key, {&window, 1}) == 1;
   }
-
-  /// Folds every window of `other` into this store with
-  /// Rollup::combine(), enforcing this store's retention bounds — the
-  /// root's path to answering queries over the union of per-shard
-  /// stores.  When the two stores partition series (consistent-hash
-  /// sharding), the result is bit-identical to one store having ingested
-  /// everything.
-  void merge(const RollupStore& other);
 
   /// Turns on dirty-window tracking (off by default: the bookkeeping is
   /// only paid by daemons that host a Forwarder).  Every retained window

@@ -134,8 +134,8 @@ class PayloadReader {
   std::size_t pos_ = 0;
 };
 
-std::string encodePayload(const Frame& frame) {
-  std::string p;
+/// Appends the frame's payload to `p`.
+void encodePayload(const Frame& frame, std::string& p) {
   switch (frame.kind) {
     case FrameKind::kHello:
       putString(p, frame.hello.job);
@@ -194,17 +194,21 @@ std::string encodePayload(const Frame& frame) {
         putU8(p, s.state);
         putF64(p, s.lastSeenAgeSeconds);
       }
-      putU32(p, static_cast<std::uint32_t>(frame.forwardWindows.size()));
-      for (const auto& w : frame.forwardWindows) {
-        putString(p, w.job);
-        putI32(p, w.rank);
-        putString(p, w.metric);
-        putU8(p, w.resolution);
-        putU64(p, static_cast<std::uint64_t>(w.windowIndex));
-        putF64(p, w.min);
-        putF64(p, w.max);
-        putF64(p, w.sum);
-        putU64(p, w.count);
+      putU32(p,
+             static_cast<std::uint32_t>(frame.forwardSeries.blocks().size()));
+      for (const auto& block : frame.forwardSeries.blocks()) {
+        putString(p, block.key.job);
+        putI32(p, block.key.rank);
+        putString(p, block.key.metric);
+        putU32(p, static_cast<std::uint32_t>(block.count));
+        for (const WindowSnapshot& w : frame.forwardSeries.windows(block)) {
+          putU8(p, static_cast<std::uint8_t>(w.resolution));
+          putU64(p, static_cast<std::uint64_t>(w.windowIndex));
+          putF64(p, w.rollup.min);
+          putF64(p, w.rollup.max);
+          putF64(p, w.rollup.sum);
+          putU64(p, w.rollup.count);
+        }
       }
       break;
     case FrameKind::kCatalogAnnounce:
@@ -221,7 +225,6 @@ std::string encodePayload(const Frame& frame) {
       putF64(p, frame.catalogTtlSeconds);
       break;
   }
-  return p;
 }
 
 Frame decodePayload(FrameKind kind, const char* data, std::size_t size) {
@@ -310,28 +313,33 @@ Frame decodePayload(FrameKind kind, const char* data, std::size_t size) {
         s.lastSeenAgeSeconds = in.f64();
         frame.forwardSources.push_back(std::move(s));
       }
-      const std::uint32_t windowCount = in.u32();
-      // 46 bytes = the minimum encoded window (two empty strings).
-      if (static_cast<std::size_t>(windowCount) * 46 > size) {
-        throw ParseError("wire: forward window count exceeds payload");
+      const std::uint32_t seriesCount = in.u32();
+      // Minimum encodings: a window 41 bytes, a block 12 more (empty
+      // strings); no sender writes a block without windows.
+      if (static_cast<std::size_t>(seriesCount) * 53 > size) {
+        throw ParseError("wire: forward series count exceeds payload");
       }
-      frame.forwardWindows.reserve(windowCount);
-      for (std::uint32_t i = 0; i < windowCount; ++i) {
-        ForwardWindow w;
-        w.job = in.str();
-        w.rank = in.i32();
-        w.metric = in.str();
-        w.resolution = in.u8();
-        if (w.resolution > 1) {
-          throw ParseError("wire: unknown forward resolution " +
-                           std::to_string(w.resolution));
+      // Sized once: buffers grown by doubling leave freed holes that the
+      // receiver's new series nodes fill, and its snapshot walks slow.
+      frame.forwardSeries.reserve(seriesCount, size / 41);
+      for (std::uint32_t i = 0; i < seriesCount; ++i) {
+        // A braced list is evaluated in order: fields read as laid out.
+        frame.forwardSeries.open() = {in.str(), in.i32(), in.str()};
+        const std::uint32_t windowCount = in.u32();
+        if (windowCount == 0 ||
+            static_cast<std::size_t>(windowCount) * 41 > size) {
+          throw ParseError("wire: forward window count 0 or exceeds payload");
         }
-        w.windowIndex = static_cast<std::int64_t>(in.u64());
-        w.min = in.f64();
-        w.max = in.f64();
-        w.sum = in.f64();
-        w.count = in.u64();
-        frame.forwardWindows.push_back(std::move(w));
+        for (std::uint32_t j = 0; j < windowCount; ++j) {
+          const std::uint8_t resolution = in.u8();
+          if (resolution > 1) {
+            throw ParseError("wire: unknown forward resolution " +
+                             std::to_string(resolution));
+          }
+          frame.forwardSeries.push({static_cast<Resolution>(resolution),
+                                    static_cast<std::int64_t>(in.u64()),
+                                    {in.f64(), in.f64(), in.f64(), in.u64()}});
+        }
       }
       in.done();
       break;
@@ -403,17 +411,20 @@ std::string encodeFrame(const Frame& frame) {
     throw ParseError("wire: cannot encode frame kind " +
                      std::to_string(static_cast<int>(frame.kind)));
   }
-  const std::string payload = encodePayload(frame);
-  if (payload.size() > kMaxPayloadBytes) {
+  // Encode the payload directly after the 6-byte header, then patch the
+  // length in place: one string, no payload copy.
+  std::string out(4, '\0');
+  putU8(out, kWireVersion);
+  putU8(out, static_cast<std::uint8_t>(frame.kind));
+  encodePayload(frame, out);
+  const std::size_t payloadSize = out.size() - 6;
+  if (payloadSize > kMaxPayloadBytes) {
     throw ParseError("wire: frame payload exceeds " +
                      std::to_string(kMaxPayloadBytes) + " bytes");
   }
-  std::string out;
-  out.reserve(payload.size() + 6);
-  putU32(out, static_cast<std::uint32_t>(payload.size()));
-  putU8(out, kWireVersion);
-  putU8(out, static_cast<std::uint8_t>(frame.kind));
-  out.append(payload);
+  for (unsigned i = 0; i < 4; ++i) {
+    out[i] = static_cast<char>((payloadSize >> (8U * i)) & 0xFFU);
+  }
   return out;
 }
 

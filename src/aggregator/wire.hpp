@@ -25,23 +25,27 @@
 // pressure level: the backpressure signal behind the client's ladder.
 // Federation (DESIGN.md §11) adds kForward, pre-aggregated rollup windows
 // sent hop-by-hop up the fan-in tree with the forwarder identity, origin
-// rank range and hop count; it reuses batchSeq + kBatchAck.  Windows are
-// cumulative snapshots (min/max/sum/count), so a retransmit replaces
-// rather than double-counts.  kCatalogAnnounce registers a daemon {role,
-// host, port, shard range, generation} with a catalog, and kCatalogAck
-// confirms it with the expiry horizon; lookups ride kQuery.
+// rank range and hop count; it reuses batchSeq + kBatchAck.  After its
+// sources come series blocks: [u32 series], each [str job][i32 rank]
+// [str metric][u32 windows >= 1] and then per window [u8 resolution]
+// [u64 index][f64 min][f64 max][f64 sum][u64 count].  Windows are cumulative
+// snapshots, so a retransmit replaces rather than double-counts.
+// kCatalogAnnounce registers a daemon {role, host, port, shard range,
+// generation} with a catalog, and kCatalogAck confirms it with the
+// expiry horizon; lookups ride kQuery.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "aggregator/store.hpp"
 #include "common/interning.hpp"
 
 namespace zerosum::aggregator {
 
 /// Protocol version, the only one spoken; bumped on any layout change.
-inline constexpr std::uint8_t kWireVersion = 4;
+inline constexpr std::uint8_t kWireVersion = 5;
 
 /// Hard ceiling on a single frame's payload (defense against a corrupt
 /// or hostile length prefix allocating gigabytes).
@@ -127,25 +131,6 @@ enum class DaemonRole : std::uint8_t {
 /// Parses "node"/"group"/"root"; throws ParseError on anything else.
 [[nodiscard]] DaemonRole daemonRoleFromString(const std::string& name);
 
-/// One pre-aggregated rollup window inside a kForward frame.  The rollup
-/// is the window's *cumulative* snapshot at forward time — min/max/sum/
-/// count over every record the window has absorbed so far — so the
-/// receiver replaces (count-monotone) instead of accumulating, and a
-/// retransmit is idempotent.
-struct ForwardWindow {
-  std::string job;
-  std::int32_t rank = 0;
-  std::string metric;
-  std::uint8_t resolution = 0;  ///< 0 = fine, 1 = coarse
-  std::int64_t windowIndex = 0;
-  double min = 0.0;
-  double max = 0.0;
-  double sum = 0.0;
-  std::uint64_t count = 0;
-
-  friend bool operator==(const ForwardWindow&, const ForwardWindow&) = default;
-};
-
 /// Source-registry propagation inside a kForward frame: the forwarding
 /// daemon's view of one (job, rank), so every level of the tree can
 /// answer sources()/missing-rank queries.  lastSeenAgeSeconds is an age
@@ -211,7 +196,7 @@ struct Frame {
   std::int32_t rankLo = 0;    ///< origin rank range covered by this frame
   std::int32_t rankHi = -1;   ///< (empty range when rankHi < rankLo)
   std::vector<ForwardSource> forwardSources;
-  std::vector<ForwardWindow> forwardWindows;
+  SeriesBlocks forwardSeries;
   // --- kCatalogAnnounce / kCatalogAck --------------------------------------
   CatalogEntry catalogEntry;       ///< kCatalogAnnounce
   double catalogTtlSeconds = 0.0;  ///< kCatalogAck: expiry horizon granted

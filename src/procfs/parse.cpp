@@ -1,6 +1,7 @@
 #include "procfs/parse.hpp"
 
 #include <bitset>
+#include <limits>
 
 #include "common/error.hpp"
 #include "common/strings.hpp"
@@ -236,12 +237,20 @@ LoadAvg parseLoadavg(const std::string& text) {
 void parseStatInto(std::string_view text, StatSnapshot& out) {
   out.aggregate = CpuTimes{};
   bool sawAggregate = false;
-  // Which CPU indexes this text mentions; entries of `out.perCpu` not
-  // seen are erased afterwards, so reuse matches a fresh parse while the
-  // steady state (an unchanged topology) touches no map nodes.
+  bool sawCpu = false;
+  // Rows of a reused `out.perCpu` that this text does not name are erased
+  // afterwards, so reuse matches a fresh parse while the steady state (an
+  // unchanged topology) touches no map nodes.  `seen` marks the indexes
+  // below kMaxCpus this text names; a row at or past it is known to be
+  // named only when the map held no such row before, so a map that holds
+  // one starts empty.
+  if (!out.perCpu.empty() &&
+      static_cast<std::size_t>(out.perCpu.rbegin()->first) >=
+          CpuSet::kMaxCpus) {
+    out.perCpu.clear();
+  }
   std::bitset<CpuSet::kMaxCpus> seen;
-  bool seenOverflow = false;
-  std::size_t seenCount = 0;
+  std::size_t seenCount = 0;  // distinct indexes marked in `seen`
 
   std::string_view rest = text;
   std::string_view line;
@@ -277,31 +286,26 @@ void parseStatInto(std::string_view text, StatSnapshot& out) {
       sawAggregate = true;
     } else {
       const auto idx = strings::toU64(fields[0].substr(3));
-      if (!idx) {
+      if (!idx || *idx > static_cast<std::uint64_t>(
+                             std::numeric_limits<int>::max())) {
         throw ParseError("bad cpu label '" + std::string(fields[0]) + "'");
       }
-      const auto cpu = static_cast<int>(*idx);
-      out.perCpu[cpu] = t;
-      ++seenCount;
-      if (*idx < seen.size()) {
+      out.perCpu[static_cast<int>(*idx)] = t;
+      sawCpu = true;
+      if (*idx < seen.size() && !seen.test(*idx)) {
         seen.set(*idx);
-      } else {
-        seenOverflow = true;
+        ++seenCount;
       }
     }
   }
-  if (!sawAggregate && seenCount == 0) {
+  if (!sawAggregate && !sawCpu) {
     throw ParseError("/proc/stat: no cpu lines");
   }
-  if (seenCount != out.perCpu.size() && !seenOverflow) {
-    for (auto it = out.perCpu.begin(); it != out.perCpu.end();) {
-      if (it->first < 0 ||
-          !seen.test(static_cast<std::size_t>(it->first))) {
-        it = out.perCpu.erase(it);
-      } else {
-        ++it;
-      }
-    }
+  if (seenCount != out.perCpu.size()) {
+    std::erase_if(out.perCpu, [&seen](const auto& row) {
+      const auto cpu = static_cast<std::size_t>(row.first);
+      return cpu < seen.size() && !seen.test(cpu);
+    });
   }
 }
 

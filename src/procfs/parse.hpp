@@ -41,7 +41,8 @@ void parseLoadavgInto(std::string_view text, LoadAvg& out);
 StatSnapshot parseStat(const std::string& text);
 /// Reuses `out.perCpu` nodes: on an unchanged CPU topology (the steady
 /// state) no map node is allocated or freed; CPUs that disappear from the
-/// text are erased.
+/// text are erased, so the result equals a fresh parseStat().  A CPU
+/// label past INT_MAX is a ParseError.
 void parseStatInto(std::string_view text, StatSnapshot& out);
 
 }  // namespace zerosum::procfs

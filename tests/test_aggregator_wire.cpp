@@ -10,6 +10,7 @@
 
 #include "aggregator/wire.hpp"
 #include "common/error.hpp"
+#include "common/stats.hpp"
 
 using namespace zerosum;
 using namespace zerosum::aggregator;
@@ -35,6 +36,53 @@ Frame sampleBatch() {
   frame.records.push_back({12.5, "lwp.51334.utime_delta", 99.0});
   frame.records.push_back({12.5, "mem.process_rss_kb", 1.25e6});
   return frame;
+}
+
+/// One frame of every kind: a hello, a batch, then the rest in FrameKind
+/// order from kForward (two series blocks of two windows each) on.
+std::vector<Frame> oneFrameOfEveryKind() {
+  std::vector<Frame> frames = {sampleHello(), sampleBatch()};
+  const auto add = [&frames](FrameKind kind) -> Frame& {
+    frames.emplace_back().kind = kind;
+    frames.back().batchSeq = frames.size();
+    frames.back().timeSeconds = 7.5;
+    return frames.back();
+  };
+  Frame& forward = add(FrameKind::kForward);
+  forward.origin = "node-1";
+  forward.hopCount = 1;
+  forward.rankLo = 0;
+  forward.rankHi = 3;
+  forward.forwardSources.push_back({"job-42", 3, 8, "node0003", 0, 1.5});
+  SeriesBlocks& series = forward.forwardSeries;
+  series.open() = {"job-42", 3, "hwt.0.user_pct"};
+  series.push({Resolution::kFine, 12, {1.0, 9.0, 15.0, 4}});
+  series.push({Resolution::kCoarse, 1, {0.5, 9.0, 20.5, 6}});
+  series.open() = {"job-42", 4, "mem.rss"};
+  series.push({Resolution::kFine, 12, {5.0, 5.0, 5.0, 1}});
+  series.push({Resolution::kFine, 13, {6.0, 7.0, 13.0, 2}});
+  Frame& announce = add(FrameKind::kCatalogAnnounce);
+  announce.catalogEntry = {DaemonRole::kGroup, "g0", "127.0.0.1", 7000,
+                           0, kShardSpace - 1, 3};
+  add(FrameKind::kCatalogAck).catalogTtlSeconds = 15.0;
+  add(FrameKind::kBatchAck).pressure = PressureLevel::kElevated;
+  add(FrameKind::kHealth).health = {100, 5, 2, 1, 3};
+  add(FrameKind::kHeartbeat);
+  add(FrameKind::kGoodbye);
+  add(FrameKind::kQuery).text = R"({"op":"snapshot","rank":3})";
+  add(FrameKind::kResponse).text = R"({"series":[]})";
+  return frames;
+}
+
+std::string hex(const std::string& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const char c : bytes) {
+    const auto byte = static_cast<unsigned char>(c);
+    out += kDigits[byte >> 4U];
+    out += kDigits[byte & 0xFU];
+  }
+  return out;
 }
 
 }  // namespace
@@ -189,7 +237,7 @@ TEST(AggWire, TruncatedPayloadThrows) {
 
 TEST(AggWire, VersionMismatchThrows) {
   // The wire speaks one version: every other byte value is refused.
-  for (const int version : {0, 1, 2, 3, 5}) {
+  for (const int version : {0, 1, 2, 3, 4, 6}) {
     std::string bytes = encodeFrame(sampleHello());
     ASSERT_EQ(bytes[4], static_cast<char>(kWireVersion));  // version byte
     bytes[4] = static_cast<char>(version);
@@ -324,35 +372,12 @@ TEST(AggWire, SeededRandomGarbageNeverCrashesTheReader) {
 
 TEST(AggWire, BitFlippedStreamsFailDeterministically) {
   // Flip one bit somewhere in a valid stream holding one frame of every
-  // kind, so a flip can land in any payload layout.  The reader must
-  // either still decode frames (the flip hit a value field) or throw
-  // ParseError — and two readers over the same corrupted bytes must
-  // agree exactly (deterministic disconnect, no state dependence).
-  std::vector<Frame> frames = {sampleHello(), sampleBatch()};
-  const auto add = [&frames](FrameKind kind) -> Frame& {
-    frames.emplace_back().kind = kind;
-    frames.back().batchSeq = frames.size();
-    frames.back().timeSeconds = 7.5;
-    return frames.back();
-  };
-  Frame& forward = add(FrameKind::kForward);
-  forward.origin = "node-1";
-  forward.hopCount = 1;
-  forward.rankLo = 0;
-  forward.rankHi = 3;
-  forward.forwardSources.push_back({"job-42", 3, 8, "node0003", 0, 1.5});
-  forward.forwardWindows.push_back(
-      {"job-42", 3, "hwt.0.user_pct", 1, 12, 1.0, 9.0, 15.0, 4});
-  Frame& announce = add(FrameKind::kCatalogAnnounce);
-  announce.catalogEntry = {DaemonRole::kGroup, "g0", "127.0.0.1", 7000,
-                           0, kShardSpace - 1, 3};
-  add(FrameKind::kCatalogAck).catalogTtlSeconds = 15.0;
-  add(FrameKind::kBatchAck).pressure = PressureLevel::kElevated;
-  add(FrameKind::kHealth).health = {100, 5, 2, 1, 3};
-  add(FrameKind::kHeartbeat);
-  add(FrameKind::kGoodbye);
-  add(FrameKind::kQuery).text = R"({"op":"snapshot","rank":3})";
-  add(FrameKind::kResponse).text = R"({"series":[]})";
+  // kind (the kForward frame with two series blocks of two windows), so a
+  // flip can land in any payload layout.  The reader must either still
+  // decode frames (the flip hit a value field) or throw ParseError — and
+  // two readers over the same corrupted bytes must agree exactly
+  // (deterministic disconnect, no state dependence).
+  const std::vector<Frame> frames = oneFrameOfEveryKind();
   std::string clean;
   for (const Frame& frame : frames) {
     clean += encodeFrame(frame);
@@ -392,4 +417,195 @@ TEST(AggWire, BitFlippedStreamsFailDeterministically) {
     EXPECT_EQ(oneShot, byteWise) << "trial " << trial << " bit " << bit;
     EXPECT_LE(oneShot.first, kinds);
   }
+}
+
+TEST(AggWire, EveryFrameKindEncodesToItsPinnedBytes) {
+  // The encoded bytes of oneFrameOfEveryKind(), in its order.  Every row
+  // but kForward is what wire version 4 wrote with its version byte
+  // (byte 4) raised to 5; kForward's row is the series-block layout.
+  const std::vector<std::string> pinned = {
+      // kHello
+        "1e000000050106006a6f622d3432030000000800000008006e6f646530303033"
+        "86c80000",
+      // kBatch
+        "9700000005020000000000002940000000000000000000000000000000000000"
+        "000000000000000000000000f0bf0300000000000000000029400e006877742e"
+        "302e757365725f7063740000000000e05540000000000000294015006c77702e"
+        "35313333342e7574696d655f64656c74610000000000c0584000000000000029"
+        "4012006d656d2e70726f636573735f7273735f6b6200000000d0123341",
+      // kForward
+        "2701000005090000000000001e4003000000000000000106006e6f64652d3100"
+        "00000003000000010006006a6f622d3432030000000800000008006e6f646530"
+        "30303300000000000000f83f0200000006006a6f622d3432030000000e006877"
+        "742e302e757365725f70637402000000000c00000000000000000000000000f0"
+        "3f00000000000022400000000000002e40040000000000000001010000000000"
+        "0000000000000000e03f00000000000022400000000000803440060000000000"
+        "000006006a6f622d34320400000007006d656d2e72737302000000000c000000"
+        "0000000000000000000014400000000000001440000000000000144001000000"
+        "00000000000d0000000000000000000000000018400000000000001c40000000"
+        "0000002a400200000000000000",
+      // kCatalogAnnounce
+        "24000000050a010200673009003132372e302e302e31581b000000000000ffff"
+        "00000300000000000000",
+      // kCatalogAck
+        "10000000050b00000000000000000000000000002e40",
+      // kBatchAck
+        "090000000508060000000000000001",
+      // kHealth
+        "2400000005036400000000000000050000000000000002000000000000000100"
+        "00000000000003000000",
+      // kHeartbeat
+        "0800000005040000000000001e40",
+      // kGoodbye
+        "0800000005050000000000001e40",
+      // kQuery
+        "1a00000005067b226f70223a22736e617073686f74222c2272616e6b223a337d",
+      // kResponse
+        "0d00000005077b22736572696573223a5b5d7d",
+  };
+  const std::vector<Frame> frames = oneFrameOfEveryKind();
+  ASSERT_EQ(frames.size(), pinned.size());
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    const std::string bytes = encodeFrame(frames[i]);
+    EXPECT_EQ(hex(bytes), pinned[i])
+        << "kind " << static_cast<int>(frames[i].kind);
+  }
+}
+
+namespace {
+
+/// Sets the frame's u32 length prefix to its payload size, so the
+/// payload decoder sees a mutated payload whole.
+void fixLength(std::string& bytes) {
+  const std::size_t length = bytes.size() - 6;
+  for (unsigned i = 0; i < 4; ++i) {
+    bytes[i] = static_cast<char>((length >> (8U * i)) & 0xFFU);
+  }
+}
+
+void putU32At(std::string& bytes, std::size_t at, std::uint32_t v) {
+  for (unsigned i = 0; i < 4; ++i) {
+    bytes[at + i] = static_cast<char>((v >> (8U * i)) & 0xFFU);
+  }
+}
+
+/// Decodes `bytes`: true when they decode, in which case encoding the
+/// decoded frame gives them back; false on ParseError.  Any other
+/// exception fails the test.
+bool decodesAndRoundTrips(const std::string& bytes) {
+  try {
+    const Frame frame = decodeFrame(bytes);
+    EXPECT_EQ(hex(encodeFrame(frame)), hex(bytes));
+    return true;
+  } catch (const ParseError&) {
+    return false;
+  }
+}
+
+}  // namespace
+
+TEST(AggWire, MutatedForwardPayloadsDecodeOrThrow) {
+  const Frame forward = oneFrameOfEveryKind()[2];
+  ASSERT_EQ(forward.kind, FrameKind::kForward);
+  const std::string clean = encodeFrame(forward);
+  // Offsets: the u32 series count ends the frame without blocks; the
+  // first block's window count follows its key ("job-42", 3,
+  // "hwt.0.user_pct": 28 bytes), then its first window's resolution.
+  Frame head = forward;
+  head.forwardSeries.clear();
+  const std::size_t seriesCountAt = encodeFrame(head).size() - 4;
+  const std::size_t windowCountAt = seriesCountAt + 4 + 28;
+  const std::size_t resolutionAt = windowCountAt + 4;
+  const std::size_t lastBlockAt = resolutionAt + 2 * 41;
+  ASSERT_EQ(clean.size(), lastBlockAt + 2 + 6 + 4 + 2 + 7 + 4 + 2 * 41);
+  ASSERT_TRUE(decodesAndRoundTrips(clean));
+
+  // Series and window counts larger than the payload holds: refused up
+  // front when the rest of the payload cannot hold that many empty blocks
+  // or windows, and by running out of bytes otherwise.
+  const auto refusal = [](const std::string& bytes) {
+    try {
+      (void)decodeFrame(bytes);
+      return std::string("decoded");
+    } catch (const ParseError& e) {
+      return std::string(e.what());
+    }
+  };
+  for (const std::uint32_t count : {3U, 1000U, 0xFFFFFFFFU}) {
+    const bool upFront = count > 3;
+    for (const std::size_t at : {seriesCountAt, windowCountAt}) {
+      std::string bytes = clean;
+      putU32At(bytes, at, count);
+      const std::string why = refusal(bytes);
+      EXPECT_NE(why, "decoded") << count;
+      EXPECT_EQ(why.find("exceeds payload") != std::string::npos, upFront)
+          << why;
+    }
+  }
+  // A block cut short anywhere, the length prefix agreeing with the cut.
+  for (std::size_t end = lastBlockAt; end < clean.size(); ++end) {
+    std::string bytes = clean.substr(0, end);
+    fixLength(bytes);
+    EXPECT_THROW(decodeFrame(bytes), ParseError) << "cut at " << end;
+  }
+  // A resolution byte past coarse.
+  std::string bytes = clean;
+  bytes[resolutionAt] = 2;
+  EXPECT_THROW(decodeFrame(bytes), ParseError);
+  // A block with no window: no sender writes one, so it is refused.
+  Frame empty = forward;
+  empty.forwardSeries.open() = {"job-42", 5, "idle"};
+  EXPECT_THROW(decodeFrame(encodeFrame(empty)), ParseError);
+  bytes = clean;
+  putU32At(bytes, windowCountAt, 0);
+  EXPECT_THROW(decodeFrame(bytes), ParseError);
+
+  // Seeded mutations of the payload: bit flips, random bytes, count
+  // fields swapped for another value, truncation and inserted bytes.
+  // Every input decodes (and re-encodes to itself) or throws ParseError.
+  stats::SplitMix64 rng(2727);
+  const auto below = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng.nextBelow(n));
+  };
+  const std::size_t countFields[] = {seriesCountAt, windowCountAt,
+                                     lastBlockAt + 2 + 6 + 4 + 2 + 7};
+  const std::uint32_t counts[] = {0, 1, 2, 3, 255, 0x10000, 0xFFFFFFFFU};
+  std::size_t decodedCount = 0;
+  std::size_t refused = 0;
+  for (int trial = 0; trial < 20000; ++trial) {
+    bytes = clean;
+    const std::size_t edits = 1 + below(3);
+    for (std::size_t e = 0; e < edits; ++e) {
+      const std::size_t at = 6 + below(bytes.size() - 6);
+      switch (below(5)) {
+        case 0:
+          bytes[at] = static_cast<char>(bytes[at] ^ (1 << below(8)));
+          break;
+        case 1:
+          bytes[at] = static_cast<char>(below(256));
+          break;
+        case 2: {
+          const std::size_t field = countFields[below(3)];
+          if (field + 4 <= bytes.size()) {
+            putU32At(bytes, field, counts[below(std::size(counts))]);
+          }
+          break;
+        }
+        case 3:
+          bytes.resize(at);
+          break;
+        default:
+          bytes.insert(at, 1 + below(41), static_cast<char>(below(256)));
+          break;
+      }
+    }
+    fixLength(bytes);
+    ++(decodesAndRoundTrips(bytes) ? decodedCount : refused);
+    if (::testing::Test::HasFailure()) {
+      FAIL() << "trial " << trial << ": " << hex(bytes);
+    }
+  }
+  // Both outcomes occur, so the property is not vacuous.
+  EXPECT_GT(decodedCount, 1000U);
+  EXPECT_GT(refused, 1000U);
 }

@@ -48,23 +48,75 @@ CatalogEntry makeEntry(DaemonRole role, const std::string& name,
   return entry;
 }
 
-/// Every retained *coarse* window of every series in `child` must exist
-/// in `parent` with at least the same count — the zero-acked-loss
+/// One forwarded window with its series key: the flattened form of a
+/// kForward frame's series blocks that the tests below write and compare.
+struct FlatWindow {
+  std::string job;
+  std::int32_t rank = 0;
+  std::string metric;
+  std::uint8_t resolution = 0;  ///< 0 = fine, 1 = coarse
+  std::int64_t windowIndex = 0;
+  double min = 0.0;
+  double max = 0.0;
+  double sum = 0.0;
+  std::uint64_t count = 0;
+
+  friend bool operator==(const FlatWindow&, const FlatWindow&) = default;
+};
+
+/// Series blocks holding `windows`: each run of consecutive windows of
+/// one series becomes one block.
+SeriesBlocks blocksOf(const std::vector<FlatWindow>& windows) {
+  SeriesBlocks out;
+  const FlatWindow* previous = nullptr;
+  for (const FlatWindow& w : windows) {
+    if (previous == nullptr || previous->job != w.job ||
+        previous->rank != w.rank || previous->metric != w.metric) {
+      out.open() = {w.job, w.rank, w.metric};
+    }
+    out.push({static_cast<Resolution>(w.resolution), w.windowIndex,
+              Rollup{w.min, w.max, w.sum, w.count}});
+    previous = &w;
+  }
+  return out;
+}
+
+/// Every window of `blocks`, in order, each with its block's key.
+std::vector<FlatWindow> flatten(const SeriesBlocks& blocks) {
+  std::vector<FlatWindow> out;
+  for (const SeriesBlocks::Block& block : blocks.blocks()) {
+    for (const WindowSnapshot& w : blocks.windows(block)) {
+      out.push_back({block.key.job, block.key.rank, block.key.metric,
+                     static_cast<std::uint8_t>(w.resolution), w.windowIndex,
+                     w.rollup.min, w.rollup.max, w.rollup.sum,
+                     w.rollup.count});
+    }
+  }
+  return out;
+}
+
+/// Every retained *coarse* window of `key` in `child` must exist in
+/// `parent` with at least the same count — the zero-acked-loss
 /// check.  Coarse only: the fine plane is the degradable one (under
 /// acked upstream pressure the forwarder withholds fine windows, the
 /// hop-by-hop rung of the degradation ladder), so only coarse windows
 /// carry the lossless contract.
-void expectSubsumed(const RollupStore& child, const RollupStore& parent) {
+void expectSeriesSubsumed(const RollupStore& child, const RollupStore& parent,
+                          const SeriesKey& key) {
   constexpr Resolution res = Resolution::kCoarse;
+  for (const auto& window : child.range(key, -1e12, 1e12, res)) {
+    const auto held = parent.range(key, window.windowStartSeconds,
+                                   window.windowStartSeconds, res);
+    ASSERT_EQ(held.size(), 1U)
+        << key.job << "/" << key.rank << "/" << key.metric << " window "
+        << window.windowStartSeconds << " missing";
+    EXPECT_GE(held[0].rollup.count, window.rollup.count);
+  }
+}
+
+void expectSubsumed(const RollupStore& child, const RollupStore& parent) {
   for (const auto& key : child.keys()) {
-    for (const auto& window : child.range(key, -1e12, 1e12, res)) {
-      const auto held = parent.range(key, window.windowStartSeconds,
-                                     window.windowStartSeconds, res);
-      ASSERT_EQ(held.size(), 1U)
-          << key.job << "/" << key.rank << "/" << key.metric << " window "
-          << window.windowStartSeconds << " missing";
-      EXPECT_GE(held[0].rollup.count, window.rollup.count);
-    }
+    expectSeriesSubsumed(child, parent, key);
   }
 }
 
@@ -85,10 +137,15 @@ TEST(FedWire, ForwardFrameRoundTrips) {
       {"simjob", 9, 16, "nid00009", 0, 1.25});
   frame.forwardSources.push_back(
       {"simjob", 10, 16, "nid00010", 1, 31.0});
-  frame.forwardWindows.push_back(
-      {"simjob", 9, "hwt.0.user_pct", 0, 123, 1.0, 9.0, 15.0, 4});
-  frame.forwardWindows.push_back(
-      {"simjob", 10, "mem.rss", 1, 12, 5.0, 5.0, 5.0, 1});
+  const std::vector<FlatWindow> windows = {
+      {"simjob", 9, "hwt.0.user_pct", 0, 123, 1.0, 9.0, 15.0, 4},
+      {"simjob", 9, "hwt.0.user_pct", 0, 124, 2.0, 2.0, 2.0, 1},
+      {"simjob", 9, "hwt.0.user_pct", 1, 12, 1.0, 9.0, 17.0, 5},
+      {"simjob", 10, "mem.rss", 1, 12, 5.0, 5.0, 5.0, 1},
+      {"simjob", 10, "mem.rss", 1, 13, -4.5, 1e300, 0.25, 1ULL << 40},
+  };
+  frame.forwardSeries = blocksOf(windows);
+  ASSERT_EQ(frame.forwardSeries.blocks().size(), 2U);
 
   const Frame decoded = decodeFrame(encodeFrame(frame));
   EXPECT_EQ(decoded.kind, FrameKind::kForward);
@@ -99,7 +156,8 @@ TEST(FedWire, ForwardFrameRoundTrips) {
   EXPECT_EQ(decoded.rankLo, 8);
   EXPECT_EQ(decoded.rankHi, 15);
   EXPECT_EQ(decoded.forwardSources, frame.forwardSources);
-  EXPECT_EQ(decoded.forwardWindows, frame.forwardWindows);
+  EXPECT_EQ(decoded.forwardSeries.blocks().size(), 2U);
+  EXPECT_EQ(flatten(decoded.forwardSeries), windows);
 }
 
 TEST(FedWire, CatalogFramesRoundTrip) {
@@ -369,7 +427,7 @@ TEST(FedDaemon, ForwardFramesIngestIdempotentlyAndCountHops) {
   frame.origin = "node-0";
   frame.hopCount = 2;
   frame.forwardSources.push_back({"job", 3, 8, "nid3", 0, 0.5});
-  frame.forwardWindows.push_back({"job", 3, "m", 0, 5, 1.0, 3.0, 4.0, 2});
+  frame.forwardSeries = blocksOf({{"job", 3, "m", 0, 5, 1.0, 3.0, 4.0, 2}});
   ASSERT_TRUE(transport->send(encodeFrame(frame)));
   daemon.poll(5.0);
 
@@ -392,7 +450,7 @@ TEST(FedDaemon, ForwardFramesIngestIdempotentlyAndCountHops) {
   EXPECT_EQ(daemon.store().latest(key)->rollup.count, 2U);
 
   frame.batchSeq = 3;
-  frame.forwardWindows[0] = {"job", 3, "m", 0, 5, 1.0, 9.0, 13.0, 3};
+  frame.forwardSeries = blocksOf({{"job", 3, "m", 0, 5, 1.0, 9.0, 13.0, 3}});
   ASSERT_TRUE(transport->send(encodeFrame(frame)));
   daemon.poll(5.2);
   EXPECT_EQ(daemon.store().latest(key)->rollup.count, 3U);
@@ -400,10 +458,11 @@ TEST(FedDaemon, ForwardFramesIngestIdempotentlyAndCountHops) {
 }
 
 TEST(FedDaemon, InterleavedForwardRunsApplyEachWindowByItsOwnRules) {
-  // One frame whose windows interleave two series (A fine, A coarse, B
-  // fine, A fine again), with hostile and out-of-horizon windows inside
-  // A's runs.  DESIGN.md §11's rules apply per window, whatever run a
-  // window rides in: hostile or beyond-horizon windows are rejected, a
+  // One frame whose blocks interleave two series (A fine and coarse, B
+  // fine, A fine again: three blocks, A's key twice), with hostile and
+  // out-of-horizon windows inside A's blocks.  DESIGN.md §11's rules
+  // apply per window, whatever block a window rides in: hostile or
+  // beyond-horizon windows are rejected, a
   // snapshot replaces the stored one only with a higher count, and every
   // rejected window counts as a merge conflict.
   StoreOptions storeOptions;
@@ -421,22 +480,23 @@ TEST(FedDaemon, InterleavedForwardRunsApplyEachWindowByItsOwnRules) {
   frame.batchSeq = 1;
   frame.origin = "node-0";
   frame.hopCount = 1;
-  frame.forwardWindows = {
-      // A's first run.
+  frame.forwardSeries = blocksOf({
+      // A's first block.
       {"job", 0, "a", 0, 10, 1.0, 3.0, 4.0, 2},   // applied: new window
       {"job", 0, "a", 0, 11, 0.0, 0.0, 0.0, 0},   // count 0: rejected
       {"job", 0, "a", 0, 12, 2.0, 2.0, nan, 1},   // NaN sum: rejected
       {"job", 0, "a", 1, 1, 1.0, 3.0, 4.0, 2},    // applied: coarse plane
       {"job", 0, "a", 1, -1, 1.0, 1.0, 1.0, 1},   // negative index: rejected
-      // B's run.
+      // B's block.
       {"job", 1, "a", 0, 10, 5.0, 5.0, 5.0, 1},   // applied: new series
-      // A's second run.  Once window 13 lands, the fine horizon keeps
+      // A's second block.  Once window 13 lands, the fine horizon keeps
       // indices >= 13 - 4 + 1 = 10.
       {"job", 0, "a", 0, 13, 7.0, 7.0, 7.0, 1},   // applied
       {"job", 0, "a", 0, 6, 1.0, 1.0, 1.0, 9},    // beyond horizon: rejected
       {"job", 0, "a", 0, 10, 0.5, 9.0, 20.0, 5},  // count 5 > 2: replaces
       {"job", 0, "a", 0, 13, 7.0, 7.0, 7.0, 1},   // count 1 = 1: conflict
-  };
+  });
+  ASSERT_EQ(frame.forwardSeries.blocks().size(), 3U);
   ASSERT_TRUE(transport->send(encodeFrame(frame)));
   daemon.poll(20.0);
   EXPECT_EQ(daemon.counters().forwardWindows, 5U);
@@ -657,16 +717,19 @@ TEST(FedForwarder, SeriesStraddlingAFrameArrivesWholeAndInOrder) {
 
   // Nine windows through 4-window frames: b straddles all three.
   ASSERT_EQ(upstream.frames.size(), 3U);
-  std::vector<ForwardWindow> received;
+  std::vector<FlatWindow> received;
   for (std::size_t i = 0; i < upstream.frames.size(); ++i) {
     const Frame& frame = upstream.frames[i];
     EXPECT_EQ(frame.batchSeq, i + 1);
-    EXPECT_EQ(frame.forwardWindows.size(), i < 2 ? 4U : 1U);
-    received.insert(received.end(), frame.forwardWindows.begin(),
-                    frame.forwardWindows.end());
+    EXPECT_EQ(frame.forwardSeries.windowCount(), i < 2 ? 4U : 1U);
+    // One block per series in the frame: a, then b's first windows; the
+    // later frames continue b in their one block.
+    EXPECT_EQ(frame.forwardSeries.blocks().size(), i == 0 ? 2U : 1U);
+    const auto windows = flatten(frame.forwardSeries);
+    received.insert(received.end(), windows.begin(), windows.end());
   }
   // Key order, then (resolution, index) order within each series.
-  const std::vector<ForwardWindow> expected = {
+  const std::vector<FlatWindow> expected = {
       {"job", 0, "a", 0, 0, 1.0, 1.0, 1.0, 1},
       {"job", 0, "a", 0, 1, 1.0, 1.0, 1.0, 1},
       {"job", 0, "a", 1, 0, 1.0, 1.0, 2.0, 2},
@@ -712,11 +775,11 @@ TEST(FedForwarder, WindowsQueuedBehindMaxInflightSendOnceWithTheNewestCount) {
   forwarder.pump(6.3);
   upstream.poll();
   ASSERT_EQ(upstream.frames.size(), 2U);
-  const std::vector<ForwardWindow> expected = {
+  const std::vector<FlatWindow> expected = {
       {"job", 0, "m", 0, 5, 1.0, 3.0, 6.0, 3},
       {"job", 0, "m", 1, 0, 1.0, 3.0, 6.0, 3},
   };
-  EXPECT_EQ(upstream.frames[1].forwardWindows, expected);
+  EXPECT_EQ(flatten(upstream.frames[1].forwardSeries), expected);
   EXPECT_EQ(forwarder.pendingWindows(), 0U);
 
   // Sent once: nothing follows once the second frame is acked too.
@@ -749,13 +812,46 @@ TEST(FedForwarder, ElevatedPressureWithholdsFineWindowsAndSendsCoarse) {
   upstream.poll();
   EXPECT_EQ(forwarder.upstreamPressure(2.1), PressureLevel::kElevated);
   ASSERT_EQ(upstream.frames.size(), 2U);
-  const std::vector<ForwardWindow> expected = {
+  const std::vector<FlatWindow> expected = {
       {"job", 0, "m", 1, 0, 1.0, 3.0, 6.0, 3},
   };
-  EXPECT_EQ(upstream.frames[1].forwardWindows, expected);
+  EXPECT_EQ(flatten(upstream.frames[1].forwardSeries), expected);
   EXPECT_EQ(forwarder.counters().windowsSuppressed, 2U);
   EXPECT_EQ(forwarder.counters().coarseOnlyFrames, 1U);
   EXPECT_EQ(forwarder.pendingWindows(), 0U);
+}
+
+TEST(FedForwarder, ASeriesWhoseWindowsAreAllWithheldSendsNoBlock) {
+  PipeHub localHub;
+  Aggregator local(localHub.makeServer());
+  UpstreamProbe upstream;
+  Forwarder forwarder(local, upstream.factory());
+  forwarder.setUpstreams({makeEntry(DaemonRole::kGroup, "g0", 1)}, 0.0);
+
+  const SeriesKey key{"job", 0, "m"};
+  local.mutableStore().ingest(key, 1.5, 1.0);
+  forwarder.pump(2.0);
+  upstream.poll();
+  ASSERT_EQ(upstream.frames.size(), 1U);
+  ASSERT_TRUE(upstream.ack(1, PressureLevel::kElevated));
+
+  // A forwarded window marks only itself dirty, so series "a" queues one
+  // fine window and nothing else; elevated pressure withholds it.
+  const SeriesKey fineOnly{"job", 0, "a"};
+  ASSERT_TRUE(local.mutableStore().ingestWindow(fineOnly, Resolution::kFine,
+                                                2, Rollup{1.0, 1.0, 1.0, 1}));
+  local.mutableStore().ingest(key, 2.5, 2.0);
+  forwarder.pump(2.1);
+  upstream.poll();
+  ASSERT_EQ(upstream.frames.size(), 2U);
+  const SeriesBlocks& sent = upstream.frames[1].forwardSeries;
+  ASSERT_EQ(sent.blocks().size(), 1U);
+  EXPECT_EQ(sent.blocks()[0].key, key);
+  const std::vector<FlatWindow> expected = {
+      {"job", 0, "m", 1, 0, 1.0, 2.0, 3.0, 2},
+  };
+  EXPECT_EQ(flatten(sent), expected);
+  EXPECT_EQ(forwarder.counters().windowsSuppressed, 2U);
 }
 
 namespace {
@@ -964,25 +1060,26 @@ TEST(FedTree, RollupsReachTheRootAcrossBothTiers) {
     ranksAtRoot.insert(key.rank);
   }
   EXPECT_EQ(ranksAtRoot.size(), 16U);
-  // Sharding means a node's series routes to *some* group by series
-  // hash — not necessarily its own parent — so the mid-tier check is
-  // against the union of group stores (RollupStore::merge, the same
-  // mechanism the root's query path is built on).
-  RollupStore groupUnion;
-  for (int g = 0; g < 2; ++g) {
-    groupUnion.merge(tree.group(g).store());
-  }
-  for (int g = 0; g < 2; ++g) {
-    for (int n = 0; n < 2; ++n) {
-      expectSubsumed(tree.node(g, n).store(), tree.root().store());
-      expectSubsumed(tree.node(g, n).store(), groupUnion);
-    }
-  }
   // The groups partition the series space: no series lives in two.
   for (const auto& key : tree.group(0).store().keys()) {
     EXPECT_TRUE(tree.group(1).store().range(key, -1e12, 1e12).empty())
         << key.job << "/" << key.rank << "/" << key.metric
         << " present in both groups";
+  }
+  // Sharding means a node's series routes to *some* group by series
+  // hash — not necessarily its own parent — so each node window is
+  // checked against whichever group holds its series.
+  for (int g = 0; g < 2; ++g) {
+    for (int n = 0; n < 2; ++n) {
+      const RollupStore& node = tree.node(g, n).store();
+      expectSubsumed(node, tree.root().store());
+      for (const auto& key : node.keys()) {
+        const bool inGroup0 =
+            !tree.group(0).store().range(key, -1e12, 1e12).empty();
+        const RollupStore& group = tree.group(inGroup0 ? 0 : 1).store();
+        expectSeriesSubsumed(node, group, key);
+      }
+    }
   }
   // The root sees every source, all forwarded at hop distance 2.
   const auto byHop = tree.root().sourcesByHop();

@@ -1296,7 +1296,6 @@ TEST_F(TsdbEngineTest, DaemonStreamWritesTheGuardedWalAndSegmentBytes) {
                                  : "g." + std::to_string(m));
   }
   aggregator::ClientOptions clientOptions;
-  clientOptions.adaptive = false;
   clientOptions.reconnectJitterFraction = 0.0;
   std::vector<std::unique_ptr<aggregator::Client>> clients;
   for (int rank = 0; rank < kRanks; ++rank) {

@@ -135,9 +135,10 @@ TEST(ZeroAlloc, AggregatorClientEnqueueSteadyState) {
   // Small queue bound so the vector FIFO finishes its first
   // overflow/compaction cycle — reaching its fixed capacity — in warmup.
   options.maxQueueRecords = 256;
-  // This measures the plain bounded-queue path; the pinned-full queue
-  // would otherwise escalate the degradation ladder.
-  options.adaptive = false;
+  // The pinned-full queue must not escalate the degradation ladder: this
+  // measures the full-resolution path, whose pump drains acks and steps
+  // the ladder every period.
+  options.escalateOccupancy = 1.1;
   aggregator::Client client(hub->makeClientTransport(), hello, options);
   std::vector<aggregator::IdRecord> batch;
   for (int i = 0; i < 32; ++i) {
@@ -146,10 +147,12 @@ TEST(ZeroAlloc, AggregatorClientEnqueueSteadyState) {
   }
   const std::uint64_t allocs = measuredAllocations([&] {
     client.enqueueIds(batch, 1.0);
+    client.pump(1.0);
   });
   EXPECT_EQ(allocs, 0u)
-      << "bounded-queue enqueue must not allocate once warm";
+      << "bounded-queue enqueue and pump must not allocate once warm";
   EXPECT_GT(client.counters().recordsEnqueued, 0u);
+  EXPECT_EQ(client.level(), aggregator::DegradeLevel::kFull);
 }
 
 TEST(ZeroAlloc, InternedLookupIsAllocationFree) {
