@@ -19,7 +19,8 @@
 # Finally a live federation smoke: three zerosum-aggd processes form a
 # node -> group -> root tree via the root's catalog and a monitored run
 # discovered through ZS_AGG_CATALOG must surface at the root, as sources
-# and as forwarded windows its read plane answers from.
+# and as forwarded windows its read plane answers from, under only the
+# metric names the run published.
 #
 # Usage: scripts/check.sh [--no-sanitize]
 set -euo pipefail
@@ -237,6 +238,28 @@ while True:
         raise SystemExit(f"no hop-2 source and forwarded windows reached "
                          f"the root ({len(snap['series'])} series): {h}")
     time.sleep(0.3)
+PY
+# Names cross each hop as connection-scoped references into a table of
+# text the hop declared; three processes mean three interners, so a
+# process-local id leaking onto the wire would surface at the root as a
+# name the run never published.
+python3 - "$ROOT_HTTP" <<'PY'
+import json, re, sys, urllib.request
+port = sys.argv[1]
+series = json.load(urllib.request.urlopen(
+    f"http://127.0.0.1:{port}/api/query?op=series", timeout=10))["series"]
+published = re.compile(
+    r"(lwp|hwt)\.\d+\.[a-z_]+(\.min|\.max)?"  # lwp.<tid>.<field>, hwt.<cpu>.<field>
+    r"|gpu\.\d+\..+"                          # gpu.<n>.<label>
+    r"|mem\.[a-z_]+(\.min|\.max)?")           # mem.<field>
+metrics = sorted({s["metric"] for s in series})
+foreign = [m for m in metrics if not published.fullmatch(m)]
+if foreign:
+    raise SystemExit(f"root lists metrics the run never published: {foreign}")
+if not any(m.startswith(("lwp.", "hwt.")) for m in metrics):
+    raise SystemExit(f"root lists no lwp. or hwt. metric: {metrics}")
+print(f"smoke: all {len(metrics)} metric names at the root are ones the "
+      f"run published")
 PY
 kill "$ROOT_PID" "$GROUP_PID" "$NODE_PID" 2>/dev/null || true
 trap - EXIT

@@ -111,8 +111,9 @@ bool Client::ensureConnected(double nowSeconds) {
     ctrReconnects_->add();
   }
   everConnected_ = true;
-  // The new byte stream starts fresh on both sides.
+  // The new byte stream starts fresh on both sides, name tables too.
   ackReader_ = FrameReader{};
+  names_.clear();
   inflight_.clear();
   // Re-announce identity on every new connection: the daemon binds the
   // connection to a source via the Hello.
@@ -294,17 +295,6 @@ void Client::closeCoarseWindow(double nowSeconds) {
   dropOverflow();
 }
 
-void Client::enqueue(const std::vector<WireRecord>& records,
-                     double nowSeconds) {
-  idScratch_.clear();
-  idScratch_.reserve(records.size());
-  for (const auto& record : records) {
-    idScratch_.push_back(
-        {record.timeSeconds, names::intern(record.name), record.value});
-  }
-  enqueueIds(idScratch_, nowSeconds);
-}
-
 void Client::enqueueIds(const std::vector<IdRecord>& records,
                         double nowSeconds) {
   ZS_TRACE_SCOPE("zs.agg.client.enqueue");
@@ -383,13 +373,11 @@ void Client::flush(double nowSeconds, bool force) {
     const std::size_t n = std::min(queueSize(), options_.batchRecords);
     batch.records.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
-      const IdRecord& r = queue_[head_ + i].record;
-      // The wire edge: the interned id becomes name text here, and only
-      // here — queued records never hold strings.
-      batch.records.push_back(
-          {r.timeSeconds, std::string(names::lookup(r.name)), r.value});
+      batch.records.push_back(queue_[head_ + i].record);
     }
-    if (!transport_->send(encodeFrame(batch))) {
+    // The wire edge: a name's text goes out only in the first frame of
+    // the connection that uses it; the rest carry its reference.
+    if (!transport_->send(encodeFrame(batch, names_))) {
       // Keep the batch queued for the next connection: the queue bound
       // (dropOverflow) caps memory against a daemon that never comes
       // back, so retaining these records costs nothing unbounded — and a

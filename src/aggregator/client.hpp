@@ -2,7 +2,7 @@
 // paper §3.1): a bounded send queue drained synchronously from the
 // publish path.  Nothing here can stall or crash the application —
 //
-//   * enqueue() is O(records) copies into a bounded deque; when the
+//   * enqueueIds() is O(records) copies into a bounded queue; when the
 //     queue is full the oldest records are dropped and counted;
 //   * pump() flushes batches by count/age through the Transport; a
 //     failed send marks the connection dead, keeps the batch queued for
@@ -28,7 +28,7 @@
 // run of calm pumps.  See DESIGN.md §9 for the exact transition rules.
 //
 // The client is not a thread: the owner (SessionPublisher) calls
-// enqueue()+pump() per sampling period on whatever thread publishes.
+// enqueueIds()+pump() per sampling period on whatever thread publishes.
 #pragma once
 
 #include <cstdint>
@@ -122,11 +122,9 @@ class Client {
   /// Queues records for delivery (bounded; drops oldest on overflow) and
   /// pumps.  `nowSeconds` is the caller's clock — virtual time in the
   /// simulator, wall time live — and drives batch age and backoff.
-  void enqueue(const std::vector<WireRecord>& records, double nowSeconds);
-
-  /// Same contract as enqueue(), but names arrive as interned ids and
-  /// stay ids until flush materializes the outgoing frame — the
-  /// steady-state publish path queues without touching a string.
+  /// Names stay interned ids all the way into the outgoing frame, which
+  /// sends a name's text only the first time the connection uses it, so
+  /// the steady-state publish path never touches a string.
   void enqueueIds(const std::vector<IdRecord>& records, double nowSeconds);
 
   /// Flushes due batches, drains daemon acks, advances the degradation
@@ -225,7 +223,8 @@ class Client {
   std::uint64_t nextBatchSeq_ = 1;
   FrameReader ackReader_;
   std::string recvScratch_;
-  std::vector<IdRecord> idScratch_;  ///< enqueue(WireRecord) conversion
+  /// The connection's name table; cleared on every new connection.
+  NameRefs names_;
 
   double lastSendAt_ = 0.0;  ///< drives the idle-heartbeat timer
 

@@ -17,6 +17,23 @@
 
 namespace zerosum::aggregator {
 
+namespace {
+
+/// True for "hwt.<n>.user_pct", n a CPU number.
+bool isHwtUserPct(std::string_view metric) {
+  constexpr std::string_view kPrefix = "hwt.";
+  constexpr std::string_view kSuffix = ".user_pct";
+  if (metric.size() <= kPrefix.size() + kSuffix.size() ||
+      !metric.starts_with(kPrefix) || !metric.ends_with(kSuffix)) {
+    return false;
+  }
+  const std::string_view cpu = metric.substr(
+      kPrefix.size(), metric.size() - kPrefix.size() - kSuffix.size());
+  return std::ranges::all_of(cpu, [](char c) { return c >= '0' && c <= '9'; });
+}
+
+}  // namespace
+
 const char* sourceStateName(SourceState state) {
   switch (state) {
     case SourceState::kActive: return "active";
@@ -60,8 +77,8 @@ Aggregator::Aggregator(std::unique_ptr<TransportServer> server,
   gaugeBacklog_->set(0.0);
 }
 
-SourceInfo* Aggregator::sourceOf(const std::string& job, int rank) {
-  const auto it = sources_.find({job, rank});
+SourceInfo* Aggregator::sourceOf(std::string_view job, int rank) {
+  const auto it = sources_.find({std::string(job), rank});
   return it == sources_.end() ? nullptr : &it->second;
 }
 
@@ -136,14 +153,14 @@ Aggregator::PendingBatch Aggregator::popPending() {
   return batch;
 }
 
-void Aggregator::persistSource(const std::pair<std::string, int>& key,
+void Aggregator::persistSource(std::string_view job, int rank,
                                const SourceInfo& info) {
   if (engine_ == nullptr) {
     return;
   }
   tsdb::SourceRecord record;
-  record.job = key.first;
-  record.rank = key.second;
+  record.job = job;
+  record.rank = rank;
   record.worldSize = info.hello.worldSize;
   record.hostname = info.hello.hostname;
   record.pid = info.hello.pid;
@@ -208,6 +225,7 @@ void Aggregator::handleFrame(std::uint64_t connection, ConnState& conn,
   if (frame.kind == FrameKind::kHello) {
     conn.helloSeen = true;
     conn.job = frame.hello.job;
+    conn.jobId = names::intern(conn.job);
     conn.rank = frame.hello.rank;
     SourceInfo& info = sources_[{conn.job, conn.rank}];
     const bool fresh = info.lastSeenSeconds == 0.0 && info.batches == 0;
@@ -219,7 +237,7 @@ void Aggregator::handleFrame(std::uint64_t connection, ConnState& conn,
     info.lastSeenSeconds = nowSeconds;
     int& expected = expectedRanks_[conn.job];
     expected = std::max(expected, frame.hello.worldSize);
-    persistSource({conn.job, conn.rank}, info);
+    persistSource(conn.job, conn.rank, info);
     return;
   }
   if (!conn.helloSeen) {
@@ -253,7 +271,7 @@ void Aggregator::handleFrame(std::uint64_t connection, ConnState& conn,
       break;
     case FrameKind::kGoodbye:
       info->state = SourceState::kDeparted;
-      persistSource({conn.job, conn.rank}, *info);
+      persistSource(conn.job, conn.rank, *info);
       break;
     default:
       break;
@@ -272,7 +290,7 @@ void Aggregator::admitBatch(std::uint64_t connection, ConnState& conn,
   }
   PendingBatch batch;
   batch.connection = connection;
-  batch.job = conn.job;
+  batch.job = conn.jobId;
   batch.rank = conn.rank;
   batch.admittedAt = nowSeconds;
   if (frame.kind == FrameKind::kBatch) {
@@ -310,22 +328,32 @@ void Aggregator::processBatch(PendingBatch& batch, double nowSeconds) {
     latRoundtrip_->observe(frame.prevRoundtripSeconds);
   }
   ++counters_.batchesIngested;
-  counters_.recordsIngested += frame.records.size();
-  ctrRecordsIngested_->add(frame.records.size());
-  auto& seriesRefs = seriesRefs_[{batch.job, batch.rank}];
-  keyScratch_.job.assign(batch.job);
-  keyScratch_.rank = batch.rank;
-  idScratch_.clear();
-  for (const auto& record : frame.records) {
-    // One intern per record resolves the per-source series ref (the ref
-    // then skips the store's key hash and string compares) and names the
-    // record for the engine.
-    const names::Id metricId = names::intern(record.name);
-    RollupStore::SeriesRef& ref = seriesRefs[metricId];
-    keyScratch_.metric.assign(record.name);
-    store_.ingest(keyScratch_, ref, record.timeSeconds, record.value);
-    idScratch_.push_back({record.timeSeconds, metricId, record.value});
+  // Records arrive named by this daemon's ids (the connection's reader
+  // resolved their references), so each finds its series ref by id.  A
+  // name the interner refused (kInvalidId), the record's or the Hello's
+  // job, keys nothing: the record is counted and dropped here, and never
+  // reaches the store, the engine or the source registry (DESIGN.md §8).
+  if (batch.job == names::kInvalidId) {
+    counters_.unnamedDropped += frame.records.size();
+    if (frame.batchSeq != 0) {
+      pendingAcks_.push_back({batch.connection, frame.batchSeq, 0, nowSeconds});
+    }
+    return;
   }
+  auto& seriesRefs = seriesRefs_[{batch.job, batch.rank}];
+  std::size_t unnamed = 0;
+  for (const IdRecord& record : frame.records) {
+    if (record.name == names::kInvalidId) {
+      ++unnamed;
+      continue;
+    }
+    store_.ingest({batch.job, batch.rank, record.name}, seriesRefs[record.name],
+                  record.timeSeconds, record.value);
+  }
+  const std::size_t ingested = frame.records.size() - unnamed;
+  counters_.recordsIngested += ingested;
+  counters_.unnamedDropped += unnamed;
+  ctrRecordsIngested_->add(ingested);
   std::uint64_t ackTicket = 0;
   if (engine_ != nullptr) {
     // Durable before the batch is acknowledged: either the WAL append
@@ -333,7 +361,8 @@ void Aggregator::processBatch(PendingBatch& batch, double nowSeconds) {
     // durable frontier passes the batch's ticket.  Either way anything
     // a client saw acked survives a crash.
     if (writer_ != nullptr) {
-      const auto ticket = writer_->submit(batch.job, batch.rank, idScratch_);
+      const auto ticket = writer_->submit(batch.job, batch.rank,
+                                          frame.records);
       if (ticket) {
         ackTicket = *ticket;
       } else {
@@ -341,18 +370,19 @@ void Aggregator::processBatch(PendingBatch& batch, double nowSeconds) {
         // records are durable immediately, so the ack needs no ticket.
         ++counters_.writerBypasses;
         std::lock_guard<std::mutex> lock(writer_->engineMutex());
-        engine_->append(batch.job, batch.rank, idScratch_);
+        engine_->append(batch.job, batch.rank, frame.records);
       }
     } else {
-      engine_->append(batch.job, batch.rank, idScratch_);
+      engine_->append(batch.job, batch.rank, frame.records);
     }
   }
-  SourceInfo* info = sourceOf(batch.job, batch.rank);
+  const std::string_view job = names::lookup(batch.job);
+  SourceInfo* info = sourceOf(job, batch.rank);
   if (info != nullptr) {
     info->lastSeenSeconds = std::max(info->lastSeenSeconds, batch.admittedAt);
     ++info->batches;
-    info->records += frame.records.size();
-    persistSource({batch.job, batch.rank}, *info);
+    info->records += ingested;
+    persistSource(job, batch.rank, *info);
   }
   if (frame.batchSeq != 0) {
     pendingAcks_.push_back(
@@ -402,10 +432,17 @@ void Aggregator::processForward(PendingBatch& batch, double nowSeconds) {
   // membership change) — counted, kept.
   const SeriesBlocks& series = frame.forwardSeries;
   std::uint64_t applied = 0;
+  std::uint64_t unnamed = 0;
   for (const SeriesBlocks::Block& block : series.blocks()) {
+    if (block.key.job == names::kInvalidId ||
+        block.key.metric == names::kInvalidId) {
+      unnamed += block.count;  // a name the interner refused
+      continue;
+    }
     applied += store_.ingestWindows(block.key, series.windows(block));
   }
-  const std::uint64_t conflicts = series.windowCount() - applied;
+  counters_.unnamedDropped += unnamed;
+  const std::uint64_t conflicts = series.windowCount() - unnamed - applied;
   counters_.forwardWindows += applied;
   counters_.forwardConflicts += conflicts;
   ctrFaninWindows_->add(applied);
@@ -640,22 +677,18 @@ std::string Aggregator::dashboard(double nowSeconds) const {
           << strings::padLeft("quarant.", 10) << '\n';
     }
     // Per-rank utilization: mean of the newest coarse windows of every
-    // hwt.*.user_pct series this rank reports (the Figure-7 view rolled
-    // up to one number).
+    // hwt.<n>.user_pct series this rank reports (the Figure-7 view rolled
+    // up to one number), read in one walk of the source's series.
     double cpuSum = 0.0;
     int cpuCount = 0;
-    for (const auto& seriesKey : store_.keysOf(key.first, key.second)) {
-      if (seriesKey.metric.rfind("hwt.", 0) == 0 &&
-          seriesKey.metric.size() > 9 &&
-          seriesKey.metric.compare(seriesKey.metric.size() - 9, 9,
-                                   ".user_pct") == 0) {
-        const auto latest = store_.latest(seriesKey, Resolution::kCoarse);
-        if (latest) {
-          cpuSum += latest->rollup.avg();
-          ++cpuCount;
-        }
+    const auto cpu = [&](const SeriesKey& series, const NewestWindows& newest) {
+      if (newest.coarse && isHwtUserPct(series.metricName())) {
+        cpuSum += newest.coarse->rollup.avg();
+        ++cpuCount;
       }
-    }
+    };
+    store_.snapshotNewest(key.first, key.second, {})
+        .forEachNewest(std::nullopt, std::nullopt, {}, cpu);
     out << strings::padRight(std::to_string(key.second), 6)
         << strings::padRight(info.hello.hostname, 14)
         << strings::padRight(sourceStateName(info.state), 10)

@@ -26,6 +26,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "aggregator/store.hpp"
@@ -102,6 +103,10 @@ struct DaemonCounters {
                                         ///< than the stored window
   std::uint64_t catalogAnnounces = 0;   ///< kCatalogAnnounce handled
   std::uint64_t clockRegressions = 0;   ///< poll() clock moved backwards
+  /// Records and forwarded windows dropped because the name table was
+  /// full when their name, or their connection's Hello job, was declared
+  /// (names::intern refused it).
+  std::uint64_t unnamedDropped = 0;
 };
 
 class Aggregator {
@@ -196,6 +201,9 @@ class Aggregator {
     FrameReader reader;
     bool helloSeen = false;
     std::string job;
+    /// `job`, interned once; kInvalidId if the interner refused it, and
+    /// then every record of the connection is dropped and counted.
+    names::Id jobId = names::kInvalidId;
     int rank = 0;
     /// Client-to-daemon clock offset estimate: the running minimum of
     /// (daemon now at decode - batch encodeSeconds).  The minimum over
@@ -211,7 +219,7 @@ class Aggregator {
   /// closes before it is processed (lossless).
   struct PendingBatch {
     std::uint64_t connection = 0;
-    std::string job;
+    names::Id job = names::kInvalidId;
     int rank = 0;
     double admittedAt = 0.0;
     /// Connection clock-offset estimate captured at admission (the
@@ -246,9 +254,8 @@ class Aggregator {
   void sendAck(std::uint64_t connection, std::uint64_t batchSeq);
   /// Sends every pending ack whose records are past the durable frontier.
   void flushAcks(double nowSeconds);
-  SourceInfo* sourceOf(const std::string& job, int rank);
-  void persistSource(const std::pair<std::string, int>& key,
-                     const SourceInfo& info);
+  SourceInfo* sourceOf(std::string_view job, int rank);
+  void persistSource(std::string_view job, int rank, const SourceInfo& info);
 
   std::unique_ptr<TransportServer> server_;
   tsdb::Engine* engine_ = nullptr;
@@ -270,17 +277,13 @@ class Aggregator {
   /// threads call (QueryService::execute) while poll() admits and drains.
   std::atomic<std::size_t> pendingDepth_{0};
   std::deque<PendingAck> pendingAcks_;
-  /// Per-source ingest cache: interned metric name -> resolved store
-  /// series.  Keyed by (job, rank) — not per connection — so deferred
-  /// batches and reconnecting clients reuse the resolved refs; one
-  /// intern lookup per record instead of hashing and comparing the
-  /// (job, rank, metric) strings.
-  std::map<std::pair<std::string, int>, std::map<names::Id, RollupStore::SeriesRef>>
+  /// Per-source ingest cache: metric id -> resolved store series.  Keyed
+  /// by (job id, rank) — not per connection — so deferred batches and
+  /// reconnecting clients reuse the resolved refs, and a record's series
+  /// is found by its id without walking the store's map.
+  std::map<std::pair<names::Id, int>,
+           std::map<names::Id, RollupStore::SeriesRef>>
       seriesRefs_;
-  /// Ingest scratch, reused every batch (strings keep their capacity).
-  SeriesKey keyScratch_;
-  /// The batch's records as the engine takes them: names interned once.
-  std::vector<IdRecord> idScratch_;
   /// (job, rank) -> registry entry.
   std::map<std::pair<std::string, int>, SourceInfo> sources_;
   /// Highest worldSize announced per job (missing-rank detection).

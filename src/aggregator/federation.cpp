@@ -1,6 +1,7 @@
 #include "aggregator/federation.hpp"
 
 #include <algorithm>
+#include <string_view>
 #include <tuple>
 
 #include "common/error.hpp"
@@ -21,7 +22,7 @@ std::uint64_t fnv1a(const char* data, std::size_t size,
   return h;
 }
 
-std::uint64_t fnv1a(const std::string& s, std::uint64_t seed) {
+std::uint64_t fnv1a(std::string_view s, std::uint64_t seed) {
   return fnv1a(s.data(), s.size(), seed);
 }
 
@@ -32,12 +33,14 @@ std::uint32_t fold(std::uint64_t h) {
 }  // namespace
 
 std::uint32_t shardOfSeries(const SeriesKey& key) {
-  std::uint64_t h = fnv1a(key.job, 1469598103934665603ULL);
+  // Hashes the names' text, never their process-local ids, so every
+  // daemon routes a series alike.
+  std::uint64_t h = fnv1a(key.jobName(), 1469598103934665603ULL);
   h = fnv1a("\0", 1, h);
   const std::int32_t rank = key.rank;
   h = fnv1a(reinterpret_cast<const char*>(&rank), sizeof(rank), h);
   h = fnv1a("\0", 1, h);
-  h = fnv1a(key.metric, h);
+  h = fnv1a(key.metricName(), h);
   return fold(h);
 }
 
@@ -174,6 +177,7 @@ bool Forwarder::ensureConnected(Link& link, double nowSeconds) {
   }
   link.currentBackoff = 0.0;
   link.reader = FrameReader();
+  link.names.clear();
   link.inflight.clear();
   link.lastSourceRefresh = -1.0;
   if (link.everConnected) {
@@ -378,7 +382,7 @@ void Forwarder::sendPending(Link& link, double nowSeconds) {
     if (windows == 0 && !sourcesDue) {
       break;  // pressure suppression consumed everything sendable
     }
-    if (!link.transport->send(encodeFrame(frame))) {
+    if (!link.transport->send(encodeFrame(frame, link.names))) {
       // The frame (and its windows) evaporates with the connection; the
       // reconnect path resyncs, so nothing is lost — just re-sent.
       ++counters_.sendFailures;

@@ -175,6 +175,8 @@ class Forwarder {
     std::unique_ptr<Transport> transport;
     FrameReader reader;
     std::string recvScratch;
+    /// The connection's name table; cleared on every new connection.
+    NameRefs names;
     /// Routed windows awaiting send: per series in key order, each
     /// series' windows in (resolution, index) order.  A newer snapshot of
     /// a queued window replaces it in place, and queuing a newer block of

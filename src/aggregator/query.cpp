@@ -63,9 +63,9 @@ void writeWindowRow(json::Writer& w, const WindowRollup& row) {
 /// Opens a series entry: its key fields.
 void writeKey(json::Writer& w, const SeriesKey& key) {
   w.beginObject()
-      .field("job", key.job)
+      .field("job", key.jobName())
       .field("rank", static_cast<std::int64_t>(key.rank))
-      .field("metric", key.metric);
+      .field("metric", key.metricName());
 }
 
 /// The `sources` answer.  `live` adds the fields only a running daemon
@@ -307,9 +307,9 @@ std::string rangeBody(const ReadView& view, const QueryRequest& request) {
   json::Writer w(out);
   w.beginObject()
       .field("generation", view.generation())
-      .field("job", key.job)
+      .field("job", request.job.value_or(""))
       .field("rank", static_cast<std::int64_t>(key.rank))
-      .field("metric", key.metric)
+      .field("metric", request.metric)
       .field("resolution", resolutionName(request.resolution))
       .key("windows")
       .beginArray();
@@ -360,7 +360,7 @@ std::string windowBody(const ReadView& view, const QueryRequest& request,
                     }
                     ++folded;
                     w.beginObject()
-                        .field("job", key.job)
+                        .field("job", key.jobName())
                         .field("rank", static_cast<std::int64_t>(key.rank))
                         .field("min", rollup.min)
                         .field("avg", rollup.avg())

@@ -92,9 +92,11 @@ struct QueryRequest {
   Resolution resolution = Resolution::kFine;
   double windowSeconds = 60.0;  ///< `window` op
 
-  /// The series a `range` reads.
+  /// The series a `range` reads, its names resolved by names::find(): a
+  /// name never interned names no series.
   [[nodiscard]] SeriesKey rangeKey() const {
-    return {job.value_or(""), rank.value_or(0), metric};
+    return {names::find(job.value_or("")), rank.value_or(0),
+            names::find(metric)};
   }
 };
 

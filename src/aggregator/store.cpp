@@ -23,9 +23,11 @@ RollupStore::RollupStore(StoreOptions options) : options_(options) {
 }
 
 RollupStore::SeriesMap::const_iterator RollupStore::firstOf(
-    const std::string& job, std::optional<int> rank) const {
+    names::Id job, std::optional<int> rank) const {
+  // No stored metric sorts before kInvalidId: it reads "", and wins the
+  // id tie-break against intern("").
   return series_.lower_bound(
-      {job, rank.value_or(std::numeric_limits<int>::min()), ""});
+      {job, rank.value_or(std::numeric_limits<int>::min()), names::kInvalidId});
 }
 
 double RollupStore::windowSeconds(Resolution resolution) const {
@@ -126,15 +128,19 @@ void RollupStore::ingest(const SeriesKey& key, SeriesRef& ref,
   mergeLocked(*ref.series, *fineIndex, value);
 }
 
-std::size_t RollupStore::evictSource(const std::string& job, int rank) {
+std::size_t RollupStore::evictSource(std::string_view job, int rank) {
   // Invalidate outstanding SeriesRefs before any node is freed.
   generation_.fetch_add(1, std::memory_order_release);
   dataGeneration_.fetch_add(1, std::memory_order_release);
-  const auto ofSource = [&job, rank](const SeriesKey& key) {
-    return key.job == job && key.rank == rank;
+  const names::Id jobId = names::find(job);
+  if (jobId == names::kInvalidId) {
+    return 0;  // never interned: no series can be of this job
+  }
+  const auto ofSource = [jobId, rank](const SeriesKey& key) {
+    return key.job == jobId && key.rank == rank;
   };
   std::lock_guard<std::mutex> lock(mutex_);
-  const auto first = firstOf(job, rank);
+  const auto first = firstOf(jobId, rank);
   auto last = first;
   bool listed = false;
   std::size_t dropped = 0;
@@ -204,9 +210,9 @@ StoreSnapshot RollupStore::snapshot() const {
   // Read under the lock the copy is taken under: the copy and the
   // generation describe exactly the same instant.
   out.generation_ = dataGeneration_.load(std::memory_order_acquire);
-  // The copy touches each series' key and window chunks, which lie all
-  // over the heap, so it requests them a few series ahead instead of
-  // waiting on each miss in turn.
+  // The copy touches each series' window chunks, which lie all over the
+  // heap, so it requests them a few series ahead instead of waiting on
+  // each miss in turn.
   std::vector<const SeriesNode*> order;
   order.reserve(series_.size());
   for (const SeriesNode& node : series_) {
@@ -220,7 +226,6 @@ StoreSnapshot RollupStore::snapshot() const {
     }
     if (i + kAhead < order.size()) {
       const SeriesNode& ahead = *order[i + kAhead];
-      __builtin_prefetch(ahead.first.metric.data());
       ahead.second[Resolution::kFine].windows.prefetch();
       ahead.second[Resolution::kCoarse].windows.prefetch();
     }
@@ -239,17 +244,22 @@ StoreSnapshot RollupStore::snapshotNewest(
                          windows.end());
   };
   StoreSnapshot out = emptySnapshot();
+  const auto filter = seriesFilter(job, rank, metric);
   std::lock_guard<std::mutex> lock(mutex_);
   out.generation_ = dataGeneration_.load(std::memory_order_acquire);
+  if (!filter) {
+    return out;
+  }
   // A given job (and rank) selects one run of keys; without a job every
   // series is compared.
-  for (auto it = job ? firstOf(*job, rank) : series_.begin();
+  for (auto it = filter->job ? firstOf(*filter->job, rank) : series_.begin();
        it != series_.end(); ++it) {
     const auto& [key, series] = *it;
-    if (job && (key.job != *job || (rank && key.rank != *rank))) {
+    if (filter->job &&
+        (key.job != *filter->job || (rank && key.rank != *rank))) {
       break;  // past the run
     }
-    if (keyMatches(key, job, rank, metric)) {
+    if (keyMatches(key, *filter)) {
       out.series_.push_back({key, newest(series[Resolution::kFine].windows),
                              newest(series[Resolution::kCoarse].windows)});
     }
@@ -309,23 +319,18 @@ void StoreSnapshot::forEachKey(const std::optional<std::string>& job,
                                std::optional<int> rank,
                                const std::string& metric,
                                const KeyVisitor& visit) const {
-  for (const SeriesSnapshot& series : series_) {
-    if (keyMatches(series.key, job, rank, metric)) {
-      visit(series.key);
-    }
-  }
+  forEachMatch(job, rank, metric,
+               [&visit](const SeriesSnapshot& series) { visit(series.key); });
 }
 
 void StoreSnapshot::forEachNewest(const std::optional<std::string>& job,
                                   std::optional<int> rank,
                                   const std::string& metric,
                                   const NewestVisitor& visit) const {
-  for (const SeriesSnapshot& series : series_) {
-    if (keyMatches(series.key, job, rank, metric)) {
-      visit(series.key, {newest(series.fine, fineWindowSeconds_),
-                         newest(series.coarse, coarseWindowSeconds_)});
-    }
-  }
+  forEachMatch(job, rank, metric, [&](const SeriesSnapshot& series) {
+    visit(series.key, {newest(series.fine, fineWindowSeconds_),
+                       newest(series.coarse, coarseWindowSeconds_)});
+  });
 }
 
 std::vector<WindowRollup> StoreSnapshot::range(const SeriesKey& key, double t0,
@@ -358,7 +363,7 @@ std::size_t RollupStore::drainDirty(SeriesBlocks& out,
   for (; done < dirtySeries_.size() && out.windowCount() < maxWindows;
        ++done) {
     auto& [key, series] = *dirtySeries_[done];
-    out.open() = key;  // a spare block's strings keep their capacity
+    out.open() = key;
     for (const Resolution resolution :
          {Resolution::kFine, Resolution::kCoarse}) {
       Plane& plane = series[resolution];
@@ -451,13 +456,17 @@ std::vector<SeriesKey> RollupStore::keys() const {
   return out;
 }
 
-std::vector<SeriesKey> RollupStore::keysOf(const std::string& job,
+std::vector<SeriesKey> RollupStore::keysOf(std::string_view job,
                                            int rank) const {
   std::vector<SeriesKey> out;
+  const names::Id jobId = names::find(job);
+  if (jobId == names::kInvalidId) {
+    return out;
+  }
   std::lock_guard<std::mutex> lock(mutex_);
-  for (auto it = firstOf(job, rank); it != series_.end() &&
-                                     it->first.job == job &&
-                                     it->first.rank == rank;
+  for (auto it = firstOf(jobId, rank); it != series_.end() &&
+                                       it->first.job == jobId &&
+                                       it->first.rank == rank;
        ++it) {
     out.push_back(it->first);
   }

@@ -1,11 +1,14 @@
 // RollupStore: the aggregation daemon's time-series state.
 //
-// Series are keyed by (job, rank, metric) in one sorted map under one
-// lock.  Any thread may call any member; in practice the one writer is
-// the daemon loop (or a federation step), and readers on other threads
-// (QueryService::execute) take the same lock.  A source's series, and a
-// job's, are one run of the map, so the calls that name one walk that
-// run from lower_bound instead of scanning the store.
+// Series are keyed by SeriesKey — (job, rank, metric) with both names
+// interned ids, 12 bytes that sit inside the map node — in one map under
+// one lock, sorted by name text (DESIGN.md §12).  Any thread may call
+// any member; in practice the one writer is the daemon loop (or a
+// federation step), and readers on other threads (QueryService::execute)
+// take the same lock.  A source's series, and a job's, are one run of
+// the map, so the calls that name one walk that run from lower_bound
+// instead of scanning the store.  Queries name series by text, which
+// they resolve once with names::find (seriesFilter()), never interning.
 // Each series keeps fixed-window rollups — min/avg/max/count, the paper's
 // Listing-2 statistic set — at two resolutions (a fine window and a
 // coarse window of `coarseFactor` fine widths), with bounded retention
@@ -38,6 +41,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <compare>
 #include <cstdint>
 #include <functional>
 #include <iterator>
@@ -48,10 +52,13 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/interning.hpp"
 
 namespace zerosum::aggregator {
 
@@ -107,14 +114,58 @@ struct Rollup {
   }
 };
 
+/// A series' identity: job, rank and metric, the two names held as
+/// process-local interned ids (common/interning.hpp), so a key is 12
+/// trivially copyable bytes and comparing two equal keys reads no text.
+/// Keys sort by (job text, rank, metric text), the order every listing
+/// and the segment footer use, and then by id: lookup(kInvalidId) and
+/// intern("") both read "", and without the tie-break `<=>` would call
+/// such keys equal while `==` does not.
 struct SeriesKey {
-  std::string job;
-  int rank = 0;
-  std::string metric;
+  names::Id job = names::kInvalidId;
+  std::int32_t rank = 0;
+  names::Id metric = names::kInvalidId;
+
+  SeriesKey() = default;
+  constexpr SeriesKey(names::Id jobId, std::int32_t rankOf, names::Id metricId)
+      : job(jobId), rank(rankOf), metric(metricId) {}
+  /// Interns both names.  Not explicit: `key = {job, rank, name}` from
+  /// strings reads as it did when keys held text.
+  SeriesKey(std::string_view jobText, std::int32_t rankOf,
+            std::string_view metricText)
+      : job(names::intern(jobText)),
+        rank(rankOf),
+        metric(names::intern(metricText)) {}
+
+  [[nodiscard]] std::string_view jobName() const { return names::lookup(job); }
+  [[nodiscard]] std::string_view metricName() const {
+    return names::lookup(metric);
+  }
 
   friend bool operator==(const SeriesKey&, const SeriesKey&) = default;
-  friend auto operator<=>(const SeriesKey&, const SeriesKey&) = default;
+  friend std::strong_ordering operator<=>(const SeriesKey& a,
+                                          const SeriesKey& b) {
+    if (a.job != b.job) {
+      if (const auto c = a.jobName() <=> b.jobName(); c != 0) {
+        return c;
+      }
+    }
+    if (const auto c = a.rank <=> b.rank; c != 0) {
+      return c;
+    }
+    if (a.metric != b.metric) {
+      if (const auto c = a.metricName() <=> b.metricName(); c != 0) {
+        return c;
+      }
+    }
+    if (const auto c = a.job <=> b.job; c != 0) {
+      return c;
+    }
+    return a.metric <=> b.metric;
+  }
 };
+static_assert(sizeof(SeriesKey) == 12 &&
+              std::is_trivially_copyable_v<SeriesKey>);
 
 /// One window of one series, as returned by queries.
 struct WindowRollup {
@@ -186,8 +237,8 @@ struct WindowSnapshot {
 
 /// What drainDirty() fills and kForward carries: one block per series,
 /// holding its key once and then its windows in (resolution, index)
-/// order.  A caller that refills the same buffer reuses its capacity,
-/// keys included, so a steady-state drain allocates nothing.
+/// order.  A caller that refills the same buffer reuses its capacity, so
+/// a steady-state drain allocates nothing.
 class SeriesBlocks {
  public:
   struct Block {
@@ -845,14 +896,38 @@ struct NewestWindows {
   std::optional<WindowRollup> coarse;
 };
 
-/// True when `key` is of `job`, `rank` and `metric` (any when unset or
-/// empty): the series filter of every query.
+/// The series filter of every query: job, rank and metric, any when
+/// unset.  seriesFilter() builds one from a query's text.
+struct SeriesFilter {
+  std::optional<names::Id> job;
+  std::optional<std::int32_t> rank;
+  std::optional<names::Id> metric;
+};
+
+/// `job`, `rank` and `metric` (any when unset or empty) resolved to ids
+/// once, through names::find(): nullopt when a name was never interned,
+/// since no series can carry it.  Never interns, so query text cannot
+/// grow the process-wide name table.
+[[nodiscard]] inline std::optional<SeriesFilter> seriesFilter(
+    const std::optional<std::string>& job, std::optional<int> rank,
+    const std::string& metric) {
+  SeriesFilter filter{std::nullopt, rank, std::nullopt};
+  if (job && (filter.job = names::find(*job)) == names::kInvalidId) {
+    return std::nullopt;
+  }
+  if (!metric.empty() &&
+      (filter.metric = names::find(metric)) == names::kInvalidId) {
+    return std::nullopt;
+  }
+  return filter;
+}
+
+/// True when `key` passes `filter`.
 [[nodiscard]] inline bool keyMatches(const SeriesKey& key,
-                                     const std::optional<std::string>& job,
-                                     std::optional<int> rank,
-                                     const std::string& metric) {
-  return (!job || key.job == *job) && (!rank || key.rank == *rank) &&
-         (metric.empty() || key.metric == metric);
+                                     const SeriesFilter& filter) {
+  return (!filter.job || key.job == *filter.job) &&
+         (!filter.rank || key.rank == *filter.rank) &&
+         (!filter.metric || key.metric == *filter.metric);
 }
 
 /// What a query reads (aggregator/query.hpp): a StoreSnapshot's frozen
@@ -945,6 +1020,20 @@ class StoreSnapshot final : public ReadView {
     return resolution == Resolution::kFine ? fineWindowSeconds_
                                            : coarseWindowSeconds_;
   }
+  /// forEachKey() and forEachNewest(): calls `visit` with each series of
+  /// job, rank and metric, in key order.
+  template <typename Visit>
+  void forEachMatch(const std::optional<std::string>& job,
+                    std::optional<int> rank, const std::string& metric,
+                    Visit&& visit) const {
+    if (const auto filter = seriesFilter(job, rank, metric)) {
+      for (const SeriesSnapshot& series : series_) {
+        if (keyMatches(series.key, *filter)) {
+          visit(series);
+        }
+      }
+    }
+  }
   /// The newest of `windows`, `width` seconds wide.
   [[nodiscard]] static std::optional<WindowRollup> newest(
       const WindowBuffer& windows, double width);
@@ -966,7 +1055,7 @@ class RollupStore {
   /// cached until an eviction bumps the store generation, and then
   /// re-resolved lazily.  Callers that ingest the same series every
   /// period (the daemon) keep one ref per series and skip the per-record
-  /// string-compare map walk.  Treat as opaque.
+  /// map walk, which compares name text.  Treat as opaque.
   struct SeriesRef {
     std::uint64_t generation = 0;
     SeriesNode* series = nullptr;
@@ -978,14 +1067,14 @@ class RollupStore {
   void ingest(const SeriesKey& key, double timeSeconds, double value);
 
   /// Same, through a cached handle: resolves `ref` on first use (or
-  /// after an eviction invalidated it) and merges without comparing the
-  /// key strings afterwards.
+  /// after an eviction invalidated it) and merges without walking the
+  /// map afterwards.
   void ingest(const SeriesKey& key, SeriesRef& ref, double timeSeconds,
               double value);
 
   /// Removes every series belonging to (job, rank).  Returns the number
   /// of series dropped.
-  std::size_t evictSource(const std::string& job, int rank);
+  std::size_t evictSource(std::string_view job, int rank);
 
   // --- read-side snapshot surface (DESIGN.md §12) --------------------------
 
@@ -1072,7 +1161,7 @@ class RollupStore {
   /// All series keys, sorted (job, rank, metric).
   [[nodiscard]] std::vector<SeriesKey> keys() const;
   /// Keys restricted to one (job, rank).
-  [[nodiscard]] std::vector<SeriesKey> keysOf(const std::string& job,
+  [[nodiscard]] std::vector<SeriesKey> keysOf(std::string_view job,
                                               int rank) const;
 
   [[nodiscard]] std::size_t seriesCount() const;
@@ -1109,7 +1198,7 @@ class RollupStore {
   /// job, then rank, then metric, so that job's (or source's) series run
   /// from here.  Caller holds mutex_.
   [[nodiscard]] SeriesMap::const_iterator firstOf(
-      const std::string& job, std::optional<int> rank) const;
+      names::Id job, std::optional<int> rank) const;
 
   [[nodiscard]] double windowSeconds(Resolution resolution) const;
   [[nodiscard]] int retention(Resolution resolution) const;

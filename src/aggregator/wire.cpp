@@ -1,6 +1,7 @@
 #include "aggregator/wire.hpp"
 
 #include <cstring>
+#include <string_view>
 
 #include "common/error.hpp"
 
@@ -44,7 +45,7 @@ void putF64(std::string& out, double v) {
   putU64(out, bits);
 }
 
-void putString(std::string& out, const std::string& s) {
+void putString(std::string& out, std::string_view s) {
   if (s.size() > 0xFFFFU) {
     throw ParseError("wire: string exceeds 65535 bytes");
   }
@@ -107,13 +108,18 @@ class PayloadReader {
     return v;
   }
 
-  std::string str() {
+  std::string str() { return std::string(view()); }
+
+  /// A string's bytes, in place.
+  std::string_view view() {
     const std::uint16_t n = u16();
     need(n);
-    std::string s(data_ + pos_, n);
+    const std::string_view s(data_ + pos_, n);
     pos_ += n;
     return s;
   }
+
+  [[nodiscard]] std::size_t remaining() const { return size_ - pos_; }
 
   void done() const {
     if (pos_ != size_) {
@@ -134,8 +140,61 @@ class PayloadReader {
   std::size_t pos_ = 0;
 };
 
-/// Appends the frame's payload to `p`.
-void encodePayload(const Frame& frame, std::string& p) {
+bool named(const IdRecord& record) {
+  return record.name != names::kInvalidId;
+}
+
+bool named(const SeriesBlocks::Block& block) {
+  return block.key.job != names::kInvalidId &&
+         block.key.metric != names::kInvalidId;
+}
+
+/// What declareNames() found in a kBatch or kForward frame.
+struct Declared {
+  std::uint32_t named = 0;  ///< records or blocks the frame carries
+  std::size_t bytes = 8;    ///< its names section and what follows it
+};
+
+/// Declares, in `names`, every name the frame's kBatch records or
+/// kForward blocks reference.
+Declared declareNames(const Frame& frame, NameRefs& names) {
+  names.beginFrame();
+  Declared out;
+  if (frame.kind == FrameKind::kBatch) {
+    for (const IdRecord& record : frame.records) {
+      if (named(record)) {
+        names.refer(record.name);
+        ++out.named;
+        out.bytes += 20;
+      }
+    }
+  } else {
+    for (const SeriesBlocks::Block& block : frame.forwardSeries.blocks()) {
+      if (named(block)) {
+        names.refer(block.key.job);
+        names.refer(block.key.metric);
+        ++out.named;
+        out.bytes += 16 + 41 * block.count;
+      }
+    }
+  }
+  for (const names::Id id : names.declared()) {
+    out.bytes += 2 + names::lookup(id).size();
+  }
+  return out;
+}
+
+/// Writes the names section of the frame declareNames() just declared.
+void putNames(std::string& p, const NameRefs& names) {
+  putU32(p, static_cast<std::uint32_t>(names.declared().size()));
+  for (const names::Id id : names.declared()) {
+    putString(p, names::lookup(id));
+  }
+}
+
+/// Appends the frame's payload to `p`; kBatch and kForward names go
+/// through `names`.
+void encodePayload(const Frame& frame, NameRefs& names, std::string& p) {
   switch (frame.kind) {
     case FrameKind::kHello:
       putString(p, frame.hello.job);
@@ -144,19 +203,25 @@ void encodePayload(const Frame& frame, std::string& p) {
       putString(p, frame.hello.hostname);
       putI32(p, frame.hello.pid);
       break;
-    case FrameKind::kBatch:
+    case FrameKind::kBatch: {
+      const Declared declared = declareNames(frame, names);
+      p.reserve(p.size() + 40 + declared.bytes);  // one allocation
       putF64(p, frame.timeSeconds);
       putU64(p, frame.batchSeq);
       putF64(p, frame.enqueueSeconds);
       putF64(p, frame.encodeSeconds);
       putF64(p, frame.prevRoundtripSeconds);
-      putU32(p, static_cast<std::uint32_t>(frame.records.size()));
-      for (const auto& r : frame.records) {
-        putF64(p, r.timeSeconds);
-        putString(p, r.name);
-        putF64(p, r.value);
+      putNames(p, names);
+      putU32(p, declared.named);
+      for (const IdRecord& r : frame.records) {
+        if (named(r)) {
+          putF64(p, r.timeSeconds);
+          putU32(p, names.refer(r.name));
+          putF64(p, r.value);
+        }
       }
       break;
+    }
     case FrameKind::kBatchAck:
       putU64(p, frame.batchSeq);
       putU8(p, static_cast<std::uint8_t>(frame.pressure));
@@ -178,7 +243,7 @@ void encodePayload(const Frame& frame, std::string& p) {
       // by the frame length.
       p.append(frame.text);
       break;
-    case FrameKind::kForward:
+    case FrameKind::kForward: {
       putF64(p, frame.timeSeconds);
       putU64(p, frame.batchSeq);
       putU8(p, frame.hopCount);
@@ -194,12 +259,17 @@ void encodePayload(const Frame& frame, std::string& p) {
         putU8(p, s.state);
         putF64(p, s.lastSeenAgeSeconds);
       }
-      putU32(p,
-             static_cast<std::uint32_t>(frame.forwardSeries.blocks().size()));
+      const Declared declared = declareNames(frame, names);
+      p.reserve(p.size() + declared.bytes);
+      putNames(p, names);
+      putU32(p, declared.named);
       for (const auto& block : frame.forwardSeries.blocks()) {
-        putString(p, block.key.job);
+        if (!named(block)) {
+          continue;
+        }
+        putU32(p, names.refer(block.key.job));
         putI32(p, block.key.rank);
-        putString(p, block.key.metric);
+        putU32(p, names.refer(block.key.metric));
         putU32(p, static_cast<std::uint32_t>(block.count));
         for (const WindowSnapshot& w : frame.forwardSeries.windows(block)) {
           putU8(p, static_cast<std::uint8_t>(w.resolution));
@@ -211,6 +281,7 @@ void encodePayload(const Frame& frame, std::string& p) {
         }
       }
       break;
+    }
     case FrameKind::kCatalogAnnounce:
       putU8(p, static_cast<std::uint8_t>(frame.catalogEntry.role));
       putString(p, frame.catalogEntry.name);
@@ -227,7 +298,35 @@ void encodePayload(const Frame& frame, std::string& p) {
   }
 }
 
-Frame decodePayload(FrameKind kind, const char* data, std::size_t size) {
+/// Reads a names section, appending the local id of each declared name
+/// to the connection's table `names`.
+void readNames(PayloadReader& in, std::vector<names::Id>& names) {
+  const std::uint32_t count = in.u32();
+  // 2 bytes = an empty name; a count past the rest of the payload, or
+  // past the connection's cap, is refused before anything is interned.
+  if (static_cast<std::size_t>(count) * 2 > in.remaining()) {
+    throw ParseError("wire: names count exceeds payload");
+  }
+  if (names.size() + count > kMaxConnectionNames) {
+    throw ParseError("wire: connection declares more than " +
+                     std::to_string(kMaxConnectionNames) + " names");
+  }
+  for (std::uint32_t i = 0; i < count; ++i) {
+    names.push_back(names::intern(in.view()));
+  }
+}
+
+/// Resolves a name reference through the connection's table.
+names::Id resolve(const std::vector<names::Id>& names, std::uint32_t ref) {
+  if (ref >= names.size()) {
+    throw ParseError("wire: name reference " + std::to_string(ref) +
+                     " not declared");
+  }
+  return names[ref];
+}
+
+Frame decodePayload(FrameKind kind, const char* data, std::size_t size,
+                    std::vector<names::Id>& names) {
   Frame frame;
   frame.kind = kind;
   PayloadReader in(data, size);
@@ -246,18 +345,16 @@ Frame decodePayload(FrameKind kind, const char* data, std::size_t size) {
       frame.enqueueSeconds = in.f64();
       frame.encodeSeconds = in.f64();
       frame.prevRoundtripSeconds = in.f64();
+      readNames(in, names);
       const std::uint32_t count = in.u32();
-      // 18 bytes = the minimum encoded record (two f64 + empty name).
-      if (static_cast<std::size_t>(count) * 18 > size) {
+      if (static_cast<std::size_t>(count) * 20 > in.remaining()) {
         throw ParseError("wire: batch record count exceeds payload");
       }
-      frame.records.reserve(count);
-      for (std::uint32_t i = 0; i < count; ++i) {
-        WireRecord r;
+      frame.records.resize(count);
+      for (IdRecord& r : frame.records) {
         r.timeSeconds = in.f64();
-        r.name = in.str();
+        r.name = resolve(names, in.u32());
         r.value = in.f64();
-        frame.records.push_back(std::move(r));
       }
       in.done();
       break;
@@ -313,22 +410,26 @@ Frame decodePayload(FrameKind kind, const char* data, std::size_t size) {
         s.lastSeenAgeSeconds = in.f64();
         frame.forwardSources.push_back(std::move(s));
       }
+      readNames(in, names);
       const std::uint32_t seriesCount = in.u32();
-      // Minimum encodings: a window 41 bytes, a block 12 more (empty
-      // strings); no sender writes a block without windows.
-      if (static_cast<std::size_t>(seriesCount) * 53 > size) {
+      // Minimum encodings: a window 41 bytes, a block 16 more; no sender
+      // writes a block without windows.
+      if (static_cast<std::size_t>(seriesCount) * 57 > in.remaining()) {
         throw ParseError("wire: forward series count exceeds payload");
       }
       // Sized once: buffers grown by doubling leave freed holes that the
       // receiver's new series nodes fill, and its snapshot walks slow.
-      frame.forwardSeries.reserve(seriesCount, size / 41);
+      frame.forwardSeries.reserve(seriesCount, in.remaining() / 41);
       for (std::uint32_t i = 0; i < seriesCount; ++i) {
         // A braced list is evaluated in order: fields read as laid out.
-        frame.forwardSeries.open() = {in.str(), in.i32(), in.str()};
+        frame.forwardSeries.open() = {resolve(names, in.u32()), in.i32(),
+                                      resolve(names, in.u32())};
         const std::uint32_t windowCount = in.u32();
-        if (windowCount == 0 ||
-            static_cast<std::size_t>(windowCount) * 41 > size) {
-          throw ParseError("wire: forward window count 0 or exceeds payload");
+        if (windowCount == 0) {
+          throw ParseError("wire: forward block without windows");
+        }
+        if (static_cast<std::size_t>(windowCount) * 41 > in.remaining()) {
+          throw ParseError("wire: forward window count exceeds payload");
         }
         for (std::uint32_t j = 0; j < windowCount; ++j) {
           const std::uint8_t resolution = in.u8();
@@ -406,7 +507,24 @@ const char* pressureLevelName(PressureLevel level) {
   return "?";
 }
 
-std::string encodeFrame(const Frame& frame) {
+void NameRefs::clear() {
+  refs_.clear();
+  declared_ = 0;
+  fresh_.clear();
+}
+
+std::uint32_t NameRefs::refer(names::Id id) {
+  if (id >= refs_.size()) {
+    refs_.resize(std::size_t{id} + 1, 0);
+  }
+  if (refs_[id] == 0) {
+    fresh_.push_back(id);
+    refs_[id] = ++declared_;
+  }
+  return refs_[id] - 1;
+}
+
+std::string encodeFrame(const Frame& frame, NameRefs& names) {
   if (!validKind(static_cast<std::uint8_t>(frame.kind))) {
     throw ParseError("wire: cannot encode frame kind " +
                      std::to_string(static_cast<int>(frame.kind)));
@@ -416,7 +534,7 @@ std::string encodeFrame(const Frame& frame) {
   std::string out(4, '\0');
   putU8(out, kWireVersion);
   putU8(out, static_cast<std::uint8_t>(frame.kind));
-  encodePayload(frame, out);
+  encodePayload(frame, names, out);
   const std::size_t payloadSize = out.size() - 6;
   if (payloadSize > kMaxPayloadBytes) {
     throw ParseError("wire: frame payload exceeds " +
@@ -426,6 +544,11 @@ std::string encodeFrame(const Frame& frame) {
     out[i] = static_cast<char>((payloadSize >> (8U * i)) & 0xFFU);
   }
   return out;
+}
+
+std::string encodeFrame(const Frame& frame) {
+  NameRefs names;
+  return encodeFrame(frame, names);
 }
 
 void FrameReader::feed(const char* data, std::size_t size) {
@@ -466,7 +589,7 @@ bool FrameReader::next(Frame& out) {
   if (avail < 6 + static_cast<std::size_t>(length)) {
     return false;
   }
-  out = decodePayload(static_cast<FrameKind>(kind), head + 6, length);
+  out = decodePayload(static_cast<FrameKind>(kind), head + 6, length, names_);
   consumed_ += 6 + static_cast<std::size_t>(length);
   return true;
 }

@@ -25,14 +25,34 @@
 // pressure level: the backpressure signal behind the client's ladder.
 // Federation (DESIGN.md §11) adds kForward, pre-aggregated rollup windows
 // sent hop-by-hop up the fan-in tree with the forwarder identity, origin
-// rank range and hop count; it reuses batchSeq + kBatchAck.  After its
-// sources come series blocks: [u32 series], each [str job][i32 rank]
-// [str metric][u32 windows >= 1] and then per window [u8 resolution]
-// [u64 index][f64 min][f64 max][f64 sum][u64 count].  Windows are cumulative
-// snapshots, so a retransmit replaces rather than double-counts.
+// rank range and hop count; it reuses batchSeq + kBatchAck.
 // kCatalogAnnounce registers a daemon {role, host, port, shard range,
 // generation} with a catalog, and kCatalogAck confirms it with the
 // expiry horizon; lookups ride kQuery.
+//
+// Names cross a connection once (DESIGN.md §9).  Each connection has a
+// name table on both ends: a name's reference is its position in the
+// order the connection declared names, from 0.  kBatch and kForward
+// carry a names section, [u32 n] then n [str name], declaring the names
+// they reference for the first time; after it they refer to names by u32
+// reference only:
+//
+//   kBatch    [f64 time][u64 batchSeq][f64 enqueue][f64 encode]
+//             [f64 prevRoundtrip] names [u32 records], each record
+//             [f64 time][u32 ref][f64 value] (20 bytes)
+//   kForward  [f64 time][u64 batchSeq][u8 hops][str origin][i32 rankLo]
+//             [i32 rankHi][u16 sources] sources names [u32 series], each
+//             [u32 job ref][i32 rank][u32 metric ref][u32 windows >= 1]
+//             then per window [u8 resolution][u64 index][f64 min]
+//             [f64 max][f64 sum][u64 count]
+//
+// A sender keeps a NameRefs per connection and clears it when a new
+// connection starts; the receiver's FrameReader, one per connection,
+// interns each declared name and resolves references as it decodes, so
+// a decoded frame holds the receiver's own ids and no text.  A reference
+// not yet declared, a names count the payload cannot hold, or a table
+// past kMaxConnectionNames throws ParseError.  Windows are cumulative
+// snapshots, so a retransmit replaces rather than double-counts.
 #pragma once
 
 #include <cstdint>
@@ -45,7 +65,11 @@
 namespace zerosum::aggregator {
 
 /// Protocol version, the only one spoken; bumped on any layout change.
-inline constexpr std::uint8_t kWireVersion = 5;
+inline constexpr std::uint8_t kWireVersion = 6;
+
+/// Most names one connection may declare: a peer grows the receiver's
+/// table only by names it actually sends, and only this far.
+inline constexpr std::uint32_t kMaxConnectionNames = 1U << 20;
 
 /// Hard ceiling on a single frame's payload (defense against a corrupt
 /// or hostile length prefix allocating gigabytes).
@@ -86,21 +110,11 @@ struct Hello {
   friend bool operator==(const Hello&, const Hello&) = default;
 };
 
-/// One metric observation on the wire.  The source identity comes from
-/// the connection's Hello, so records carry only time/name/value.
-struct WireRecord {
-  double timeSeconds = 0.0;
-  std::string name;
-  double value = 0.0;
-
-  friend bool operator==(const WireRecord&, const WireRecord&) = default;
-};
-
-/// A WireRecord before it reaches the wire: the metric name held as an
-/// interned id (names::intern).  Ids are process-local and never cross
-/// the wire — the client materializes the name text when it encodes a
-/// kBatch frame — so the wire format is unchanged and readers need no
-/// shared table.
+/// One metric observation, the metric name held as an interned id
+/// (names::intern).  The source identity comes from the connection's
+/// Hello.  Ids are process-local: on the wire the name is a reference
+/// into the connection's name table, declared with its text once, and
+/// the receiver decodes it into its own id.
 struct IdRecord {
   double timeSeconds = 0.0;
   names::Id name = names::kInvalidId;
@@ -175,8 +189,8 @@ struct CatalogEntry {
 /// decode path stays trivially safe).
 struct Frame {
   FrameKind kind = FrameKind::kHeartbeat;
-  Hello hello;                      ///< kHello
-  std::vector<WireRecord> records;  ///< kBatch
+  Hello hello;                    ///< kHello
+  std::vector<IdRecord> records;  ///< kBatch
   HealthUpdate health;              ///< kHealth
   double timeSeconds = 0.0;         ///< kBatch / kHeartbeat / kGoodbye
   std::string text;                 ///< kQuery / kResponse (JSON)
@@ -202,19 +216,55 @@ struct Frame {
   double catalogTtlSeconds = 0.0;  ///< kCatalogAck: expiry horizon granted
 };
 
-/// Serializes one frame, length prefix included.
+/// The sender's half of one connection's name table: the reference each
+/// local id was declared under, counted from 0 in declaration order.
+/// Clear it whenever a new connection starts.
+class NameRefs {
+ public:
+  void clear();
+
+  /// Starts one frame's names section: forgets the previous frame's
+  /// declarations.
+  void beginFrame() { fresh_.clear(); }
+  /// The reference of `id`, declared in this frame's section when the
+  /// table lacks it.
+  std::uint32_t refer(names::Id id);
+  /// This frame's declarations, in reference order.
+  [[nodiscard]] const std::vector<names::Id>& declared() const {
+    return fresh_;
+  }
+
+ private:
+  std::vector<std::uint32_t> refs_;  ///< by id: reference + 1; 0 = none
+  std::uint32_t declared_ = 0;
+  std::vector<names::Id> fresh_;
+};
+
+/// Serializes one frame, length prefix included, declaring only the
+/// names `names` lacks, which `names` then holds.  kBatch records and
+/// kForward blocks whose name is names::kInvalidId (the interner's
+/// table-full answer) are left out.
+std::string encodeFrame(const Frame& frame, NameRefs& names);
+
+/// The same as the first frame of its connection: every name the frame
+/// references is declared in it.  A sender that keeps its connection
+/// passes the connection's NameRefs instead.
 std::string encodeFrame(const Frame& frame);
 
-/// Incremental decoder: feed() arbitrary byte chunks, then next() yields
-/// completed frames until it returns false.  Throws ParseError on a
-/// malformed frame; the caller should drop the connection.
+/// Incremental decoder for one connection: feed() arbitrary byte chunks,
+/// then next() yields completed frames until it returns false.  It holds
+/// the receiver's half of the connection's name table, so every frame of
+/// the connection must pass through the same reader, in order.  Throws
+/// ParseError on a malformed frame; the caller should drop the
+/// connection.
 class FrameReader {
  public:
   void feed(const char* data, std::size_t size);
   void feed(const std::string& bytes) { feed(bytes.data(), bytes.size()); }
 
   /// Decodes the next complete frame into `out`; false when more bytes
-  /// are needed.
+  /// are needed.  Names are resolved to local ids: a name the interner
+  /// refuses decodes as names::kInvalidId.
   bool next(Frame& out);
 
   /// Bytes buffered but not yet decoded.
@@ -225,6 +275,7 @@ class FrameReader {
  private:
   std::string buffer_;
   std::size_t consumed_ = 0;
+  std::vector<names::Id> names_;  ///< by reference: the local id
 };
 
 /// Convenience for tests: decodes exactly one frame from `bytes`;

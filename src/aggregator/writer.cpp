@@ -37,8 +37,7 @@ TsdbWriter::~TsdbWriter() {
 }
 
 std::optional<std::uint64_t> TsdbWriter::submit(
-    const std::string& job, std::int32_t rank,
-    std::span<const IdRecord> records) {
+    names::Id job, std::int32_t rank, std::span<const IdRecord> records) {
   std::uint64_t ticket = 0;
   {
     std::lock_guard<std::mutex> lock(mutex_);

@@ -34,7 +34,6 @@
 #include <mutex>
 #include <optional>
 #include <span>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -78,8 +77,7 @@ class TsdbWriter {
   /// Queues one batch (copies the id records).  Returns the batch's
   /// monotonically increasing ticket, or nullopt when the queue is full
   /// — the caller handles the overflow; the writer never drops silently.
-  std::optional<std::uint64_t> submit(const std::string& job,
-                                      std::int32_t rank,
+  std::optional<std::uint64_t> submit(names::Id job, std::int32_t rank,
                                       std::span<const IdRecord> records);
 
   /// Sync mode: appends up to maxBatchesPerPump queued batches.  No-op
@@ -110,7 +108,7 @@ class TsdbWriter {
 
  private:
   struct Pending {
-    std::string job;
+    names::Id job = names::kInvalidId;
     std::int32_t rank = 0;
     std::vector<IdRecord> records;
     std::uint64_t ticket = 0;

@@ -1,5 +1,6 @@
 #include "common/interning.hpp"
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <memory>
@@ -16,7 +17,8 @@ namespace {
 // the chunk pointers and the published size are atomic.
 constexpr std::size_t kChunkBits = 10;  // 1024 names per chunk
 constexpr std::size_t kChunkSize = 1U << kChunkBits;
-constexpr std::size_t kMaxChunks = 4096;  // 4M distinct names: plenty
+constexpr std::size_t kMaxChunks = kMaxNames / kChunkSize;
+static_assert(kMaxChunks * kChunkSize == kMaxNames);
 
 struct Chunk {
   std::array<std::string, kChunkSize> entries;
@@ -25,6 +27,7 @@ struct Chunk {
 struct Table {
   std::mutex mutex;  // serializes intern() misses only
   std::unordered_map<std::string_view, Id> index;  // views into chunks
+  std::size_t capacity = kMaxNames;                 // guarded by mutex
   std::array<std::atomic<Chunk*>, kMaxChunks> chunks{};
   std::atomic<std::uint32_t> published{0};  // count of readable entries
 
@@ -47,12 +50,12 @@ Id intern(std::string_view name) {
     return it->second;
   }
   const std::uint32_t slot = t.published.load(std::memory_order_relaxed);
-  const std::size_t chunkIdx = slot >> kChunkBits;
-  if (chunkIdx >= kMaxChunks) {
+  if (slot >= t.capacity) {
     // Table full: degrade to "unknown" rather than throwing on a
     // monitoring path ("do no harm").
     return kInvalidId;
   }
+  const std::size_t chunkIdx = slot >> kChunkBits;
   Chunk* chunk = t.chunks[chunkIdx].load(std::memory_order_relaxed);
   if (chunk == nullptr) {
     chunk = new Chunk();
@@ -65,6 +68,13 @@ Id intern(std::string_view name) {
   // ever see complete strings.
   t.published.store(slot + 1, std::memory_order_release);
   return slot + 1;
+}
+
+Id find(std::string_view name) {
+  Table& t = table();
+  std::lock_guard<std::mutex> lock(t.mutex);
+  const auto it = t.index.find(name);
+  return it == t.index.end() ? kInvalidId : it->second;
 }
 
 std::string_view lookup(Id id) {
@@ -87,6 +97,12 @@ std::string lookupString(Id id) { return std::string(lookup(id)); }
 
 std::size_t internedCount() {
   return table().published.load(std::memory_order_acquire);
+}
+
+void setCapacity(std::size_t names) {
+  Table& t = table();
+  std::lock_guard<std::mutex> lock(t.mutex);
+  t.capacity = std::min(names, kMaxNames);
 }
 
 }  // namespace zerosum::names

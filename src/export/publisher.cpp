@@ -161,8 +161,8 @@ void SessionPublisher::publish(const core::MonitorSession& session,
   if (aggregator_) {
     ZS_TRACE_SCOPE("zs.export.aggregate");
     // The Hello carried the source identity; the queued records are just
-    // (time, interned-name-id, value) — the client materializes name
-    // text when it encodes an outgoing frame.
+    // (time, interned-name-id, value) — a name's text goes on the wire
+    // only in the first frame of a connection that uses it.
     wireScratch_.clear();
     wireScratch_.reserve(batch.size());
     for (const auto& record : batch) {

@@ -204,7 +204,7 @@ void Engine::replayWal(std::uint64_t seq, bool repairTail) {
   for (const WalBatch& batch : result.batches) {
     internScratch_.clear();
     internSamples(batch.samples, internScratch_);
-    mergeRecords(batch.job, batch.rank, internScratch_);
+    mergeRecords(names::intern(batch.job), batch.rank, internScratch_);
     ++counters_.walReplayedBatches;
   }
   if (result.damagedBytes > 0) {
@@ -226,9 +226,12 @@ void Engine::openWal() {
                                      options_.fsyncBatchBytes);
 }
 
-std::size_t Engine::mergeRecords(const std::string& job, std::int32_t rank,
+std::size_t Engine::mergeRecords(names::Id job, std::int32_t rank,
                                  std::span<const IdRecord> records) {
-  auto& series = hotCache_[{names::intern(job), rank}];
+  if (job == names::kInvalidId) {
+    return 0;  // a job the interner refused (replay) keys nothing
+  }
+  auto& series = hotCache_[{job, rank}];
   std::size_t merged = 0;
   for (const IdRecord& record : records) {
     if (record.name == names::kInvalidId ||
@@ -241,12 +244,11 @@ std::size_t Engine::mergeRecords(const std::string& job, std::int32_t rank,
     if (!fineIndex) {
       continue;  // ... and a time too large to index (1e300)
     }
-    // The string-keyed hot_ map is only touched the first time a series
-    // is seen, and again after compaction erased it as idle.
+    // The hot_ map is only touched the first time a series is seen, and
+    // again after compaction erased it as idle.
     SeriesWindows*& cached = series[record.name];
     if (cached == nullptr) {
-      cached = &hot_[SeriesKey{job, rank,
-                               std::string(names::lookup(record.name))}];
+      cached = &hot_[SeriesKey{job, rank, record.name}];
     }
     cached->fine.findOrInsert(*fineIndex).first->merge(record.value);
     // fineIndex >= 0 (t >= 0), so integer division is the floor.
@@ -259,15 +261,15 @@ std::size_t Engine::mergeRecords(const std::string& job, std::int32_t rank,
   return merged;
 }
 
-void Engine::append(const std::string& job, std::int32_t rank,
+void Engine::append(names::Id job, std::int32_t rank,
                     std::span<const IdRecord> records) {
   if (options_.readOnly) {
     throw StateError("tsdb: append on read-only engine");
   }
-  if (records.empty()) {
-    return;
+  if (records.empty() || job == names::kInvalidId) {
+    return;  // nothing, or nothing to file it under
   }
-  wal_->append(job, rank, records);  // durable first ...
+  wal_->append(names::lookup(job), rank, records);  // durable first ...
   const std::size_t merged = mergeRecords(job, rank, records);  // visible
   ++counters_.batchesAppended;
   if (merged > 0) {
@@ -275,11 +277,11 @@ void Engine::append(const std::string& job, std::int32_t rank,
   }
 }
 
-void Engine::append(const std::string& job, std::int32_t rank,
+void Engine::append(std::string_view job, std::int32_t rank,
                     const std::vector<Sample>& samples) {
   internScratch_.clear();
   internSamples(samples, internScratch_);
-  append(job, rank, internScratch_);
+  append(names::intern(job), rank, internScratch_);
 }
 
 bool Engine::maybeCompact() {
@@ -649,16 +651,23 @@ void Engine::walkSeries(const std::optional<std::string>& job,
                         std::optional<int> rank, const std::string& metric,
                         Visit&& visit) const {
   // A job's keys (of one rank, when asked) are one contiguous key range
-  // starting at {job, rank, ""}; without a job, one walk of every key
-  // skips the other ranks.  Both maps are merged in key order.
+  // starting at {job, rank, kInvalidId}, which sorts before every stored
+  // metric; without a job, one walk of every key skips the other ranks.
+  // Both maps are merged in key order.
+  const auto filter = aggregator::seriesFilter(job, rank, metric);
+  if (!filter) {
+    return;  // a name never interned: no series carries it
+  }
   const auto inRange = [&](const SeriesKey& key) {
-    return !job || (key.job == *job && (!rank || key.rank == *rank));
+    return !filter->job ||
+           (key.job == *filter->job && (!rank || key.rank == *rank));
   };
   auto disk = diskNewest_.begin();
   auto hot = hot_.begin();
-  if (job) {
-    const SeriesKey from{*job, rank.value_or(std::numeric_limits<int>::min()),
-                         ""};
+  if (filter->job) {
+    const SeriesKey from{*filter->job,
+                         rank.value_or(std::numeric_limits<int>::min()),
+                         names::kInvalidId};
     disk = diskNewest_.lower_bound(from);
     hot = hot_.lower_bound(from);
   }
@@ -680,8 +689,7 @@ void Engine::walkSeries(const std::optional<std::string>& job,
     const DiskSeries* diskSeries = order <= 0 ? &disk->second : nullptr;
     const SeriesWindows* hotSeries = order >= 0 ? &hot->second : nullptr;
     const SeriesKey& key = order <= 0 ? disk->first : hot->first;
-    if ((!rank || key.rank == *rank) &&
-        (metric.empty() || key.metric == metric)) {
+    if (aggregator::keyMatches(key, *filter)) {
       visit(key, diskSeries, hotSeries);
     }
     if (diskSeries != nullptr) {

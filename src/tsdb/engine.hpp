@@ -1,7 +1,7 @@
 // TsdbEngine: the durable single-writer time-series engine under the
 // aggregation daemon (and, read-only, under zerosum-post).
 //
-// Write path: append() takes a batch of id-keyed records — the metric
+// Write path: append() takes a batch keyed by ids — the job and metric
 // names the daemon already interned — frames it into the WAL (CRC32,
 // ZS_TSDB_FSYNC policy; each name written as its text), and merges it
 // into in-memory fine + coarse rollup windows, the same windowing as
@@ -122,13 +122,14 @@ class Engine final : public aggregator::ReadView {
   /// Durably logs one batch and merges it into the hot windows.  Records
   /// with a non-finite time or value, or a negative time, are logged but
   /// not merged (RollupStore parity: negative values are kept); records
-  /// named names::kInvalidId are neither.  Throws StateError in read-only
-  /// mode or on I/O failure.
-  void append(const std::string& job, std::int32_t rank,
+  /// named names::kInvalidId are neither, nor is any record of a batch
+  /// whose job is names::kInvalidId.  Throws StateError in read-only mode
+  /// or on I/O failure.
+  void append(names::Id job, std::int32_t rank,
               std::span<const IdRecord> records);
-  /// The same for samples named by text: interns each metric, then takes
-  /// the id path.
-  void append(const std::string& job, std::int32_t rank,
+  /// The same for a batch named by text: interns the job and each
+  /// metric, then takes the id path.
+  void append(std::string_view job, std::int32_t rank,
               const std::vector<Sample>& samples);
 
   /// Compacts when the active WAL is past the rotate threshold; returns
@@ -248,7 +249,7 @@ class Engine final : public aggregator::ReadView {
   void replayWal(std::uint64_t seq, bool repairTail);
   /// Folds the records RollupStore::ingest would keep into hot_; returns
   /// how many.
-  std::size_t mergeRecords(const std::string& job, std::int32_t rank,
+  std::size_t mergeRecords(names::Id job, std::int32_t rank,
                            std::span<const IdRecord> records);
   /// After a compaction sealed hot_: erases the series that got no data
   /// since the previous one, and empties the rest, keeping their capacity.
@@ -292,8 +293,8 @@ class Engine final : public aggregator::ReadView {
   /// got data in the cycle before it (their buffers now empty).
   std::map<SeriesKey, SeriesWindows> hot_;
   /// (job id, rank) -> metric id -> hot series node: one lookup per batch,
-  /// then one per record, instead of building a SeriesKey (two string
-  /// copies) and walking hot_ with string compares.  Map nodes are
+  /// then one hash per record, instead of walking hot_, whose order
+  /// compares name text.  Map nodes are
   /// stable, so a pointer stays valid until recycleHot() erases its
   /// series, which erases the pointer with it.
   std::map<std::pair<names::Id, std::int32_t>,

@@ -16,6 +16,7 @@
 #include <tuple>
 
 #include "common/error.hpp"
+#include "common/interning.hpp"
 #include "tsdb/codec.hpp"
 #include "tsdb/crc32.hpp"
 
@@ -68,17 +69,17 @@ double getF64(std::string_view data, std::size_t& pos) {
   return v;
 }
 
-void putStr(std::string& out, const std::string& s) {
+void putStr(std::string& out, std::string_view s) {
   putVarint(out, s.size());
   out.append(s);
 }
 
-std::string getStr(std::string_view data, std::size_t& pos) {
+std::string_view getStr(std::string_view data, std::size_t& pos) {
   const std::uint64_t n = getVarint(data, pos);
   if (n > data.size() - pos) {
     throw ParseError("segment: string truncated");
   }
-  std::string s(data.substr(pos, n));
+  const std::string_view s = data.substr(pos, n);
   pos += n;
   return s;
 }
@@ -154,9 +155,9 @@ std::uint64_t writeSegment(const std::string& path,
   std::string footer;
   putVarint(footer, entries.size());
   for (const auto& entry : entries) {
-    putStr(footer, entry.key.job);
+    putStr(footer, entry.key.jobName());
     putVarint(footer, zigzag(entry.key.rank));
-    putStr(footer, entry.key.metric);
+    putStr(footer, entry.key.metricName());
     footer.push_back(static_cast<char>(entry.resolution));
     putVarint(footer, entry.offset);
     putVarint(footer, entry.length);
@@ -273,10 +274,12 @@ SegmentReader::SegmentReader(const std::string& path) : path_(path) {
   entries_.reserve(entryCount);
   const std::uint64_t blocksEnd = size_ - 8 - footerLen;
   for (std::uint64_t i = 0; i < entryCount; ++i) {
+    // Footer names are interned once, here: entries are keyed by this
+    // process's ids from then on.
     SegmentEntry entry;
-    entry.key.job = getStr(checked, pos);
+    entry.key.job = names::intern(getStr(checked, pos));
     entry.key.rank = static_cast<int>(unzigzag(getVarint(checked, pos)));
-    entry.key.metric = getStr(checked, pos);
+    entry.key.metric = names::intern(getStr(checked, pos));
     if (pos >= checked.size()) {
       throw ParseError("segment: footer entry truncated");
     }

@@ -108,7 +108,7 @@ void internSamples(const std::vector<Sample>& samples,
   }
 }
 
-void encodeWalPayloadInto(std::string& out, const std::string& job,
+void encodeWalPayloadInto(std::string& out, std::string_view job,
                           std::int32_t rank,
                           std::span<const IdRecord> records) {
   const auto named = [](const IdRecord& record) {
@@ -182,6 +182,7 @@ void WalWriter::reopen(const std::string& path) {
   path_ = path;
   dirtyBytes_ = 0;
   appended_ = 0;
+  torn_ = false;
   fd_ = ::open(path.c_str(), O_CREAT | O_WRONLY | O_APPEND | O_CLOEXEC, 0644);
   if (fd_ < 0) {
     throw StateError("wal: cannot open " + path + ": " +
@@ -206,10 +207,14 @@ void WalWriter::append(const WalBatch& batch) {
   append(batch.job, batch.rank, records);
 }
 
-void WalWriter::append(const std::string& job, std::int32_t rank,
+void WalWriter::append(std::string_view job, std::int32_t rank,
                        std::span<const IdRecord> records) {
   if (fd_ < 0) {
     throw StateError("wal: append after close");
+  }
+  if (torn_) {
+    throw StateError("wal: " + path_ +
+                     " ends in a torn frame; reopen before appending");
   }
   // Encode the payload directly after an 8-byte header placeholder in
   // the reused frame buffer, then patch length + CRC in place — one
@@ -230,17 +235,20 @@ void WalWriter::append(const std::string& job, std::int32_t rank,
     frame[4 + i] = static_cast<char>((crc >> (8U * i)) & 0xFFU);
   }
   // One write() per record: O_APPEND makes the frame land contiguously,
-  // and an interrupted process tears at most this one record's tail.
+  // and an interrupted process tears at most this one record's tail.  A
+  // write that fails part-way (EFBIG, ENOSPC, EIO) is cut back off, so
+  // the next append never lands after a torn frame.
   std::size_t written = 0;
   while (written < frame.size()) {
     const ssize_t n =
         ::write(fd_, frame.data() + written, frame.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      throw StateError("wal: write to " + path_ + " failed: " +
-                       std::strerror(errno));
+    if (n < 0 && errno == EINTR) {
+      continue;
+    }
+    if (n <= 0) {
+      const std::string why = n < 0 ? std::strerror(errno) : "short write";
+      dropTornFrame();
+      throw StateError("wal: write to " + path_ + " failed: " + why);
     }
     written += static_cast<std::size_t>(n);
   }
@@ -250,6 +258,12 @@ void WalWriter::append(const std::string& job, std::int32_t rank,
   if (policy_ == FsyncPolicy::kAlways ||
       (policy_ == FsyncPolicy::kBatch && dirtyBytes_ >= batchBytes_)) {
     sync();
+  }
+}
+
+void WalWriter::dropTornFrame() {
+  if (::ftruncate(fd_, static_cast<off_t>(sizeBytes_)) != 0) {
+    torn_ = true;
   }
 }
 

@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "aggregator/wire.hpp"
@@ -70,7 +71,7 @@ void internSamples(const std::vector<Sample>& samples,
 /// written), each metric written as its names::lookup() text.  A record
 /// named names::kInvalidId (the interner's table-full answer, which has
 /// no text) is left out rather than logged under an empty name.
-void encodeWalPayloadInto(std::string& out, const std::string& job,
+void encodeWalPayloadInto(std::string& out, std::string_view job,
                           std::int32_t rank,
                           std::span<const IdRecord> records);
 /// Serializes / parses one record payload (exposed for tests; the
@@ -92,8 +93,11 @@ class WalWriter {
 
   /// Appends one record (write() of the full frame, then the policy's
   /// sync) straight from id records — the engine's hot path; the frame
-  /// buffer is reused across appends.  Throws StateError on I/O failure.
-  void append(const std::string& job, std::int32_t rank,
+  /// buffer is reused across appends.  Throws StateError on I/O failure;
+  /// a write that fails part-way is truncated away first, so the file
+  /// still ends at a whole frame.  When that truncate fails too, every
+  /// later append throws StateError until reopen().
+  void append(std::string_view job, std::int32_t rank,
               std::span<const IdRecord> records);
   /// The same for a WalBatch, its metrics interned first.
   void append(const WalBatch& batch);
@@ -124,6 +128,13 @@ class WalWriter {
   std::uint64_t dirtyBytes_ = 0;  ///< written since the last sync
   std::uint64_t appended_ = 0;
   std::string frameScratch_;  ///< reused frame buffer (header + payload)
+  /// A failed write's partial frame could not be cut off: nothing may be
+  /// appended after it.
+  bool torn_ = false;
+
+  /// Truncates the file back to sizeBytes_, the end of the last whole
+  /// frame, after a failed write; sets torn_ when that fails.
+  void dropTornFrame();
 };
 
 /// Result of scanning one WAL file.

@@ -11,6 +11,7 @@
 #include "aggregator/transport.hpp"
 #include "aggregator/wire.hpp"
 #include "common/error.hpp"
+#include "common/interning.hpp"
 
 using namespace zerosum;
 using namespace zerosum::aggregator;
@@ -27,10 +28,10 @@ Hello rankIdentity(int rank = 0) {
   return hello;
 }
 
-std::vector<WireRecord> someRecords(std::size_t n, double t) {
-  std::vector<WireRecord> records;
+std::vector<IdRecord> someRecords(std::size_t n, double t) {
+  std::vector<IdRecord> records;
   for (std::size_t i = 0; i < n; ++i) {
-    records.push_back({t, "metric." + std::to_string(i), 1.0});
+    records.push_back({t, names::intern("metric." + std::to_string(i)), 1.0});
   }
   return records;
 }
@@ -67,13 +68,13 @@ TEST(AggClient, AnnouncesHelloAndBatchesByCount) {
   options.batchAgeSeconds = 100.0;  // only the count trigger fires
   Client client(hub.makeClientTransport(), rankIdentity(3), options);
 
-  client.enqueue(someRecords(3, 1.0), 1.0);  // below the batch size
+  client.enqueueIds(someRecords(3, 1.0), 1.0);  // below the batch size
   FrameReader reader;
   auto frames = drainFrames(*server, reader);
   // The client connects lazily: nothing due, nothing on the wire yet.
   ASSERT_TRUE(frames.empty());
 
-  client.enqueue(someRecords(1, 1.5), 1.5);  // reaches the batch size
+  client.enqueueIds(someRecords(1, 1.5), 1.5);  // reaches the batch size
   frames = drainFrames(*server, reader);
   ASSERT_EQ(frames.size(), 2U);
   EXPECT_EQ(frames[0].kind, FrameKind::kHello);
@@ -93,7 +94,7 @@ TEST(AggClient, FlushesByAgeEvenBelowBatchSize) {
   options.batchAgeSeconds = 2.0;
   Client client(hub.makeClientTransport(), rankIdentity(), options);
 
-  client.enqueue(someRecords(2, 10.0), 10.0);
+  client.enqueueIds(someRecords(2, 10.0), 10.0);
   client.pump(11.0);
   FrameReader reader;
   auto frames = drainFrames(*server, reader);
@@ -114,7 +115,7 @@ TEST(AggClient, QueueOverflowDropsOldestWithCounter) {
   options.batchRecords = 100;
   Client client(hub.makeClientTransport(), rankIdentity(), options);
 
-  client.enqueue(someRecords(25, 1.0), 1.0);
+  client.enqueueIds(someRecords(25, 1.0), 1.0);
   EXPECT_EQ(client.counters().recordsEnqueued, 25U);
   EXPECT_EQ(client.counters().recordsDropped, 15U);
   EXPECT_EQ(client.counters().recordsSent, 0U);
@@ -127,7 +128,7 @@ TEST(AggClient, AbsentDaemonOnlyIncrementsDropCounters) {
   hub.setDown(true);
   Client client(hub.makeClientTransport(), rankIdentity());
   for (int period = 0; period < 50; ++period) {
-    client.enqueue(someRecords(20, period), static_cast<double>(period));
+    client.enqueueIds(someRecords(20, period), static_cast<double>(period));
     client.sendHealth({}, static_cast<double>(period));
   }
   client.goodbye(50.0);
@@ -155,7 +156,7 @@ TEST(AggClient, ReconnectBackoffIsExponentialAndCapped) {
   // t=0: connect fails -> next attempt at t=1.  Attempts before then
   // must not touch the transport (we can't observe the transport, but
   // the backoff is visible through when drops resume after recovery).
-  client.enqueue(someRecords(1, 0.0), 0.0);
+  client.enqueueIds(someRecords(1, 0.0), 0.0);
   // Failed connects at t=1 (backoff 2), t=3 (backoff 4), t=7 (capped 4).
   for (double t : {0.5, 1.0, 3.0, 7.0}) {
     client.pump(t);
@@ -180,19 +181,19 @@ TEST(AggClient, DaemonRestartTriggersReannounceAndReconnectCounter) {
   options.reconnectBackoffSeconds = 1.0;
   Client client(hub.makeClientTransport(), rankIdentity(), options);
 
-  client.enqueue(someRecords(1, 0.0), 0.0);
+  client.enqueueIds(someRecords(1, 0.0), 0.0);
   FrameReader reader1;
   EXPECT_EQ(drainFrames(*server, reader1).size(), 2U);  // Hello + batch
 
   hub.setDown(true);  // daemon dies, severing the connection
   // Connect is refused, so the record waits in the bounded queue rather
   // than being dropped — only a failed send loses records.
-  client.enqueue(someRecords(1, 1.0), 1.0);
+  client.enqueueIds(someRecords(1, 1.0), 1.0);
   EXPECT_EQ(client.counters().recordsSent, 1U);
   EXPECT_EQ(client.counters().recordsDropped, 0U);
 
   hub.setDown(false);  // daemon restarts
-  client.enqueue(someRecords(1, 5.0), 5.0);  // past backoff: reconnects
+  client.enqueueIds(someRecords(1, 5.0), 5.0);  // past backoff: reconnects
   FrameReader reader2;
   const auto frames = drainFrames(*server, reader2);
   ASSERT_EQ(frames.size(), 3U);
@@ -210,7 +211,7 @@ TEST(AggClient, GoodbyeFlushesQueueThenSignalsDeparture) {
   options.batchRecords = 100;
   options.batchAgeSeconds = 100.0;  // nothing flushes on its own
   Client client(hub.makeClientTransport(), rankIdentity(), options);
-  client.enqueue(someRecords(5, 1.0), 1.0);
+  client.enqueueIds(someRecords(5, 1.0), 1.0);
   client.goodbye(2.0);
   FrameReader reader;
   const auto frames = drainFrames(*server, reader);
@@ -251,22 +252,22 @@ TEST(AggLadder, OccupancyClimbsTheLadderAndCalmPumpsDescend) {
   EXPECT_EQ(client.level(), DegradeLevel::kFull);
 
   // 8/10 queued = occupancy 0.8: the first pump escalates to kCoarse.
-  client.enqueue(someRecords(8, 1.0), 1.0);
+  client.enqueueIds(someRecords(8, 1.0), 1.0);
   EXPECT_EQ(client.level(), DegradeLevel::kCoarse);
   EXPECT_EQ(client.counters().recordsDropped, 0U);
 
   // At kCoarse further records fold into rollups instead of queueing —
   // degraded, not dropped.
-  client.enqueue(someRecords(8, 2.0), 2.0);
+  client.enqueueIds(someRecords(8, 2.0), 2.0);
   EXPECT_GT(client.counters().recordsCoarsened, 0U);
   EXPECT_EQ(client.counters().recordsDropped, 0U);
 
   // Occupancy stays pinned; after the two-pump dwell the ladder exhausts
   // into kEssential, and only then do records shed.
-  client.enqueue(someRecords(8, 3.0), 3.0);
+  client.enqueueIds(someRecords(8, 3.0), 3.0);
   EXPECT_EQ(client.level(), DegradeLevel::kEssential);
   const auto droppedAtEssential = client.counters().recordsDropped;
-  client.enqueue(someRecords(8, 4.0), 4.0);
+  client.enqueueIds(someRecords(8, 4.0), 4.0);
   EXPECT_GT(client.counters().recordsDropped, droppedAtEssential);
 
   // Daemon comes back: the queue drains, and a run of calm pumps walks
@@ -310,15 +311,16 @@ TEST(AggLadder, CoarseWindowEmitsMinAvgMaxPerMetric) {
 
   // Pin the queue so the ladder steps to kCoarse, then stream one metric
   // through the window.
-  std::vector<WireRecord> burst;
+  std::vector<IdRecord> burst;
   for (int i = 0; i < 4; ++i) {
-    burst.push_back({1.0, "pinned." + std::to_string(i), 0.0});
+    burst.push_back({1.0, names::intern("pinned." + std::to_string(i)), 0.0});
   }
-  client.enqueue(burst, 1.0);
+  client.enqueueIds(burst, 1.0);
   ASSERT_EQ(client.level(), DegradeLevel::kCoarse);
 
   for (int i = 0; i < 5; ++i) {
-    client.enqueue({{1.0 + 0.1 * i, "load", 10.0 * i}}, 1.0 + 0.1 * i);
+    client.enqueueIds({{1.0 + 0.1 * i, names::intern("load"), 10.0 * i}},
+                      1.0 + 0.1 * i);
   }
   EXPECT_EQ(client.counters().recordsCoarsened, 5U);
   client.pump(3.5);  // past the window: min/avg/max hit the queue + wire
@@ -329,12 +331,12 @@ TEST(AggLadder, CoarseWindowEmitsMinAvgMaxPerMetric) {
     if (frame.kind != FrameKind::kBatch) {
       continue;
     }
-    for (const WireRecord& r : frame.records) {
-      if (r.name == "load") {
+    for (const IdRecord& r : frame.records) {
+      if (names::lookup(r.name) == "load") {
         avgSeen = r.value;
-      } else if (r.name == "load.min") {
+      } else if (names::lookup(r.name) == "load.min") {
         minSeen = r.value;
-      } else if (r.name == "load.max") {
+      } else if (names::lookup(r.name) == "load.max") {
         maxSeen = r.value;
       }
     }
@@ -353,7 +355,7 @@ TEST(AggLadder, AckedPressureForcesCoarseAndStalenessReleases) {
   options.pressureStaleSeconds = 3.0;
   options.deescalateAfterPumps = 2;
   Client client(hub.makeClientTransport(), rankIdentity(), options);
-  client.enqueue(someRecords(1, 1.0), 1.0);
+  client.enqueueIds(someRecords(1, 1.0), 1.0);
 
   FrameReader reader;
   std::uint64_t connection = 0;
@@ -389,7 +391,7 @@ TEST(AggLadder, CumulativeAcksSettleEverySequenceUpToTheAckedOne) {
   options.batchRecords = 1;  // one batch per enqueue: seqs 1, 2, 3
   Client client(hub.makeClientTransport(), rankIdentity(), options);
   for (int i = 0; i < 3; ++i) {
-    client.enqueue(someRecords(1, 1.0 + i), 1.0 + i);
+    client.enqueueIds(someRecords(1, 1.0 + i), 1.0 + i);
   }
   FrameReader reader;
   std::uint64_t connection = 0;
@@ -421,7 +423,7 @@ TEST(AggLadder, GarbageFromTheDaemonDropsTheConnectionNotTheClient) {
   options.reconnectBackoffSeconds = 0.5;
   options.reconnectJitterFraction = 0.0;
   Client client(hub.makeClientTransport(), rankIdentity(), options);
-  client.enqueue(someRecords(1, 1.0), 1.0);
+  client.enqueueIds(someRecords(1, 1.0), 1.0);
   std::uint64_t connection = 0;
   for (const auto& delivery : server->poll()) {
     connection = delivery.connection;
@@ -433,7 +435,7 @@ TEST(AggLadder, GarbageFromTheDaemonDropsTheConnectionNotTheClient) {
   EXPECT_FALSE(client.connected());
 
   // The client reconnects and resumes on the next due pump.
-  client.enqueue(someRecords(1, 3.0), 3.0);
+  client.enqueueIds(someRecords(1, 3.0), 3.0);
   FrameReader reader;
   bool reHello = false;
   for (const Frame& frame : drainFrames(*server, reader)) {
@@ -480,7 +482,7 @@ TEST(AggClient, ReconnectJitterStaysBoundedAndDecorrelatesSeeds) {
     options.jitterSeed = seed;
     options.batchAgeSeconds = 0.0;
     Client client(hub.makeClientTransport(), rankIdentity(), options);
-    client.enqueue(someRecords(1, 0.0), 0.0);  // connect fails at t=0
+    client.enqueueIds(someRecords(1, 0.0), 0.0);  // connect fails at t=0
     hub.setDown(false);
     auto server = hub.makeServer();
     FrameReader reader;

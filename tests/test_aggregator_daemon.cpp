@@ -8,9 +8,15 @@
 //     restart
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <chrono>
+#include <filesystem>
+#include <map>
 #include <memory>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -22,10 +28,13 @@
 #include "aggregator/wire.hpp"
 #include "cluster/job.hpp"
 #include "common/error.hpp"
+#include "common/interning.hpp"
 #include "common/json.hpp"
 #include "topology/presets.hpp"
 #include "trace/metrics.hpp"
 #include "trace/prometheus.hpp"
+#include "tsdb/engine.hpp"
+#include "tsdb/wal.hpp"
 
 using namespace zerosum;
 using namespace zerosum::aggregator;
@@ -44,13 +53,14 @@ Hello rankIdentity(int rank, int worldSize = 4,
 }
 
 /// A raw pipe endpoint speaking frames directly (no Client batching),
-/// so tests control exactly what the daemon sees.
+/// so tests control exactly what the daemon sees.  Its frames share one
+/// connection, and so one name table.
 struct RawSource {
   explicit RawSource(PipeHub& hub) : transport(hub.makeClientTransport()) {
     EXPECT_TRUE(transport->connect());
   }
   void send(const Frame& frame) {
-    EXPECT_TRUE(transport->send(encodeFrame(frame)));
+    EXPECT_TRUE(transport->send(encodeFrame(frame, names)));
   }
   void hello(int rank, int worldSize = 4) {
     Frame frame;
@@ -62,10 +72,11 @@ struct RawSource {
     Frame frame;
     frame.kind = FrameKind::kBatch;
     frame.timeSeconds = t;
-    frame.records.push_back({t, metric, value});
+    frame.records.push_back({t, names::intern(metric), value});
     send(frame);
   }
   std::unique_ptr<Transport> transport;
+  NameRefs names;
 };
 
 }  // namespace
@@ -198,6 +209,43 @@ TEST(AggDaemon, MissingRanksComeFromAnnouncedWorldSize) {
   EXPECT_EQ(missing[1], 3);
   const std::string dash = daemon.dashboard(1.0);
   EXPECT_NE(dash.find("never heard from: 1 3"), std::string::npos);
+}
+
+TEST(AggDaemon, DashboardCpuColumnAveragesEachHwtUserPct) {
+  // The cpu avg% column is the mean of the newest coarse window of every
+  // hwt.<n>.user_pct series of the rank; hwt.0.user_pct_x is not one.
+  PipeHub hub;
+  Aggregator daemon(hub.makeServer());
+  RawSource r0(hub);
+  RawSource r1(hub);
+  r0.hello(0);
+  r1.hello(1);
+  r0.batch(1.5, "hwt.0.user_pct", 40.0);
+  r0.batch(1.5, "hwt.0.user_pct", 50.0);  // coarse window avg 45
+  r0.batch(1.5, "hwt.12.user_pct", 75.0);
+  r0.batch(1.5, "hwt.0.user_pct_x", 1000.0);
+  r0.batch(1.5, "hwt.0.idle_pct", 5.0);
+  r1.batch(1.5, "hwt.0.user_pct_x", 1000.0);
+  daemon.poll(2.0);
+
+  // Each rank row: rank, node, state, last seen, records, cpu avg%,
+  // degraded, quarantined.
+  std::map<std::string, std::vector<std::string>> rows;
+  std::istringstream lines(daemon.dashboard(2.0));
+  for (std::string line; std::getline(lines, line);) {
+    std::istringstream fields(line);
+    std::vector<std::string> row;
+    for (std::string field; fields >> field;) {
+      row.push_back(field);
+    }
+    if (row.size() == 8 && (row[0] == "0" || row[0] == "1")) {
+      rows[row[0]] = row;
+    }
+  }
+  ASSERT_EQ(rows.size(), 2U);
+  EXPECT_EQ(rows["0"][4], "5");
+  EXPECT_EQ(rows["0"][5], "60.0");  // (45 + 75) / 2
+  EXPECT_EQ(rows["1"][5], "-");     // no hwt.<n>.user_pct series
 }
 
 TEST(AggQuery, SnapshotRangeSourcesAndErrors) {
@@ -421,7 +469,7 @@ TEST(AggTcp, ConnectBatchQueryAndReconnectAcrossDaemonRestart) {
   options.reconnectBackoffSeconds = 0.01;
   Client client(std::make_unique<TcpTransport>("127.0.0.1", port),
                 rankIdentity(0, 1), options);
-  client.enqueue({{1.0, "m", 5.0}}, 1.0);
+  client.enqueueIds({{1.0, names::intern("m"), 5.0}}, 1.0);
   ASSERT_TRUE(pollUntil(*daemon, 1.0, [&] {
     return daemon->counters().recordsIngested >= 1;
   }));
@@ -448,7 +496,8 @@ TEST(AggTcp, ConnectBatchQueryAndReconnectAcrossDaemonRestart) {
   daemon.reset();
   bool failureSeen = false;
   for (int attempt = 0; attempt < 50 && !failureSeen; ++attempt) {
-    client.enqueue({{2.0, "m", 6.0}}, 2.0 + static_cast<double>(attempt));
+    client.enqueueIds({{2.0, names::intern("m"), 6.0}},
+                      2.0 + static_cast<double>(attempt));
     failureSeen = client.counters().sendFailures +
                       client.counters().connectFailures +
                       client.counters().recordsDropped >
@@ -463,8 +512,8 @@ TEST(AggTcp, ConnectBatchQueryAndReconnectAcrossDaemonRestart) {
       std::make_unique<TcpServer>(port));
   bool delivered = false;
   for (int attempt = 0; attempt < 200 && !delivered; ++attempt) {
-    client.enqueue({{3.0, "m", 7.0}},
-                   3.0 + static_cast<double>(attempt));  // past any backoff
+    client.enqueueIds({{3.0, names::intern("m"), 7.0}},
+                      3.0 + static_cast<double>(attempt));  // past any backoff
     restarted->poll(3.0);
     delivered = restarted->counters().recordsIngested >= 1;
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
@@ -556,7 +605,7 @@ TEST(AggAdmission, PressureRisesWithBacklogAndRidesEveryAck) {
   Frame batch;
   batch.kind = FrameKind::kBatch;
   batch.timeSeconds = 1.0;
-  batch.records.push_back({1.0, "m", 1.0});
+  batch.records.push_back({1.0, names::intern("m"), 1.0});
   for (std::uint64_t seq = 1; seq <= 9; ++seq) {
     batch.batchSeq = seq;
     source.send(batch);
@@ -652,6 +701,124 @@ TEST(AggAdmission, DrainBacklogFlushesEverythingForOrderlyShutdown) {
   EXPECT_EQ(daemon.counters().recordsIngested, 12U);
 }
 
+// --- a full name table (DESIGN.md §8) ---------------------------------------
+
+namespace {
+
+/// Caps the interner at the names it already holds, for the guard's
+/// life: every new name is refused, as when the table is full.
+struct FullInterner {
+  FullInterner() { names::setCapacity(names::internedCount()); }
+  ~FullInterner() { names::setCapacity(names::kMaxNames); }
+  FullInterner(const FullInterner&) = delete;
+  FullInterner& operator=(const FullInterner&) = delete;
+};
+
+/// `bytes` with each `from` replaced by `to`, a text of the same length.
+std::string renamed(std::string bytes, std::string_view from,
+                    std::string_view to) {
+  for (auto at = bytes.find(from); at != std::string::npos;
+       at = bytes.find(from, at)) {
+    bytes.replace(at, from.size(), to);
+  }
+  return bytes;
+}
+
+}  // namespace
+
+TEST(AggAdmission, WhatARefusedNameWouldKeyIsDroppedAndCounted) {
+  // The interner is full when one connection's Hello declares a new job,
+  // when another's batch declares a new metric, and when a forwarded
+  // block declares a new job.  The records and windows such a name would
+  // key are dropped and counted, never filed under "" in the store or the
+  // WAL, and every batch is still acked.
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("zs_refused_names_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  {
+    tsdb::EngineOptions engineOptions;
+    engineOptions.fsync = tsdb::FsyncPolicy::kOff;
+    tsdb::Engine engine(dir.string(), engineOptions);
+    PipeHub hub;
+    Aggregator daemon(hub.makeServer());
+    daemon.attachEngine(&engine);
+    RawSource refusedJob(hub);
+    RawSource namedJob(hub);
+    RawSource forwarder(hub);
+    Frame forward;
+    forward.kind = FrameKind::kForward;
+    forward.batchSeq = 1;
+    forward.origin = "group-0";
+    forward.hopCount = 1;
+    forward.forwardSeries.open() = {"refused.jobA", 5, "refused.kept"};
+    forward.forwardSeries.push({Resolution::kFine, 1, {1.0, 1.0, 1.0, 1}});
+    forward.forwardSeries.push({Resolution::kCoarse, 0, {1.0, 1.0, 1.0, 1}});
+    Frame batch;
+    batch.kind = FrameKind::kBatch;
+    batch.timeSeconds = 1.5;
+    batch.batchSeq = 1;
+    batch.records = {{1.5, names::intern("refused.kept"), 1.0},
+                     {1.5, names::intern("refused.metricA"), 2.0}};
+    names::intern("job");
+    {
+      const FullInterner full;
+      Frame hello;
+      hello.kind = FrameKind::kHello;
+      hello.hello = rankIdentity(0, 2, "refused.job");
+      refusedJob.send(hello);
+      refusedJob.send(batch);
+      namedJob.hello(1, 2);
+      // The second record's name reaches the daemon as text it never
+      // interned.
+      EXPECT_TRUE(namedJob.transport->send(
+          renamed(encodeFrame(batch, namedJob.names), "refused.metricA",
+                  "refused.metricB")));
+      EXPECT_TRUE(forwarder.transport->send(renamed(
+          encodeFrame(forward), "refused.jobA", "refused.jobB")));
+      daemon.poll(2.0);
+    }
+    EXPECT_EQ(names::find("refused.job"), names::kInvalidId);
+    EXPECT_EQ(names::find("refused.metricB"), names::kInvalidId);
+    EXPECT_EQ(names::find("refused.jobB"), names::kInvalidId);
+    EXPECT_EQ(daemon.counters().batchesIngested, 2U);
+    EXPECT_EQ(daemon.counters().recordsIngested, 1U);
+    EXPECT_EQ(daemon.counters().forwardFrames, 1U);
+    EXPECT_EQ(daemon.counters().forwardWindows, 0U);
+    EXPECT_EQ(daemon.counters().forwardConflicts, 0U);
+    EXPECT_EQ(daemon.counters().unnamedDropped, 2U + 1U + 2U);
+    const std::vector<SeriesKey> kept = {{"job", 1, "refused.kept"}};
+    EXPECT_EQ(daemon.store().keys(), kept);
+    EXPECT_EQ(engine.seriesKeys(), kept);
+    for (RawSource* source : {&refusedJob, &namedJob, &forwarder}) {
+      FrameReader reader;
+      const auto frames = receiveFrames(*source->transport, reader);
+      ASSERT_EQ(frames.size(), 1U);
+      EXPECT_EQ(frames[0].kind, FrameKind::kBatchAck);
+      EXPECT_EQ(frames[0].batchSeq, 1U);
+    }
+    // The refused job's source is registered by its Hello's text, with
+    // none of its records.
+    const auto sources = daemon.sources();
+    ASSERT_EQ(sources.size(), 2U);
+    EXPECT_EQ(sources[1].hello.job, "refused.job");
+    EXPECT_EQ(sources[1].records, 0U);
+  }
+  // The WAL logged one batch, of the named job, with its named record.
+  std::vector<tsdb::WalBatch> logged;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().filename().string().starts_with("wal")) {
+      const tsdb::WalReadResult wal = tsdb::readWal(entry.path().string());
+      logged.insert(logged.end(), wal.batches.begin(), wal.batches.end());
+    }
+  }
+  ASSERT_EQ(logged.size(), 1U);
+  EXPECT_EQ(logged[0].job, "job");
+  ASSERT_EQ(logged[0].samples.size(), 1U);
+  EXPECT_EQ(logged[0].samples[0].metric, "refused.kept");
+  std::filesystem::remove_all(dir);
+}
+
 // --- per-stage latency attribution (batch stamps, DESIGN.md §10) ------------
 
 namespace {
@@ -665,7 +832,7 @@ Frame stampedBatch(std::uint64_t seq, double enqueueAt, double encodeAt,
   frame.enqueueSeconds = enqueueAt;
   frame.encodeSeconds = encodeAt;
   frame.prevRoundtripSeconds = prevRoundtrip;
-  frame.records.push_back({encodeAt, "hwt.0.user_pct", 50.0});
+  frame.records.push_back({encodeAt, names::intern("hwt.0.user_pct"), 50.0});
   return frame;
 }
 

@@ -251,7 +251,7 @@ TEST(AggStore, EvictSourceDropsExactlyItsOwnRunOfKeys) {
     EXPECT_EQ(store.keysOf(job, rank), own);
     EXPECT_EQ(store.evictSource(job, rank), metrics.size());
     std::erase_if(remaining, [&](const SeriesKey& key) {
-      return key.job == job && key.rank == rank;
+      return key.jobName() == job && key.rank == rank;
     });
     EXPECT_EQ(store.keys(), remaining);
     EXPECT_TRUE(store.keysOf(job, rank).empty());
@@ -324,7 +324,7 @@ TEST(AggStore, KeysOfMatchesTheFilteredKeyList) {
     for (int rank = -1; rank <= 8; ++rank) {
       std::vector<SeriesKey> expected;
       for (const SeriesKey& key : all) {
-        if (key.job == job && key.rank == rank) {
+        if (key.jobName() == job && key.rank == rank) {
           expected.push_back(key);
         }
       }
@@ -513,7 +513,7 @@ TEST(AggStoreSnapshot, DataGenerationBumpsOnEveryMutation) {
   store.ingestWindow(kKey, Resolution::kFine, 3, Rollup{2.0, 2.0, 2.0, 1});
   const std::uint64_t g2 = store.dataGeneration();
   EXPECT_GT(g2, g1);
-  store.evictSource(kKey.job, kKey.rank);
+  store.evictSource(kKey.jobName(), kKey.rank);
   EXPECT_GT(store.dataGeneration(), g2);
   // Reads do not bump it: equal readings bracket an unchanged interval.
   const std::uint64_t g3 = store.dataGeneration();
@@ -683,10 +683,10 @@ class MapModel {
     return true;
   }
 
-  void evictSource(const std::string& job, int rank) {
+  void evictSource(std::string_view job, int rank) {
     ++generation_;
     for (auto it = series_.begin(); it != series_.end();) {
-      if (it->first.job == job && it->first.rank == rank) {
+      if (it->first.jobName() == job && it->first.rank == rank) {
         evicted_ += it->second.windows[0].size() + it->second.windows[1].size();
         it = series_.erase(it);
       } else {
@@ -993,8 +993,8 @@ TEST(AggStoreProperty, WindowBuffersMatchAMapModelOverRandomSeeds) {
         model.markAllDirty();
       } else if (op < 97) {
         const SeriesKey& key = feeder.keys[rng() % feeder.keys.size()];
-        store.evictSource(key.job, key.rank);
-        model.evictSource(key.job, key.rank);
+        store.evictSource(key.jobName(), key.rank);
+        model.evictSource(key.jobName(), key.rank);
       } else {
         const StoreSnapshot snap = store.snapshot();
         expectSameSnapshot(snap, store, model);
@@ -1121,8 +1121,8 @@ TEST(AggStoreProperty, DeepRetentionStoreMatchesTheModelAndSnapshotsStayFrozen) 
         EXPECT_EQ(drained.size(), model.drainAll().size());
       } else if (op < 93) {
         const SeriesKey& key = feeder.keys[rng() % feeder.keys.size()];
-        store.evictSource(key.job, key.rank);
-        model.evictSource(key.job, key.rank);
+        store.evictSource(key.jobName(), key.rank);
+        model.evictSource(key.jobName(), key.rank);
       } else {
         // Hold this snapshot in place of a random older one.
         StoreSnapshot snap = store.snapshot();
@@ -1291,18 +1291,18 @@ TEST(AggStoreSnapshot, SeriesAreListedInKeyOrder) {
   EXPECT_EQ(keysOf(store.snapshot()), keys);
   EXPECT_EQ(keysOf(store.snapshotNewest(std::nullopt, std::nullopt, "")),
             keys);
-  const std::string metric = keys[keys.size() / 2].metric;
+  const std::string metric(keys[keys.size() / 2].metricName());
   std::vector<SeriesKey> filtered;
   std::vector<SeriesKey> ofJob;
   std::vector<SeriesKey> ofRank;
   for (const SeriesKey& key : keys) {
-    if (key.job == "job" && key.metric == metric) {
+    if (key.jobName() == "job" && key.metricName() == metric) {
       filtered.push_back(key);
     }
-    if (key.job == "job") {
+    if (key.jobName() == "job") {
       ofJob.push_back(key);
     }
-    if (key.job == "job" && key.rank == 3) {
+    if (key.jobName() == "job" && key.rank == 3) {
       ofRank.push_back(key);
     }
   }

@@ -30,6 +30,7 @@
 #include "aggregator/writer.hpp"
 #include "cluster/job.hpp"
 #include "common/error.hpp"
+#include "common/interning.hpp"
 #include "topology/presets.hpp"
 #include "tsdb/engine.hpp"
 
@@ -174,7 +175,7 @@ TEST(FaultTransport, DisconnectFaultClosesAndClientMachineryRecovers) {
                 hello, options);
   double t = 0.0;
   for (int i = 0; i < 8; ++i) {
-    client.enqueue({{t, "m", static_cast<double>(i)}}, t);
+    client.enqueueIds({{t, names::intern("m"), static_cast<double>(i)}}, t);
     t += 1.0;
   }
   EXPECT_GE(client.counters().sendFailures, 1U);
@@ -211,9 +212,10 @@ TEST_F(ChaosDirTest, SyncWriterGroupCommitsAndAdvancesTheTicket) {
   TsdbWriter writer(&engine, options);
 
   const auto samples = idRecords({{1.0, "cpu.util", 10.0}});
-  const auto t1 = writer.submit("job", 0, samples);
-  const auto t2 = writer.submit("job", 0, samples);
-  const auto t3 = writer.submit("job", 1, samples);
+  const names::Id job = names::intern("job");
+  const auto t1 = writer.submit(job, 0, samples);
+  const auto t2 = writer.submit(job, 0, samples);
+  const auto t3 = writer.submit(job, 1, samples);
   ASSERT_TRUE(t1 && t2 && t3);
   EXPECT_LT(*t1, *t2);
   EXPECT_LT(*t2, *t3);
@@ -237,16 +239,17 @@ TEST_F(ChaosDirTest, FullWriterQueueRejectsInsteadOfBlocking) {
   options.maxPendingBatches = 2;
   TsdbWriter writer(&engine, options);
   const auto samples = idRecords({{1.0, "m", 1.0}});
-  EXPECT_TRUE(writer.submit("job", 0, samples).has_value());
-  EXPECT_TRUE(writer.submit("job", 0, samples).has_value());
+  const names::Id job = names::intern("job");
+  EXPECT_TRUE(writer.submit(job, 0, samples).has_value());
+  EXPECT_TRUE(writer.submit(job, 0, samples).has_value());
   EXPECT_FALSE(writer.hasSpace());
-  EXPECT_FALSE(writer.submit("job", 0, samples).has_value());
+  EXPECT_FALSE(writer.submit(job, 0, samples).has_value());
   EXPECT_EQ(writer.counters().submitRejected, 1U);
   EXPECT_DOUBLE_EQ(writer.occupancy(), 1.0);
 
   writer.pump();
   EXPECT_TRUE(writer.hasSpace());
-  EXPECT_TRUE(writer.submit("job", 0, samples).has_value());
+  EXPECT_TRUE(writer.submit(job, 0, samples).has_value());
 }
 
 TEST_F(ChaosDirTest, ThreadedWriterDrainsOnFlushAndShutdown) {
@@ -256,11 +259,12 @@ TEST_F(ChaosDirTest, ThreadedWriterDrainsOnFlushAndShutdown) {
   {
     TsdbWriter writer(&engine, options);
     ASSERT_TRUE(writer.threaded());
+    const names::Id job = names::intern("job");
     std::uint64_t last = 0;
     for (int i = 0; i < 50; ++i) {
       const auto samples =
           idRecords({{1.0 + 0.1 * i, "cpu.util", static_cast<double>(i)}});
-      const auto ticket = writer.submit("job", i % 4, samples);
+      const auto ticket = writer.submit(job, i % 4, samples);
       ASSERT_TRUE(ticket.has_value()) << i;
       last = *ticket;
     }
@@ -327,7 +331,7 @@ std::uint64_t engineRecordsForRank(const tsdb::Engine& engine,
                                    double horizon) {
   std::uint64_t records = 0;
   for (const auto& key : engine.seriesKeys()) {
-    if (key.job != job || key.rank != rank) {
+    if (key.jobName() != job || key.rank != rank) {
       continue;
     }
     for (const auto& w : engine.range(key, 0.0, horizon)) {

@@ -25,6 +25,7 @@
 #include "aggregator/wire.hpp"
 #include "cluster/job.hpp"
 #include "common/error.hpp"
+#include "common/interning.hpp"
 #include "common/monotime.hpp"
 #include "topology/presets.hpp"
 
@@ -86,7 +87,8 @@ std::vector<FlatWindow> flatten(const SeriesBlocks& blocks) {
   std::vector<FlatWindow> out;
   for (const SeriesBlocks::Block& block : blocks.blocks()) {
     for (const WindowSnapshot& w : blocks.windows(block)) {
-      out.push_back({block.key.job, block.key.rank, block.key.metric,
+      out.push_back({std::string(block.key.jobName()), block.key.rank,
+                     std::string(block.key.metricName()),
                      static_cast<std::uint8_t>(w.resolution), w.windowIndex,
                      w.rollup.min, w.rollup.max, w.rollup.sum,
                      w.rollup.count});
@@ -419,6 +421,7 @@ TEST(FedDaemon, ForwardFramesIngestIdempotentlyAndCountHops) {
   Aggregator daemon(hub.makeServer());
   auto transport = hub.makeClientTransport();
   ASSERT_TRUE(transport->connect());
+  NameRefs names;  // the connection's name table
 
   Frame frame;
   frame.kind = FrameKind::kForward;
@@ -428,7 +431,7 @@ TEST(FedDaemon, ForwardFramesIngestIdempotentlyAndCountHops) {
   frame.hopCount = 2;
   frame.forwardSources.push_back({"job", 3, 8, "nid3", 0, 0.5});
   frame.forwardSeries = blocksOf({{"job", 3, "m", 0, 5, 1.0, 3.0, 4.0, 2}});
-  ASSERT_TRUE(transport->send(encodeFrame(frame)));
+  ASSERT_TRUE(transport->send(encodeFrame(frame, names)));
   daemon.poll(5.0);
 
   EXPECT_EQ(daemon.counters().forwardFrames, 1U);
@@ -444,14 +447,14 @@ TEST(FedDaemon, ForwardFramesIngestIdempotentlyAndCountHops) {
   // A retransmit of the same cumulative snapshot is a conflict, not a
   // double-count; a newer snapshot (higher count) replaces.
   frame.batchSeq = 2;
-  ASSERT_TRUE(transport->send(encodeFrame(frame)));
+  ASSERT_TRUE(transport->send(encodeFrame(frame, names)));
   daemon.poll(5.1);
   EXPECT_EQ(daemon.counters().forwardConflicts, 1U);
   EXPECT_EQ(daemon.store().latest(key)->rollup.count, 2U);
 
   frame.batchSeq = 3;
   frame.forwardSeries = blocksOf({{"job", 3, "m", 0, 5, 1.0, 9.0, 13.0, 3}});
-  ASSERT_TRUE(transport->send(encodeFrame(frame)));
+  ASSERT_TRUE(transport->send(encodeFrame(frame, names)));
   daemon.poll(5.2);
   EXPECT_EQ(daemon.store().latest(key)->rollup.count, 3U);
   EXPECT_DOUBLE_EQ(daemon.store().latest(key)->rollup.max, 9.0);
@@ -472,6 +475,7 @@ TEST(FedDaemon, InterleavedForwardRunsApplyEachWindowByItsOwnRules) {
   Aggregator daemon(hub.makeServer(), storeOptions);
   auto transport = hub.makeClientTransport();
   ASSERT_TRUE(transport->connect());
+  NameRefs names;  // the connection's name table
 
   const double nan = std::numeric_limits<double>::quiet_NaN();
   Frame frame;
@@ -497,7 +501,7 @@ TEST(FedDaemon, InterleavedForwardRunsApplyEachWindowByItsOwnRules) {
       {"job", 0, "a", 0, 13, 7.0, 7.0, 7.0, 1},   // count 1 = 1: conflict
   });
   ASSERT_EQ(frame.forwardSeries.blocks().size(), 3U);
-  ASSERT_TRUE(transport->send(encodeFrame(frame)));
+  ASSERT_TRUE(transport->send(encodeFrame(frame, names)));
   daemon.poll(20.0);
   EXPECT_EQ(daemon.counters().forwardWindows, 5U);
   EXPECT_EQ(daemon.counters().forwardConflicts, 5U);
@@ -505,7 +509,7 @@ TEST(FedDaemon, InterleavedForwardRunsApplyEachWindowByItsOwnRules) {
   // The retransmit applies nothing: every admissible window is now a
   // not-newer snapshot, so all ten are conflicts.
   frame.batchSeq = 2;
-  ASSERT_TRUE(transport->send(encodeFrame(frame)));
+  ASSERT_TRUE(transport->send(encodeFrame(frame, names)));
   daemon.poll(20.1);
   EXPECT_EQ(daemon.counters().forwardWindows, 5U);
   EXPECT_EQ(daemon.counters().forwardConflicts, 15U);
@@ -551,7 +555,7 @@ TEST(FedDaemon, PollClampsBackwardClockSteps) {
   batch.kind = FrameKind::kBatch;
   batch.timeSeconds = 100.0;
   batch.batchSeq = 1;
-  batch.records.push_back({100.0, "m", 1.0});
+  batch.records.push_back({100.0, names::intern("m"), 1.0});
   ASSERT_TRUE(transport->send(encodeFrame(batch)));
   daemon.poll(100.0);
   ASSERT_EQ(daemon.store().seriesCount(), 1U);
@@ -604,7 +608,7 @@ TEST(FedForwarder, ShipsDirtyWindowsAndResyncsOnMembershipChange) {
     batch.kind = FrameKind::kBatch;
     batch.timeSeconds = 1.5;
     batch.batchSeq = 1;
-    batch.records.push_back({1.5, "m", 10.0 * (r + 1)});
+    batch.records.push_back({1.5, names::intern("m"), 10.0 * (r + 1)});
     ASSERT_TRUE(ranks.back()->send(encodeFrame(batch)));
   }
   local.poll(1.6);

@@ -23,6 +23,7 @@
 #include "aggregator/transport.hpp"
 #include "aggregator/wire.hpp"
 #include "common/error.hpp"
+#include "common/interning.hpp"
 #include "common/json.hpp"
 #include "common/stats.hpp"
 #include "trace/metrics.hpp"
@@ -368,7 +369,7 @@ Frame batchFrame(double t, std::uint64_t seq) {
   frame.batchSeq = seq;
   frame.enqueueSeconds = t - 0.010;
   frame.encodeSeconds = t - 0.005;
-  frame.records.push_back({t, "hwt.0.user_pct", 50.0});
+  frame.records.push_back({t, names::intern("hwt.0.user_pct"), 50.0});
   return frame;
 }
 
@@ -431,8 +432,9 @@ TEST_F(HttpTest, ReadyzFlipsWithDaemonPressure) {
   auto source = plane.wireHub.makeClientTransport();
   ASSERT_TRUE(source->connect());
   ASSERT_TRUE(source->send(encodeFrame(helloFrame(0))));
+  NameRefs names;  // the connection's name table
   for (std::uint64_t seq = 1; seq <= 12; ++seq) {
-    ASSERT_TRUE(source->send(encodeFrame(batchFrame(1.0, seq))));
+    ASSERT_TRUE(source->send(encodeFrame(batchFrame(1.0, seq), names)));
   }
   plane.daemon.poll(1.0);
   ASSERT_EQ(plane.daemon.pressure(), PressureLevel::kOverloaded);

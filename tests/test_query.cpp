@@ -36,6 +36,7 @@
 #include "aggregator/transport.hpp"
 #include "aggregator/wire.hpp"
 #include "common/error.hpp"
+#include "common/interning.hpp"
 #include "common/json.hpp"
 #include "common/stats.hpp"
 #include "trace/metrics.hpp"
@@ -112,6 +113,7 @@ class QueryDialectTest : public ::testing::Test {
       }
     }
     const std::size_t perDaemon = sources.size() / 2;
+    std::vector<NameRefs> tables(sources.size());  // one per connection
     for (int second = 0; second < kSeconds; ++second) {
       for (std::size_t s = 0; s < perDaemon; ++s) {
         Frame batch;
@@ -120,13 +122,13 @@ class QueryDialectTest : public ::testing::Test {
         for (const char* metric : kMetrics) {
           for (const double offset : {0.25, 0.75}) {
             batch.records.push_back(
-                {second + offset, metric,
+                {second + offset, names::intern(metric),
                  static_cast<double>(rng.nextBelow(1000))});
           }
         }
-        const std::string bytes = encodeFrame(batch);
-        ASSERT_TRUE(sources[s]->send(bytes));
-        ASSERT_TRUE(sources[perDaemon + s]->send(bytes));
+        for (const std::size_t to : {s, perDaemon + s}) {
+          ASSERT_TRUE(sources[to]->send(encodeFrame(batch, tables[to])));
+        }
       }
       withEngine_->poll(second + 1.0);
       storeOnly_->poll(second + 1.0);
@@ -292,11 +294,13 @@ TEST_F(QueryDialectTest, ExportBoundedBeforeADamagedNewestBlockAnswers) {
     options.fsync = tsdb::FsyncPolicy::kOff;
     tsdb::Engine engine(dir, options);
     for (const SeriesKey& key : {damaged, intact}) {
-      engine.append(key.job, key.rank, {{1.5, key.metric, 5.0}});
+      engine.append(key.job, key.rank,
+                    std::vector<IdRecord>{{1.5, key.metric, 5.0}});
     }
     engine.compact();
     for (const SeriesKey& key : {damaged, intact}) {
-      engine.append(key.job, key.rank, {{4.5, key.metric, 6.0}});
+      engine.append(key.job, key.rank,
+                    std::vector<IdRecord>{{4.5, key.metric, 6.0}});
     }
     engine.seal();
     ASSERT_EQ(engine.segmentCount(), 2U);
@@ -424,14 +428,15 @@ TEST_F(QueryDialectTest, AnswerBytesMatchTheParent) {
     Frame batch;
     batch.kind = FrameKind::kBatch;
     batch.timeSeconds = 42.75;
+    const auto id = [](std::string_view name) { return names::intern(name); };
     batch.records = {
-        {41.25, "neg0", -0.0},      {41.25, "huge", 1.7e308},
-        {41.75, "huge", 1.7e308},   {41.25, "big", 1e6},
-        {41.5, "big", 1234567.0},   {41.75, "big", 2.5e9},
-        {42.25, "big", -1e6},       {42.5, "big", 999999.5},
-        {42.75, "big", -999999.0},  {41.5, "tiny", 1e-5},
-        {42.5, "tiny", 0.1},        {41.5, kQuoteName, 1.0},
-        {41.5, kBackslashName, 2.0}, {41.5, kControlName, 3.0},
+        {41.25, id("neg0"), -0.0},      {41.25, id("huge"), 1.7e308},
+        {41.75, id("huge"), 1.7e308},   {41.25, id("big"), 1e6},
+        {41.5, id("big"), 1234567.0},   {41.75, id("big"), 2.5e9},
+        {42.25, id("big"), -1e6},       {42.5, id("big"), 999999.5},
+        {42.75, id("big"), -999999.0},  {41.5, id("tiny"), 1e-5},
+        {42.5, id("tiny"), 0.1},        {41.5, id(kQuoteName), 1.0},
+        {41.5, id(kBackslashName), 2.0}, {41.5, id(kControlName), 3.0},
     };
     for (PipeHub* hub : {&engineHub_, &storeHub_}) {
       sources.push_back(hub->makeClientTransport());
@@ -820,16 +825,17 @@ TEST(Json, MutatedDocumentsParseOrThrowParseError) {
   hello.hello.job = "a";
   hello.hello.hostname = "node0000";
   ASSERT_TRUE(source->send(encodeFrame(hello)));
+  NameRefs names;  // the connection's name table
   stats::SplitMix64 values(24);
   for (int second = 0; second < 12; ++second) {
     Frame batch;
     batch.kind = FrameKind::kBatch;
     batch.timeSeconds = second + 0.5;
     for (const char* metric : kMetrics) {
-      batch.records.push_back(
-          {second + 0.5, metric, values.nextDouble() * 1e3 - 5e2});
+      batch.records.push_back({second + 0.5, names::intern(metric),
+                               values.nextDouble() * 1e3 - 5e2});
     }
-    ASSERT_TRUE(source->send(encodeFrame(batch)));
+    ASSERT_TRUE(source->send(encodeFrame(batch, names)));
     daemon.poll(second + 1.0);
   }
   service.beginPoll(12.0);

@@ -60,7 +60,7 @@ Frame batchFrame(double t, std::uint64_t seq, double value = 50.0) {
   frame.batchSeq = seq;
   frame.enqueueSeconds = t - 0.010;
   frame.encodeSeconds = t - 0.005;
-  frame.records.push_back({t, "hwt.0.user_pct", value});
+  frame.records.push_back({t, names::intern("hwt.0.user_pct"), value});
   return frame;
 }
 
@@ -73,12 +73,12 @@ struct QueryPlane {
         service(daemon, queryOptions),
         source(hub.makeClientTransport()) {
     EXPECT_TRUE(source->connect());
-    EXPECT_TRUE(source->send(encodeFrame(helloFrame(0))));
+    EXPECT_TRUE(source->send(encodeFrame(helloFrame(0), names)));
   }
 
   /// One record at `t`, ingested and visible in the store.
   void ingest(double t, std::uint64_t seq, double value = 50.0) {
-    ASSERT_TRUE(source->send(encodeFrame(batchFrame(t, seq, value))));
+    ASSERT_TRUE(source->send(encodeFrame(batchFrame(t, seq, value), names)));
     daemon.poll(t);
   }
 
@@ -86,6 +86,7 @@ struct QueryPlane {
   Aggregator daemon;
   QueryService service;
   std::unique_ptr<Transport> source;
+  NameRefs names;  ///< `source`'s name table
 };
 
 }  // namespace
@@ -357,7 +358,8 @@ TEST_F(QueryServiceTest, PressureClosesTheBulkClassEntirely) {
   options.cacheMaxEntries = 0;
   QueryPlane plane(options, daemonOptions);
   for (std::uint64_t seq = 1; seq <= 12; ++seq) {
-    ASSERT_TRUE(plane.source->send(encodeFrame(batchFrame(1.0, seq))));
+    ASSERT_TRUE(
+        plane.source->send(encodeFrame(batchFrame(1.0, seq), plane.names)));
   }
   plane.daemon.poll(1.0);
   ASSERT_NE(plane.daemon.pressure(), PressureLevel::kOk);
@@ -466,7 +468,7 @@ TEST_F(QueryServiceTest, WindowIgnoresRecordsTheStoreRejects) {
   // answer without them: the window folds only what the store keeps.
   const double inf = std::numeric_limits<double>::infinity();
   const double nan = std::nan("");
-  const auto windowAnswer = [](const std::vector<WireRecord>& hostile) {
+  const auto windowAnswer = [](const std::vector<IdRecord>& hostile) {
     QueryPlane plane;
     for (std::uint64_t seq = 1; seq <= 5; ++seq) {
       plane.ingest(static_cast<double>(seq), seq,
@@ -475,7 +477,7 @@ TEST_F(QueryServiceTest, WindowIgnoresRecordsTheStoreRejects) {
     if (!hostile.empty()) {
       Frame frame = batchFrame(5.5, 6);
       frame.records = hostile;
-      EXPECT_TRUE(plane.source->send(encodeFrame(frame)));
+      EXPECT_TRUE(plane.source->send(encodeFrame(frame, plane.names)));
       plane.daemon.poll(5.5);
       EXPECT_EQ(plane.daemon.counters().recordsIngested, 5U + hostile.size());
     }
@@ -487,13 +489,12 @@ TEST_F(QueryServiceTest, WindowIgnoresRecordsTheStoreRejects) {
   };
   const std::string clean = windowAnswer({});
   EXPECT_NE(clean.find("\"count\":5"), std::string::npos) << clean;
-  const std::vector<WireRecord> hostile = {
-      {5.2, "hwt.0.user_pct", nan},   {5.3, "hwt.0.user_pct", inf},
-      {5.4, "hwt.0.user_pct", -inf},  {nan, "hwt.0.user_pct", 1.0},
-      {inf, "hwt.0.user_pct", 1.0},   {-1.0, "hwt.0.user_pct", 1.0},
-      {1e300, "hwt.0.user_pct", 1.0}};
+  const names::Id cpu = names::intern("hwt.0.user_pct");
+  const std::vector<IdRecord> hostile = {
+      {5.2, cpu, nan}, {5.3, cpu, inf}, {5.4, cpu, -inf}, {nan, cpu, 1.0},
+      {inf, cpu, 1.0}, {-1.0, cpu, 1.0}, {1e300, cpu, 1.0}};
   EXPECT_EQ(windowAnswer(hostile), clean);
-  for (const WireRecord& record : hostile) {
+  for (const IdRecord& record : hostile) {
     EXPECT_EQ(windowAnswer({record}), clean)
         << "t=" << record.timeSeconds << " value=" << record.value;
   }
@@ -603,9 +604,10 @@ TEST_F(QueryServiceTest, ExportReadsTheEngineUnderTheThreadedWritersLock) {
       Frame batch = batchFrame(t, static_cast<std::uint64_t>(i));
       for (int metric = 1; metric < 8; ++metric) {
         batch.records.push_back(
-            {t, "hwt." + std::to_string(metric) + ".user_pct", 50.0});
+            {t, names::intern("hwt." + std::to_string(metric) + ".user_pct"),
+             50.0});
       }
-      ASSERT_TRUE(plane.source->send(encodeFrame(batch)));
+      ASSERT_TRUE(plane.source->send(encodeFrame(batch, plane.names)));
       plane.daemon.poll(t);
       plane.service.beginPoll(t);
       const QueryResult result =

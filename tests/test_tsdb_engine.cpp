@@ -28,6 +28,7 @@
 #include "aggregator/transport.hpp"
 #include "cluster/job.hpp"
 #include "common/error.hpp"
+#include "common/interning.hpp"
 #include "common/json.hpp"
 #include "topology/presets.hpp"
 #include "trace/metrics.hpp"
@@ -805,8 +806,11 @@ TEST_F(TsdbEngineTest, RecordsWithoutANameAreNeitherLoggedNorMerged) {
     // kInvalidId is the interner's answer when its table is full.
     const std::vector<aggregator::IdRecord> records = {
         {1.5, names::kInvalidId, 1.0}, {1.5, names::intern("m"), 2.0}};
-    engine.append("job", 0, records);
+    engine.append(names::intern("job"), 0, records);
+    // Nor is any record of a batch whose job has no name.
+    engine.append(names::kInvalidId, 1, records);
     EXPECT_EQ(engine.counters().samplesAppended, 1U);
+    EXPECT_EQ(engine.counters().batchesAppended, 1U);
     EXPECT_EQ(engine.seriesKeys(), (std::vector<SeriesKey>{{"job", 0, "m"}}));
   }
   const WalReadResult wal = readWal(walFile(1));
@@ -981,7 +985,8 @@ void expectIndexMatchesRange(const Engine& engine,
                              const std::vector<int>& ranks) {
   const std::vector<SeriesKey> keys = engine.seriesKeys();
   for (const SeriesKey& key : keys) {
-    SCOPED_TRACE(key.job + "/" + std::to_string(key.rank) + "/" + key.metric);
+    SCOPED_TRACE(std::string(key.jobName()) + "/" + std::to_string(key.rank) +
+                 "/" + std::string(key.metricName()));
     bool held = false;
     for (const Resolution res : {Resolution::kFine, Resolution::kCoarse}) {
       const auto rows = engine.range(key, 0.0, 1e9, res);
@@ -1000,7 +1005,7 @@ void expectIndexMatchesRange(const Engine& engine,
     for (const auto& rank : rankSlices) {
       std::vector<SeriesKey> expected;
       for (const SeriesKey& key : keys) {
-        if ((!job || key.job == *job) && (!rank || key.rank == *rank)) {
+        if ((!job || key.jobName() == *job) && (!rank || key.rank == *rank)) {
           expected.push_back(key);
         }
       }
@@ -1314,7 +1319,7 @@ TEST_F(TsdbEngineTest, DaemonStreamWritesTheGuardedWalAndSegmentBytes) {
   };
   const double inf = std::numeric_limits<double>::infinity();
   std::vector<std::uint64_t> actual;
-  std::vector<aggregator::WireRecord> records;
+  std::vector<aggregator::IdRecord> records;
   for (int p = 0; p < kPeriods; ++p) {
     const double t = 1.0 + p;
     for (int rank = 0; rank < kRanks; ++rank) {
@@ -1334,13 +1339,14 @@ TEST_F(TsdbEngineTest, DaemonStreamWritesTheGuardedWalAndSegmentBytes) {
         } else if (roll < 0.08) {
           value = -value;  // negative values are kept
         }
-        records.push_back({time, metrics[static_cast<std::size_t>(m)], value});
+        records.push_back(
+            {time, names::intern(metrics[static_cast<std::size_t>(m)]), value});
         if (unit() < 0.03) {
-          const aggregator::WireRecord duplicate = records.back();
+          const aggregator::IdRecord duplicate = records.back();
           records.push_back(duplicate);
         }
       }
-      clients[static_cast<std::size_t>(rank)]->enqueue(records, t);
+      clients[static_cast<std::size_t>(rank)]->enqueueIds(records, t);
     }
     daemon.poll(t);
     if (p % 13 == 12) {

@@ -290,9 +290,9 @@ std::vector<SegmentEntry> writeHandBuiltSegment(
   std::string footer;
   putVarint(footer, footerEntries.size());
   for (const SegmentEntry& entry : footerEntries) {
-    putString(footer, entry.key.job);
+    putString(footer, std::string(entry.key.jobName()));
     putVarint(footer, zigzag(entry.key.rank));
-    putString(footer, entry.key.metric);
+    putString(footer, std::string(entry.key.metricName()));
     footer.push_back(static_cast<char>(entry.resolution));
     putVarint(footer, entry.offset);
     putVarint(footer, entry.length);

@@ -22,6 +22,7 @@
 #include "aggregator/client.hpp"
 #include "aggregator/query.hpp"
 #include "aggregator/tcp.hpp"
+#include "common/interning.hpp"
 #include "common/json.hpp"
 #include "tsdb/engine.hpp"
 
@@ -198,8 +199,8 @@ TEST_F(TsdbToolsTest, AggdSigtermLosesNoAckedBatch) {
     // ones; enqueue each record exactly once.
     if (sent < kRecords) {
       const double t = 0.5 + sent;
-      client.enqueue({{t, "kill.metric", 10.0 + sent}},
-                     static_cast<double>(tick));
+      client.enqueueIds({{t, names::intern("kill.metric"), 10.0 + sent}},
+                        static_cast<double>(tick));
       ++sent;
     } else {
       client.pump(static_cast<double>(tick));

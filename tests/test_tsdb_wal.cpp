@@ -3,6 +3,8 @@
 // and missing files — plus repairWal() re-append after truncation.
 #include <gtest/gtest.h>
 
+#include <signal.h>
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <cstdio>
@@ -255,6 +257,42 @@ TEST_F(TsdbWalTest, RepairIsNoOpOnCleanLog) {
 
 TEST_F(TsdbWalTest, UnopenableDirectoryThrows) {
   EXPECT_THROW(WalWriter(dir_.string(), FsyncPolicy::kOff), StateError);
+}
+
+TEST_F(TsdbWalTest, AFailedAppendLeavesNoTornFrame) {
+  // A write that fails part-way (here EFBIG: the file-size limit, lowered
+  // for this process only, falls inside the third frame) must not leave
+  // its partial frame for the next append to land behind.
+  WalWriter writer(path_, FsyncPolicy::kOff);
+  writer.append(sampleBatch(1, 3));
+  writer.append(sampleBatch(2, 3));
+  const std::uint64_t whole = writer.sizeBytes();
+
+  struct sigaction ignore {};
+  ignore.sa_handler = SIG_IGN;
+  struct sigaction oldAction {};
+  ASSERT_EQ(::sigaction(SIGXFSZ, &ignore, &oldAction), 0);
+  rlimit oldLimit{};
+  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &oldLimit), 0);
+  rlimit lowered = oldLimit;
+  lowered.rlim_cur = whole + 10;
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &lowered), 0);
+  EXPECT_THROW(writer.append(sampleBatch(3, 3)), StateError);
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &oldLimit), 0);
+  ASSERT_EQ(::sigaction(SIGXFSZ, &oldAction, nullptr), 0);
+  EXPECT_EQ(writer.sizeBytes(), whole);
+  EXPECT_EQ(fs::file_size(path_), whole);
+
+  writer.append(sampleBatch(4, 3));
+  writer.append(sampleBatch(5, 3));
+  writer.close();
+  const WalReadResult result = readWal(path_);
+  EXPECT_EQ(result.damagedBytes, 0U) << result.damage;
+  ASSERT_EQ(result.batches.size(), 4U);
+  const int ranks[] = {1, 2, 4, 5};
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(result.batches[i], sampleBatch(ranks[i], 3)) << i;
+  }
 }
 
 }  // namespace

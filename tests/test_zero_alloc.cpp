@@ -155,6 +155,63 @@ TEST(ZeroAlloc, AggregatorClientEnqueueSteadyState) {
   EXPECT_EQ(client.level(), aggregator::DegradeLevel::kFull);
 }
 
+/// A connected transport that keeps nothing it is sent and never
+/// receives: a client's flush with no peer's work in the measurement.
+class DiscardingTransport final : public aggregator::Transport {
+ public:
+  bool connect() override { return true; }
+  [[nodiscard]] bool connected() const override { return true; }
+  bool send(const std::string& bytes) override {
+    bytesSent += bytes.size();
+    return true;
+  }
+  bool receive(std::string& /*out*/) override { return true; }
+  void close() override {}
+
+  std::uint64_t bytesSent = 0;
+};
+
+// The wire edge of the client: a connected flush copies the queued id
+// records into one frame and encodes it into one string, sending each
+// name's text only the first time the connection uses it.  What one
+// flush allocates must not grow with the records it sends.
+TEST(ZeroAlloc, AggregatorClientFlushSteadyState) {
+  const auto allocationsPerFlush = [](std::size_t records) {
+    aggregator::Hello hello;
+    hello.job = "test";
+    hello.hostname = "node0000";
+    auto transport = std::make_unique<DiscardingTransport>();
+    DiscardingTransport* wire = transport.get();
+    aggregator::ClientOptions options;
+    options.batchRecords = records;  // every enqueue flushes one batch
+    options.batchAgeSeconds = 1e9;
+    options.maxInflightAcks = 8;  // no acks come: keep the FIFO bounded
+    aggregator::Client client(std::move(transport), hello, options);
+    std::vector<aggregator::IdRecord> batch;
+    for (std::size_t i = 0; i < records; ++i) {
+      // Past the small-string buffer, as most Listing-2 names are.
+      batch.push_back(
+          {1.0, names::intern("za.flush.metric.name." + std::to_string(i)),
+           static_cast<double>(i)});
+    }
+    double t = 1.0;
+    const std::uint64_t allocs = measuredAllocations([&] {
+      client.enqueueIds(batch, t);
+      t += 1.0;
+    });
+    EXPECT_EQ(client.counters().batchesSent,
+              static_cast<std::uint64_t>(kWarmup + kMeasured));
+    EXPECT_EQ(client.counters().recordsSent,
+              (kWarmup + kMeasured) * records);
+    EXPECT_GT(wire->bytesSent, 0u);
+    return static_cast<double>(allocs) / kMeasured;
+  };
+  const double one = allocationsPerFlush(1);
+  const double full = allocationsPerFlush(145);
+  EXPECT_LE(one, 4.0);
+  EXPECT_LE(full, 4.0) << "a flush must not allocate per record";
+}
+
 TEST(ZeroAlloc, InternedLookupIsAllocationFree) {
   const names::Id id = names::intern("za.lookup.metric");
   const std::uint64_t allocs = measuredAllocations([&] {
@@ -180,7 +237,8 @@ TEST(ZeroAlloc, DirtyMarksAndDrainsSteadyState) {
   store.enableDirtyTracking();
   std::vector<aggregator::SeriesKey> keys;
   for (int rank = 0; rank < kSeries; ++rank) {
-    // Longer than the small-string buffer: block keys must reuse theirs.
+    // Keys are ids: a drain copies 12 bytes per block, however long the
+    // name.
     keys.push_back({"job", rank, "node.hwt.17.user_pct.with.a.long.name"});
   }
   std::vector<aggregator::RollupStore::SeriesRef> refs(kSeries);
@@ -346,7 +404,7 @@ TEST(ZeroAlloc, EngineAppendSteadyState) {
     tsdb::EngineOptions options;
     options.fsync = tsdb::FsyncPolicy::kOff;
     tsdb::Engine engine(dir.string(), options);
-    const std::string job = "job";
+    const names::Id job = names::intern("job");
     std::vector<aggregator::IdRecord> records;
     for (int m = 0; m < kSeries; ++m) {
       records.push_back(
